@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,13 @@ from repro.analog.compile import (
     note_dense_jacobian,
 )
 from repro.analog.dcop import dc_operating_point
-from repro.analog.kernels import REUSE_SLOWDOWN, KernelStats, c_einsum, raw_inv
+from repro.analog.kernels import (
+    KernelStats,
+    c_einsum,
+    keep_stale,
+    newton_accepts,
+    raw_inv,
+)
 from repro.analog.waveform import Waveform
 from repro.circuit.netlist import Netlist
 from repro.errors import (  # noqa: F401  (ConvergenceError: historical import site)
@@ -72,15 +78,27 @@ MAX_RESCUES = 50
 SPARSE_AUTO_NODES = 256
 
 
-def _resolve_jacobian_policy(
-    circuit: CompiledCircuit, options: "TransientOptions"
-) -> str:
-    """Effective policy of a run: ``"auto"`` resolved by node count."""
-    if options.jacobian_policy == "auto":
-        return (
-            "sparse" if circuit.n_free >= SPARSE_AUTO_NODES else "reuse"
-        )
-    return options.jacobian_policy
+def resolve_jacobian_policy(
+    circuit: Any, options: "TransientOptions"
+) -> Tuple[str, bool]:
+    """``(backend, reuse)`` of a run under ``options.jacobian_policy``.
+
+    ``backend`` is ``"dense"`` (cached Jacobian inverse) or ``"sparse"``
+    (CSR + ``SparseLU``); ``reuse`` enables the modified-Newton factor
+    cache, which only an explicit ``"dense"`` policy turns off.
+    ``"auto"`` picks the sparse backend from :data:`SPARSE_AUTO_NODES`
+    free nodes up.  A lockstep stack has no sparse backend and takes
+    only ``reuse``, so there ``"sparse"`` and ``"auto"`` run the batched
+    dense inverse with reuse - the decisions the scalar engine takes on
+    sensor-sized circuits.
+    """
+    policy = options.jacobian_policy
+    reuse = policy != "dense"
+    if policy == "sparse" or (
+        policy == "auto" and circuit.n_free >= SPARSE_AUTO_NODES
+    ):
+        return "sparse", reuse
+    return "dense", reuse
 
 
 @dataclass(frozen=True)
@@ -122,12 +140,15 @@ class TransientOptions:
         point by a fraction of ``vntol``, far below the local-error
         tolerances.  ``"dense"`` factors on every iteration - the
         reference behaviour the golden-waveform tests compare against.
-        Rescue rungs and the operating-point ladder always run dense.
         ``"sparse"`` routes the whole run - operating point, plain
-        solves *and* rescue rungs - through the CSR/``SparseLU`` path of
-        :mod:`repro.sparse` with the same modified-Newton reuse policy;
-        ``"auto"`` picks ``"sparse"`` when the circuit has at least
-        :data:`SPARSE_AUTO_NODES` free nodes and ``"reuse"`` otherwise.
+        solves *and* rescue rungs - through the CSR/``SparseLU`` backend
+        of :mod:`repro.sparse` with the same modified-Newton reuse
+        policy; ``"auto"`` picks ``"sparse"`` when the circuit has at
+        least :data:`SPARSE_AUTO_NODES` free nodes and ``"reuse"``
+        otherwise.  Rescue rungs never reuse a factorization (they run
+        damped or shunted systems) but use the run's backend.  See
+        :func:`resolve_jacobian_policy`; lockstep stacks resolve
+        ``"sparse"`` and ``"auto"`` to ``"reuse"``.
     """
 
     dt_max: float = 100e-12
@@ -214,9 +235,36 @@ class TransientCheckpoint:
         )
 
 
-def _node_order(circuit: CompiledCircuit) -> Tuple[str, ...]:
-    """Node names of ``circuit`` in state-vector order."""
+def _node_order(circuit: Any) -> Tuple[str, ...]:
+    """Node names of ``circuit`` (or a stack) in state-vector order."""
     return tuple(sorted(circuit.node_index, key=circuit.node_index.get))
+
+
+def check_window(
+    circuit: Any,
+    record: Optional[Iterable[str]],
+    resume_from: Optional[TransientCheckpoint],
+    t_start: float,
+    t_stop: float,
+) -> Tuple[List[str], float]:
+    """Validate a run's recorded nodes and resume checkpoint against
+    ``circuit`` (a compiled circuit or stack); return ``(record,
+    t_start)``, the start taken from the checkpoint when resuming."""
+    record = list(record) if record is not None else sorted(circuit.node_index)
+    for node in record:
+        if node not in circuit.node_index:
+            raise KeyError(f"cannot record unknown node {node!r}")
+    if resume_from is not None:
+        order = _node_order(circuit)
+        if resume_from.nodes != order:
+            raise ValueError(
+                "checkpoint node order does not match circuit "
+                f"(checkpoint {resume_from.nodes}, circuit {order})"
+            )
+        t_start = resume_from.t
+    if t_stop <= t_start:
+        raise ValueError(f"need t_stop > t_start (got {t_start} .. {t_stop})")
+    return record, t_start
 
 
 @dataclass
@@ -290,27 +338,176 @@ class TransientResult:
         return len(self.times)
 
 
+class StepControl:
+    """The step-control law of the scalar and the lockstep loop.
+
+    Breakpoint walk, linear predictor, local-error norm, rejection and
+    growth are written once here.  :func:`transient` applies them to
+    ``(n,)`` states and :func:`repro.batch.engine.batch_transient` to
+    ``(B, n)`` stacks, where the error is reduced per sample and the
+    worst active sample drives the shared step - so a single-sample
+    stack walks the scalar grid by construction.
+    """
+
+    def __init__(self, options: "TransientOptions", breakpoints: List[float],
+                 t_start: float, t_stop: float) -> None:
+        self.options = options
+        self.points = breakpoints
+        self.t_stop = t_stop
+        # Time comparison tolerance: a few ULPs at the horizon's magnitude.
+        self.eps_t = 64.0 * np.spacing(max(abs(t_stop), abs(t_start), 1e-12))
+        self._next = 0
+
+    def running(self, t: float) -> bool:
+        """Whether the horizon still lies ahead of ``t``."""
+        return t < self.t_stop - self.eps_t
+
+    def clip(self, t: float, h: float) -> Tuple[float, bool]:
+        """``(h, hit_bp)``: the proposed step clipped to ``dt_max``, the
+        horizon and the next breakpoint, which it then lands on exactly."""
+        points, eps_t = self.points, self.eps_t
+        while self._next < len(points) and points[self._next] <= t + eps_t:
+            self._next += 1
+        next_bp = points[self._next] if self._next < len(points) else self.t_stop
+        h = min(h, self.options.dt_max, self.t_stop - t)
+        if t + h >= next_bp - eps_t:
+            return next_bp - t, True
+        return h, False
+
+    def can_halve(self, h: float) -> bool:
+        """Whether the step-halving rung may shrink ``h`` once more."""
+        options = self.options
+        return h * 0.25 >= options.dt_min and "step-halving" in options.escalation
+
+    @staticmethod
+    def predict_into(v: np.ndarray, v_prev: np.ndarray, t: float,
+                     t_prev: float, h: float, out: np.ndarray) -> np.ndarray:
+        """Linear extrapolation of the last two accepted points to
+        ``t + h`` (same rounding order as ``v + slope * h``)."""
+        if t > t_prev:
+            np.subtract(v, v_prev, out=out)
+            out /= t - t_prev
+            out *= h
+            out += v
+        else:
+            np.copyto(out, v)
+        return out
+
+    def lte(self, v_new: np.ndarray, v_pred: np.ndarray, weight: np.ndarray,
+            err: np.ndarray, out: Optional[np.ndarray] = None) -> Any:
+        """Normalised local error: the worst free node of each state,
+        weighted by ``reltol * max(|v|, 1) + vabstol``, computed in the
+        ``weight``/``err`` scratch (one row per sample for a stack)."""
+        options = self.options
+        n_free = weight.shape[-1]
+        np.abs(v_new[..., :n_free], out=weight)
+        np.maximum(weight, 1.0, out=weight)
+        weight *= options.reltol
+        weight += options.vabstol
+        np.subtract(v_new[..., :n_free], v_pred[..., :n_free], out=err)
+        np.abs(err, out=err)
+        err /= weight
+        return np.maximum.reduce(err, axis=-1, out=out, initial=0.0)
+
+    def rejects(self, err: float, h: float, hit_bp: bool) -> bool:
+        """Whether the local error rejects the step (shrink ``h`` 0.4x)."""
+        options = self.options
+        return err > options.lte_reject and not hit_bp and h > 4 * options.dt_min
+
+    def advance(self, h: float, err: float, restart: bool) -> Tuple[float, bool]:
+        """``(h, force_be)`` after an accepted step: a breakpoint or a
+        rescue restarts at ``dt_start`` with backward Euler, otherwise
+        the error drives growth clipped to ``[0.4, 2]``."""
+        if restart:
+            return self.options.dt_start, True
+        grow = 0.9 * (1.0 / max(err, 1e-12)) ** (1.0 / 3.0)
+        return h * float(min(max(grow, 0.4), 2.0)), False
+
+
+class DenseBackend:
+    """Dense linear algebra of the Newton loop: a cached ``raw_inv``
+    inverse of ``alpha * J_ff + C/h``.
+
+    Every product is a ``c_einsum`` so the bits match the lockstep
+    engine's ``bij,bj->bi`` forms (BLAS matmul accumulates differently)
+    - except :meth:`probe_charge`, the recorded-current probe, which has
+    always been a matmul.  :class:`repro.sparse.newton.SparseBackend` is
+    the CSR implementation of the same surface.
+    """
+
+    def __init__(self, circuit: CompiledCircuit) -> None:
+        n, nf = circuit.n_total, circuit.n_free
+        self.circuit = circuit
+        self.kernel = circuit.kernel()
+        self.stats = KernelStats()
+        self.jac = np.empty((nf, nf))
+        self.j_inv = np.empty((nf, nf))
+        self.c_rows = circuit.C[:nf, :]
+        self.c_over_h = np.empty((nf, n))
+        self.h_scaled: Optional[float] = None
+
+    def scale(self, h: float) -> None:
+        """Refresh ``C[:n_free, :] / h`` when ``h`` changes."""
+        if self.h_scaled != h:
+            np.multiply(self.c_rows, 1.0 / h, out=self.c_over_h)
+            self.h_scaled = h
+
+    def scaled_charge(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The residual's ``(C/h) @ v`` term on the free rows."""
+        return c_einsum("ij,j->i", self.c_over_h, v, out=out)
+
+    def factor(self, j: np.ndarray, alpha: float, shunt: float) -> None:
+        """Invert ``alpha * J_ff + C_ff/h (+ shunt * I)``.  A singular
+        matrix yields a NaN inverse (see ``kernels.raw_inv``), which the
+        Newton loop's non-finite step guard turns into a rejection."""
+        jac = self.jac
+        nf = jac.shape[0]
+        np.multiply(j[:nf, :nf], alpha, out=jac)
+        jac += self.c_over_h[:, :nf]
+        if shunt:
+            jac.reshape(-1)[:: nf + 1] += shunt
+        raw_inv(jac, out=self.j_inv)
+
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Apply the last factorization to ``rhs``."""
+        return c_einsum("ij,j->i", self.j_inv, rhs, out=out)
+
+    def charge_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``C @ v`` (full length) for the outer loop's charge history."""
+        return c_einsum("ij,j->i", self.circuit.C, v, out=out)
+
+    def probe_charge(self, v: np.ndarray) -> np.ndarray:
+        """``C @ v`` for the recorded source currents (fresh array)."""
+        return self.circuit.C @ v
+
+    def dcop_solver(self) -> None:
+        """Operating-point hook: ``None`` keeps the dense ladder."""
+        return None
+
+
 class _NewtonWork:
     """Per-run scratch of the Newton loop.
 
-    Owns the reusable iterate/residual/Jacobian buffers (the hot loop
-    allocates nothing per iteration beyond what LAPACK returns), the
-    cached Jacobian inverse of the modified-Newton policy - keyed on the
-    ``(h, alpha)`` system scaling and persisting *across* time steps, so
+    Owns the reusable iterate/residual buffers (the hot loop allocates
+    nothing per iteration beyond what the backend returns), the
+    modified-Newton reuse state - a factorization keyed on the
+    ``(h, alpha)`` system scaling that persists *across* time steps, so
     ``dt_max``-clamped stretches reuse one factorization for many steps -
-    and the :class:`~repro.analog.kernels.KernelStats` counters.
+    and the linear-algebra backend :func:`resolve_jacobian_policy` picks,
+    whose kernel and :class:`~repro.analog.kernels.KernelStats` the
+    engine shares.
     """
-
-    #: Dispatch flag ``_newton_step`` checks; the sparse twin sets True.
-    sparse = False
 
     def __init__(self, circuit: CompiledCircuit, options: TransientOptions) -> None:
         n, nf = circuit.n_total, circuit.n_free
-        self.kernel = circuit.kernel()
-        self.stats = KernelStats()
-        # Only an explicit "dense" disables the factorization cache
-        # ("auto" resolved to the dense family means "reuse").
-        self.modified = options.jacobian_policy != "dense"
+        self.backend, self.reuse = resolve_jacobian_policy(circuit, options)
+        if self.backend == "sparse":
+            from repro.sparse.newton import SparseBackend
+
+            self.lin = SparseBackend(circuit)
+        else:
+            self.lin = DenseBackend(circuit)
+        self.kernel, self.stats = self.lin.kernel, self.lin.stats
         self.v = np.empty(n)
         self.qh = np.empty(nf)        # (C_rows / h) @ v scratch
         self.rhs0 = np.empty(nf)      # iteration-invariant residual part
@@ -318,29 +515,12 @@ class _NewtonWork:
         self.delta = np.empty(nf)
         self.tmp = np.empty(nf)
         self.abs_buf = np.empty(nf)
-        self.jac = np.empty((nf, nf))
-        self.j_inv = np.empty((nf, nf))
-        self.c_rows = circuit.C[:nf, :]
-        self.c_over_h = np.empty((nf, n))
-        self.h_scaled: Optional[float] = None
         self.valid = False
         self.key: Optional[Tuple[float, float]] = None
         self.info: Dict[str, object] = {
             "iterations": 0, "worst_index": None,
             "worst_residual": None, "nonfinite": False,
         }
-
-    def scaled_c(self, h: float) -> np.ndarray:
-        """``C[:n_free, :] / h``, recomputed only when ``h`` changes.
-
-        The free-free block (columns ``:n_free``) feeds the Jacobian;
-        the full rows turn the per-iteration charge term into a single
-        matvec against the current iterate.
-        """
-        if self.h_scaled != h:
-            np.multiply(self.c_rows, 1.0 / h, out=self.c_over_h)
-            self.h_scaled = h
-        return self.c_over_h
 
     def note_worst(self, n_free: int, iterations: int) -> Dict[str, object]:
         """Record the worst-residual observation of the last iterate
@@ -380,38 +560,28 @@ def _newton_step(
     ``shunt`` adds the gmin-restart homotopy term.  Returns
     ``(solution, info)`` where ``info`` carries the iteration count, the
     worst-residual observation and a ``nonfinite`` flag - the raw
-    material of failure diagnostics.
+    material of failure diagnostics.  This is the only scalar Newton
+    iteration: the dense and the sparse backend differ only in
+    ``work.lin``.
 
-    Modified-Newton policy (``options.jacobian_policy == "reuse"``, only
-    in plain solves - the rescue rungs always run dense): while a cached
-    inverse for the same ``(h, alpha)`` scaling exists, each iteration
-    first reapplies it; the stale update is kept when its norm contracted
-    to at most :data:`~repro.analog.kernels.REUSE_SLOWDOWN` times the
-    previous update, otherwise the Jacobian is refactored on the spot.
-    Convergence (``step < vntol``) is accepted on stale iterations too:
-    the contraction guard bounds the distance to the full-Newton fixed
-    point by ``REUSE_SLOWDOWN * vntol`` - far inside the local-error
-    tolerances, so waveforms stay within solver noise of the dense path
-    (the golden-waveform tests pin this at the microvolt level).
+    Modified-Newton policy (every policy but ``"dense"``, see
+    :func:`resolve_jacobian_policy`; only in plain solves - damped and
+    shunted rescue solves always refactor): while a cached factorization
+    for the same ``(h, alpha)`` scaling exists, each iteration first
+    reapplies it and keeps the stale update by
+    :func:`~repro.analog.kernels.keep_stale`, otherwise the Jacobian is
+    refactored on the spot.  Convergence
+    (:func:`~repro.analog.kernels.newton_accepts`) is accepted on stale
+    iterations too: the contraction guard bounds the distance to the
+    full-Newton fixed point by ``REUSE_SLOWDOWN * vntol`` - far inside
+    the local-error tolerances, so waveforms stay within solver noise of
+    the dense path (the golden-waveform tests pin this at the microvolt
+    level).
     """
     n_free = circuit.n_free
     if work is None:
-        if _resolve_jacobian_policy(circuit, options) == "sparse":
-            from repro.sparse.newton import SparseNewtonWork
-
-            work = SparseNewtonWork(circuit, options)
-        else:
-            work = _NewtonWork(circuit, options)
-    if work.sparse:
-        # The sparse work object implements the whole solve (same
-        # policy, CSR/SparseLU linear algebra); rescue rungs arrive
-        # here too and therefore run sparse as well.
-        return work.newton_step(
-            circuit, v_guess, v_sources, q_prev, f_prev, h, alpha,
-            options, damping=damping, max_iter=max_iter,
-            shunt=shunt, shunt_target=shunt_target,
-        )
-    kernel, stats = work.kernel, work.stats
+        work = _NewtonWork(circuit, options)
+    kernel, stats, lin = work.kernel, work.stats, work.lin
     v = work.v
     np.copyto(v, v_guess)
     v[n_free:] = v_sources[n_free:]
@@ -422,17 +592,17 @@ def _newton_step(
     info["worst_residual"] = None
     info["nonfinite"] = False
 
-    modified = work.modified and damping == 1.0 and shunt == 0.0
+    modified = work.reuse and damping == 1.0 and shunt == 0.0
     if not (modified and work.valid and work.key == (h, alpha)):
         work.valid = False  # never reuse across a system-scaling change
     anchor = None
     if shunt:
         anchor = shunt_target if shunt_target is not None else v_guess
     neg_res, delta, tmp = work.residual, work.delta, work.tmp
-    abs_buf, qh, j_inv = work.abs_buf, work.qh, work.j_inv
+    abs_buf, qh = work.abs_buf, work.qh
     max_reduce = np.maximum.reduce  # skips the ndarray.max wrapper chain
     is_be = alpha == 1.0
-    c_over_h = work.scaled_c(h)
+    lin.scale(h)
     # Iteration-invariant part of the negated residual:
     # ``q_prev / h - (1 - alpha) * f_prev``.
     rhs0 = work.rhs0
@@ -443,11 +613,6 @@ def _newton_step(
     step_prev = np.inf
     step = 0.0
     vntol = options.vntol
-    slowdown = REUSE_SLOWDOWN
-    # Quadratic/linear contraction makes the *next* update predictable
-    # from the last two; accepting on the prediction saves the final
-    # confirming iteration.  Only valid for undamped solves (a clipped
-    # update breaks the contraction estimate).
     can_predict = damping == 1.0
     # Hot-loop counters accumulate in locals; flushed in ``finally``.
     n_iters = n_assembles = n_factor = n_refactor = n_reuse = 0
@@ -461,8 +626,7 @@ def _newton_step(
             n_iters += 1
             n_assembles += 1
             # Negated residual: rhs0 - (C/h) @ v - alpha * f(v).
-            c_einsum("ij,j->i", c_over_h, v, out=qh)
-            np.subtract(rhs0, qh, out=neg_res)
+            np.subtract(rhs0, lin.scaled_charge(v, qh), out=neg_res)
             if is_be:
                 neg_res -= f[:n_free]
             else:
@@ -477,12 +641,11 @@ def _newton_step(
             fresh = not try_stale
             if try_stale:
                 t0 = perf_counter()
-                c_einsum("ij,j->i", j_inv, neg_res, out=delta)
+                lin.solve(neg_res, delta)
                 np.abs(delta, out=abs_buf)
                 step = max_reduce(abs_buf) if n_free else 0.0
                 solve_acc += perf_counter() - t0
-                # NaN fails the comparison too, triggering a refactor.
-                if step <= slowdown * step_prev:
+                if keep_stale(step, step_prev):
                     n_reuse += 1
                 else:
                     t0 = perf_counter()
@@ -494,20 +657,13 @@ def _newton_step(
 
             if fresh:
                 t0 = perf_counter()
-                jac = work.jac
-                np.multiply(j[:n_free, :n_free], alpha, out=jac)
-                jac += c_over_h[:, :n_free]
-                if shunt:
-                    jac.reshape(-1)[:: n_free + 1] += shunt
-                # Singular jac -> NaN inverse (see kernels.raw_inv); the
-                # non-finite step guard below turns it into a rejection.
-                raw_inv(jac, out=j_inv)
+                lin.factor(j, alpha, shunt)
                 n_factor += 1
                 work.valid = modified
                 work.key = (h, alpha)
                 factor_acc += perf_counter() - t0
                 t0 = perf_counter()
-                c_einsum("ij,j->i", j_inv, neg_res, out=delta)
+                lin.solve(neg_res, delta)
                 np.abs(delta, out=abs_buf)
                 step = max_reduce(abs_buf) if n_free else 0.0
                 solve_acc += perf_counter() - t0
@@ -519,15 +675,8 @@ def _newton_step(
             if step > damping:
                 delta *= damping / step
             v[:n_free] += delta
-            if step < vntol:
-                return v.copy(), info
-            # Predicted acceptance: with contraction ratio step/step_prev,
-            # the next update would be ~ step^2/step_prev; if that is
-            # already below vntol the iterate is within ~vntol of the
-            # Newton fixed point - same error contract as the plain test,
-            # one whole evaluate/solve round cheaper.  (iteration > 0
-            # guards the step_prev = inf bootstrap.)
-            if can_predict and iteration and step * step < vntol * step_prev:
+            if newton_accepts(step, step_prev, vntol,
+                              can_predict and iteration > 0):
                 return v.copy(), info
             step_prev = step
         return None, work.note_worst(n_free, n_iters)
@@ -656,25 +805,11 @@ def transient(
     circuit = compiled or CompiledCircuit.compile(netlist)
     n_free = circuit.n_free
 
-    record = list(record) if record is not None else sorted(circuit.node_index)
-    for node in record:
-        if node not in circuit.node_index:
-            raise KeyError(f"cannot record unknown node {node!r}")
+    record, t_start = check_window(circuit, record, resume_from, t_start, t_stop)
     current_nodes = list(record_currents or [])
     for node in current_nodes:
         if node not in circuit.netlist.sources:
             raise KeyError(f"cannot record source current of undriven node {node!r}")
-
-    if resume_from is not None:
-        order = _node_order(circuit)
-        if resume_from.nodes != order:
-            raise ValueError(
-                "checkpoint node order does not match circuit "
-                f"(checkpoint {resume_from.nodes}, circuit {order})"
-            )
-        t_start = resume_from.t
-    if t_stop <= t_start:
-        raise ValueError(f"need t_stop > t_start (got {t_start} .. {t_stop})")
     if checkpoint_at is not None and not t_start < checkpoint_at <= t_stop:
         raise ValueError(
             f"checkpoint_at must lie in (t_start, t_stop] "
@@ -688,26 +823,20 @@ def transient(
     breakpoints = sorted(set(breakpoints))
 
     escalations: Dict[str, int] = {}
-    policy = _resolve_jacobian_policy(circuit, options)
-    if policy == "sparse":
-        from repro.sparse.newton import SparseNewtonWork
-
-        work = SparseNewtonWork(circuit, options)
-    else:
-        work = _NewtonWork(circuit, options)
-        if n_free > DENSE_WARN_NODES:
-            # A dense-family policy at this size allocates O(n^2)
-            # Jacobian buffers and refactors at O(n^3); warn loudly
-            # (once) and leave a trail in the escalation tallies.
-            note_dense_jacobian(n_free, policy)
-            escalations["dense-jacobian-large-n"] = 1
+    work = _NewtonWork(circuit, options)
+    if work.backend == "dense" and n_free > DENSE_WARN_NODES:
+        # A dense backend at this size allocates O(n^2) Jacobian
+        # buffers and refactors at O(n^3); warn loudly (once) and leave
+        # a trail in the escalation tallies.
+        note_dense_jacobian(n_free, options.jacobian_policy)
+        escalations["dense-jacobian-large-n"] = 1
     if resume_from is not None:
         v = resume_from.state.copy()
     else:
         dcop_stats: Dict[str, object] = {}
         v = dc_operating_point(
             circuit, t=t_start, initial=initial, stats=dcop_stats,
-            solver=work.static_solver() if work.sparse else None,
+            solver=work.lin.dcop_solver(),
         )
         if "dcop_rung" in dcop_stats:
             escalations[f"dcop:{dcop_stats['dcop_rung']}"] = 1
@@ -736,7 +865,7 @@ def transient(
             diagnostics=diagnostics,
         )
 
-    kernel, stats = work.kernel, work.stats
+    kernel, stats, lin = work.kernel, work.stats, work.lin
 
     times: List[float] = [t_start]
     states: List[np.ndarray] = [v.copy()]
@@ -747,9 +876,7 @@ def transient(
 
     t = t_start
     h = options.dt_start
-    # Time comparison tolerance: a few ULPs at the horizon's magnitude.
-    eps_t = 64.0 * np.spacing(max(abs(t_stop), abs(t_start), 1e-12))
-    bp_index = 0
+    control = StepControl(options, breakpoints, t_start, t_stop)
     force_be = True  # first step after t0 behaves like after a breakpoint
     if resume_from is not None:
         # Restore the predictor history; h/force_be above already match
@@ -770,45 +897,23 @@ def transient(
     circuit.source_voltages_into(t_start, v_sources)  # constants written once
     v_pred = np.empty(n_total)
     q_prev = np.empty(n_total)
-    q_now = np.empty(n_total) if (current_nodes and work.sparse) else None
     weight = np.empty(n_free)
     err_buf = np.empty(n_free)
 
-    while t < t_stop - eps_t:
-        while bp_index < len(breakpoints) and breakpoints[bp_index] <= t + eps_t:
-            bp_index += 1
-        next_bp = breakpoints[bp_index] if bp_index < len(breakpoints) else t_stop
-        h = min(h, options.dt_max, t_stop - t)
-        hit_bp = False
-        if t + h >= next_bp - eps_t:
-            h = next_bp - t
-            hit_bp = True
+    while control.running(t):
+        h, hit_bp = control.clip(t, h)
         if h < options.dt_min:
             _fail(StepSizeUnderflowError, "step size underflow", h, {}, None)
 
         t_new = t + h
         circuit.source_voltages_into(t_new, v_sources, dynamic_only=True)
-        # Predictor: linear extrapolation of the last two accepted points
-        # (same rounding order as the original ``v + slope * h``).
-        if t > t_prev:
-            np.subtract(v, v_prev, out=v_pred)
-            v_pred /= t - t_prev
-            v_pred *= h
-            v_pred += v
-        else:
-            np.copyto(v_pred, v)
+        control.predict_into(v, v_prev, t, t_prev, h, v_pred)
 
         alpha = 1.0 if force_be else 0.5
         f_hist = None
         if not force_be:
             f_hist, _ = kernel.eval(v, with_jacobian=False, stats=stats)
-        if work.sparse:
-            work.charge_into(v, q_prev)
-        else:
-            # c_einsum matches the batch engine's ``bij,bj->bi`` bits
-            # exactly (matmul's BLAS accumulation would not) - see
-            # kernels.ScalarKernel.
-            c_einsum("ij,j->i", circuit.C, v, out=q_prev)
+        lin.charge_into(v, q_prev)
 
         rescued = False
         v_new, step_info = _newton_step(
@@ -820,7 +925,7 @@ def transient(
             v_new = None
         if v_new is None:
             # Rung 1: step-halving down to the floor.
-            if h * 0.25 >= options.dt_min and "step-halving" in options.escalation:
+            if control.can_halve(h):
                 escalations["step-halving"] = escalations.get("step-halving", 0) + 1
                 h *= 0.25
                 force_be = True
@@ -860,26 +965,8 @@ def transient(
             rescued = True
 
         t_accept = perf_counter()
-        # LTE, computed into the reused weight/error buffers (rounding
-        # order matches the original expression exactly).
-        if n_free:
-            np.abs(v_new[:n_free], out=weight)
-            np.maximum(weight, 1.0, out=weight)
-            weight *= options.reltol
-            weight += options.vabstol
-            np.subtract(v_new[:n_free], v_pred[:n_free], out=err_buf)
-            np.abs(err_buf, out=err_buf)
-            err_buf /= weight
-            err = np.maximum.reduce(err_buf)
-        else:
-            err = 0.0
-
-        if (
-            not rescued
-            and err > options.lte_reject
-            and not hit_bp
-            and h > 4 * options.dt_min
-        ):
+        err = control.lte(v_new, v_pred, weight, err_buf)
+        if not rescued and control.rejects(err, h, hit_bp):
             h *= 0.4
             stats.accept_s += perf_counter() - t_accept
             continue
@@ -892,7 +979,7 @@ def transient(
         if (
             checkpoint_at is not None
             and checkpoint is None
-            and abs(t - checkpoint_at) <= eps_t
+            and abs(t - checkpoint_at) <= control.eps_t
         ):
             checkpoint = TransientCheckpoint(
                 t=t, t_prev=t_prev, state=v.copy(), state_prev=v_prev.copy(),
@@ -900,18 +987,8 @@ def transient(
             )
         if current_nodes:
             f_now, _ = kernel.eval(v, with_jacobian=False, stats=stats)
-            if work.sparse:
-                dq = (work.charge_into(v, q_now) - q_prev) / h
-            else:
-                dq = (circuit.C @ v - q_prev) / h
-            currents.append(f_now + dq)
-        force_be = False
-        if hit_bp or rescued:
-            h = options.dt_start
-            force_be = True
-        else:
-            grow = 0.9 * (1.0 / max(err, 1e-12)) ** (1.0 / 3.0)
-            h *= float(min(max(grow, 0.4), 2.0))
+            currents.append(f_now + (lin.probe_charge(v) - q_prev) / h)
+        h, force_be = control.advance(h, err, hit_bp or rescued)
         stats.accept_s += perf_counter() - t_accept
 
     if checkpoint_at is not None and checkpoint is None:

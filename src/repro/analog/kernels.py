@@ -1,4 +1,4 @@
-"""Allocation-free compiled evaluation kernels for the scalar engine.
+"""Allocation-free compiled evaluation kernels and the Newton decisions.
 
 The transient engine spends nearly all of its time in two places: the
 per-iteration assembly of the device residual/Jacobian and the dense
@@ -24,9 +24,16 @@ first and makes the second factorization-aware:
   gsum)`` (the swap exchanges ``gds`` and ``gsum``) plus ``u * gm`` on
   the gate column.  This is what makes the index arrays precomputable.
 
-* :class:`KernelStats` carries the hot-loop observability counters the
-  runtime telemetry aggregates: per-phase wall time (assemble / factor /
-  solve / accept) and the modified-Newton policy tallies
+* :func:`level1_stamp` is the one level-1 stamp body: the scalar, the
+  batched (:mod:`repro.batch.kernels`) and the sparse
+  (:mod:`repro.sparse.csr`) kernels each add only their own gather and
+  scatter around it.
+
+* :func:`keep_stale` and :func:`newton_accepts` are the modified-Newton
+  policy's two decisions, called by the scalar and the lockstep Newton
+  loop alike; :class:`KernelStats` carries the hot-loop observability
+  counters the runtime telemetry aggregates: per-phase wall time
+  (assemble / factor / solve / accept) and the policy tallies
   (``jacobian_reuses`` / ``refactorizations``).
 
 :func:`reference_device_currents` preserves the pre-kernel dense
@@ -37,7 +44,7 @@ compiled circuit that owns it) must not be shared across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
@@ -71,6 +78,32 @@ except ImportError:  # pragma: no cover - older numpy layout
 REUSE_SLOWDOWN = 0.5
 
 
+def keep_stale(step: Any, step_prev: Any) -> Any:
+    """Keep-stale rule of the modified-Newton policy: a stale update is
+    kept while its norm contracted to at most :data:`REUSE_SLOWDOWN`
+    times the previous one (NaN fails the test, forcing a refactor).
+    Works on floats (scalar loop) and ``(B,)`` arrays (lockstep loop).
+    """
+    return step <= REUSE_SLOWDOWN * step_prev
+
+
+def newton_accepts(step: Any, step_prev: Any, vntol: float,
+                   predict: bool) -> Any:
+    """Accept rule of every Newton loop: ``step < vntol``, or - with
+    ``predict`` - the contraction-predicted next update
+    ``step**2 / step_prev`` already under ``vntol``.  The prediction
+    puts the iterate within ~``vntol`` of the Newton fixed point - the
+    same error contract as the plain test, one evaluate/solve round
+    cheaper; callers pass ``predict=False`` on the first iteration
+    (``step_prev = inf``) and for damped solves (a clipped update breaks
+    the contraction estimate).  Works on floats and ``(B,)`` arrays.
+    """
+    done = step < vntol
+    if predict:
+        done = done | (step * step < vntol * step_prev)
+    return done
+
+
 @dataclass
 class KernelStats:
     """Hot-loop counters of one engine run (scalar or batch).
@@ -95,30 +128,17 @@ class KernelStats:
     accept_s: float = 0.0
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable counter snapshot."""
-        return {
-            "assembles": self.assembles,
-            "factorizations": self.factorizations,
-            "refactorizations": self.refactorizations,
-            "jacobian_reuses": self.jacobian_reuses,
-            "newton_iterations": self.newton_iterations,
-            "assemble_s": self.assemble_s,
-            "factor_s": self.factor_s,
-            "solve_s": self.solve_s,
-            "accept_s": self.accept_s,
-        }
+        """JSON-serialisable counter snapshot (subclass fields included)."""
+        return asdict(self)
 
     def merge(self, other: "KernelStats") -> None:
-        """Fold another stats object into this one."""
-        self.assembles += other.assembles
-        self.factorizations += other.factorizations
-        self.refactorizations += other.refactorizations
-        self.jacobian_reuses += other.jacobian_reuses
-        self.newton_iterations += other.newton_iterations
-        self.assemble_s += other.assemble_s
-        self.factor_s += other.factor_s
-        self.solve_s += other.solve_s
-        self.accept_s += other.accept_s
+        """Fold another stats object into this one (counters add)."""
+        for name in _KERNEL_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+#: The additive counters :meth:`KernelStats.merge` folds.
+_KERNEL_COUNTERS = tuple(f.name for f in fields(KernelStats))
 
 
 def mosfet_stamp_targets(
@@ -246,6 +266,105 @@ def reference_device_currents(
     return f, j
 
 
+def level1_gather(card: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """``(idx, sign3)`` of the combined ``(vd, vg, vs)`` gather.
+
+    One combined gather plus a premultiplied polarity vector turns the
+    three separate model-space transforms into a single elementwise
+    product (sign is exactly +/-1, so premultiplying the gathered
+    voltages is bit-identical to the reference).
+    """
+    idx = np.concatenate([np.asarray(card.m_d, dtype=np.intp),
+                          np.asarray(card.m_g, dtype=np.intp),
+                          np.asarray(card.m_s, dtype=np.intp)])
+    return idx, np.tile(np.asarray(card.m_sign, dtype=float), 3)
+
+
+def level1_stamp(
+    sv: np.ndarray,
+    card: Any,
+    rows: np.ndarray,
+    swap: np.ndarray,
+    jw: Optional[Any] = None,
+) -> np.ndarray:
+    """The level-1 MOSFET stamp body every kernel calls.
+
+    ``sv`` is the sign-premultiplied ``(vd, vg, vs)`` gather with the
+    three blocks along its last axis; ``card`` supplies the model cards
+    (``m_vt``/``m_beta``/``m_lam``/``m_sign``), which broadcast against
+    the ``(M,)`` rows of a circuit or the ``(B, M)`` rows of a batch.
+    ``rows`` holds ten scratch rows of that shape and ``swap`` a bool row.
+
+    Returns the residual weight row ``w``: ``+sign*ids`` at the fixed
+    drain target, negated where the evaluation swapped drain and source
+    (negating is exact).  With ``jw`` (six writable rows) the Jacobian
+    stamp weights are written too, in the fixed-target stamp order
+    ``(d,d) (d,g) (d,s) (s,d) (s,g) (s,s)``; ``gm``/``gds`` are skipped
+    entirely on residual-only calls.
+
+    This is :func:`repro.devices.mosfet.level1_ids` inlined with every
+    intermediate in a preallocated row and the reference operand order
+    kept, so currents stay bit-identical and derivatives within one ulp
+    of :func:`reference_device_currents`.  Every operation is
+    elementwise, so a batch row computes exactly the bits of the
+    matching circuit row.
+    """
+    m = swap.shape[-1]
+    svd = sv[..., :m]
+    svg = sv[..., m:2 * m]
+    svs = sv[..., 2 * m:]
+    b = rows
+    dv = np.subtract(svd, svs, out=b[0])
+    np.less(dv, 0.0, out=swap)
+    vds = np.abs(dv, out=b[1])
+    # Model-space vgs, referenced to the post-swap source terminal:
+    # ``where(swap, svd, svs)`` is exactly ``min(svd, svs)`` (swap means
+    # svd < svs), and ``minimum`` is a plain ufunc - no python-level
+    # ``np.where`` dispatch on the hot path.
+    vmin = np.minimum(svd, svs, out=b[2])
+    vgs = np.subtract(svg, vmin, out=b[2])
+    vov = np.subtract(vgs, card.m_vt, out=b[3])
+    np.maximum(vov, 0.0, out=vov)
+    x = np.minimum(vds, vov, out=b[4])
+    clm = np.multiply(card.m_lam, vds, out=b[5])
+    clm += 1.0
+    xx = np.multiply(x, x, out=b[6])
+    xx *= 0.5  # power-of-2 scale: identical to the 0.5*x*x reference
+    core = np.multiply(vov, x, out=b[7])
+    core -= xx
+    ids = np.multiply(card.m_beta, core, out=b[8])
+    ids *= clm
+    w = np.multiply(ids, card.m_sign, out=b[9])
+    np.negative(w, out=w, where=swap)
+    if jw is None:
+        return w
+
+    gm = np.multiply(card.m_beta, x, out=b[8])  # ids row is spent
+    gm *= clm
+    gds = np.subtract(vov, x, out=b[6])  # xx row is spent
+    gds *= clm
+    lamcore = core
+    lamcore *= card.m_lam
+    gds += lamcore
+    gds *= card.m_beta
+    # Fixed-frame stamps without ``np.where``'s dispatch cost: with
+    # ``sg = swap * gm`` (exactly gm or 0.0), ``gds + sg`` is
+    # ``where(swap, gds + gm, gds)`` and ``gds + (gm - sg)`` its mirror -
+    # additions against an exact 0.0 / exact cancellation, so bit-equal
+    # to the where() form.
+    sg = np.multiply(swap, gm, out=b[1])
+    sg2 = np.subtract(gm, sg, out=b[2])
+    np.add(gds, sg, out=jw[0])  # swap exchanges gds <-> gsum
+    np.add(gds, sg2, out=jw[5])
+    jw1 = jw[1]
+    jw1[...] = gm
+    np.negative(jw1, out=jw1, where=swap)
+    np.negative(jw[5], out=jw[2])
+    np.negative(jw[0], out=jw[3])
+    np.negative(jw1, out=jw[4])
+    return w
+
+
 class ScalarKernel:
     """Reusable-buffer device evaluation for one compiled circuit.
 
@@ -276,16 +395,7 @@ class ScalarKernel:
         self._nn = n * n
         self._b = np.empty((10, m))   # elementwise scratch rows
         self._swap = np.empty(m, dtype=bool)
-        # One combined gather plus a premultiplied polarity vector turns
-        # the three separate model-space transforms into a single
-        # elementwise product (sign is exactly +/-1, so premultiplying
-        # the gathered voltages is bit-identical to the reference).
-        self._idx_all = np.concatenate(
-            [np.asarray(circuit.m_d, dtype=np.intp),
-             np.asarray(circuit.m_g, dtype=np.intp),
-             np.asarray(circuit.m_s, dtype=np.intp)]
-        )
-        self._sign3 = np.tile(np.asarray(circuit.m_sign, dtype=float), 3)
+        self._idx_all, self._sign3 = level1_gather(circuit)
 
     def eval(
         self,
@@ -299,14 +409,10 @@ class ScalarKernel:
         the next call; callers that keep them must copy (the public
         :meth:`CompiledCircuit.device_currents` does).
 
-        The body is the level-1 evaluation of
-        :func:`repro.devices.mosfet.level1_ids` inlined with every
-        intermediate written into a preallocated scratch row - each
-        floating-point operation keeps the operand order of the
-        reference path, so currents stay bit-identical and derivatives
-        within one ulp of :func:`reference_device_currents` up to the
-        scatter summation order.  ``gm``/``gds`` are skipped entirely on
-        residual-only calls.
+        The model math is :func:`level1_stamp`; this kernel adds the
+        dense gather and the ``incidence @ w`` / ``bincount`` scatter, so
+        results match :func:`reference_device_currents` up to the scatter
+        summation order.
         """
         t0 = perf_counter() if stats is not None else 0.0
         circuit = self.circuit
@@ -320,73 +426,16 @@ class ScalarKernel:
         if with_jacobian:
             j = self.j
             j[...] = circuit.G
-        if self.m == 0:
-            if stats is not None:
-                stats.assembles += 1
-                stats.assemble_s += perf_counter() - t0
-            return f, j
-
-        m = self.m
-        sv = v[self._idx_all]  # sign-premultiplied (vd, vg, vs) gather
-        sv *= self._sign3
-        svd = sv[:m]
-        svg = sv[m:2 * m]
-        svs = sv[2 * m:]
-        b = self._b
-        dv = np.subtract(svd, svs, out=b[0])
-        swap = np.less(dv, 0.0, out=self._swap)
-        vds = np.abs(dv, out=b[1])
-        # Model-space vgs, referenced to the post-swap source terminal:
-        # ``where(swap, svd, svs)`` is exactly ``min(svd, svs)`` (swap
-        # means svd < svs), and ``minimum`` is a plain ufunc - no
-        # python-level ``np.where`` dispatch on the hot path.
-        vmin = np.minimum(svd, svs, out=b[2])
-        vgs = np.subtract(svg, vmin, out=b[2])
-        vov = np.subtract(vgs, circuit.m_vt, out=b[3])
-        np.maximum(vov, 0.0, out=vov)
-        x = np.minimum(vds, vov, out=b[4])
-        clm = np.multiply(circuit.m_lam, vds, out=b[5])
-        clm += 1.0
-        xx = np.multiply(x, x, out=b[6])
-        xx *= 0.5  # power-of-2 scale: identical to the 0.5*x*x reference
-        core = np.multiply(vov, x, out=b[7])
-        core -= xx
-        ids = np.multiply(circuit.m_beta, core, out=b[8])
-        ids *= clm
-        # Node weight: +sign*ids at the fixed drain target, negated where
-        # the evaluation swapped drain/source (negating is exact).
-        w = np.multiply(ids, circuit.m_sign, out=b[9])
-        np.negative(w, out=w, where=swap)
-        f += c_einsum("nm,m->n", self.incidence, w, out=self._fs)
-
-        if with_jacobian:
-            gm = np.multiply(circuit.m_beta, x, out=b[8])  # ids row is spent
-            gm *= clm
-            gds = np.subtract(vov, x, out=b[9])
-            gds *= clm
-            lamcore = core
-            lamcore *= circuit.m_lam
-            gds += lamcore
-            gds *= circuit.m_beta
-            # Fixed-frame stamps without ``np.where``'s dispatch cost:
-            # with ``sg = swap * gm`` (exactly gm or 0.0),
-            # ``gds + sg`` is ``where(swap, gds + gm, gds)`` and
-            # ``gds + (gm - sg)`` its mirror - additions against an exact
-            # 0.0 / exact cancellation, so bit-equal to the where() form.
-            jw = self._jw
-            sg = np.multiply(swap, gm, out=b[1])
-            sg2 = np.subtract(gm, sg, out=b[2])
-            np.add(gds, sg, out=jw[0])             # swap exchanges gds <-> gsum
-            np.add(gds, sg2, out=jw[5])
-            jw1 = jw[1]
-            jw1[...] = gm
-            np.negative(jw1, out=jw1, where=swap)
-            np.negative(jw[5], out=jw[2])
-            np.negative(jw[0], out=jw[3])
-            np.negative(jw1, out=jw[4])
-            self._j_flat += np.bincount(
-                self.j_idx, weights=self._jw_flat, minlength=self._nn
-            )
+        if self.m:
+            sv = v[self._idx_all]  # sign-premultiplied (vd, vg, vs) gather
+            sv *= self._sign3
+            jw = self._jw if with_jacobian else None
+            w = level1_stamp(sv, circuit, self._b, self._swap, jw)
+            f += c_einsum("nm,m->n", self.incidence, w, out=self._fs)
+            if jw is not None:
+                self._j_flat += np.bincount(
+                    self.j_idx, weights=self._jw_flat, minlength=self._nn
+                )
         if stats is not None:
             stats.assembles += 1
             stats.assemble_s += perf_counter() - t0

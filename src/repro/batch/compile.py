@@ -19,11 +19,10 @@ array               shape        meaning
 Device evaluation mirrors :meth:`CompiledCircuit.device_currents` but
 runs once for the whole stack, in the compiled
 :class:`~repro.batch.kernels.BatchKernel` (lazy, see :meth:`kernel`):
-the level-1 model evaluates elementwise on ``(B, M)`` scratch rows and
-the node scatter is one flattened-index ``np.bincount`` for all samples
-- the allocation-free twin of the scalar kernel, operation for
-operation, so a single-sample batch stays bit-identical to the scalar
-engine.
+the scalar engine's level-1 stamp body evaluates elementwise on
+``(B, M)`` scratch rows and the node scatter is one flattened-index
+``np.bincount`` for all samples, so a single-sample batch stays
+bit-identical to the scalar engine.
 
 Source evaluation is grouped per driven node at compile time: a node
 driven by :class:`~repro.devices.sources.DCSource` in every sample

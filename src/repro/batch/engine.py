@@ -14,10 +14,9 @@ Three per-sample masks drive the loop:
   their last accepted state frozen (their recorded waveform stops being
   meaningful at the time of death) and are excluded from every residual,
   error and growth computation.
-* ``converged`` (inside the Newton solve) - samples whose update norm
-  dropped below ``vntol`` (or whose contraction-extrapolated next update
-  did - the scalar engine's predicted-acceptance rule); they freeze
-  while the stragglers iterate on.
+* ``converged`` (inside the Newton solve) - samples the shared accept
+  rule (:func:`~repro.analog.kernels.newton_accepts`) passed; they
+  freeze while the stragglers iterate on.
 * ``failed`` (inside the Newton solve) - samples whose linear solve went
   singular or produced NaN/Inf; their inverse comes back as NaNs from
   the batched factorization (see :func:`repro.analog.kernels.raw_inv`),
@@ -25,14 +24,21 @@ Three per-sample masks drive the loop:
   and they cannot poison their batchmates (each sample owns its own
   cached inverse).
 
-Step control is the scalar engine's predictor/corrector scheme applied
-to the worst active sample: any active sample rejecting a step shrinks
-``h`` for the whole batch (the "drop to the batch's min accepted h"
-contract), and growth follows the largest active error.  The growth
-ceiling matches the scalar 2x clip: with identical control laws a batch
-of size one walks *exactly* the scalar grid, so a single-sample batch is
-bit-identical to the scalar engine - the property the white-box
-equivalence tests pin.
+What this loop shares with the scalar engine, rather than mirrors:
+:func:`~repro.analog.engine.resolve_jacobian_policy` (a stack has no
+sparse backend, so ``"sparse"`` and ``"auto"`` run the batched dense
+inverse with reuse), the keep-stale and accept rules of
+:mod:`repro.analog.kernels`, the level-1 stamp body, the per-sample
+operating points (the scalar DC ladder) and
+:class:`~repro.analog.engine.StepControl`, applied to the worst active
+sample: any active sample rejecting a step shrinks ``h`` for the whole
+batch, and growth follows the largest active error.  A single-sample
+stack therefore walks the scalar grid by construction, with the same
+Newton counters under every policy (``tests/test_policy_parity.py``).
+What stays separate is the masked, vectorised Newton iteration itself:
+a ``B = 1`` stack measured 2.0-2.3x slower than the scalar loop on the
+sensing transient (e.g. 141 ms vs 71 ms; four medians of 15 runs on a
+2-core x86 box), so the scalar loop cannot become its ``B = 1`` case.
 
 Fallback contract
 -----------------
@@ -54,18 +60,23 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analog.dcop import dc_operating_point
-from repro.analog.engine import TransientCheckpoint, TransientOptions
-from repro.analog.kernels import REUSE_SLOWDOWN, KernelStats, c_einsum, raw_inv
+from repro.analog.engine import (
+    StepControl,
+    TransientCheckpoint,
+    TransientOptions,
+    check_window,
+    resolve_jacobian_policy,
+)
+from repro.analog.kernels import (
+    KernelStats,
+    c_einsum,
+    keep_stale,
+    newton_accepts,
+    raw_inv,
+)
 from repro.analog.waveform import Waveform
 from repro.batch.compile import BatchCompiledCircuit
 from repro.errors import ConvergenceError
-
-#: Growth-factor ceiling of the batch step controller.  Kept equal to
-#: the scalar engine's 2x clip on purpose: with the same control law a
-#: single-sample batch reproduces the scalar grid point for point, which
-#: makes batch-vs-scalar bit-identity at ``B == 1`` a testable invariant
-#: of the whole vectorised arithmetic path.
-GROWTH_MAX = 2.0
 
 #: Breakpoints of different samples closer than this are merged into one
 #: restart (seconds).  Clock slews are >= 100 ps in every paper
@@ -129,63 +140,11 @@ class BatchTransientResult:
         return len(self.times)
 
 
-def _masked_solve(
-    jacobian: np.ndarray, rhs: np.ndarray, active: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve ``jacobian[b] @ x[b] = rhs[b]`` for the active samples.
-
-    Inactive samples are neutralised with an identity system so the
-    batched solve cannot be poisoned by their (possibly stale) matrices.
-    Active samples whose matrix is singular or non-finite are resolved
-    individually and reported as unsolved rather than raising for the
-    whole batch.
-
-    Returns ``(x, solved)``: ``x`` is zero wherever ``solved`` is False.
-    """
-    B, nf, _ = jacobian.shape
-    eye = np.eye(nf)
-    j = np.where(active[:, None, None], jacobian, eye)
-    r = np.where(active[:, None], rhs, 0.0)
-    solved = active.copy()
-
-    bad = active & (
-        ~np.isfinite(j).all(axis=(1, 2)) | ~np.isfinite(r).all(axis=1)
-    )
-    if bad.any():
-        j[bad] = eye
-        r[bad] = 0.0
-        solved &= ~bad
-
-    try:
-        x = np.linalg.solve(j, r[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        x = np.zeros((B, nf))
-        for b in np.flatnonzero(solved):
-            try:
-                xb = np.linalg.solve(j[b], r[b])
-            except np.linalg.LinAlgError:
-                solved[b] = False
-                continue
-            if not np.isfinite(xb).all():
-                solved[b] = False
-                continue
-            x[b] = xb
-        return x, solved
-
-    nonfinite = solved & ~np.isfinite(x).all(axis=1)
-    if nonfinite.any():
-        x[nonfinite] = 0.0
-        solved &= ~nonfinite
-    x[~solved] = 0.0
-    return x, solved
-
-
 class _BatchNewtonWork:
     """Per-run scratch of the lockstep Newton loop.
 
-    The batched twin of :class:`repro.analog.engine._NewtonWork`: owns
-    the reusable residual/Jacobian buffers, the cached per-sample
-    Jacobian inverses of the modified-Newton policy - keyed on the
+    Owns the reusable ``(B, n_free)`` residual buffers, the per-sample
+    cached Jacobian inverses of the modified-Newton policy - keyed on the
     shared ``(h, alpha)`` scaling and persisting across time steps, with
     a per-sample ``valid`` mask - and the
     :class:`~repro.analog.kernels.KernelStats` counters.
@@ -197,7 +156,8 @@ class _BatchNewtonWork:
         B, n, nf = batch.batch_size, batch.n_total, batch.n_free
         self.kernel = batch.kernel()
         self.stats = KernelStats()
-        self.modified = options.jacobian_policy == "reuse"
+        # No sparse backend for stacks: only the reuse flag applies.
+        _, self.reuse = resolve_jacobian_policy(batch, options)
         self.qh = np.empty((B, nf))
         self.rhs0 = np.empty((B, nf))
         self.neg_res = np.empty((B, nf))
@@ -228,10 +188,10 @@ def stack_bytes_per_sample(
 
     The dominant dense allocations a ``(B, n, n)`` stack carries *per
     sample*: the stacked linear MNA parts (``G`` and ``C``, each
-    ``n_total**2``), the cached Jacobian inverse of the modified-Newton
-    policy (``n_free**2``), the ``C[:, :n_free, :] / h`` scratch
-    (``n_free * n_total``) and the handful of ``(B, n_free)`` Newton
-    work vectors (see :class:`_BatchNewtonWork`).  The dispatcher's
+    ``n_total**2``), the lockstep Newton loop's cached Jacobian inverse
+    (``n_free**2``) and ``C[:, :n_free, :] / h`` scratch
+    (``n_free * n_total``), and its handful of ``(B, n_free)`` residual,
+    update and step vectors.  The dispatcher's
     ``REPRO_BATCH_SIZE`` auto-tune divides its memory budget by this to
     bound the stack size - an estimate on purpose: it only needs to keep
     whole-chip-scale stacks (where ``n_free**2`` dominates) from blowing
@@ -259,13 +219,15 @@ def _newton_step_batch(
 
     Solves the scalar residual
     ``(q - q_prev)/h + alpha*f + (1-alpha)*f_prev = 0`` per sample, with
-    the scalar engine's damping clip, modified-Newton factorization
-    cache and predicted-acceptance rule applied per sample (see
-    :func:`repro.analog.engine._newton_step` - the control flow here is
-    that function's, vectorised, so a single-sample batch takes exactly
-    the scalar decision sequence).  Samples converge (and freeze)
-    individually; a sample whose solve goes non-finite is frozen at the
-    last finite iterate with its cached factorization invalidated.
+    the unit damping clip and the modified-Newton factorization cache of
+    :func:`repro.analog.engine._newton_step`, deciding reuse and
+    acceptance per sample through the same
+    :func:`~repro.analog.kernels.keep_stale` and
+    :func:`~repro.analog.kernels.newton_accepts` calls - so a
+    single-sample batch takes exactly the scalar decision sequence.
+    Samples converge (and freeze) individually; a sample whose solve
+    goes non-finite is frozen at the last finite iterate with its cached
+    factorization invalidated.
 
     Returns ``(v_new, converged)``; ``converged`` is a subset of
     ``active`` - the samples whose step succeeded.  Rows of
@@ -279,7 +241,7 @@ def _newton_step_batch(
     v = v_guess.copy()
     v[:, n_free:] = v_sources[:, n_free:]
 
-    modified = work.modified
+    modified = work.reuse
     if not (modified and work.key == (h, alpha)):
         work.valid[:] = False  # never reuse across a system-scaling change
     valid = work.valid
@@ -298,7 +260,6 @@ def _newton_step_batch(
     step_prev[:] = np.inf
     step[:] = 0.0
     vntol = options.vntol
-    slowdown = REUSE_SLOWDOWN
     is_be = alpha == 1.0
     converged = np.zeros(batch.batch_size, dtype=bool)
     live = active.copy()
@@ -336,8 +297,7 @@ def _newton_step_batch(
                 else:
                     step[:] = 0.0
                 solve_acc += perf_counter() - t0
-                # NaN fails the comparison too, triggering a refactor.
-                reuse = try_stale & (step <= slowdown * step_prev)
+                reuse = try_stale & keep_stale(step, step_prev)
                 n_reuse += int(np.count_nonzero(reuse))
                 n_refactor += int(np.count_nonzero(try_stale & ~reuse))
                 fresh = live & ~reuse
@@ -385,14 +345,7 @@ def _newton_step_batch(
                 delta[over] *= (1.0 / step[over])[:, None]
             v[live, :n_free] += delta[live]
 
-            done = live & (step < vntol)
-            if iteration:
-                # Predicted acceptance, per sample: the contraction-
-                # extrapolated next update ``step^2 / step_prev`` already
-                # under vntol accepts one evaluate/solve round early
-                # (``iteration > 0`` guards the step_prev = inf
-                # bootstrap) - the scalar engine's exact rule.
-                done |= live & (step * step < vntol * step_prev)
+            done = live & newton_accepts(step, step_prev, vntol, iteration > 0)
             converged |= done
             live &= ~done
             np.copyto(step_prev, step, where=live)
@@ -408,53 +361,6 @@ def _newton_step_batch(
     return v, converged
 
 
-def _newton_static_batch(
-    batch: BatchCompiledCircuit,
-    v: np.ndarray,
-    shunt: float,
-    target: np.ndarray,
-    active: np.ndarray,
-    max_iter: int = 200,
-    vntol: float = 1e-9,
-    itol: float = 1e-12,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched twin of :func:`repro.analog.dcop._newton_static`.
-
-    Solves ``i(v) + shunt * (v - target) = 0`` on the free nodes of every
-    active sample, with the scalar solver's damping clip and two-part
-    (update + residual) convergence test.  Returns ``(v, converged)``.
-    """
-    n_free = batch.n_free
-    v = v.copy()
-    converged = np.zeros(batch.batch_size, dtype=bool)
-    live = active.copy()
-    for _ in range(max_iter):
-        if not live.any():
-            break
-        f, j = batch.device_currents(v, with_jacobian=True)
-        residual = f[:, :n_free] + shunt * (v[:, :n_free] - target[:, :n_free])
-        jacobian = j[:, :n_free, :n_free] + shunt * np.eye(n_free)
-        delta, solved = _masked_solve(jacobian, -residual, live)
-        live &= solved
-
-        step = np.max(np.abs(delta), axis=1)
-        over = live & (step > 1.0)
-        if over.any():
-            delta[over] *= (1.0 / step[over])[:, None]
-        v[live, :n_free] += delta[live]
-
-        blown = live & ~np.isfinite(v[:, :n_free]).all(axis=1)
-        live &= ~blown
-
-        res_max = np.max(np.abs(residual), axis=1)
-        f_scale = np.maximum(np.max(np.abs(f[:, :n_free]), axis=1), 1e-12)
-        res_tol = np.maximum(itol, 1e-6 * f_scale)
-        just_done = live & (step < vntol) & (res_max < res_tol)
-        converged |= just_done
-        live &= ~just_done
-    return v, converged
-
-
 def _batch_dcop(
     batch: BatchCompiledCircuit,
     t: float,
@@ -464,53 +370,28 @@ def _batch_dcop(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Operating points for the whole stack at time ``t``.
 
-    The direct Newton rung runs vectorized over the batch; samples it
-    cannot converge fall back to the scalar
-    :func:`~repro.analog.dcop.dc_operating_point` (full three-rung
-    ladder).  Samples the scalar ladder also rejects are masked out with
-    reason ``"dcop"``.
+    Each sample runs the scalar :func:`~repro.analog.dcop.dc_operating_point`
+    ladder on its own compiled circuit, so a stack starts from exactly
+    the states the scalar engine would; a sample the ladder rejects is
+    masked out with reason ``"dcop"`` (its row keeps the source
+    voltages).  The rungs that succeeded are tallied as ``"dcop:*"``.
 
     Returns ``(v, alive)`` with ``v`` of shape ``(B, n_total)``.
     """
-    B = batch.batch_size
     v = batch.source_voltages(t)
-    vdd = np.max(v[:, batch.n_free:], axis=1, initial=0.0)
-    v[:, : batch.n_free] = (vdd / 2.0)[:, None]
-    if initial is not None:
-        for b, guesses in enumerate(initial):
-            if not guesses:
-                continue
-            for node, voltage in guesses.items():
-                index = batch.node_index.get(node)
-                if index is not None and index < batch.n_free:
-                    v[b, index] = voltage
-
-    alive = np.ones(B, dtype=bool)
-    if batch.n_free == 0:
-        escalations["dcop:direct"] = escalations.get("dcop:direct", 0) + B
-        return v, alive
-
-    target = v.copy()
-    solved, converged = _newton_static_batch(
-        batch, v, 1e-12, target, np.ones(B, dtype=bool)
-    )
-    v = np.where(converged[:, None], solved, v)
-    escalations["dcop:direct"] = (
-        escalations.get("dcop:direct", 0) + int(converged.sum())
-    )
-
-    for b in np.flatnonzero(~converged):
-        guesses = initial[b] if initial is not None else None
+    alive = np.ones(batch.batch_size, dtype=bool)
+    for b, circuit in enumerate(batch.circuits):
         stats: Dict[str, object] = {}
         try:
             v[b] = dc_operating_point(
-                batch.circuits[b], t=t, initial=guesses, stats=stats
+                circuit, t=t, stats=stats,
+                initial=initial[b] if initial is not None else None,
             )
         except ConvergenceError:
             alive[b] = False
             fallback_reasons[b] = "dcop"
             continue
-        rung = f"dcop:{stats.get('dcop_rung', 'direct')}"
+        rung = f"dcop:{stats['dcop_rung']}"
         escalations[rung] = escalations.get(rung, 0) + 1
     return v, alive
 
@@ -570,21 +451,7 @@ def batch_transient(
     B = batch.batch_size
     n_free = batch.n_free
 
-    record = list(record) if record is not None else sorted(batch.node_index)
-    for node in record:
-        if node not in batch.node_index:
-            raise KeyError(f"cannot record unknown node {node!r}")
-
-    if resume_from is not None:
-        order = tuple(sorted(batch.node_index, key=batch.node_index.get))
-        if resume_from.nodes != order:
-            raise ValueError(
-                "checkpoint node order does not match batch "
-                f"(checkpoint {resume_from.nodes}, batch {order})"
-            )
-        t_start = resume_from.t
-    if t_stop <= t_start:
-        raise ValueError(f"need t_stop > t_start (got {t_start} .. {t_stop})")
+    record, t_start = check_window(batch, record, resume_from, t_start, t_stop)
 
     raw = [b for b in batch.breakpoints(t_start, t_stop) if b > t_start]
     raw.append(t_stop)
@@ -608,8 +475,7 @@ def batch_transient(
 
     t = t_start
     h = options.dt_start
-    eps_t = 64.0 * np.spacing(max(abs(t_stop), abs(t_start), 1e-12))
-    bp_index = 0
+    control = StepControl(options, breakpoints, t_start, t_stop)
     force_be = True
     if resume_from is not None:
         v_prev = np.tile(resume_from.state_prev, (B, 1))
@@ -636,30 +502,15 @@ def batch_transient(
             alive[b] = False
             fallback_reasons[b] = reason
 
-    while t < t_stop - eps_t and alive.any():
-        while bp_index < len(breakpoints) and breakpoints[bp_index] <= t + eps_t:
-            bp_index += 1
-        next_bp = breakpoints[bp_index] if bp_index < len(breakpoints) else t_stop
-        h = min(h, options.dt_max, t_stop - t)
-        hit_bp = False
-        if t + h >= next_bp - eps_t:
-            h = next_bp - t
-            hit_bp = True
+    while control.running(t) and alive.any():
+        h, hit_bp = control.clip(t, h)
         if h < options.dt_min:
             _mask(alive.copy(), "step-underflow")
             break
 
         t_new = t + h
         batch.source_voltages_into(t_new, v_sources, dynamic_only=True)
-        # Predictor: linear extrapolation of the last two accepted points
-        # (same rounding order as the scalar engine's in-place form).
-        if t > t_prev:
-            np.subtract(v, v_prev, out=v_pred)
-            v_pred /= t - t_prev
-            v_pred *= h
-            v_pred += v
-        else:
-            np.copyto(v_pred, v)
+        control.predict_into(v, v_prev, t, t_prev, h, v_pred)
 
         alpha = 1.0 if force_be else 0.5
         f_hist = None
@@ -676,7 +527,7 @@ def batch_transient(
         stuck = alive & ~converged
         masked_now = False
         if stuck.any():
-            if h * 0.25 >= options.dt_min and "step-halving" in options.escalation:
+            if control.can_halve(h):
                 # The whole batch retries at the failing samples' pace.
                 escalations["step-halving"] = (
                     escalations.get("step-halving", 0) + 1
@@ -691,28 +542,12 @@ def batch_transient(
                 break
 
         t_accept = perf_counter()
-        # Per-sample LTE on the active samples, computed into the reused
-        # buffers (rounding order matches the scalar expression exactly).
-        if n_free:
-            np.abs(v_new[:, :n_free], out=weight)
-            np.maximum(weight, 1.0, out=weight)
-            weight *= options.reltol
-            weight += options.vabstol
-            np.subtract(v_new[:, :n_free], v_pred[:, :n_free], out=err_buf)
-            np.abs(err_buf, out=err_buf)
-            err_buf /= weight
-            np.maximum.reduce(err_buf, axis=1, out=err_all)
-        else:
-            err_all[:] = 0.0
+        # Per-sample LTE; the worst active sample drives the shared step.
+        control.lte(v_new, v_pred, weight, err_buf, out=err_all)
         err_active = err_all[alive]
         err_worst = float(err_active.max()) if err_active.size else 0.0
 
-        if (
-            not masked_now
-            and err_worst > options.lte_reject
-            and not hit_bp
-            and h > 4 * options.dt_min
-        ):
+        if not masked_now and control.rejects(err_worst, h, hit_bp):
             h *= 0.4  # any rejecting sample shrinks the shared step
             stats.accept_s += perf_counter() - t_accept
             continue
@@ -723,13 +558,7 @@ def batch_transient(
         v, t = v_new, t_new
         times.append(t)
         states.append(v)  # _newton_step_batch returned a fresh array
-        force_be = False
-        if hit_bp or masked_now:
-            h = options.dt_start
-            force_be = True
-        else:
-            grow = 0.9 * (1.0 / max(err_worst, 1e-12)) ** (1.0 / 3.0)
-            h *= float(np.clip(grow, 0.4, GROWTH_MAX))
+        h, force_be = control.advance(h, err_worst, hit_bp or masked_now)
         stats.accept_s += perf_counter() - t_accept
 
     time_array = np.asarray(times)

@@ -1,17 +1,15 @@
-"""Batched twin of the scalar evaluation kernel.
+"""Batched device kernel: the shared stamp body over ``(B, M)`` rows.
 
 :class:`BatchKernel` assembles the device residual and Jacobian of a
 whole :class:`~repro.batch.compile.BatchCompiledCircuit` stack into
-preallocated buffers, mirroring :class:`repro.analog.kernels.ScalarKernel`
-*operation for operation*: the same fixed-target scatter plan, the same
-sign-premultiplied gather, the same ``minimum``/``negative(where=)``
-branchless forms, the same scratch-row evaluation order of the level-1
-model.  Every elementwise operation keeps the scalar kernel's operand
-order, and the flattened Jacobian scatter indexes sample-major with the
-scalar's six-block stamp order inside each sample - so a batch of size
-one adds its weights in exactly the scalar sequence.  That is what keeps
-the ``B == 1`` batch bit-identical to the scalar engine (the white-box
-equivalence tests pin it).
+preallocated buffers.  The level-1 model math is
+:func:`repro.analog.kernels.level1_stamp` - the same function the scalar
+and sparse kernels call - evaluated on ``(B, M)`` rows; this module only
+owns the stacked gather and scatter.  Every stamp operation is
+elementwise, and the flattened Jacobian scatter indexes sample-major
+with the scalar's six-block stamp order inside each sample - so a batch
+of size one adds its weights in exactly the scalar sequence and stays
+bit-identical to the scalar kernel (``tests/test_kernels.py`` pins it).
 
 Model-card arrays (``m_vt``/``m_beta``/``m_lam``) are read from the
 owning batch at every call, so post-compile parameter mutations (fault
@@ -30,6 +28,8 @@ import numpy as np
 from repro.analog.kernels import (
     KernelStats,
     c_einsum,
+    level1_gather,
+    level1_stamp,
     mosfet_scatter_plan,
 )
 
@@ -67,16 +67,12 @@ class BatchKernel:
         self._fs = np.empty((B, n))
         self._jw = np.empty((B, 6, m))
         self._jw_flat = self._jw.reshape(-1)
+        self._jw_rows = self._jw.swapaxes(0, 1)  # stamp k -> (B, M) view
         self._nnB = B * n * n
         self._b = np.empty((10, B, m))
         self._swap = np.empty((B, m), dtype=bool)
         self._sv = np.empty((B, 3 * m))
-        self._idx_all = np.concatenate(
-            [np.asarray(batch.m_d, dtype=np.intp),
-             np.asarray(batch.m_g, dtype=np.intp),
-             np.asarray(batch.m_s, dtype=np.intp)]
-        )
-        self._sign3 = np.tile(np.asarray(batch.m_sign, dtype=float), 3)
+        self._idx_all, self._sign3 = level1_gather(batch)
 
     def eval(
         self,
@@ -97,62 +93,16 @@ class BatchKernel:
         if with_jacobian:
             j = self.j
             j[...] = batch.G
-        if self.m == 0:
-            if stats is not None:
-                stats.assembles += 1
-                stats.assemble_s += perf_counter() - t0
-            return f, j
-
-        m = self.m
-        sv = np.take(v, self._idx_all, axis=1, out=self._sv)
-        sv *= self._sign3
-        svd = sv[:, :m]
-        svg = sv[:, m:2 * m]
-        svs = sv[:, 2 * m:]
-        b = self._b
-        dv = np.subtract(svd, svs, out=b[0])
-        swap = np.less(dv, 0.0, out=self._swap)
-        vds = np.abs(dv, out=b[1])
-        vmin = np.minimum(svd, svs, out=b[2])
-        vgs = np.subtract(svg, vmin, out=b[2])
-        vov = np.subtract(vgs, batch.m_vt, out=b[3])
-        np.maximum(vov, 0.0, out=vov)
-        x = np.minimum(vds, vov, out=b[4])
-        clm = np.multiply(batch.m_lam, vds, out=b[5])
-        clm += 1.0
-        xx = np.multiply(x, x, out=b[6])
-        xx *= 0.5
-        core = np.multiply(vov, x, out=b[7])
-        core -= xx
-        ids = np.multiply(batch.m_beta, core, out=b[8])
-        ids *= clm
-        w = np.multiply(ids, batch.m_sign, out=b[9])
-        np.negative(w, out=w, where=swap)
-        f += c_einsum("nm,bm->bn", self.incidence, w, out=self._fs)
-
-        if with_jacobian:
-            gm = np.multiply(batch.m_beta, x, out=b[8])  # ids row is spent
-            gm *= clm
-            gds = np.subtract(vov, x, out=b[9])
-            gds *= clm
-            lamcore = core
-            lamcore *= batch.m_lam
-            gds += lamcore
-            gds *= batch.m_beta
-            jw = self._jw
-            sg = np.multiply(swap, gm, out=b[1])
-            sg2 = np.subtract(gm, sg, out=b[2])
-            np.add(gds, sg, out=jw[:, 0])          # swap exchanges gds <-> gsum
-            np.add(gds, sg2, out=jw[:, 5])
-            jw1 = jw[:, 1]
-            jw1[...] = gm
-            np.negative(jw1, out=jw1, where=swap)
-            np.negative(jw[:, 5], out=jw[:, 2])
-            np.negative(jw[:, 0], out=jw[:, 3])
-            np.negative(jw1, out=jw[:, 4])
-            self._j_flat += np.bincount(
-                self._j_idx_all, weights=self._jw_flat, minlength=self._nnB
-            )
+        if self.m:
+            sv = np.take(v, self._idx_all, axis=1, out=self._sv)
+            sv *= self._sign3
+            jw = self._jw_rows if with_jacobian else None
+            w = level1_stamp(sv, batch, self._b, self._swap, jw)
+            f += c_einsum("nm,bm->bn", self.incidence, w, out=self._fs)
+            if jw is not None:
+                self._j_flat += np.bincount(
+                    self._j_idx_all, weights=self._jw_flat, minlength=self._nnB
+                )
         if stats is not None:
             stats.assembles += 1
             stats.assemble_s += perf_counter() - t0

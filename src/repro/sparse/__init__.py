@@ -16,10 +16,11 @@ adds the sparse path of ROADMAP item 2:
   extra is installed, a pure-numpy dense-fallback otherwise (tier-1
   stays dependency-free - the fallback is bit-compatible with the
   engine's non-finite-step failure contract);
-* :mod:`repro.sparse.newton` - the sparse Newton work object the
-  transient engine dispatches to under ``jacobian_policy="sparse"``,
-  carrying over the ``(h, alpha)``-keyed factor-reuse / modified-Newton
-  policy of the dense path.
+* :mod:`repro.sparse.newton` - :class:`~repro.sparse.newton.SparseBackend`,
+  the CSR linear algebra the engine's one Newton loop runs on under
+  ``jacobian_policy="sparse"`` (the modified-Newton policy itself stays
+  in :mod:`repro.analog.engine`, shared with the dense backend), plus
+  the DC operating-point hook.
 
 Select it with ``TransientOptions(jacobian_policy="sparse")`` or let
 ``"auto"`` pick it by node count.
@@ -27,7 +28,7 @@ Select it with ``TransientOptions(jacobian_policy="sparse")`` or let
 
 from repro.sparse.csr import CsrPlan, SparseKernel, csr_plan
 from repro.sparse.linalg import SparseLU, scipy_available
-from repro.sparse.newton import SparseKernelStats, SparseNewtonWork, SparseStaticSolver
+from repro.sparse.newton import SparseBackend, SparseKernelStats, SparseStaticSolver
 
 __all__ = [
     "CsrPlan",
@@ -35,7 +36,7 @@ __all__ = [
     "csr_plan",
     "SparseLU",
     "scipy_available",
+    "SparseBackend",
     "SparseKernelStats",
-    "SparseNewtonWork",
     "SparseStaticSolver",
 ]

@@ -35,7 +35,12 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.analog.kernels import KernelStats, mosfet_stamp_targets
+from repro.analog.kernels import (
+    KernelStats,
+    level1_gather,
+    level1_stamp,
+    mosfet_stamp_targets,
+)
 
 
 def csr_plan(circuit: Any) -> "CsrPlan":
@@ -164,11 +169,11 @@ class CsrPlan:
 class SparseKernel:
     """Device evaluation without dense matrices.
 
-    Same model math as :class:`repro.analog.kernels.ScalarKernel` (the
-    inlined level-1 evaluation with scratch rows), but the residual is
-    scattered with ``np.bincount`` over the compile-time targets and a
-    Jacobian call returns the raw ``(6M,)`` stamp weight vector - the
-    caller maps it through :meth:`CsrPlan.device_data`.
+    The model math is :func:`repro.analog.kernels.level1_stamp`, shared
+    with the dense and batched kernels; only the scatter differs: the
+    residual goes through ``np.bincount`` over the compile-time targets
+    and a Jacobian call returns the raw ``(6M,)`` stamp weight vector -
+    the caller maps it through :meth:`CsrPlan.device_data`.
 
     ``eval`` is signature-compatible with the dense kernel for
     residual-only calls (``with_jacobian=False``), which is how the
@@ -189,12 +194,7 @@ class SparseKernel:
         self._jw_flat = self._jw.reshape(-1)
         self._b = np.empty((10, m))    # elementwise scratch rows
         self._swap = np.empty(m, dtype=bool)
-        self._idx_all = np.concatenate(
-            [np.asarray(circuit.m_d, dtype=np.intp),
-             np.asarray(circuit.m_g, dtype=np.intp),
-             np.asarray(circuit.m_s, dtype=np.intp)]
-        )
-        self._sign3 = np.tile(np.asarray(circuit.m_sign, dtype=float), 3)
+        self._idx_all, self._sign3 = level1_gather(circuit)
 
     def eval(
         self,
@@ -219,62 +219,16 @@ class SparseKernel:
         f = self.f
         f[:] = np.bincount(plan.g_coo_rows, weights=gv, minlength=self.n)
         jw_flat = self._jw_flat if with_jacobian else None
-        if self.m == 0:
-            if stats is not None:
-                stats.assembles += 1
-                stats.assemble_s += perf_counter() - t0
-            return f, jw_flat
-
-        m = self.m
-        sv = v[self._idx_all]  # sign-premultiplied (vd, vg, vs) gather
-        sv *= self._sign3
-        svd = sv[:m]
-        svg = sv[m:2 * m]
-        svs = sv[2 * m:]
-        b = self._b
-        dv = np.subtract(svd, svs, out=b[0])
-        swap = np.less(dv, 0.0, out=self._swap)
-        vds = np.abs(dv, out=b[1])
-        vmin = np.minimum(svd, svs, out=b[2])
-        vgs = np.subtract(svg, vmin, out=b[2])
-        vov = np.subtract(vgs, circuit.m_vt, out=b[3])
-        np.maximum(vov, 0.0, out=vov)
-        x = np.minimum(vds, vov, out=b[4])
-        clm = np.multiply(circuit.m_lam, vds, out=b[5])
-        clm += 1.0
-        xx = np.multiply(x, x, out=b[6])
-        xx *= 0.5
-        core = np.multiply(vov, x, out=b[7])
-        core -= xx
-        ids = np.multiply(circuit.m_beta, core, out=b[8])
-        ids *= clm
-        w = np.multiply(ids, circuit.m_sign, out=b[9])
-        np.negative(w, out=w, where=swap)
-        w2 = self._w2
-        w2[:m] = w
-        np.negative(w, out=w2[m:])
-        f += np.bincount(plan.f_idx, weights=w2, minlength=self.n)
-
-        if with_jacobian:
-            gm = np.multiply(circuit.m_beta, x, out=b[8])  # ids row spent
-            gm *= clm
-            gds = np.subtract(vov, x, out=b[9])            # w row spent
-            gds *= clm
-            lamcore = core
-            lamcore *= circuit.m_lam
-            gds += lamcore
-            gds *= circuit.m_beta
-            jw = self._jw
-            sg = np.multiply(swap, gm, out=b[1])
-            sg2 = np.subtract(gm, sg, out=b[2])
-            np.add(gds, sg, out=jw[0])          # swap exchanges gds <-> gsum
-            np.add(gds, sg2, out=jw[5])
-            jw1 = jw[1]
-            jw1[...] = gm
-            np.negative(jw1, out=jw1, where=swap)
-            np.negative(jw[5], out=jw[2])
-            np.negative(jw[0], out=jw[3])
-            np.negative(jw1, out=jw[4])
+        if self.m:
+            m = self.m
+            sv = v[self._idx_all]  # sign-premultiplied (vd, vg, vs) gather
+            sv *= self._sign3
+            w = level1_stamp(sv, circuit, self._b, self._swap,
+                             self._jw if with_jacobian else None)
+            w2 = self._w2
+            w2[:m] = w
+            np.negative(w, out=w2[m:])
+            f += np.bincount(plan.f_idx, weights=w2, minlength=self.n)
         if stats is not None:
             stats.assembles += 1
             stats.assemble_s += perf_counter() - t0

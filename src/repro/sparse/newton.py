@@ -1,20 +1,13 @@
-"""Sparse Newton work object: the engine's sparse dispatch target.
+"""Sparse linear algebra for the engine's one Newton loop.
 
-:class:`SparseNewtonWork` is the CSR twin of the engine's dense
-``_NewtonWork`` + ``_newton_step`` pair.  It carries over the
-``(h, alpha)``-keyed modified-Newton policy verbatim - stale
-factorizations are reapplied while the update norm contracts by at least
-``REUSE_SLOWDOWN``, refactoring on slowdown, with the same predicted
-acceptance shortcut - so the dense and sparse paths take the *same*
-iteration decisions on the same trajectory and the factor/reuse counters
-stay comparable (``tests/test_sparse_engine.py`` pins the parity).
-
-What changes is purely the linear algebra: the Jacobian lives as a CSR
-``data`` vector on the fixed :class:`~repro.sparse.csr.CsrPlan` pattern,
-factored by :class:`~repro.sparse.linalg.SparseLU` instead of inverted
-densely, and the charge/residual terms are COO mat-vecs.  Nothing
-``(n, n)``-shaped is allocated (except inside the scipy-absent dense
-fallback of ``SparseLU`` itself).
+:class:`SparseBackend` is the CSR implementation of the backend surface
+the scalar Newton iteration (:func:`repro.analog.engine._newton_step`)
+runs on: refresh ``C/h``, the ``(C/h) @ v`` residual term, factor
+``alpha * J_ff + C/h`` (plus the shunt diagonal), solve, and ``C @ v``
+for the outer loop.  The modified-Newton policy is not here - it is the
+engine's, so the dense and sparse paths take the *same* iteration
+decisions on the same trajectory and the factor/reuse counters agree
+(``tests/test_sparse_engine.py`` pins the parity).
 
 :class:`SparseStaticSolver` is the matching DC-operating-point hook:
 ``dcop._newton_static`` accepts it as its ``solver`` to evaluate and
@@ -24,12 +17,11 @@ factor sparsely while keeping the ladder logic untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.analog.kernels import REUSE_SLOWDOWN, KernelStats
+from repro.analog.kernels import KernelStats
 from repro.sparse.csr import SparseKernel, csr_plan
 from repro.sparse.linalg import SparseLU
 
@@ -49,14 +41,6 @@ class SparseKernelStats(KernelStats):
     sparse_fill_nnz: int = 0
     sparse_fallback: int = 0
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable counter snapshot, sparse fields included."""
-        out = super().as_dict()
-        out["sparse_nnz"] = self.sparse_nnz
-        out["sparse_fill_nnz"] = self.sparse_fill_nnz
-        out["sparse_fallback"] = self.sparse_fallback
-        return out
-
     def merge(self, other: KernelStats) -> None:
         """Fold another stats object in (sparse gauges take the max)."""
         super().merge(other)
@@ -68,65 +52,34 @@ class SparseKernelStats(KernelStats):
             self.sparse_fallback |= other.sparse_fallback
 
 
-class SparseNewtonWork:
-    """Per-run scratch of the sparse Newton loop.
+class SparseBackend:
+    """CSR linear algebra of the engine's Newton loop.
 
-    Exposes the same surface the engine uses on the dense work object
-    (``v``/``stats``/``kernel``/``info``/``note_worst`` plus the
-    ``modified``/``valid``/``key`` reuse state) and adds
-    :meth:`newton_step` - the sparse implementation the engine's
-    ``_newton_step`` delegates to when ``work.sparse`` is set - and
-    :meth:`charge_into` for the outer loop's ``q = C @ v`` updates.
+    The sparse implementation of the backend surface of
+    :class:`repro.analog.engine.DenseBackend`: the Newton matrix lives
+    as a CSR ``data`` vector on the fixed
+    :class:`~repro.sparse.csr.CsrPlan` pattern, factored by
+    :class:`~repro.sparse.linalg.SparseLU`, and the charge terms are COO
+    mat-vecs.  Nothing ``(n, n)``-shaped is allocated (except inside the
+    scipy-absent dense fallback of ``SparseLU`` itself).
     """
 
-    sparse = True
-
-    def __init__(self, circuit: Any, options: Any) -> None:
-        n, nf = circuit.n_total, circuit.n_free
+    def __init__(self, circuit: Any) -> None:
         self.circuit = circuit
-        self.plan = csr_plan(circuit)
-        self.kernel = SparseKernel(circuit, self.plan)
-        self.lu = SparseLU(self.plan.indptr, self.plan.indices, nf)
+        self.plan = plan = csr_plan(circuit)
+        self.kernel = SparseKernel(circuit, plan)
+        self.lu = SparseLU(plan.indptr, plan.indices, circuit.n_free)
         self.stats = SparseKernelStats(
-            sparse_nnz=self.plan.nnz,
+            sparse_nnz=plan.nnz,
             sparse_fallback=0 if self.lu.backend == "scipy" else 1,
         )
-        # "sparse"/"auto" keep the dense default (reuse) policy; only an
-        # explicit "dense" disables the modified-Newton cache, and that
-        # policy never reaches this work object.
-        self.modified = options.jacobian_policy != "dense"
-        self.v = np.empty(n)
-        self.qh = np.empty(nf)        # (C_rows / h) @ v scratch
-        self.rhs0 = np.empty(nf)      # iteration-invariant residual part
-        self.residual = np.empty(nf)  # holds the *negated* residual
-        self.delta = np.empty(nf)
-        self.tmp = np.empty(nf)
-        self.abs_buf = np.empty(nf)
-        nnz = self.plan.nnz
-        self._dev = np.empty(nnz)      # G_ff + device stamps
-        self._data = np.empty(nnz)     # alpha * dev + C/h (+ shunt diag)
-        self._ch = np.zeros(nnz)       # C/h data on the pattern
-        self._cf_scaled = np.empty(self.plan.cf_val.size)
+        self._dev = np.empty(plan.nnz)      # G_ff + device stamps
+        self._data = np.empty(plan.nnz)     # alpha * dev + C/h (+ shunt diag)
+        self._ch = np.zeros(plan.nnz)       # C/h data on the pattern
+        self._cf_scaled = np.empty(plan.cf_val.size)
         self.h_scaled: Optional[float] = None
-        self.valid = False
-        self.key: Optional[Tuple[float, float]] = None
-        self.info: Dict[str, object] = {
-            "iterations": 0, "worst_index": None,
-            "worst_residual": None, "nonfinite": False,
-        }
 
-    # -- outer-loop helpers ---------------------------------------------
-
-    def charge_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``C @ v`` (full length ``n_total``) as a COO mat-vec."""
-        plan = self.plan
-        prod = plan.c_coo_val * v[plan.c_coo_cols]
-        out[:] = np.bincount(
-            plan.c_coo_rows, weights=prod, minlength=self.circuit.n_total
-        )
-        return out
-
-    def _scale(self, h: float) -> None:
+    def scale(self, h: float) -> None:
         """Refresh the ``C / h`` data vectors when ``h`` changes."""
         if self.h_scaled != h:
             plan = self.plan
@@ -137,173 +90,44 @@ class SparseNewtonWork:
             self._ch[plan.c_pos] = plan.c_val * inv_h
             self.h_scaled = h
 
-    def note_worst(self, n_free: int, iterations: int) -> Dict[str, object]:
-        """Worst-residual observation of the last iterate (failure
-        diagnostics, recorded at return time like the dense work)."""
-        self.info["iterations"] = iterations
-        if n_free and iterations:
-            worst = int(np.argmax(np.abs(self.residual)))
-            self.info["worst_index"] = worst
-            self.info["worst_residual"] = float(abs(self.residual[worst]))
-        return self.info
-
-    def static_solver(self) -> "SparseStaticSolver":
-        """The DC-operating-point hook sharing this run's plan/kernel."""
-        return SparseStaticSolver(self.circuit, self)
-
-    # -- the Newton solve -----------------------------------------------
-
-    def newton_step(
-        self,
-        circuit: Any,
-        v_guess: np.ndarray,
-        v_sources: np.ndarray,
-        q_prev: np.ndarray,
-        f_prev: Optional[np.ndarray],
-        h: float,
-        alpha: float,
-        options: Any,
-        damping: float = 1.0,
-        max_iter: Optional[int] = None,
-        shunt: float = 0.0,
-        shunt_target: Optional[np.ndarray] = None,
-    ) -> Tuple[Optional[np.ndarray], Dict[str, object]]:
-        """Sparse twin of the engine's ``_newton_step``.
-
-        Same residual, same damping/shunt semantics, same modified-Newton
-        reuse policy and predicted-acceptance shortcut; the Jacobian is
-        assembled as CSR data and factored by :class:`SparseLU`.  A
-        singular or non-finite system surfaces as a non-finite update and
-        is rejected by the same step guard as the dense path.
-        """
-        n_free = circuit.n_free
+    def scaled_charge(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The residual's ``(C/h) @ v`` term on the free rows."""
         plan = self.plan
-        kernel, stats = self.kernel, self.stats
-        v = self.v
-        np.copyto(v, v_guess)
-        v[n_free:] = v_sources[n_free:]
-        iters = max_iter if max_iter is not None else options.max_newton
-        info = self.info
-        info["iterations"] = 0
-        info["worst_index"] = None
-        info["worst_residual"] = None
-        info["nonfinite"] = False
+        prod = self._cf_scaled * v[plan.cf_cols]
+        out[:] = np.bincount(plan.cf_rows, weights=prod, minlength=out.size)
+        return out
 
-        modified = self.modified and damping == 1.0 and shunt == 0.0
-        if not (modified and self.valid and self.key == (h, alpha)):
-            self.valid = False  # never reuse across a scaling change
-        anchor = None
+    def factor(self, jw: np.ndarray, alpha: float, shunt: float) -> None:
+        """Factor ``alpha * (G_ff + stamps) + C_ff/h (+ shunt * I)`` from
+        the kernel's stamp weights.  A singular system surfaces as a
+        non-finite solve, which the step guard rejects."""
+        plan, data = self.plan, self._data
+        np.multiply(plan.device_data(jw, self._dev), alpha, out=data)
+        data += self._ch
         if shunt:
-            anchor = shunt_target if shunt_target is not None else v_guess
-        neg_res, delta, tmp = self.residual, self.delta, self.tmp
-        abs_buf, qh, lu = self.abs_buf, self.qh, self.lu
-        max_reduce = np.maximum.reduce
-        is_be = alpha == 1.0
-        self._scale(h)
-        cf_scaled = self._cf_scaled
-        rhs0 = self.rhs0
-        np.multiply(q_prev[:n_free], 1.0 / h, out=rhs0)
-        if f_prev is not None:
-            np.multiply(f_prev[:n_free], 1.0 - alpha, out=tmp)
-            rhs0 -= tmp
-        step_prev = np.inf
-        step = 0.0
-        vntol = options.vntol
-        slowdown = REUSE_SLOWDOWN
-        can_predict = damping == 1.0
-        n_iters = n_assembles = n_factor = n_refactor = n_reuse = 0
-        assemble_acc = factor_acc = solve_acc = 0.0
-        fill = 0
+            data[plan.diag_pos] += shunt
+        self.lu.factor(data)
+        if self.lu.fill_nnz:
+            self.stats.sparse_fill_nnz = self.lu.fill_nnz
 
-        try:
-            for iteration in range(iters):
-                try_stale = modified and self.valid
-                t0 = perf_counter()
-                f, jw = kernel.eval(v, with_jacobian=not try_stale)
-                n_iters += 1
-                n_assembles += 1
-                # Negated residual: rhs0 - (C/h) @ v - alpha * f(v).
-                prod = cf_scaled * v[plan.cf_cols]
-                qh[:] = np.bincount(
-                    plan.cf_rows, weights=prod, minlength=n_free
-                )
-                np.subtract(rhs0, qh, out=neg_res)
-                if is_be:
-                    neg_res -= f[:n_free]
-                else:
-                    np.multiply(f[:n_free], alpha, out=tmp)
-                    neg_res -= tmp
-                if shunt:
-                    np.subtract(v[:n_free], anchor[:n_free], out=tmp)
-                    tmp *= shunt
-                    neg_res -= tmp
-                assemble_acc += perf_counter() - t0
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Apply the last factorization to ``rhs``."""
+        return self.lu.solve(rhs, out=out)
 
-                fresh = not try_stale
-                if try_stale:
-                    t0 = perf_counter()
-                    lu.solve(neg_res, out=delta)
-                    np.abs(delta, out=abs_buf)
-                    step = max_reduce(abs_buf) if n_free else 0.0
-                    solve_acc += perf_counter() - t0
-                    # NaN fails the comparison too -> refactor.
-                    if step <= slowdown * step_prev:
-                        n_reuse += 1
-                    else:
-                        t0 = perf_counter()
-                        f, jw = kernel.eval(v, with_jacobian=True)
-                        n_assembles += 1
-                        assemble_acc += perf_counter() - t0
-                        n_refactor += 1
-                        fresh = True
+    def charge_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``C @ v`` (full length ``n_total``) as a COO mat-vec."""
+        plan = self.plan
+        prod = plan.c_coo_val * v[plan.c_coo_cols]
+        out[:] = np.bincount(plan.c_coo_rows, weights=prod, minlength=out.size)
+        return out
 
-                if fresh:
-                    t0 = perf_counter()
-                    dev = plan.device_data(jw, self._dev)
-                    data = self._data
-                    np.multiply(dev, alpha, out=data)
-                    data += self._ch
-                    if shunt:
-                        data[plan.diag_pos] += shunt
-                    # Singular system -> non-finite solve; the step guard
-                    # below turns it into a rejection (raw_inv contract).
-                    lu.factor(data)
-                    fill = lu.fill_nnz
-                    n_factor += 1
-                    self.valid = modified
-                    self.key = (h, alpha)
-                    factor_acc += perf_counter() - t0
-                    t0 = perf_counter()
-                    lu.solve(neg_res, out=delta)
-                    np.abs(delta, out=abs_buf)
-                    step = max_reduce(abs_buf) if n_free else 0.0
-                    solve_acc += perf_counter() - t0
+    def probe_charge(self, v: np.ndarray) -> np.ndarray:
+        """``C @ v`` for the recorded source currents (fresh array)."""
+        return self.charge_into(v, np.empty(self.circuit.n_total))
 
-                if not step < np.inf:  # catches NaN and +inf together
-                    info["nonfinite"] = True
-                    self.valid = False
-                    return None, self.note_worst(n_free, n_iters)
-                if step > damping:
-                    delta *= damping / step
-                v[:n_free] += delta
-                if step < vntol:
-                    return v.copy(), info
-                if can_predict and iteration and step * step < vntol * step_prev:
-                    return v.copy(), info
-                step_prev = step
-            return None, self.note_worst(n_free, n_iters)
-        finally:
-            info["iterations"] = n_iters
-            stats.newton_iterations += n_iters
-            stats.assembles += n_assembles
-            stats.factorizations += n_factor
-            stats.refactorizations += n_refactor
-            stats.jacobian_reuses += n_reuse
-            stats.assemble_s += assemble_acc
-            stats.factor_s += factor_acc
-            stats.solve_s += solve_acc
-            if fill:
-                stats.sparse_fill_nnz = fill
+    def dcop_solver(self) -> "SparseStaticSolver":
+        """The operating-point hook sharing this run's plan/kernel/LU."""
+        return SparseStaticSolver(self)
 
 
 class SparseStaticSolver:
@@ -312,26 +136,16 @@ class SparseStaticSolver:
     The DC ladder's control flow (damping, shunt homotopy, source
     stepping) stays in :mod:`repro.analog.dcop`; this object replaces
     only its two dense operations - ``circuit.device_currents`` and
-    ``np.linalg.solve`` - keeping the counters untouched, as the dense
+    ``np.linalg.solve`` - with the plan, kernel and LU of a run's
+    :class:`SparseBackend`, keeping the counters untouched, as the dense
     ladder never fed :class:`KernelStats` either.
     """
 
-    def __init__(
-        self, circuit: Any, work: Optional[SparseNewtonWork] = None
-    ) -> None:
-        self.circuit = circuit
-        if work is not None:
-            self.plan = work.plan
-            self.kernel = work.kernel
-            self.lu = work.lu
-        else:
-            self.plan = csr_plan(circuit)
-            self.kernel = SparseKernel(circuit, self.plan)
-            self.lu = SparseLU(self.plan.indptr, self.plan.indices,
-                               circuit.n_free)
+    def __init__(self, backend: SparseBackend) -> None:
+        self.plan, self.kernel, self.lu = backend.plan, backend.kernel, backend.lu
         self._jw: Optional[np.ndarray] = None
         self._dev = np.empty(self.plan.nnz)
-        self._delta = np.empty(circuit.n_free)
+        self._delta = np.empty(backend.circuit.n_free)
 
     def currents(self, v: np.ndarray) -> np.ndarray:
         """Static device currents at ``v`` (full length), keeping the

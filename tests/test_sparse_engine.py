@@ -24,7 +24,7 @@ from repro.analog.compile import CompiledCircuit
 from repro.analog.engine import (
     SPARSE_AUTO_NODES,
     TransientOptions,
-    _resolve_jacobian_policy,
+    resolve_jacobian_policy,
     transient,
 )
 from repro.clocktree.electrical import TreeNetlistBuilder
@@ -184,10 +184,10 @@ def test_auto_policy_resolves_by_node_count():
     small.n_free = SPARSE_AUTO_NODES - 1
     big.n_free = SPARSE_AUTO_NODES
     auto = TransientOptions(jacobian_policy="auto")
-    assert _resolve_jacobian_policy(small, auto) == "reuse"
-    assert _resolve_jacobian_policy(big, auto) == "sparse"
+    assert resolve_jacobian_policy(small, auto) == ("dense", True)
+    assert resolve_jacobian_policy(big, auto) == ("sparse", True)
     explicit = TransientOptions(jacobian_policy="sparse")
-    assert _resolve_jacobian_policy(small, explicit) == "sparse"
+    assert resolve_jacobian_policy(small, explicit) == ("sparse", True)
 
 
 def test_dense_size_guard_counts():

@@ -37,6 +37,8 @@ box had a single core measured pure fan-out overhead (two forked
 workers time-slicing one CPU cannot beat one in-process worker), so
 the rule only fires where a fan-out could have won.
 
+Each metric's rule is one entry of :data:`RULES`, walked by one loop.
+
 Usage::
 
     python tools/check_bench_regression.py \
@@ -53,7 +55,8 @@ import glob
 import json
 import os
 import sys
-from typing import Dict, Iterator, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 #: Relative slowdown above which a figure is flagged.
 DEFAULT_THRESHOLD = 0.25
@@ -61,25 +64,69 @@ DEFAULT_THRESHOLD = 0.25
 #: The metric compared; every BENCH record carries one per backend leg.
 METRIC = "samples_per_s"
 
-#: Warm-start effectiveness metric: compared with a drop-to-zero rule
-#: rather than a relative-slowdown threshold.
-HIT_RATE_METRIC = "prefix_hit_rate"
 
-#: Concurrent-scheduler effectiveness metric: flagged when it falls
-#: from >1 in the baseline to <=1 fresh (campaigns stopped overlapping).
-SPEEDUP_METRIC = "concurrency_speedup"
+@dataclass(frozen=True)
+class Rule:
+    """How one metric's figures are judged.
 
-#: Sparse-engine effectiveness metric (the whole-tree bench): a value at
-#: or below 1.0 means the sparse MNA path no longer beats the dense one
-#: at large node counts - always flagged, baseline or not, because the
-#: sparse path exists solely for that speedup.
-SPARSE_SPEEDUP_METRIC = "sparse_speedup"
+    ``floor`` is the baseline value a figure must exceed to be checked
+    (figures are matched by JSON path); ``None`` makes the rule
+    fresh-only, judging every fresh figure with no baseline needed.
+    ``fails(fresh, base, threshold)`` is the verdict.  ``row`` and
+    ``warning`` are formatted with ``fresh``/``base``/``change``/``drop``;
+    ``absent`` says what a baseline figure missing from the fresh record
+    suggests.  ``single_core_ok`` excuses a failing figure whose fresh
+    record reports ``cpu_count < 2``.
+    """
 
-#: Batch-sharding effectiveness metric (the batch benches' sharded
-#: leg): flagged whenever a fresh value sits at or below 1.0 -
-#: process-sharding lockstep stacks that fails to beat one worker is
-#: functional breakage of the fan-out, never a reason to keep it.
-SHARD_SPEEDUP_METRIC = "shard_speedup"
+    metric: str
+    floor: Optional[float]
+    fails: Callable[[float, Optional[float], float], bool]
+    row: str
+    warning: str
+    absent: str = ""
+    single_core_ok: bool = False
+
+
+#: Every rule, in report order.
+RULES = (
+    # Throughput: a relative drop beyond the threshold.
+    Rule(METRIC, 0.0,
+         lambda fresh, base, threshold: (fresh - base) / base < -threshold,
+         row="{fresh:8.2f} vs baseline {base:8.2f} ({change:+.1%})",
+         warning="regressed {drop:.1f}% ({base:.2f} -> {fresh:.2f} "
+                 "samples_per_s)",
+         absent="bench telemetry changed?"),
+    # Warm start: the planner stopped engaging entirely (not noise).
+    Rule("prefix_hit_rate", 0.0,
+         lambda fresh, base, threshold: fresh == 0.0,
+         row="{fresh:8.2f} vs baseline {base:8.2f}",
+         warning="dropped to zero (baseline {base:.2f}) - prefix "
+                 "warm-start no longer engages",
+         absent="warm-start telemetry no longer reported?"),
+    # Scheduler: two slots no longer beat one at all (not noise).
+    Rule("concurrency_speedup", 1.0,
+         lambda fresh, base, threshold: fresh <= 1.0,
+         row="{fresh:7.2f}x vs baseline {base:7.2f}x",
+         warning="fell to {fresh:.2f}x (baseline {base:.2f}x) - concurrent "
+                 "campaigns no longer overlap",
+         absent="concurrency bench telemetry changed?"),
+    # Sparse MNA losing to dense at whole-tree sizes: pattern reuse or
+    # factor caching broke.
+    Rule("sparse_speedup", None,
+         lambda fresh, base, threshold: fresh <= 1.0,
+         row="{fresh:7.2f}x sparse-vs-dense",
+         warning="at {fresh:.2f}x - sparse MNA no longer beats the dense "
+                 "path at whole-tree node counts"),
+    # Sharded stacks losing to one worker: the fan-out is broken - except
+    # on a single-core box, where the record measured pure overhead.
+    Rule("shard_speedup", None,
+         lambda fresh, base, threshold: fresh <= 1.0,
+         row="{fresh:7.2f}x sharded-vs-single",
+         warning="at {fresh:.2f}x - sharded batch stacks no longer beat "
+                 "the single-worker batch path",
+         single_core_ok=True),
+)
 
 
 def iter_metrics(
@@ -104,6 +151,29 @@ def load_metrics(path: str, metric: str = METRIC) -> Dict[str, float]:
         return dict(iter_metrics(json.load(handle), metric))
 
 
+def _figures(
+    rule: Rule, base_doc: object, fresh_doc: object, name: str
+) -> Iterator[Tuple[str, float, Optional[float]]]:
+    """``(where, fresh, base)`` of every figure ``rule`` judges."""
+    fresh = dict(iter_metrics(fresh_doc, rule.metric))
+    if rule.floor is None:
+        for where, value in sorted(fresh.items()):
+            yield where, value, None
+        return
+    for where, base in sorted(iter_metrics(base_doc, rule.metric)):
+        if base <= rule.floor:
+            continue
+        if where not in fresh:
+            # A metric the fresh record stopped emitting is itself a
+            # signal (telemetry regression), not a silent skip.
+            print(
+                f"::warning file={name}::{where} ({rule.metric}) absent "
+                f"from the fresh record - {rule.absent}"
+            )
+            continue
+        yield where, fresh[where], base
+
+
 def compare(
     baseline_dir: str, fresh_dir: str, threshold: float
 ) -> Tuple[int, int]:
@@ -121,145 +191,34 @@ def compare(
             print(f"{name}: no fresh record (bench not rerun) - skipped")
             continue
         try:
-            base = load_metrics(baseline_path)
-            fresh = load_metrics(fresh_path)
-        except (OSError, json.JSONDecodeError, KeyError) as error:
+            with open(baseline_path) as handle:
+                base_doc = json.load(handle)
+            with open(fresh_path) as handle:
+                fresh_doc = json.load(handle)
+        except (OSError, json.JSONDecodeError) as error:
             print(
                 f"::warning file={name}::unreadable bench record "
                 f"({type(error).__name__}: {error}) - skipped"
             )
             continue
-        for where, base_value in sorted(base.items()):
-            if base_value <= 0.0:
-                continue
-            fresh_value = fresh.get(where)
-            if fresh_value is None:
-                # A metric the fresh record stopped emitting is itself a
-                # signal (telemetry regression), not a KeyError and not a
-                # silent skip: annotate the run.
-                print(
-                    f"::warning file={name}::{where} ({METRIC}) absent "
-                    "from the fresh record - bench telemetry changed?"
-                )
-                continue
-            compared += 1
-            change = (fresh_value - base_value) / base_value
-            marker = "ok"
-            if change < -threshold:
-                regressions += 1
-                marker = "REGRESSED"
-                print(
-                    f"::warning file={name}::{where} regressed "
-                    f"{-change * 100:.1f}% ({base_value:.2f} -> "
-                    f"{fresh_value:.2f} {METRIC})"
-                )
-            print(
-                f"{name}: {where} = {fresh_value:8.2f} vs baseline "
-                f"{base_value:8.2f} ({change:+.1%}) {marker}"
-            )
-        base_rates = load_metrics(baseline_path, HIT_RATE_METRIC)
-        fresh_rates = load_metrics(fresh_path, HIT_RATE_METRIC)
-        for where, base_rate in sorted(base_rates.items()):
-            if base_rate <= 0.0:
-                continue
-            fresh_rate = fresh_rates.get(where)
-            if fresh_rate is None:
-                print(
-                    f"::warning file={name}::{where} ({HIT_RATE_METRIC}) "
-                    "absent from the fresh record - warm-start telemetry "
-                    "no longer reported?"
-                )
-                continue
-            compared += 1
-            marker = "ok"
-            if fresh_rate == 0.0:
-                # Not noise: the planner stopped engaging entirely.
-                regressions += 1
-                marker = "REGRESSED"
-                print(
-                    f"::warning file={name}::{where} dropped to zero "
-                    f"(baseline {base_rate:.2f}) - prefix warm-start "
-                    "no longer engages"
-                )
-            print(
-                f"{name}: {where} = {fresh_rate:8.2f} vs baseline "
-                f"{base_rate:8.2f} {marker}"
-            )
-        base_speedups = load_metrics(baseline_path, SPEEDUP_METRIC)
-        fresh_speedups = load_metrics(fresh_path, SPEEDUP_METRIC)
-        for where, base_speedup in sorted(base_speedups.items()):
-            if base_speedup <= 1.0:
-                continue
-            fresh_speedup = fresh_speedups.get(where)
-            if fresh_speedup is None:
-                print(
-                    f"::warning file={name}::{where} ({SPEEDUP_METRIC}) "
-                    "absent from the fresh record - concurrency bench "
-                    "telemetry changed?"
-                )
-                continue
-            compared += 1
-            marker = "ok"
-            if fresh_speedup <= 1.0:
-                # Not noise: two slots no longer beat one at all.
-                regressions += 1
-                marker = "REGRESSED"
-                print(
-                    f"::warning file={name}::{where} fell to "
-                    f"{fresh_speedup:.2f}x (baseline {base_speedup:.2f}x) "
-                    "- concurrent campaigns no longer overlap"
-                )
-            print(
-                f"{name}: {where} = {fresh_speedup:7.2f}x vs baseline "
-                f"{base_speedup:7.2f}x {marker}"
-            )
-        for where, fresh_sparse in sorted(
-            load_metrics(fresh_path, SPARSE_SPEEDUP_METRIC).items()
-        ):
-            # Unconditional rule - no baseline needed: the sparse engine
-            # failing to beat dense at whole-tree sizes is functional
-            # breakage (pattern reuse or factor caching lost), never
-            # shared-runner timing noise.
-            compared += 1
-            marker = "ok"
-            if fresh_sparse <= 1.0:
-                regressions += 1
-                marker = "REGRESSED"
-                print(
-                    f"::warning file={name}::{where} at "
-                    f"{fresh_sparse:.2f}x - sparse MNA no longer beats "
-                    "the dense path at whole-tree node counts"
-                )
-            print(
-                f"{name}: {where} = {fresh_sparse:7.2f}x sparse-vs-dense "
-                f"{marker}"
-            )
-        with open(fresh_path) as handle:
-            fresh_cores = json.load(handle).get("cpu_count") or 0
-        for where, fresh_shard in sorted(
-            load_metrics(fresh_path, SHARD_SPEEDUP_METRIC).items()
-        ):
-            # Unconditional, like sparse_speedup: the sharded leg only
-            # reports when it actually fanned out (>= 2 workers), and a
-            # fan-out that loses to one worker is broken, not noisy -
-            # except on a single-core box, where the record measured
-            # pure fan-out overhead and can only lose.
-            compared += 1
-            marker = "ok"
-            if fresh_shard <= 1.0 and fresh_cores < 2:
-                marker = "ok (single-core box: overhead-only measurement)"
-            elif fresh_shard <= 1.0:
-                regressions += 1
-                marker = "REGRESSED"
-                print(
-                    f"::warning file={name}::{where} at "
-                    f"{fresh_shard:.2f}x - sharded batch stacks no longer "
-                    "beat the single-worker batch path"
-                )
-            print(
-                f"{name}: {where} = {fresh_shard:7.2f}x sharded-vs-single "
-                f"{marker}"
-            )
+        cores = fresh_doc.get("cpu_count") or 0
+        for rule in RULES:
+            for where, fresh, base in _figures(rule, base_doc, fresh_doc, name):
+                compared += 1
+                change = (fresh - base) / base if base else 0.0
+                values = dict(fresh=fresh, base=base, change=change,
+                              drop=-change * 100)
+                marker = "ok"
+                if rule.fails(fresh, base, threshold):
+                    if rule.single_core_ok and cores < 2:
+                        marker = ("ok (single-core box: overhead-only "
+                                  "measurement)")
+                    else:
+                        regressions += 1
+                        marker = "REGRESSED"
+                        print(f"::warning file={name}::{where} "
+                              + rule.warning.format(**values))
+                print(f"{name}: {where} = {rule.row.format(**values)} {marker}")
     return compared, regressions
 
 
