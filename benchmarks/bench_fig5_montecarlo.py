@@ -15,22 +15,20 @@ within 1 mV, and the measured throughputs land in
 :data:`_util.ACCURATE_OPTIONS`: the equivalence bar only means something
 where the scalar engine is itself grid-converged.
 
-When the resolved shard worker count is above one (CI pins
-``REPRO_BATCH_WORKERS=2``; locally ``REPRO_MAX_WORKERS`` decides), two
-further *warm* legs run - warm-start is the campaign default, and the
-cross-worker shared prefix store is precisely what sharding has to keep
-working: a single-worker warm leg and a sharded warm leg at the same
-pinned stack size (same stack composition).  The sharded leg's
-per-point ``Vmin`` must be **bit-identical** to the warm single-worker
-leg (not merely within tolerance), its ``prefix_hit_rate`` must stay
-positive (shards fork the published checkpoint instead of rebuilding
-it), and the throughput ratio lands in the record as ``shard_speedup``
-(the multiply of the SIMD and multicore axes).
+Two further *warm* legs run - warm-start is the campaign default, and
+sharing the parent-built prefix with every shard is precisely what
+sharding has to keep working: a single-worker warm leg and a warm leg
+sharded over :data:`SHARD_WORKERS` processes at the same pinned stack
+size (same stack composition).  The sharded leg's per-point ``Vmin``
+must be **bit-identical** to the warm single-worker leg (not merely
+within tolerance), its ``prefix_hit_rate`` must stay positive (shards
+fork the parent's checkpoint instead of rebuilding it), and the
+throughput ratio lands in the record as ``shard_speedup`` (the multiply
+of the SIMD and multicore axes).
 """
 
 import numpy as np
 
-from repro.batch.dispatch import resolve_batch_workers
 from repro.core.sensitivity import extract_tau_min
 from repro.montecarlo.parallel import default_workers, scatter_analysis_parallel
 from repro.montecarlo.sampling import sample_population
@@ -69,17 +67,21 @@ COLD_STACK_SIZE = 30
 #: stack composition is what makes the warm legs bit-comparable.
 WARM_STACK_SIZE = len(SKEWS_NS)
 
+#: Shard processes of the sharded warm leg (the width of the
+#: benchmark's ``mc_scatter`` workload).
+SHARD_WORKERS = 2
+
 
 def _run_backend(backend, samples, n_workers=None, batch_workers=None,
                  chunksize=None, warm_start=False):
     """One fresh (cache-bypassing) scatter campaign; returns metrics too.
 
-    ``n_workers=None`` defers to the runtime's resolution chain
-    (``REPRO_MAX_WORKERS``, else half the CPUs); the metrics record the
-    *effective* pool width either way.  ``samples_per_s`` excludes the
-    one-time prefix-build wall (see :func:`_util.throughput_metrics`) -
-    a no-op on cold legs, and on warm legs it keeps the rate honest
-    whichever leg happened to build the shared checkpoints first.
+    ``n_workers=None`` defers to the runtime's default (half the CPUs);
+    the metrics record the *effective* pool width either way.
+    ``samples_per_s`` excludes the one-time prefix-build wall (see
+    :func:`_util.throughput_metrics`) - a no-op on cold legs, and on
+    warm legs it keeps the rate honest whichever leg happened to build
+    the shared checkpoints first.
     """
     effective_workers = n_workers if n_workers is not None else default_workers()
     telemetry = Telemetry()
@@ -126,23 +128,19 @@ def run():
     batch_points, batch_metrics = _run_backend(
         "batch", samples, batch_workers=1, chunksize=COLD_STACK_SIZE
     )
-    # Shard acceptance, warm (the campaign default, and the case the
-    # shared prefix store exists for): a single-worker warm leg and a
-    # sharded warm leg at the same pinned stack size, bit-compared.
-    # Skipped when the resolution says one worker (nothing to multiply);
-    # CI pins REPRO_BATCH_WORKERS=2.
-    shard_workers = resolve_batch_workers()
-    sharded = None
-    if shard_workers > 1:
-        warm_points, warm_metrics = _run_backend(
-            "batch", samples, batch_workers=1, chunksize=WARM_STACK_SIZE,
-            warm_start=True,
-        )
-        sharded_points, sharded_metrics = _run_backend(
-            "batch", samples, batch_workers=shard_workers,
-            chunksize=WARM_STACK_SIZE, warm_start=True,
-        )
-        sharded = (warm_points, warm_metrics, sharded_points, sharded_metrics)
+    # Shard acceptance, warm (the campaign default, and the case where
+    # every shard must reuse the parent's prefix): a single-worker warm
+    # leg and a sharded warm leg at the same pinned stack size,
+    # bit-compared.
+    warm_points, warm_metrics = _run_backend(
+        "batch", samples, batch_workers=1, chunksize=WARM_STACK_SIZE,
+        warm_start=True,
+    )
+    sharded_points, sharded_metrics = _run_backend(
+        "batch", samples, batch_workers=SHARD_WORKERS,
+        chunksize=WARM_STACK_SIZE, warm_start=True,
+    )
+    sharded = (warm_points, warm_metrics, sharded_points, sharded_metrics)
     return scalar_points, scalar_metrics, batch_points, batch_metrics, sharded
 
 
@@ -170,18 +168,16 @@ def test_fig5_scatterplot(benchmark):
         "vmin_deviation_max": float(deviations.max()),
         "vmin_deviation_mean": float(deviations.mean()),
     }
-    shard_mismatches = None
-    if sharded is not None:
-        warm_points, warm_metrics, sharded_points, sharded_metrics = sharded
-        shard_mismatches = sum(
-            1 for b, s in zip(warm_points, sharded_points)
-            if b.vmin != s.vmin  # bit-identity, not a tolerance
-        )
-        record["batch_warm"] = warm_metrics
-        record["batch_sharded"] = sharded_metrics
-        record["shard_speedup"] = (sharded_metrics["samples_per_s"]
-                                   / warm_metrics["samples_per_s"])
-        record["shard_vmin_mismatches"] = shard_mismatches
+    warm_points, warm_metrics, sharded_points, sharded_metrics = sharded
+    shard_mismatches = sum(
+        1 for b, s in zip(warm_points, sharded_points)
+        if b.vmin != s.vmin  # bit-identity, not a tolerance
+    )
+    record["batch_warm"] = warm_metrics
+    record["batch_sharded"] = sharded_metrics
+    record["shard_speedup"] = (sharded_metrics["samples_per_s"]
+                               / warm_metrics["samples_per_s"])
+    record["shard_vmin_mismatches"] = shard_mismatches
     write_bench_json("fig5_montecarlo", record)
 
     points = scalar_points
@@ -213,16 +209,14 @@ def test_fig5_scatterplot(benchmark):
         f"{scalar_metrics['samples_per_s']:.2f} samples/s "
         f"-> {speedup:.2f}x (bar {SPEEDUP_MIN:.0f}x)",
     ]
-    if sharded is not None:
-        _, warm_metrics, _, sharded_metrics = sharded
-        lines += [
-            f"    sharded warm= {sharded_metrics['samples_per_s']:.2f} "
-            f"samples/s over {sharded_metrics['batch_workers']} workers "
-            f"-> {record['shard_speedup']:.2f}x the warm single-worker "
-            f"batch ({warm_metrics['samples_per_s']:.2f}), "
-            f"{shard_mismatches} bit mismatches, prefix hit rate "
-            f"{sharded_metrics['prefix_hit_rate']:.2f}",
-        ]
+    lines += [
+        f"    sharded warm= {sharded_metrics['samples_per_s']:.2f} "
+        f"samples/s over {sharded_metrics['batch_workers']} workers "
+        f"-> {record['shard_speedup']:.2f}x the warm single-worker "
+        f"batch ({warm_metrics['samples_per_s']:.2f}), "
+        f"{shard_mismatches} bit mismatches, prefix hit rate "
+        f"{sharded_metrics['prefix_hit_rate']:.2f}",
+    ]
     emit("fig5_montecarlo", lines)
 
     # Shape claims: clean separation far from tau_min.  In the transition
@@ -247,11 +241,10 @@ def test_fig5_scatterplot(benchmark):
     # tools/check_bench_regression.py (shard_speedup <= 1.0 is always
     # flagged) because wall-clock gain needs real cores, which a
     # one-CPU box cannot provide.
-    if sharded is not None:
-        assert shard_mismatches == 0, (
-            f"{shard_mismatches} per-point Vmin bits differ between the "
-            "sharded and single-worker warm batch paths"
-        )
-        assert sharded[3]["prefix_hit_rate"] > 0, (
-            "sharded warm leg never forked the published prefix"
-        )
+    assert shard_mismatches == 0, (
+        f"{shard_mismatches} per-point Vmin bits differ between the "
+        "sharded and single-worker warm batch paths"
+    )
+    assert sharded_metrics["prefix_hit_rate"] > 0, (
+        "sharded warm leg never forked the parent's prefix"
+    )

@@ -5,11 +5,10 @@ continuous-integration minute: a small seeded population is evaluated
 through the serial scalar backend and the lockstep batch backend at the
 grid-converged :data:`_util.ACCURATE_OPTIONS`, per-point ``Vmin`` values
 are compared, and the measured throughputs are written to
-``out/BENCH_smoke_batch.json``.  When the resolved shard worker count is
-above one (CI sets ``REPRO_BATCH_WORKERS=2``), a third leg fans the same
-stacks over the shard pool at the same pinned stack size: its per-point
-``Vmin`` must be **bit-identical** to the single-worker batch leg, and
-the ratio lands in the record as ``shard_speedup``.  Runs standalone
+``out/BENCH_smoke_batch.json``.  A third leg fans the same stacks over
+:data:`SHARD_WORKERS` shard processes at the same pinned stack size: its
+per-point ``Vmin`` must be **bit-identical** to the single-worker batch
+leg, and the ratio lands in the record as ``shard_speedup``.  Runs standalone
 (``python benchmarks/smoke_batch.py``) so the CI job does not depend on
 the pytest-benchmark plugin.
 """
@@ -18,7 +17,6 @@ import sys
 
 import numpy as np
 
-from repro.batch.dispatch import resolve_batch_workers
 from repro.montecarlo.parallel import scatter_analysis_parallel
 from repro.montecarlo.sampling import sample_population
 from repro.units import fF, ns
@@ -40,6 +38,10 @@ SEED = 7
 #: worker count, so runs that must be bit-compared across worker counts
 #: (the whole point of the sharded leg) pin it to the warm group size.
 STACK_SIZE = len(SKEWS_NS)
+
+#: Shard processes of the sharded leg (the width of the benchmark's
+#: ``mc_scatter`` workload).
+SHARD_WORKERS = 2
 
 #: Equivalence bar, volts (same as the full fig5 bench).
 EQUIVALENCE_TOL = 1e-3
@@ -87,23 +89,20 @@ def main():
         "vmin_deviation_max": float(deviations.max()),
     }
 
-    shard_workers = resolve_batch_workers()
-    shard_mismatches = 0
-    if shard_workers > 1:
-        sharded_points, sharded_metrics = _run_backend(
-            "batch", samples, batch_workers=shard_workers
-        )
-        shard_mismatches = sum(
-            1 for b, s in zip(batch_points, sharded_points)
-            if b.vmin != s.vmin  # bit-identity, not a tolerance
-        )
-        shard_speedup = (sharded_metrics["samples_per_s"]
-                         / batch_metrics["samples_per_s"])
-        record["batch_sharded"] = sharded_metrics
-        record["shard_speedup"] = shard_speedup
-        record["shard_vmin_mismatches"] = shard_mismatches
-        print(f"smoke_batch: sharded x{shard_workers} speedup "
-              f"{shard_speedup:.2f}x, {shard_mismatches} bit mismatches")
+    sharded_points, sharded_metrics = _run_backend(
+        "batch", samples, batch_workers=SHARD_WORKERS
+    )
+    shard_mismatches = sum(
+        1 for b, s in zip(batch_points, sharded_points)
+        if b.vmin != s.vmin  # bit-identity, not a tolerance
+    )
+    shard_speedup = (sharded_metrics["samples_per_s"]
+                     / batch_metrics["samples_per_s"])
+    record["batch_sharded"] = sharded_metrics
+    record["shard_speedup"] = shard_speedup
+    record["shard_vmin_mismatches"] = shard_mismatches
+    print(f"smoke_batch: sharded x{SHARD_WORKERS} speedup "
+          f"{shard_speedup:.2f}x, {shard_mismatches} bit mismatches")
 
     write_bench_json("smoke_batch", record)
     print(f"smoke_batch: max |dVmin| {deviations.max() * 1e3:.3f} mV, "

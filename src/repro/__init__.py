@@ -17,7 +17,7 @@ rebuilds the full system:
 * :mod:`repro.logicsim` - gate-level simulation for the Sec.-1 motivation;
 * :mod:`repro.montecarlo` - the Fig.-5 / Tab.-1 variability analysis;
 * :mod:`repro.runtime` - campaign orchestration: content-addressed
-  result cache, serial/thread/process executor, telemetry.
+  result cache, serial/process/batch executor, telemetry.
 
 Quickstart::
 

@@ -22,24 +22,21 @@ slews and skew.  This package turns that shape into vectorized math:
   PR 2's escalation ladder and failure diagnostics are preserved, never
   silently degraded);
 * :mod:`repro.batch.dispatch` - campaign integration: grouping of
-  compatible jobs into batches, ``REPRO_BATCH_SIZE`` chunking with a
-  memory/fan-out auto-tune, process sharding of whole stacks over
-  ``REPRO_BATCH_WORKERS`` workers through the executor's windowed
-  dispatcher (crash isolation and bounded redispatch included), and the
-  outcome protocol the :func:`repro.runtime.run_campaign` executor
-  consumes via ``backend="batch"``.
+  compatible jobs into batches, stack sizing (an explicit ``chunksize``
+  or a memory/fan-out auto-tune), process sharding of whole stacks over
+  ``batch_workers`` workers through the executor's windowed dispatcher
+  (crash isolation and bounded redispatch included), and the outcome
+  protocol the :func:`repro.runtime.run_campaign` executor consumes via
+  ``backend="batch"``.
 """
 
 from repro.batch.compile import BatchCompiledCircuit, BatchTopologyError, compile_batch
 from repro.batch.dispatch import (
     DEFAULT_BATCH_SIZE,
-    ENV_BATCH_SIZE,
-    ENV_BATCH_WORKERS,
     batch_signature,
     dispatch_batches,
     group_batches,
     resolve_batch_plan,
-    resolve_batch_size,
     resolve_batch_workers,
 )
 from repro.batch.engine import BatchTransientResult, batch_transient
@@ -51,8 +48,6 @@ __all__ = [
     "BatchTopologyError",
     "BatchTransientResult",
     "DEFAULT_BATCH_SIZE",
-    "ENV_BATCH_SIZE",
-    "ENV_BATCH_WORKERS",
     "batch_signature",
     "batch_transient",
     "compile_batch",
@@ -60,6 +55,5 @@ __all__ = [
     "evaluate_jobs_batch",
     "group_batches",
     "resolve_batch_plan",
-    "resolve_batch_size",
     "resolve_batch_workers",
 ]

@@ -12,10 +12,9 @@ Grouping and chunking
 Jobs are grouped by :func:`batch_signature` (the fields one lockstep run
 must share: horizon, topology switches, engine options, warm-start
 prefix) and each group is split into chunks of at most
-:func:`resolve_batch_plan` samples.  Resolution order: explicit
-``chunksize`` argument > ``REPRO_BATCH_SIZE`` > the auto-tune heuristic
-(:func:`auto_batch_size`: bound the stack by the
-``REPRO_BATCH_MEM_BUDGET`` memory budget over the circuit's
+:func:`resolve_batch_plan` samples: the explicit ``chunksize`` argument,
+else the auto-tune heuristic (:func:`auto_batch_size`: bound the stack
+by the :data:`DEFAULT_BATCH_MEM_BUDGET` memory budget over the circuit's
 :func:`~repro.batch.engine.stack_bytes_per_sample`, by an even fan-out
 over the shard workers, and by :data:`MAX_AUTO_BATCH`).  Oversized
 batches trade diminishing vectorization gains for a denser
@@ -26,7 +25,7 @@ report the shape actually used.
 
 Process sharding
 ----------------
-With :func:`resolve_batch_workers` > 1 (``REPRO_BATCH_WORKERS``), whole
+With :func:`resolve_batch_workers` > 1 (``batch_workers``), whole
 stacks fan out over a process pool through the executor's windowed
 submission core (:func:`repro.runtime.executor._dispatch_process_chunks`)
 - the same machinery the scalar process backend uses, inheriting its
@@ -37,17 +36,15 @@ merged breakpoint schedule and its bits.  Outcomes are index-addressed,
 so merged results are deterministic in job order regardless of which
 worker finished first; with the *same stack composition* (same resolved
 batch size), a sharded run is bit-identical to the single-worker batch
-path, which stays available as ``REPRO_BATCH_WORKERS=1``.
+path, which stays available as ``batch_workers=1``.
 
 Before the shards launch, every warm group's skew-invariant prefix is
-built once in the parent and *published* to the checkpoint disk tier
-(:func:`repro.runtime.prefix.publish_prefixes`), turning the prefix
-cache into a cross-worker shared artifact store: every worker - forked
-or spawned, first generation or rebuilt after a crash - warm-starts
-from the published checkpoint instead of re-integrating it.  When the
-cache disk tier is disabled, a campaign-scoped temporary store is
-exported via ``REPRO_PREFIX_SHARED_DIR`` for the duration of the
-dispatch.
+built once in the parent (:func:`repro.runtime.prefix.publish_prefixes`)
+and lands in its checkpoint memory tier - and on disk, when the disk
+tier is on.  Shard pools fork wherever fork exists, so every worker -
+first generation or rebuilt after a crash - inherits the parent's
+memory tier and warm-starts from the checkpoint instead of
+re-integrating it.
 
 Fallback contract
 -----------------
@@ -62,11 +59,7 @@ is counted in ``Telemetry.batch_fallbacks``.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
-from contextlib import contextmanager
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +67,6 @@ from repro.batch.compile import BatchTopologyError
 from repro.batch.engine import stack_bytes_per_sample
 from repro.batch.response import evaluate_jobs_batch
 from repro.errors import SimulationError
-from repro.runtime.cache import parse_size
 from repro.runtime.executor import (
     DEFAULT_MAX_REDISPATCH, _check_cancelled, _dispatch_process_chunks,
     _evaluate_outcome, _Item, _Outcome, resolve_workers,
@@ -82,21 +74,11 @@ from repro.runtime.executor import (
 from repro.runtime.jobs import SensorJob
 from repro.runtime.telemetry import Stopwatch, Telemetry
 
-#: Environment variable overriding the per-stack sample count.
-ENV_BATCH_SIZE = "REPRO_BATCH_SIZE"
-
-#: Environment variable overriding the batch shard worker count.
-ENV_BATCH_WORKERS = "REPRO_BATCH_WORKERS"
-
-#: Environment variable bounding the per-stack tensor memory of the
-#: auto-tuned batch size (``k``/``m``/``g`` suffixes, default 256 MB).
-ENV_BATCH_MEM_BUDGET = "REPRO_BATCH_MEM_BUDGET"
-
-#: Fallback samples per lockstep stack (explicit/env unset and the
+#: Fallback samples per lockstep stack (no explicit size and the
 #: auto-tune heuristic inapplicable - e.g. no work items to measure).
 DEFAULT_BATCH_SIZE = 64
 
-#: Default auto-tune memory budget per stack, bytes (256 MB).
+#: Auto-tune memory budget per stack, bytes (256 MB).
 DEFAULT_BATCH_MEM_BUDGET = 256 * 1024 ** 2
 
 #: Ceiling on the auto-tuned stack size.  Past ~10^2 samples the
@@ -106,52 +88,19 @@ DEFAULT_BATCH_MEM_BUDGET = 256 * 1024 ** 2
 MAX_AUTO_BATCH = 128
 
 
-def resolve_batch_size(chunksize: Optional[int] = None) -> int:
-    """Samples per stack: explicit arg > ``REPRO_BATCH_SIZE`` > default.
-
-    The static resolution, kept for callers without work items in hand;
-    :func:`resolve_batch_plan` adds the auto-tune tier the dispatcher
-    uses.
-    """
-    size, _ = resolve_batch_plan(chunksize)
-    return size
-
-
 def resolve_batch_workers(
     batch_workers: Optional[int] = None, max_workers: Optional[int] = None
 ) -> int:
-    """Shard worker count: arg > ``REPRO_BATCH_WORKERS`` > worker default.
+    """Shard worker count: ``batch_workers``, else the worker default.
 
-    Falls back to :func:`~repro.runtime.executor.resolve_workers` (the
-    ``max_workers`` argument / ``REPRO_MAX_WORKERS`` / half the CPUs),
-    so a campaign that fans scalar jobs over N processes shards its
-    batch stacks over the same N unless told otherwise.
+    Falls back to :func:`~repro.runtime.executor.resolve_workers` of
+    ``max_workers``, so a campaign that fans scalar jobs over N
+    processes shards its batch stacks over the same N unless told
+    otherwise.
     """
-    if batch_workers is not None:
-        return max(1, int(batch_workers))
-    env = os.environ.get(ENV_BATCH_WORKERS, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"{ENV_BATCH_WORKERS} must be an integer, got {env!r}"
-            ) from None
-    return resolve_workers(max_workers)
-
-
-def resolve_batch_mem_budget() -> int:
-    """Auto-tune memory budget: ``REPRO_BATCH_MEM_BUDGET`` or 256 MB."""
-    env = os.environ.get(ENV_BATCH_MEM_BUDGET, "").strip()
-    if not env:
-        return DEFAULT_BATCH_MEM_BUDGET
-    try:
-        return max(1, parse_size(env))
-    except ValueError:
-        raise ValueError(
-            f"{ENV_BATCH_MEM_BUDGET} must be a byte count "
-            f"(optionally with k/m/g suffix), got {env!r}"
-        ) from None
+    return resolve_workers(
+        batch_workers if batch_workers is not None else max_workers
+    )
 
 
 def auto_batch_size(
@@ -176,7 +125,7 @@ def auto_batch_size(
       flattened against the densifying merged breakpoint schedule.
     """
     per_sample = stack_bytes_per_sample(n_total, n_free)
-    budget = resolve_batch_mem_budget() if mem_budget is None else mem_budget
+    budget = DEFAULT_BATCH_MEM_BUDGET if mem_budget is None else mem_budget
     by_memory = max(1, int(budget) // per_sample)
     by_fanout = max(1, -(-int(n_jobs) // max(1, int(workers))))
     return max(1, min(by_memory, by_fanout, MAX_AUTO_BATCH))
@@ -203,7 +152,7 @@ def resolve_batch_plan(
 ) -> Tuple[int, bool]:
     """Resolve ``(samples_per_stack, auto)`` for a dispatch.
 
-    Resolution order: explicit ``chunksize`` > ``REPRO_BATCH_SIZE`` >
+    Resolution order: explicit ``chunksize`` >
     :func:`auto_batch_size` over the largest :func:`batch_signature`
     group of ``items`` > :data:`DEFAULT_BATCH_SIZE`.  ``auto`` is True
     only when the heuristic chose the size - callers record it so a
@@ -216,14 +165,6 @@ def resolve_batch_plan(
     """
     if chunksize is not None:
         return max(1, int(chunksize)), False
-    env = os.environ.get(ENV_BATCH_SIZE, "").strip()
-    if env:
-        try:
-            return max(1, int(env)), False
-        except ValueError:
-            raise ValueError(
-                f"{ENV_BATCH_SIZE} must be an integer, got {env!r}"
-            ) from None
     if not items:
         return DEFAULT_BATCH_SIZE, False
     counts: Dict[Hashable, int] = {}
@@ -359,42 +300,6 @@ def _fold_stats(telemetry: Optional[Telemetry], stats: Dict[str, object]) -> Non
         telemetry.record_prefix(prefix)
 
 
-@contextmanager
-def _shared_prefix_store() -> Iterator[None]:
-    """Guarantee a cross-worker disk store for prefix checkpoints.
-
-    When the cache disk tier is enabled, the published checkpoints
-    already live in ``<cache>/checkpoints`` and every worker - forked or
-    spawned, first generation or rebuilt after a crash - reads them from
-    there; nothing to do.  When it is disabled
-    (``REPRO_CACHE_DISABLE``), a campaign-scoped temporary directory is
-    exported via ``REPRO_PREFIX_SHARED_DIR`` for the duration of the
-    dispatch: parent-built memory-tier checkpoints are promoted into it,
-    workers inherit the variable when their pool forks/spawns, and the
-    directory is removed when the dispatch ends.
-    """
-    from repro.runtime.cache import (
-        ENV_PREFIX_SHARED_DIR, get_checkpoint_cache, reset_checkpoint_cache,
-    )
-
-    cache = get_checkpoint_cache()
-    if cache.disk_enabled:
-        yield
-        return
-    tmp = tempfile.mkdtemp(prefix="repro-prefix-")
-    os.environ[ENV_PREFIX_SHARED_DIR] = tmp
-    reset_checkpoint_cache()
-    try:
-        store = get_checkpoint_cache()
-        for key, value in cache.memory_entries():
-            store.put(key, value)
-        yield
-    finally:
-        os.environ.pop(ENV_PREFIX_SHARED_DIR, None)
-        reset_checkpoint_cache()
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
 def dispatch_batches(
     items: Sequence[_Item],
     workers: int = 1,
@@ -417,10 +322,10 @@ def dispatch_batches(
         worker dies is re-dispatched whole - bounded by
         ``max_redispatch`` - and outcomes merge in deterministic job
         order either way.  ``workers <= 1`` is the in-process
-        single-worker path (``REPRO_BATCH_WORKERS=1``).
+        single-worker path.
     chunksize:
         Samples per stack (see :func:`resolve_batch_plan` for the
-        explicit > env > auto-tuned resolution).
+        explicit > auto-tuned resolution).
     telemetry:
         Campaign accumulator receiving ``batched_samples`` /
         ``batch_fallbacks`` counters, the batch escalation tallies and
@@ -469,19 +374,18 @@ def dispatch_batches(
         for outcome in chunk_outcomes:
             emit(outcome)
 
-    with _shared_prefix_store():
-        from repro.runtime.prefix import publish_prefixes
+    from repro.runtime.prefix import publish_prefixes
 
-        publish_prefixes([item[1] for item in items], telemetry)
-        return _dispatch_process_chunks(
-            chunks,
-            workers=effective,
-            timeout=None,
-            max_redispatch=max_redispatch,
-            telemetry=telemetry if telemetry is not None else Telemetry(),
-            worker=evaluate_batch_chunk,
-            consume=consume,
-            isolate="chunk",
-            on_outcome=on_outcome,
-            cancel_event=cancel_event,
-        )
+    publish_prefixes([item[1] for item in items], telemetry)
+    return _dispatch_process_chunks(
+        chunks,
+        workers=effective,
+        timeout=None,
+        max_redispatch=max_redispatch,
+        telemetry=telemetry if telemetry is not None else Telemetry(),
+        worker=evaluate_batch_chunk,
+        consume=consume,
+        isolate="chunk",
+        on_outcome=on_outcome,
+        cancel_event=cancel_event,
+    )

@@ -191,9 +191,9 @@ def stack_bytes_per_sample(
     ``n_total**2``), the lockstep Newton loop's cached Jacobian inverse
     (``n_free**2``) and ``C[:, :n_free, :] / h`` scratch
     (``n_free * n_total``), and its handful of ``(B, n_free)`` residual,
-    update and step vectors.  The dispatcher's
-    ``REPRO_BATCH_SIZE`` auto-tune divides its memory budget by this to
-    bound the stack size - an estimate on purpose: it only needs to keep
+    update and step vectors.  The dispatcher's stack-size auto-tune
+    divides its memory budget by this to bound the stack size - an
+    estimate on purpose: it only needs to keep
     whole-chip-scale stacks (where ``n_free**2`` dominates) from blowing
     past the budget, not to account every transient history array.
     """

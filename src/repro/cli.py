@@ -5,7 +5,7 @@ Commands
 ``waves``        Fig.-2/3 style waveform report for a chosen skew.
 ``sensitivity``  Fig.-4 style Vmin-vs-tau sweep and tau_min extraction.
 ``campaign``     Runtime-orchestrated sensitivity campaign: choice of
-                 serial/thread/process/batch backend, cache reuse,
+                 serial/process/batch backend, cache reuse,
                  telemetry summary and JSON report.
 ``montecarlo``   Fig.-5 style Monte Carlo scatter with a seedable
                  population; ``--backend batch`` solves the whole
@@ -74,7 +74,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
         sweep_skew(
             fF(load), ns(args.slew), skews, options=_FAST,
             backend=args.backend, cache=cache, telemetry=telemetry,
-            max_workers=args.workers,
+            max_workers=args.workers, batch_workers=args.batch_workers,
             warm_start=False if args.no_warm_start else None,
         )
         for load in args.loads
@@ -520,6 +520,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
+    from repro.runtime import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Clock-skew testing scheme reproduction "
@@ -535,24 +537,21 @@ def build_parser() -> argparse.ArgumentParser:
     waves.set_defaults(func=_cmd_waves)
 
     def add_runtime_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend",
-                       choices=["serial", "thread", "process", "batch"],
+        p.add_argument("--backend", choices=BACKENDS,
                        default="serial", help="campaign executor backend "
                        "(batch = lockstep vectorised engine)")
         p.add_argument("--workers", type=int, default=None,
-                       help="pool width (default: REPRO_MAX_WORKERS or "
-                            "half the CPUs)")
+                       help="pool width (default: half the CPUs)")
         p.add_argument("--batch-workers", type=int, default=None,
                        help="batch-backend shard workers: whole lockstep "
                             "stacks fan out over this many processes "
-                            "(default: REPRO_BATCH_WORKERS, else the "
-                            "--workers resolution; 1 = unsharded)")
+                            "(default: the --workers value; 1 = unsharded)")
         p.add_argument("--no-cache", action="store_true",
                        help="bypass the result cache")
         p.add_argument("--no-warm-start", action="store_true",
                        help="disable prefix warm-start (full cold "
                             "transients, bit-identical to the pre-prefix "
-                            "behaviour; same as REPRO_WARM_START=0)")
+                            "behaviour)")
 
     sens = sub.add_parser("sensitivity", help="Vmin vs tau sweep")
     sens.add_argument("--loads", type=float, nargs="+",
@@ -730,13 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--skews", type=float, nargs="+",
                         default=[0.0, 0.05, 0.1, 0.15, 0.25, 0.4],
                         help="montecarlo skew grid, ns")
-    submit.add_argument("--backend",
-                        choices=["serial", "thread", "process", "batch"],
-                        default="serial")
+    submit.add_argument("--backend", choices=BACKENDS, default="serial")
     submit.add_argument("--workers", type=int, default=None)
     submit.add_argument("--batch-workers", type=int, default=None,
                         help="shard worker count for the batch backend "
-                             "(default: REPRO_BATCH_WORKERS)")
+                             "(default: the --workers value)")
     submit.add_argument("--tenant", type=str, default="",
                         help="cache namespace for this campaign")
     submit.add_argument("--timeout", type=float, default=None,

@@ -11,10 +11,10 @@ All evaluations route through :mod:`repro.runtime`: every operating point
 is content-addressed in the result cache (so a repeated sweep or a
 bisection revisiting a point costs a lookup, not a transient), and
 :func:`sweep_skew` / :func:`sensitivity_family` accept a ``backend`` to
-fan the independent points out over threads or processes.  The runtime
-imports happen lazily inside the functions - ``repro.runtime`` itself
-imports from ``repro.core``, and the package initialisers would otherwise
-cycle.
+fan the independent points out over worker processes or stack them
+into lockstep batches.  The runtime imports happen lazily inside the
+functions - ``repro.runtime`` itself imports from ``repro.core``, and
+the package initialisers would otherwise cycle.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ def vmin_for_skew(
     conditions").  The point is content-addressed in the runtime cache;
     pass ``cache=None`` to force a fresh transient.
 
-    ``warm_start=None`` resolves from ``REPRO_WARM_START`` (default on):
-    the evaluation forks a cached pre-skew prefix checkpoint and
-    integrates only the measurement suffix (see
-    :mod:`repro.runtime.prefix`); ``False`` forces the cold full-horizon
-    path, bit-identical to the pre-warm-start behaviour.
+    ``warm_start=None`` (the default) means on: the evaluation forks a
+    cached pre-skew prefix checkpoint and integrates only the
+    measurement suffix (see :mod:`repro.runtime.prefix`); ``False``
+    forces the cold full-horizon path, bit-identical to the
+    pre-warm-start behaviour.
     """
     from repro.runtime import evaluate_cached, sensitivity_job
 
@@ -116,9 +116,10 @@ def sweep_skew(
 
     The sweep runs as a runtime campaign: cached points are replayed
     without re-integration, fresh ones can be fanned out with
-    ``backend="thread"`` / ``"process"`` or solved in lockstep with
-    ``backend="batch"`` (all sweep points share the sensor topology, so
-    the vectorised engine stacks them into one batched transient), and a
+    ``backend="process"`` (``max_workers`` wide) or solved in lockstep
+    with ``backend="batch"`` (all sweep points share the sensor
+    topology, so the vectorised engine stacks them into batched
+    transients, sharded over ``batch_workers`` processes), and a
     ``telemetry`` accumulator (see :class:`repro.runtime.Telemetry`)
     receives per-point timings and hit/miss counts.
     """

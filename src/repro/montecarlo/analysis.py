@@ -50,9 +50,9 @@ def scatter_analysis(
 
     Every point goes through the same job evaluator as
     :func:`repro.montecarlo.parallel.scatter_analysis_parallel` (with the
-    same ``REPRO_WARM_START``-resolved ``warm_start`` default), so the
-    serial and parallel analyses stay bit-identical whichever way the
-    warm-start switch is set.
+    same ``warm_start`` default, on), so the serial and parallel
+    analyses stay bit-identical whichever way the warm-start switch is
+    set.
     """
     from repro.montecarlo.parallel import sample_job
     from repro.runtime.jobs import evaluate_job

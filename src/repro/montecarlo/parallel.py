@@ -10,10 +10,9 @@ worker scheduling, previously computed points are replayed from the
 content-addressed cache, and per-job timings land in an optional
 :class:`~repro.runtime.Telemetry` accumulator.
 
-Worker-count resolution honours the ``REPRO_MAX_WORKERS`` environment
-variable (explicit ``n_workers`` still wins), and the process pool always
-receives an explicit ``chunksize`` so large grids do not pay one IPC
-round-trip per point.
+The worker count is ``n_workers`` (half the CPUs when omitted), and the
+process pool always receives an explicit ``chunksize`` so large grids do
+not pay one IPC round-trip per point.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.runtime import SensorJob, Telemetry, resolve_workers, run_campaign
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_MAX_WORKERS`` if set, else half the CPUs."""
+    """Default worker count: half the CPUs."""
     return resolve_workers(None)
 
 
@@ -41,15 +40,10 @@ def sample_job(
 ) -> SensorJob:
     """The runtime job of one Monte Carlo (sample, skew) grid point.
 
-    ``warm_start=None`` resolves from ``REPRO_WARM_START`` (default on):
-    warm jobs skip the post-measurement half period and reuse the
-    pre-skew prefix across the skews of one sample (and across reruns,
-    through the checkpoint cache tier).
+    ``warm_start=None`` means on: warm jobs skip the post-measurement
+    half period and reuse the pre-skew prefix across the skews of one
+    sample (and across reruns, through the checkpoint cache tier).
     """
-    if warm_start is None:
-        from repro.runtime.prefix import warm_start_default
-
-        warm_start = warm_start_default()
     return SensorJob(
         skew=skew,
         load1=sample.load1,
@@ -59,7 +53,7 @@ def sample_job(
         process=sample.process,
         sizing=sizing or SensorSizing(),
         options=options,
-        warm_start=warm_start,
+        warm_start=True if warm_start is None else warm_start,
     )
 
 
@@ -90,11 +84,10 @@ def scatter_analysis_parallel(
     ``chunksize`` (process-pool chunk size, or samples per stack for the
     batch backend), ``batch_workers`` (shard worker count of the batch
     backend - whole lockstep stacks fan out over this many processes, so
-    the SIMD and multicore axes multiply; defaults to
-    ``REPRO_BATCH_WORKERS``), ``backend`` (``"process"``, ``"thread"``,
-    ``"serial"``, or ``"batch"`` - the lockstep vectorised engine, the
-    fastest choice for exactly this workload of many same-topology
-    variants), ``cache`` (``None``
+    the SIMD and multicore axes multiply; defaults to the worker count),
+    ``backend`` (``"process"``, ``"serial"``, or ``"batch"`` - the
+    lockstep vectorised engine, the fastest choice for exactly this
+    workload of many same-topology variants), ``cache`` (``None``
     disables result reuse), ``telemetry``, and the robustness knobs of
     :func:`repro.runtime.run_campaign`: ``on_error="collect"`` records a
     NaN-``vmin`` scatter point for a failed grid point instead of
@@ -110,8 +103,8 @@ def scatter_analysis_parallel(
         for tau in skew_list
     ]
     workers = n_workers if n_workers is not None else default_workers()
-    if backend in ("thread", "process") and (workers <= 1 or len(jobs) <= 1):
-        # Pool backends degenerate to serial without real parallelism;
+    if backend == "process" and (workers <= 1 or len(jobs) <= 1):
+        # The pool backend degenerates to serial without real parallelism;
         # "batch" stays: its speed-up comes from vectorisation, not from
         # worker processes, so it is worth keeping even on one CPU.
         backend = "serial"

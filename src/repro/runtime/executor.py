@@ -1,4 +1,4 @@
-"""Campaign executor: one API over serial, thread and process backends.
+"""Campaign executor: one API over serial, process and batch backends.
 
 :func:`run_campaign` takes a list of jobs and returns their results *in
 job order*, regardless of worker scheduling - the property every Fig.-4/5
@@ -10,15 +10,14 @@ pipeline relies on.  Around the raw evaluation it layers:
 * **bounded retries** on :class:`~repro.errors.ConvergenceError`
   (the only failure mode of the deterministic engine that a fresh attempt
   with the same inputs is allowed to re-raise);
-* **per-job timeouts** on the thread and process backends; a timeout
-  carries the offending job descriptor, its attempt count and the elapsed
-  wall time on the raised :class:`~repro.errors.CampaignTimeoutError`.
-  Both backends bound the in-flight window by the worker count, so a
-  job's clock starts when it actually starts running.  The process
-  backend *kills* a pool stuck on an over-budget job (a hung worker is
-  never joined); the thread backend, whose workers cannot be killed,
-  abandons the clogged pool and moves on.  The serial backend cannot
-  interrupt a running integration and documents that;
+* **per-job timeouts** on the process backend; a timeout carries the
+  offending job descriptor, its attempt count and the elapsed wall time
+  on the raised :class:`~repro.errors.CampaignTimeoutError`.  The
+  in-flight window is bounded by the worker count, so a job's clock
+  starts when it actually starts running, and a pool stuck on an
+  over-budget job is *killed* (a hung worker is never joined).  The
+  serial backend cannot interrupt a running integration and documents
+  that;
 * **crash isolation** - a worker process that segfaults, is OOM-killed
   or calls ``os._exit`` breaks only its pool generation: the executor
   rebuilds the pool, re-dispatches the jobs that were *in flight* at the
@@ -40,10 +39,10 @@ pipeline relies on.  Around the raw evaluation it layers:
 * **telemetry** - per-job wall time, attempts, engine steps, solver
   escalation rungs, cache hit/miss, re-dispatch and crash counters.
 
-Worker-count resolution honours the ``REPRO_MAX_WORKERS`` environment
-variable everywhere (CLI, Monte Carlo, benches), and the process backend
-always passes an explicit ``chunksize`` to the pool so hundreds of tiny
-jobs do not pay one IPC round-trip each.
+Every setting is an argument: the worker count is ``max_workers`` (half
+the CPUs when omitted), and the process backend always passes an
+explicit ``chunksize`` to the pool so hundreds of tiny jobs do not pay
+one IPC round-trip each.
 """
 
 from __future__ import annotations
@@ -76,30 +75,19 @@ from repro.runtime.jobs import JobResult, SensorJob, evaluate_job
 from repro.runtime.telemetry import Stopwatch, Telemetry
 
 #: Supported executor backends.
-BACKENDS = ("serial", "thread", "process", "batch")
+BACKENDS = ("serial", "process", "batch")
 
 #: Supported failure policies.
 ON_ERROR_MODES = ("raise", "collect")
-
-#: Environment variable bounding the worker count of every backend.
-ENV_MAX_WORKERS = "REPRO_MAX_WORKERS"
 
 #: Default bound on isolation re-dispatches of a job whose pool died.
 DEFAULT_MAX_REDISPATCH = 2
 
 
 def resolve_workers(max_workers: Optional[int] = None) -> int:
-    """Worker count: explicit arg > ``REPRO_MAX_WORKERS`` > half the CPUs."""
+    """Worker count: the explicit argument, else half the CPUs."""
     if max_workers is not None:
         return max(1, int(max_workers))
-    env = os.environ.get(ENV_MAX_WORKERS, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"{ENV_MAX_WORKERS} must be an integer, got {env!r}"
-            ) from None
     return max(1, (os.cpu_count() or 2) // 2)
 
 
@@ -163,7 +151,7 @@ def _evaluate_outcome(item: _Item) -> _Outcome:
     """Evaluate one job with bounded ConvergenceError retries.
 
     The chaos sites ``executor.crash`` / ``executor.hang`` hook in here -
-    the single evaluation point shared by the serial, thread and process
+    the single evaluation point shared by the serial and process
     backends - so an injected worker crash takes exactly the outcome
     shape a real pool breakage produces.  (The batch backend dispatches
     through :mod:`repro.batch.dispatch` and is not instrumented; chaos
@@ -227,7 +215,12 @@ def _crash_outcome(item: _Item, dispatches: int) -> _Outcome:
 
 
 def _mp_context():
-    """Fork when available (cheap worker startup), spawn otherwise."""
+    """Fork when available, spawn otherwise.
+
+    Forking makes worker startup cheap and lets every worker - rebuilt
+    pools included - inherit the prefix checkpoints the parent put in
+    its memory tier before dispatch.
+    """
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -263,84 +256,6 @@ def _check_cancelled(
     """Raise :class:`CampaignCancelledError` when the event is set."""
     if cancel_event is not None and cancel_event.is_set():
         raise CampaignCancelledError("campaign cancelled via cancel_event")
-
-
-def _dispatch_thread(
-    items: List[_Item],
-    workers: int,
-    chunksize: int,
-    timeout: Optional[float],
-    on_outcome: Optional[Callable[[_Outcome], None]] = None,
-    cancel_event: Optional[threading.Event] = None,
-) -> List[_Outcome]:
-    """Thread backend: windowed chunk dispatch, per-chunk timeouts.
-
-    At most ``workers`` chunks are in flight at a time on a pool of
-    ``workers`` threads, so a submitted chunk starts running immediately
-    and its stopwatch measures actual runtime - a queued job never burns
-    its budget waiting for a slot.  A thread cannot be interrupted, so
-    when a chunk exceeds the budget it gets a synthesised timeout
-    outcome and the clogged pool is *abandoned* (``shutdown(wait=False)``):
-    innocent in-flight chunks are re-dispatched on a fresh pool.  Their
-    abandoned twins run to completion in the old pool with the results
-    discarded - job evaluation is pure, so the duplicated work costs
-    CPU, not correctness.
-    """
-    outcomes: List[_Outcome] = []
-
-    def emit(outcome: _Outcome) -> None:
-        outcomes.append(outcome)
-        if on_outcome is not None:
-            on_outcome(outcome)
-
-    remaining = _chunked(items, chunksize)
-    while remaining:
-        queue = list(remaining)
-        remaining = []
-        pending: Dict[Any, Tuple[List[_Item], Stopwatch]] = {}
-        stuck = False
-        pool = concurrent.futures.ThreadPoolExecutor(workers)
-        try:
-            while (queue or pending) and not stuck:
-                _check_cancelled(cancel_event)
-                while queue and len(pending) < workers:
-                    chunk = queue.pop(0)
-                    pending[pool.submit(_worker_chunk, chunk)] = (
-                        chunk, Stopwatch(),
-                    )
-                done, _ = concurrent.futures.wait(
-                    pending,
-                    timeout=_poll_budget(pending, timeout, cancel_event),
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in done:
-                    pending.pop(future)
-                    for outcome in future.result():
-                        emit(outcome)
-                if timeout is not None:
-                    overdue = [
-                        future for future, (_, watch) in pending.items()
-                        if watch.elapsed() >= timeout
-                    ]
-                    for future in overdue:
-                        chunk, watch = pending.pop(future)
-                        future.cancel()
-                        for item in chunk:
-                            emit(
-                                _timeout_outcome(item, watch.elapsed(), timeout)
-                            )
-                        stuck = True
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        if stuck:
-            pool.shutdown(wait=False, cancel_futures=True)
-            for chunk, _ in pending.values():
-                queue.insert(0, chunk)
-        else:
-            pool.shutdown(wait=True)
-        remaining = queue
-    return outcomes
 
 
 def _poll_budget(
@@ -541,29 +456,6 @@ def _dispatch_process_chunks(
     return outcomes
 
 
-def _dispatch_process(
-    items: List[_Item],
-    workers: int,
-    chunksize: int,
-    timeout: Optional[float],
-    max_redispatch: int,
-    telemetry: Telemetry,
-    on_outcome: Optional[Callable[[_Outcome], None]] = None,
-    cancel_event: Optional[threading.Event] = None,
-) -> List[_Outcome]:
-    """Scalar process backend: per-job timeouts and crash isolation.
-
-    A thin wrapper over :func:`_dispatch_process_chunks` with the scalar
-    defaults: jobs are chunked by ``chunksize``, evaluated by
-    :func:`_worker_chunk`, and crash isolation re-runs suspects one
-    *job* at a time so a poison job is attributed individually.
-    """
-    return _dispatch_process_chunks(
-        _chunked(items, chunksize), workers, timeout, max_redispatch,
-        telemetry, on_outcome=on_outcome, cancel_event=cancel_event,
-    )
-
-
 def evaluate_cached(
     job: SensorJob,
     cache: Any = "default",
@@ -636,8 +528,7 @@ def run_campaign(
         Work items; anything exposing ``key()`` and accepted by
         ``evaluate`` (normally :class:`SensorJob`).
     backend:
-        ``"serial"`` (in-process loop), ``"thread"``
-        (``ThreadPoolExecutor``), ``"process"``
+        ``"serial"`` (in-process loop), ``"process"``
         (``ProcessPoolExecutor``, fork context when available, explicit
         chunksize, crash isolation), or ``"batch"`` (the vectorized
         lockstep engine of :mod:`repro.batch`: cache-cold jobs are
@@ -647,21 +538,19 @@ def run_campaign(
         :class:`SensorJob` descriptions directly, so it rejects a custom
         ``evaluate``; it also has no per-job ``timeout`` (samples share
         one integration).  ``chunksize`` becomes the per-stack sample
-        count, resolved as explicit ``chunksize`` > ``REPRO_BATCH_SIZE``
-        > an auto-tuned size derived from the signature-group fan-out,
-        the shard worker count and the ``REPRO_BATCH_MEM_BUDGET``
-        stack-memory budget (see
+        count; when omitted it is auto-tuned from the signature-group
+        fan-out, the shard worker count and the stack-memory budget (see
         :func:`repro.batch.dispatch.resolve_batch_plan`); whole stacks
         fan out over ``batch_workers`` shard processes through the
         windowed dispatcher.
     max_workers:
-        Pool width; defaults to ``REPRO_MAX_WORKERS`` or half the CPUs.
+        Pool width; defaults to half the CPUs.
     batch_workers:
         Shard worker count of the batch backend (how many lockstep
         stacks integrate concurrently, each on its own process).
-        Resolution: explicit arg > ``REPRO_BATCH_WORKERS`` > the
-        ``max_workers`` resolution above.  ``1`` keeps the in-process
-        single-worker batch path.  Ignored by the other backends.
+        Defaults to the ``max_workers`` resolution above.  ``1`` keeps
+        the in-process single-worker batch path.  Ignored by the other
+        backends.
     chunksize:
         Process-pool chunk size; defaults to ~4 chunks per worker.
         Forced to 1 when a ``timeout`` is set so timeouts and crashes
@@ -670,13 +559,12 @@ def run_campaign(
         Extra attempts permitted per job on ``ConvergenceError``; the
         error propagates (or is collected) once the budget is exhausted.
     timeout:
-        Per-job wall-time bound in seconds, enforced on the thread and
-        process backends.  Raises (or collects) a
+        Per-job wall-time bound in seconds, enforced on the process
+        backend.  Raises (or collects) a
         :class:`~repro.errors.CampaignTimeoutError` carrying the job
-        descriptor, attempt count and elapsed time.  A process worker
-        stuck past the budget is killed; a stuck thread cannot be and is
-        abandoned with its pool instead.  The serial backend cannot
-        interrupt a running integration and ignores it.
+        descriptor, attempt count and elapsed time.  A worker stuck past
+        the budget is killed.  The serial backend cannot interrupt a
+        running integration and ignores it.
     cache:
         ``"default"`` uses the process-wide :func:`get_cache`; ``None``
         disables caching; any :class:`ResultCache` is used as given.
@@ -826,7 +714,7 @@ def run_campaign(
 
     if items and evaluate is None:
         # Prefix planner: integrate each warm group's shared pre-skew
-        # prefix once in the parent, so serial/thread evaluations and
+        # prefix once in the parent, so serial evaluations and
         # fork-started workers all inherit the checkpoint from the
         # memory tier instead of racing to rebuild it.
         from repro.runtime.prefix import prepare_prefixes
@@ -865,18 +753,14 @@ def run_campaign(
                 )
                 # Outcomes are absorbed as they complete, so a raised
                 # failure (or a cancellation) still leaves every job
-                # that finished before it journalled and cached.
-                if backend == "thread":
-                    _dispatch_thread(
-                        items, workers, size, timeout,
-                        on_outcome=_absorb, cancel_event=cancel_event,
-                    )
-                else:
-                    _dispatch_process(
-                        items, workers, size, timeout, max_redispatch,
-                        telemetry, on_outcome=_absorb,
-                        cancel_event=cancel_event,
-                    )
+                # that finished before it journalled and cached.  Crash
+                # isolation re-runs suspects one *job* at a time, so a
+                # poison job is attributed individually.
+                _dispatch_process_chunks(
+                    _chunked(items, size), workers, timeout,
+                    max_redispatch, telemetry, on_outcome=_absorb,
+                    cancel_event=cancel_event,
+                )
     except CampaignCancelledError as error:
         error.completed = sum(1 for r in results if r is not None)
         raise

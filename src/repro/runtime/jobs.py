@@ -10,7 +10,7 @@ workers did.
 
 The evaluation result is the compact :class:`JobResult` (scalars only, no
 waveforms) so that results are cheap to pickle, JSON-serialisable for the
-disk cache, and bit-exactly reproducible across serial, thread and process
+disk cache, and bit-exactly reproducible across the serial and process
 backends.
 """
 
@@ -59,7 +59,7 @@ class SensorJob:
     #: under their own cache keys, so disabling warm start reproduces the
     #: cold results bit-identically.  The raw default is off; the factory
     #: helpers (:func:`sensitivity_job`, Monte Carlo ``sample_job``)
-    #: resolve their default from ``REPRO_WARM_START``.
+    #: default to on.
     warm_start: bool = False
 
     def resolved(self) -> "SensorJob":
@@ -228,13 +228,8 @@ def sensitivity_job(
 
     Mirrors the parameter conventions of
     :func:`repro.core.sensitivity.vmin_for_skew`.  ``warm_start=None``
-    resolves from the ``REPRO_WARM_START`` environment switch (default
-    on); pass ``False`` to force the cold full-horizon evaluation.
+    means on; pass ``False`` to force the cold full-horizon evaluation.
     """
-    if warm_start is None:
-        from repro.runtime.prefix import warm_start_default
-
-        warm_start = warm_start_default()
     return SensorJob(
         skew=skew,
         load1=load,
@@ -245,5 +240,5 @@ def sensitivity_job(
         sizing=sizing or SensorSizing(),
         threshold=threshold,
         options=options,
-        warm_start=warm_start,
+        warm_start=True if warm_start is None else warm_start,
     )

@@ -35,13 +35,12 @@ ends.  This module exploits that:
 
 Warm results are keyed (and cached) under ``SensorJob.warm_start=True``
 identities, disjoint from cold results: disabling warm start (pass
-``warm_start=False`` or set ``REPRO_WARM_START=0``) reproduces the
-pre-change behaviour bit-identically.
+``warm_start=False``) reproduces the cold full-horizon evaluation
+bit-identically.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analog.engine import TransientCheckpoint, transient
@@ -65,23 +64,10 @@ PREFIX_NAMESPACE = "transient-prefix"
 #: grid meets the edge the same way a cold run does.
 PREFIX_GUARD = 50e-12
 
-#: Environment switch for the factory-level warm-start default.
-ENV_WARM_START = "REPRO_WARM_START"
-
 #: Don't bother forking when the prefix is shorter than this many
 #: dt_start ramps - the checkpoint round-trip would cost more than the
 #: handful of steps it saves.
 _MIN_PREFIX_STEPS = 16.0
-
-
-def warm_start_default() -> bool:
-    """Resolve the warm-start default from ``REPRO_WARM_START``.
-
-    Warm start is on unless the variable is set to a falsy string
-    (``0`` / ``false`` / ``no`` / ``off``).
-    """
-    value = os.environ.get(ENV_WARM_START, "").strip().lower()
-    return value not in ("0", "false", "no", "off")
 
 
 def fork_time(job: SensorJob) -> float:
@@ -292,10 +278,10 @@ def prepare_prefixes(
     Called by :func:`repro.runtime.executor.run_campaign` on the pending
     (post-cache) work items: each group's shared prefix is integrated
     once *in the parent process*, so fork-started worker pools inherit
-    it through the memory tier and thread/serial backends hit it
-    directly.  Workers that miss anyway (spawn contexts, disk-disabled
-    runs) fall back to building their own - correctness never depends on
-    this warm-up.  Returns the number of prefixes built.
+    it through the memory tier and the serial backend hits it directly.
+    A worker that misses anyway (a spawn context with the disk tier
+    off) builds its own - correctness never depends on this warm-up.
+    Returns the number of prefixes built.
     """
     from repro.errors import SimulationError
 
@@ -322,17 +308,16 @@ def prepare_prefixes(
 def publish_prefixes(
     jobs: Sequence[SensorJob], telemetry: Optional[Telemetry] = None
 ) -> int:
-    """Publish every prefix group's checkpoint to the shared store.
+    """Make every prefix group's checkpoint available to shard workers.
 
     The sharded batch dispatcher calls this immediately before fanning
     stacks out over a process pool.  It is :func:`prepare_prefixes` plus
     one guarantee: when a disk tier is configured, the checkpoint ends
-    up *on disk*, not just in the parent's memory tier - so spawn-context
-    workers, and fork-pool generations rebuilt after a crash, warm-start
-    from the artifact store instead of each re-integrating the prefix.
-    A checkpoint that was built under a disk-disabled cache (or while the
-    disk tier was degraded) is re-``put`` from memory.  Returns the
-    number of groups built or re-published.
+    up *on disk*, not just in the parent's memory tier (a checkpoint
+    that reached only the memory tier is re-``put``).  Forked workers
+    inherit the memory tier either way; the disk copy also serves
+    spawn-context workers and later processes.  Returns the number of
+    groups built or re-published.
     """
     from repro.errors import SimulationError
 

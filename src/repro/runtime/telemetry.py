@@ -122,7 +122,7 @@ class Telemetry:
     batch_fallbacks: int = 0
     #: Resolved batch-dispatch shape: samples per lockstep stack, shard
     #: worker count, and whether the stack size came from the auto-tune
-    #: heuristic (vs an explicit argument / ``REPRO_BATCH_SIZE``).  Zero
+    #: heuristic (vs an explicit ``chunksize``).  Zero
     #: until a batch dispatch records its configuration.
     batch_stack_size: int = 0
     batch_workers: int = 0

@@ -69,11 +69,11 @@ class CampaignPlan:
 _COMMON_DEFAULTS: Dict[str, Any] = {
     "backend": "serial",
     "workers": None,
-    "batch_workers": None,  # None = resolve from REPRO_BATCH_WORKERS
+    "batch_workers": None,  # None = the workers value
     "chunksize": None,
     "retries": 1,
     "on_error": "raise",
-    "warm_start": None,   # None = resolve from REPRO_WARM_START
+    "warm_start": None,   # None = on
     "no_cache": False,
     "fast": True,         # FAST_OPTIONS vs engine defaults
     "tenant": "",         # cache namespace salt ("" = shared default)
@@ -137,12 +137,24 @@ def _validate_common(spec: Dict[str, Any]) -> None:
         )
     if spec["timeout_s"] is not None and float(spec["timeout_s"]) <= 0:
         raise SpecError("timeout_s must be positive")
-    if spec["batch_workers"] is not None and (
-            not isinstance(spec["batch_workers"], int)
-            or spec["batch_workers"] < 1):
-        raise SpecError("batch_workers must be a positive integer")
+    for key in ("workers", "batch_workers", "chunksize"):
+        if spec[key] is not None and not _is_int(spec[key], minimum=1):
+            raise SpecError(f"{key} must be a positive integer or null")
+    if not _is_int(spec["retries"], minimum=0):
+        raise SpecError("retries must be an integer >= 0")
+    for key in ("fast", "no_cache"):
+        if not isinstance(spec[key], bool):
+            raise SpecError(f"{key} must be a boolean")
+    if not isinstance(spec["warm_start"], (bool, type(None))):
+        raise SpecError("warm_start must be a boolean or null")
     if not isinstance(spec["tenant"], str):
         raise SpecError("tenant must be a string")
+
+
+def _is_int(value: Any, minimum: int) -> bool:
+    """True for an int (never a bool) of at least ``minimum``."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= minimum)
 
 
 def build_plan(spec: Dict[str, Any]) -> CampaignPlan:
@@ -161,7 +173,7 @@ def _executor_kwargs(spec: Dict[str, Any]) -> Dict[str, Any]:
         "max_workers": spec["workers"],
         "batch_workers": spec["batch_workers"],
         "chunksize": spec["chunksize"],
-        "retries": int(spec["retries"]),
+        "retries": spec["retries"],
         "on_error": spec["on_error"],
     }
 

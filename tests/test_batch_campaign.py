@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analog.engine import TransientOptions
-from repro.batch.dispatch import (
-    DEFAULT_BATCH_SIZE,
-    batch_signature,
-    group_batches,
-    resolve_batch_size,
-)
+from repro.batch.dispatch import batch_signature, group_batches
 from repro.errors import SimulationError
 from repro.runtime import ResultCache, SensorJob, Telemetry, run_campaign
 from repro.units import fF, ns
@@ -113,18 +108,6 @@ def test_group_batches_splits_on_signature_and_size():
         assert len(signatures) == 1
     # First-seen order of both groups and members is preserved.
     assert [item[0] for chunk in chunks for item in chunk] == [0, 1, 2, 3]
-
-
-def test_resolve_batch_size_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-    assert resolve_batch_size(None) == DEFAULT_BATCH_SIZE
-    assert resolve_batch_size(7) == 7
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "12")
-    assert resolve_batch_size(None) == 12
-    assert resolve_batch_size(3) == 3  # explicit argument wins
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "banana")
-    with pytest.raises(ValueError):
-        resolve_batch_size(None)
 
 
 # --------------------------------------------------------------------- #

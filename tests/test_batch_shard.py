@@ -4,15 +4,15 @@ The sharded dispatcher fans whole lockstep stacks over the executor's
 process pool.  These tests pin down the contract that makes that safe:
 
 * at the same resolved stack size, a sharded run is **bit-identical** to
-  the single-worker batch path (``REPRO_BATCH_WORKERS=1``) - sharding
+  the single-worker batch path (``batch_workers=1``) - sharding
   changes where a stack integrates, never what is in it;
 * a masked-out sample still takes the scalar fallback, on whichever
   shard its stack landed;
 * a crashed shard worker triggers bounded whole-stack redispatch with no
   lost and no duplicated samples;
-* the skew-invariant prefix is built once in the parent and *published*,
-  so every shard worker warm-forks from the shared checkpoint instead of
-  re-integrating it - with the cache disk tier on or off.
+* the skew-invariant prefix is built once in the parent, so every shard
+  worker warm-forks from that checkpoint instead of re-integrating it -
+  with the cache disk tier on or off.
 
 Plus the pure resolution logic: worker-count precedence, the auto-tune
 bounds, and the service-spec plumbing.
@@ -33,7 +33,7 @@ from repro.batch.dispatch import (
     resolve_batch_plan,
     resolve_batch_workers,
 )
-from repro.runtime import SensorJob, Telemetry, run_campaign
+from repro.runtime import SensorJob, Telemetry, resolve_workers, run_campaign
 from repro.units import fF, ns
 
 FAST = TransientOptions(dt_max=200e-12, reltol=5e-3)
@@ -179,8 +179,8 @@ def test_prefix_published_once_warm_hits_on_every_shard(fresh_cache):
 
 
 def test_prefix_shared_store_survives_disabled_disk_tier(monkeypatch):
-    """With the cache disk tier off, a campaign-scoped temp store still
-    carries the parent-built prefix to the shard workers."""
+    """With the cache disk tier off, forked shard workers still inherit
+    the parent-built prefix through the checkpoint memory tier."""
     from repro.runtime import reset_cache
 
     monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
@@ -198,7 +198,6 @@ def test_prefix_shared_store_survives_disabled_disk_tier(monkeypatch):
             jobs, backend="batch", batch_workers=1, chunksize=2, cache=None
         )
         assert fingerprint(sharded) == fingerprint(single)
-        assert "REPRO_PREFIX_SHARED_DIR" not in os.environ  # cleaned up
     finally:
         monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
         reset_cache()
@@ -208,17 +207,10 @@ def test_prefix_shared_store_survives_disabled_disk_tier(monkeypatch):
 # Resolution logic (pure, no transients).
 # --------------------------------------------------------------------- #
 
-def test_resolve_batch_workers_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH_WORKERS", raising=False)
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
-    assert resolve_batch_workers(None, None) == 3       # worker default
+def test_resolve_batch_workers_precedence():
+    assert resolve_batch_workers(None, None) == resolve_workers(None)
     assert resolve_batch_workers(None, 5) == 5          # max_workers arg
-    monkeypatch.setenv("REPRO_BATCH_WORKERS", "4")
-    assert resolve_batch_workers(None, 5) == 4          # env beats both
-    assert resolve_batch_workers(2, 5) == 2             # arg beats env
-    monkeypatch.setenv("REPRO_BATCH_WORKERS", "nope")
-    with pytest.raises(ValueError, match="REPRO_BATCH_WORKERS"):
-        resolve_batch_workers(None, None)
+    assert resolve_batch_workers(2, 5) == 2             # arg beats both
 
 
 def test_auto_batch_size_bounds():
@@ -232,12 +224,8 @@ def test_auto_batch_size_bounds():
         MAX_AUTO_BATCH
 
 
-def test_resolve_batch_plan_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
+def test_resolve_batch_plan_precedence():
     assert resolve_batch_plan(17) == (17, False)        # explicit wins
-    monkeypatch.setenv("REPRO_BATCH_SIZE", "9")
-    assert resolve_batch_plan(None) == (9, False)       # env next
-    monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
     assert resolve_batch_plan(None) == (DEFAULT_BATCH_SIZE, False)
     items = [(k, job, 1, None) for k, job in enumerate(jobs_for(0.0, 0.1))]
     size, auto = resolve_batch_plan(None, items, workers=2)

@@ -238,7 +238,7 @@ def test_worker_crash_raises_with_job_descriptor():
 def test_timeout_collects_job_error_with_descriptor():
     jobs = _jobs(1.0, 5.5, 2.0)  # job[1] sleeps past the budget
     campaign = run_campaign(
-        jobs, backend="thread", max_workers=3, evaluate=_slow_marked,
+        jobs, backend="process", max_workers=3, evaluate=_slow_marked,
         timeout=0.3, on_error="collect",
     )
     timed_out = campaign[1]
@@ -273,7 +273,7 @@ def test_timeout_raises_with_job_attempts_elapsed():
     jobs = _jobs(1.0, 5.5)
     with pytest.raises(CampaignTimeoutError) as excinfo:
         run_campaign(
-            jobs, backend="thread", max_workers=2, evaluate=_slow_marked,
+            jobs, backend="process", max_workers=2, evaluate=_slow_marked,
             timeout=0.3,
         )
     error = excinfo.value

@@ -87,6 +87,36 @@ def test_sensitivity_stats_flag(capsys, fresh_cache):
     assert "0 misses" in out
 
 
+def test_sensitivity_passes_batch_workers(monkeypatch, capsys):
+    """``--batch-workers`` is the only way to set the shard width, so the
+    sensitivity command must hand it to every sweep."""
+    import numpy as np
+
+    from repro.core import sensitivity
+
+    calls = []
+
+    def fake_sweep(load, slew, skews, **kwargs):
+        calls.append(kwargs)
+        return sensitivity.SensitivityCurve(
+            load=load, slew=slew, skews=np.asarray(skews),
+            vmins=np.zeros(len(skews)),
+        )
+
+    monkeypatch.setattr(sensitivity, "sweep_skew", fake_sweep)
+    assert main(["sensitivity", "--backend", "batch", "--batch-workers", "2",
+                 "--loads", "80", "160", "--points", "3"]) == 0
+    assert len(calls) == 2
+    assert all(call["batch_workers"] == 2 for call in calls)
+    assert all(call["backend"] == "batch" for call in calls)
+
+
+def test_thread_backend_rejected(capsys):
+    with pytest.raises(SystemExit):
+        main(["campaign", "--backend", "thread", "--points", "3"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_cache_info_and_clear(capsys, fresh_cache):
     assert main(["sensitivity", "--loads", "160", "--points", "3",
                  "--tau-max", "0.4"]) == 0

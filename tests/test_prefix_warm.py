@@ -15,7 +15,7 @@ Pins the PR-5 warm-start machinery four ways:
 * end-to-end warm-vs-cold equivalence: job results within 1 uV, the
   bisection ``tau_min`` unchanged to sub-picosecond, the batch engine's
   broadcast resume consistent with its cold path, and warm start
-  disabled (flag or ``REPRO_WARM_START=0``) restoring cold evaluation.
+  disabled (``warm_start=False``) restoring cold evaluation.
 """
 
 import json
@@ -42,7 +42,6 @@ from repro.runtime import (
     prefix_key,
     sensitivity_job,
 )
-from repro.runtime.prefix import warm_start_default
 from repro.units import fF, ns
 
 FAST = TransientOptions(dt_max=ns(0.2), reltol=5e-3)
@@ -198,16 +197,16 @@ def test_planner_merges_tau_and_slew_only():
     assert sum(len(g) for g in groups.values()) == len(shared) + len(different)
 
 
-def test_env_variable_controls_factory_default(monkeypatch):
-    monkeypatch.setenv("REPRO_WARM_START", "0")
-    assert not warm_start_default()
-    assert not sensitivity_job(fF(160), ns(0.2), 0.0).warm_start
-    monkeypatch.setenv("REPRO_WARM_START", "1")
-    assert warm_start_default()
+def test_factory_default_is_warm():
+    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.sampling import sample_population
+
     assert sensitivity_job(fF(160), ns(0.2), 0.0).warm_start
-    # Explicit argument always wins over the environment.
     assert not sensitivity_job(fF(160), ns(0.2), 0.0,
                                warm_start=False).warm_start
+    sample = sample_population(1, fF(160), seed=1)[0]
+    assert sample_job(sample, 0.0).warm_start
+    assert not sample_job(sample, 0.0, warm_start=False).warm_start
 
 
 # --------------------------------------------------------------------- #

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -23,9 +24,10 @@ from repro.units import fF, ns
 FAST = TransientOptions(dt_max=200e-12, reltol=5e-3)
 
 
-def jobs_for(*skews_ns):
+def jobs_for(*skews_ns, warm_start=False):
     return [
-        SensorJob(skew=ns(t), load1=fF(160), load2=fF(160), options=FAST)
+        SensorJob(skew=ns(t), load1=fF(160), load2=fF(160), options=FAST,
+                  warm_start=warm_start)
         for t in skews_ns
     ]
 
@@ -61,27 +63,13 @@ def _always_diverges(job):
 
 
 # --------------------------------------------------------------------- #
-# Worker / chunksize resolution (REPRO_MAX_WORKERS satellite).
+# Worker / chunksize resolution.
 # --------------------------------------------------------------------- #
 
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
-    assert resolve_workers(None) == 3
+def test_resolve_workers():
     assert resolve_workers(5) == 5  # explicit argument wins
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "0")
-    assert resolve_workers(None) == 1
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "banana")
-    with pytest.raises(ValueError):
-        resolve_workers(None)
-
-
-def test_default_workers_reads_env(monkeypatch):
-    from repro.montecarlo.parallel import default_workers
-
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-    assert default_workers() == 2
-    monkeypatch.delenv("REPRO_MAX_WORKERS")
-    assert default_workers() >= 1
+    assert resolve_workers(0) == 1  # never below 1
+    assert resolve_workers(None) == max(1, (os.cpu_count() or 2) // 2)
 
 
 def test_resolve_chunksize():
@@ -94,22 +82,44 @@ def test_resolve_chunksize():
 # Backends return identical, ordered results.
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_backends_bit_identical(backend):
-    jobs = jobs_for(0.1, 0.4)
-    reference = run_campaign(jobs, backend="serial", cache=None)
-    campaign = run_campaign(jobs, backend=backend, cache=None, max_workers=2)
+@pytest.mark.parametrize("backend, warm_start", [
+    pytest.param("serial", False, id="serial"),
+    pytest.param("process", False, id="process"),
+    pytest.param("serial", True, id="serial-warm"),
+    pytest.param("process", True, id="process-warm"),
+])
+def test_backends_bit_identical(backend, warm_start, monkeypatch):
+    from repro.runtime import reset_cache
+
+    jobs = jobs_for(0.1, 0.4, warm_start=warm_start)
+    # Disk tier off: forked workers can only reach the prefix checkpoint
+    # the parent built through the memory tier they inherit.
+    monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+    reset_cache()
+    try:
+        reference = run_campaign(jobs, backend="serial", cache=None)
+        reset_cache()
+        telemetry = Telemetry()
+        campaign = run_campaign(jobs, backend=backend, cache=None,
+                                max_workers=2, telemetry=telemetry)
+    finally:
+        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+        reset_cache()
     for got, want in zip(campaign, reference):
         assert got.vmin_y1 == want.vmin_y1  # bit-exact, not approx
         assert got.vmin_y2 == want.vmin_y2
         assert got.code == want.code
         assert got.steps == want.steps
+    if warm_start:
+        # One parent-side prefix build; every job forks from it.
+        assert telemetry.prefix_builds == 1
+        assert telemetry.prefix_hits == len(jobs)
 
 
 def test_results_keep_job_order():
     jobs = jobs_for(0.5, 0.1, 0.3, 0.2)
     campaign = run_campaign(
-        jobs, backend="thread", cache=None, max_workers=4, evaluate=_synthetic
+        jobs, backend="process", cache=None, max_workers=4, evaluate=_synthetic
     )
     assert [r.skew for r in campaign] == [job.skew for job in jobs]
 
@@ -149,13 +159,13 @@ def test_negative_retries_rejected():
 
 
 # --------------------------------------------------------------------- #
-# Per-job timeout (thread/process backends).
+# Per-job timeout (process backend).
 # --------------------------------------------------------------------- #
 
-def test_thread_timeout_raises():
+def test_process_timeout_raises():
     with pytest.raises(CampaignTimeoutError):
         run_campaign(
-            jobs_for(0.2), backend="thread", timeout=0.05,
+            jobs_for(0.2), backend="process", timeout=0.05,
             evaluate=_slow_synthetic,
         )
 
@@ -311,7 +321,7 @@ def test_progress_default_is_bit_identical(fresh_cache):
     assert [r.vmin_y1 for r in plain] == [r.vmin_y1 for r in with_progress]
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_cancel_event_aborts_campaign(backend):
     import threading
 

@@ -50,7 +50,21 @@ def test_submit_rejects_bad_spec(tmp_path):
         store.submit({"kind": "no-such-kind"})
     with pytest.raises(SpecError):
         store.submit({"loads_ffff": [1.0]})
+    # Executor keys are checked at submit time, not when the campaign
+    # runs: wrong types, out-of-range counts, truthy strings.
+    for bad in ({"backend": "thread"},
+                {"workers": "two"}, {"workers": 0}, {"workers": True},
+                {"chunksize": "x"}, {"chunksize": 0},
+                {"retries": -1}, {"retries": 1.5},
+                {"warm_start": "no"}, {"fast": "false"},
+                {"no_cache": "false"}, {"no_cache": None}):
+        with pytest.raises(SpecError):
+            store.submit({**SPEC, **bad})
     assert store.list() == []  # nothing journaled
+    # Null still means "default" where a key allows it.
+    record = store.submit({**SPEC, "workers": None, "chunksize": None,
+                           "warm_start": None})
+    assert record.spec["warm_start"] is None
 
 
 def test_lifecycle_transitions(tmp_path):

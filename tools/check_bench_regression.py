@@ -27,8 +27,8 @@ baseline entry - the sparse MNA path losing to dense assembly at
 10^3-node clock trees means its pattern reuse or factor caching broke.
 
 ``shard_speedup`` figures (the batch benches' sharded leg) get the same
-unconditional rule: the sharded leg only runs with two or more workers,
-and the whole point of fanning stacks over a pool is to multiply the
+unconditional rule: the sharded leg runs on two shard workers, and the
+whole point of fanning stacks over a pool is to multiply the
 SIMD gain by the core count - a value at or below 1.0 on a multi-core
 runner means sharding costs more than it buys (IPC, lost prefix
 sharing, serialised stacks) and must be looked at, baseline or not.
