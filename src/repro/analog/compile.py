@@ -68,10 +68,11 @@ def note_dense_jacobian(n_free: int, policy: str) -> None:
         import sys
 
         print(
-            f"repro: dense jacobian_policy={policy!r} on {n_free} free "
-            f"nodes (> {DENSE_WARN_NODES}); each Newton refresh factors "
-            "a dense matrix - consider jacobian_policy='sparse' "
-            "(pip install 'repro[sparse]') or 'auto'",
+            f"repro: dense Jacobian (jacobian_policy={policy!r}) on "
+            f"{n_free} free nodes (> {DENSE_WARN_NODES}); each Newton "
+            "refresh factors a dense matrix - the sparse backend needs "
+            "jacobian_policy='sparse' or 'auto' and scipy "
+            "(pip install 'repro[sparse]')",
             file=sys.stderr,
         )
 

@@ -87,17 +87,20 @@ def resolve_jacobian_policy(
     (CSR + ``SparseLU``); ``reuse`` enables the modified-Newton factor
     cache, which only an explicit ``"dense"`` policy turns off.
     ``"auto"`` picks the sparse backend from :data:`SPARSE_AUTO_NODES`
-    free nodes up.  A lockstep stack has no sparse backend and takes
-    only ``reuse``, so there ``"sparse"`` and ``"auto"`` run the batched
-    dense inverse with reuse - the decisions the scalar engine takes on
-    sensor-sized circuits.
+    free nodes up; without scipy both run the dense backend.  A lockstep
+    stack has no sparse backend and takes only ``reuse``, so there
+    ``"sparse"`` and ``"auto"`` run the batched dense inverse with reuse -
+    the decisions the scalar engine takes on sensor-sized circuits.
     """
     policy = options.jacobian_policy
     reuse = policy != "dense"
     if policy == "sparse" or (
         policy == "auto" and circuit.n_free >= SPARSE_AUTO_NODES
     ):
-        return "sparse", reuse
+        from repro.sparse.linalg import scipy_available
+
+        if scipy_available():
+            return "sparse", reuse
     return "dense", reuse
 
 
@@ -145,10 +148,11 @@ class TransientOptions:
         of :mod:`repro.sparse` with the same modified-Newton reuse
         policy; ``"auto"`` picks ``"sparse"`` when the circuit has at
         least :data:`SPARSE_AUTO_NODES` free nodes and ``"reuse"``
-        otherwise.  Rescue rungs never reuse a factorization (they run
-        damped or shunted systems) but use the run's backend.  See
-        :func:`resolve_jacobian_policy`; lockstep stacks resolve
-        ``"sparse"`` and ``"auto"`` to ``"reuse"``.
+        otherwise; without scipy both run as ``"reuse"``.  Rescue rungs
+        never reuse a factorization (they run damped or shunted systems)
+        but use the run's backend.  See :func:`resolve_jacobian_policy`;
+        lockstep stacks resolve ``"sparse"`` and ``"auto"`` to
+        ``"reuse"``.
     """
 
     dt_max: float = 100e-12

@@ -71,7 +71,7 @@ from repro.runtime.executor import (
     DEFAULT_MAX_REDISPATCH, _check_cancelled, _dispatch_process_chunks,
     _evaluate_outcome, _Item, _Outcome, resolve_workers,
 )
-from repro.runtime.jobs import SensorJob
+from repro.runtime.jobs import SensorJob, job_circuit
 from repro.runtime.telemetry import Stopwatch, Telemetry
 
 #: Fallback samples per lockstep stack (no explicit size and the
@@ -138,9 +138,8 @@ def _estimate_dims(job: SensorJob) -> Tuple[int, int]:
     auto-tuner the node counts its memory model needs.
     """
     from repro.analog.compile import CompiledCircuit
-    from repro.runtime.prefix import _sensor_netlist
 
-    _, netlist = _sensor_netlist(job.resolved())
+    _, netlist = job_circuit(job.resolved())
     compiled = CompiledCircuit.compile(netlist)
     return compiled.n_total, compiled.n_free
 

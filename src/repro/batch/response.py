@@ -2,15 +2,16 @@
 
 :func:`evaluate_jobs_batch` is the batched twin of
 :func:`repro.runtime.jobs.evaluate_job`: it builds one netlist per job
-(each with its own clock pair, loads, sizing and process corner),
-compiles the stack, runs one lockstep transient over the shared
-``[0, settle + period]`` horizon, and then applies the *exact*
-per-sample measurement windows of
-:func:`repro.core.response.simulate_sensor` - ``Vmin`` over
-``[edge_start, fall_start]`` and the ``(y1, y2)`` code sampled at the
-same ``t_sample`` formula - so a batch result is the scalar result up to
+with :func:`~repro.runtime.jobs.job_circuit` (each with its own clock
+pair, loads, sizing and process corner), compiles the stack, runs one
+lockstep transient and reads every sample with
+:func:`repro.core.response.read_response` - the reading the scalar
+paths use - so a batch result is the scalar result up to
 integration-grid differences (bounded by the engine's LTE control; the
-equivalence suite pins it below 1 mV on ``Vmin``).
+equivalence suite pins it below 1 mV on ``Vmin``).  A cold stack spans
+``[0, settle + period]``; a warm stack, whose samples share one prefix
+key, runs the :func:`repro.runtime.prefix.warm_plan` of the single-job
+warm path: fork from one checkpoint, stop at the latest ``fall_start``.
 
 Jobs in one call must share the horizon-defining and engine-defining
 fields (``period``, ``settle``, ``full_swing``, ``parasitics``,
@@ -25,13 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analog.waveform import Waveform
 from repro.batch.compile import compile_batch
-from repro.batch.engine import BatchTransientResult, batch_transient
-from repro.core.response import measurement_windows
-from repro.core.sensing import SkewSensor
-from repro.devices.sources import clock_pair
-from repro.runtime.jobs import JobResult, SensorJob
+from repro.batch.engine import batch_transient
+from repro.core.response import read_response
+from repro.runtime.jobs import JobResult, SensorJob, job_circuit
 
 #: Nodes recorded for the paper's response measurement.
 RECORD_NODES = ("phi1", "phi2", "y1", "y2")
@@ -56,8 +54,9 @@ class BatchEvaluation:
     #: stack level - the per-sample ``JobResult.kernel`` tallies stay
     #: empty for batch results so campaign telemetry never double-counts.
     kernel_stats: Dict[str, float] = field(default_factory=dict)
-    #: Stack-level prefix warm-start accounting (``hits``/``builds``/
-    #: ``build_s``/``saved_s``); empty when the stack ran cold.  Like
+    #: Stack-level prefix warm-start accounting (the
+    #: :func:`~repro.runtime.prefix.warm_plan` stats: ``hits``,
+    #: ``builds``, ``saved_s``...); empty when the stack ran cold.  Like
     #: ``kernel_stats``, kept at the stack level so telemetry never
     #: double-counts.
     prefix: Dict[str, float] = field(default_factory=dict)
@@ -66,35 +65,6 @@ class BatchEvaluation:
     def fallbacks(self) -> int:
         """Number of samples needing scalar re-dispatch."""
         return sum(1 for r in self.results if r is None)
-
-
-def _measure(
-    result: BatchTransientResult, sample: int, job: SensorJob
-) -> JobResult:
-    """Apply ``simulate_sensor``'s measurement windows to one sample."""
-    skew, slew1, slew2 = job.skew, job.slew1, job.slew2
-    settle, period = job.settle, job.period
-    edge_start, _, fall_start, t_sample = measurement_windows(
-        skew, slew1, slew2, period, settle
-    )
-
-    y1 = result.wave("y1", sample)
-    y2 = result.wave("y2", sample)
-    vmin_y1 = y1.window_min(edge_start, fall_start)
-    vmin_y2 = y2.window_min(edge_start, fall_start)
-
-    code = (
-        1 if y1.at(t_sample) > job.threshold else 0,
-        1 if y2.at(t_sample) > job.threshold else 0,
-    )
-    return JobResult(
-        skew=skew,
-        vmin_y1=vmin_y1,
-        vmin_y2=vmin_y2,
-        code=code,
-        steps=len(result),
-        escalations=(),
-    )
 
 
 def evaluate_jobs_batch(jobs: Sequence[SensorJob]) -> BatchEvaluation:
@@ -111,100 +81,50 @@ def evaluate_jobs_batch(jobs: Sequence[SensorJob]) -> BatchEvaluation:
         return BatchEvaluation(results=[])
     resolved = [job.resolved() for job in jobs]
     head = resolved[0]
-    for job in resolved[1:]:
-        if (
-            job.period != head.period
-            or job.settle != head.settle
-            or job.full_swing != head.full_swing
-            or job.parasitics != head.parasitics
-            or job.options != head.options
-        ):
-            raise ValueError(
-                "jobs in one batch must share period/settle/full_swing/"
-                "parasitics/options (group with batch_signature first)"
-            )
-
-    netlists = []
-    initial = []
-    for job in resolved:
-        sensor = SkewSensor(
-            process=job.process,
-            sizing=job.sizing,
-            load1=job.load1,
-            load2=job.load2,
-            full_swing=job.full_swing,
-            parasitics=job.parasitics,
+    if len({(job.period, job.settle, job.full_swing, job.parasitics,
+             job.options) for job in resolved}) > 1:
+        raise ValueError(
+            "jobs in one batch must share period/settle/full_swing/"
+            "parasitics/options (group with batch_signature first)"
         )
-        phi1, phi2 = clock_pair(
-            period=job.period, slew1=job.slew1, slew2=job.slew2,
-            skew=job.skew, delay=job.settle, vdd=sensor.vdd,
-        )
-        netlists.append(sensor.build(phi1=phi1, phi2=phi2))
-        initial.append(sensor.dc_guess())
 
-    batch = compile_batch(netlists)
+    circuits = [job_circuit(job) for job in resolved]
+    batch = compile_batch([netlist for _, netlist in circuits])
 
     # Warm stack: when every sample shares one prefix key, the whole
     # stack forks from a single scalar checkpoint (broadcast by
     # batch_transient) and integrates only up to the latest sample's
-    # fall_start - every measurement window lies inside that horizon.
-    checkpoint = None
-    prefix_stats: Dict[str, float] = {}
-    t_stop = head.settle + head.period
-    from repro.runtime.prefix import (
-        prefix_checkpoint, prefix_key, warm_eligible,
-    )
+    # fall_start.
+    from repro.runtime.prefix import prefix_key, warm_eligible, warm_plan
 
-    if all(job.warm_start and warm_eligible(job) for job in resolved):
-        keys = {prefix_key(job) for job in resolved}
-        if len(keys) == 1:
-            checkpoint, stats = prefix_checkpoint(resolved[0])
-            # One build (or hit) serves the whole stack: count every
-            # sample as a warm fork, minus the one that paid the build.
-            B = len(resolved)
-            prefix_stats = {
-                "hits": float(B - int(stats.get("builds", 0))),
-                "builds": float(stats.get("builds", 0.0)),
-                "build_s": float(stats.get("build_s", 0.0)),
-            }
-            fork = checkpoint.t
-            fall_stops = [
-                measurement_windows(
-                    job.skew, job.slew1, job.slew2, job.period, job.settle
-                )[2]
-                for job in resolved
-            ]
-            t_stop = max(fall_stops)
-            saved_tail = sum(
-                (head.settle + head.period) - fs for fs in fall_stops
-            )
-            prefix_stats["saved_s"] = (
-                saved_tail + fork * float(prefix_stats["hits"])
-            )
-
-    if checkpoint is not None:
-        result = batch_transient(
-            batch,
-            t_stop=t_stop,
-            record=list(RECORD_NODES),
-            options=head.options,
-            resume_from=checkpoint,
-        )
+    if (
+        all(job.warm_start and warm_eligible(job) for job in resolved)
+        and len({prefix_key(job) for job in resolved}) == 1
+    ):
+        checkpoint, t_stop, prefix_stats = warm_plan(resolved)
+        start = {"resume_from": checkpoint}
     else:
-        result = batch_transient(
-            batch,
-            t_stop=t_stop,
-            record=list(RECORD_NODES),
-            initial=initial,
-            options=head.options,
-        )
+        t_stop, prefix_stats = head.settle + head.period, {}
+        start = {"initial": [sensor.dc_guess() for sensor, _ in circuits]}
+    result = batch_transient(
+        batch, t_stop=t_stop, record=list(RECORD_NODES),
+        options=head.options, **start,
+    )
 
     results: List[Optional[JobResult]] = []
     for index, job in enumerate(resolved):
         if not result.ok[index]:
             results.append(None)
             continue
-        results.append(_measure(result, index, job))
+        vmin_y1, vmin_y2, code = read_response(
+            result.wave("y1", index), result.wave("y2", index),
+            job.skew, job.slew1, job.slew2, job.period, job.settle,
+            job.threshold,
+        )
+        results.append(JobResult(
+            skew=job.skew, vmin_y1=vmin_y1, vmin_y2=vmin_y2, code=code,
+            steps=len(result),
+        ))
     return BatchEvaluation(
         results=results,
         escalations=dict(result.escalations),

@@ -326,8 +326,7 @@ def _cmd_whole_tree(args: argparse.Namespace) -> int:
           f"{len(run.placements)} sensors")
     if kernel.get("sparse_nnz"):
         print(f"sparse: nnz {kernel['sparse_nnz']}, "
-              f"LU fill {kernel.get('sparse_fill_nnz', 0)}"
-              + (" (numpy fallback)" if kernel.get("sparse_fallback") else ""))
+              f"LU fill {kernel.get('sparse_fill_nnz', 0)}")
     if fault is not None:
         print(f"injected: {fault.describe()}")
     for placement in run.placements:

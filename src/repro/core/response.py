@@ -6,6 +6,10 @@ after the monitored rising edges, ``(y1, y2)`` equal to ``11`` (both held
 high by an undischarged block) never occurs in fault-free operation, ``00``
 (well, the sub-threshold clamp) is the no-error response, and ``01`` / ``10``
 flag a late ``phi2`` / late ``phi1`` respectively.
+
+The cold :func:`simulate_sensor`, the prefix warm start and the lockstep
+stacks all drive the sensor through :func:`clocked_netlist` and read it
+through :func:`read_response`, each written once.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Optional, Tuple
 
 from repro.analog.engine import TransientOptions, TransientResult, transient
 from repro.analog.waveform import Waveform
+from repro.circuit.netlist import Netlist
 from repro.core.sensing import SkewSensor
 from repro.devices.sources import clock_pair
 from repro.units import VTH_INTERPRET, ns
@@ -34,15 +39,48 @@ def measurement_windows(
     ``Vmin`` is taken over ``[edge_start, fall_start]`` (first rising
     edge to the start of the falling edge - the half period during which
     the paper says the error indication holds) and the logic code is
-    sampled at ``t_sample``.  Single source of truth for the scalar,
-    batch and prefix warm-start measurement paths - the expressions must
-    stay bit-identical across them.
+    sampled at ``t_sample`` (see :func:`read_response`).  The warm paths
+    also stop integrating at ``fall_start``, where every window ends.
     """
     edge_start = settle + min(0.0, skew)
     late_edge_end = settle + max(0.0, skew) + max(slew1, slew2)
     fall_start = settle + period / 2.0 - max(slew1, slew2) + min(0.0, skew)
     t_sample = min(late_edge_end + (fall_start - late_edge_end) * 0.75, fall_start)
     return edge_start, late_edge_end, fall_start, t_sample
+
+
+def read_response(
+    y1: Waveform, y2: Waveform, skew: float, slew1: float, slew2: float,
+    period: float, settle: float, threshold: float,
+) -> Tuple[float, float, Tuple[int, int]]:
+    """``(vmin_y1, vmin_y2, code)`` read off one cycle's output waveforms.
+
+    ``Vmin`` is each output's minimum over ``[edge_start, fall_start]``
+    of :func:`measurement_windows`; the ``(y1, y2)`` code is sampled at
+    ``t_sample`` - after the late edge has fully propagated, comfortably
+    inside the high phase - against ``threshold``.
+    """
+    edge_start, _, fall_start, t_sample = measurement_windows(
+        skew, slew1, slew2, period, settle
+    )
+    code = (
+        1 if y1.at(t_sample) > threshold else 0,
+        1 if y2.at(t_sample) > threshold else 0,
+    )
+    return (y1.window_min(edge_start, fall_start),
+            y2.window_min(edge_start, fall_start), code)
+
+
+def clocked_netlist(
+    sensor: SkewSensor, skew: float, slew1: float, slew2: float,
+    period: float, settle: float,
+) -> Netlist:
+    """The sensor's netlist driven by one clock pair carrying ``skew``."""
+    phi1, phi2 = clock_pair(
+        period=period, slew1=slew1, slew2=slew2, skew=skew,
+        delay=settle, vdd=sensor.vdd,
+    )
+    return sensor.build(phi1=phi1, phi2=phi2)
 
 
 @dataclass(frozen=True)
@@ -124,40 +162,20 @@ def simulate_sensor(
     threshold:
         Logic interpretation threshold for the error code.
     """
-    phi1, phi2 = clock_pair(
-        period=period, slew1=slew1, slew2=slew2, skew=skew,
-        delay=settle, vdd=sensor.vdd,
-    )
-    netlist = sensor.build(phi1=phi1, phi2=phi2)
-
-    edge_start, late_edge_end, fall_start, t_sample = measurement_windows(
-        skew, slew1, slew2, period, settle
-    )
-    t_stop = settle + period
-
     # Idle state with both clocks low: the guess steers the operating
     # point away from the metastable mid-rail equilibrium of the
     # output/keeper feedback loops.
-    idle = sensor.dc_guess()
     result = transient(
-        netlist,
-        t_stop=t_stop,
+        clocked_netlist(sensor, skew, slew1, slew2, period, settle),
+        t_stop=settle + period,
         record=["phi1", "phi2", "y1", "y2"],
         record_currents=["vdd"] if record_currents else None,
-        initial=idle,
+        initial=sensor.dc_guess(),
         options=options,
     )
-
-    y1 = result.wave("y1")
-    y2 = result.wave("y2")
-    vmin_y1 = y1.window_min(edge_start, fall_start)
-    vmin_y2 = y2.window_min(edge_start, fall_start)
-
-    # Sample the persistent indication after the late edge has fully
-    # propagated, comfortably inside the high phase.
-    code = (
-        1 if y1.at(t_sample) > threshold else 0,
-        1 if y2.at(t_sample) > threshold else 0,
+    vmin_y1, vmin_y2, code = read_response(
+        result.wave("y1"), result.wave("y2"),
+        skew, slew1, slew2, period, settle, threshold,
     )
     return SensorResponse(
         vmin_y1=vmin_y1, vmin_y2=vmin_y2, code=code, skew=skew, result=result

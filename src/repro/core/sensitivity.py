@@ -12,15 +12,16 @@ is content-addressed in the result cache (so a repeated sweep or a
 bisection revisiting a point costs a lookup, not a transient), and
 :func:`sweep_skew` / :func:`sensitivity_family` accept a ``backend`` to
 fan the independent points out over worker processes or stack them
-into lockstep batches.  The runtime imports happen lazily inside the
-functions - ``repro.runtime`` itself imports from ``repro.core``, and
-the package initialisers would otherwise cycle.
+into lockstep batches; both run the grid of :func:`sensitivity_grid`,
+as does the service's ``sensitivity`` spec.  The runtime imports happen
+lazily inside the functions - ``repro.runtime`` itself imports from
+``repro.core``, and the package initialisers would otherwise cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +59,54 @@ class SensitivityCurve:
         if v1 == v0:
             return float(t1)
         return float(t0 + (self.threshold - v0) * (t1 - t0) / (v1 - v0))
+
+
+def sensitivity_grid(
+    loads: Sequence[float],
+    slews: Sequence[float],
+    skews: Sequence[float],
+    process: Optional[ProcessParams] = None,
+    sizing: Optional[SensorSizing] = None,
+    threshold: float = VTH_INTERPRET,
+    options: Optional[TransientOptions] = None,
+    warm_start: Optional[bool] = None,
+) -> Tuple[List[Any], Callable[[Sequence[Any]], List[SensitivityCurve]]]:
+    """The Fig.-4 grid as ``(jobs, fold)``.
+
+    One :func:`~repro.runtime.sensitivity_job` per (load, slew, skew),
+    load-major; ``fold(results)`` cuts the job-ordered results into one
+    curve per (load, slew), a failed point (a
+    :class:`~repro.errors.JobError`) reading as NaN.
+    """
+    from repro.runtime import sensitivity_job
+
+    skew_array = np.asarray(list(skews), dtype=float)
+    pairs = [(load, slew) for load in loads for slew in slews]
+    jobs = [
+        sensitivity_job(
+            load, slew, float(tau),
+            process=process, sizing=sizing, options=options,
+            warm_start=warm_start,
+        )
+        for load, slew in pairs
+        for tau in skew_array
+    ]
+    width = len(skew_array)
+
+    def fold(results: Sequence[Any]) -> List[SensitivityCurve]:
+        return [
+            SensitivityCurve(
+                load=load, slew=slew, skews=skew_array,
+                vmins=np.array([
+                    getattr(result, "vmin_late", float("nan"))
+                    for result in results[block * width:(block + 1) * width]
+                ]),
+                threshold=threshold,
+            )
+            for block, (load, slew) in enumerate(pairs)
+        ]
+
+    return jobs, fold
 
 
 def vmin_for_skew(
@@ -114,7 +163,8 @@ def sweep_skew(
 ) -> SensitivityCurve:
     """Sweep ``tau`` and collect the ``Vmin`` curve for one (load, slew).
 
-    The sweep runs as a runtime campaign: cached points are replayed
+    The one-curve case of :func:`sensitivity_family`, so the sweep runs
+    as a runtime campaign: cached points are replayed
     without re-integration, fresh ones can be fanned out with
     ``backend="process"`` (``max_workers`` wide) or solved in lockstep
     with ``backend="batch"`` (all sweep points share the sensor
@@ -123,25 +173,12 @@ def sweep_skew(
     ``telemetry`` accumulator (see :class:`repro.runtime.Telemetry`)
     receives per-point timings and hit/miss counts.
     """
-    from repro.runtime import run_campaign, sensitivity_job
-
-    skew_array = np.asarray(list(skews), dtype=float)
-    jobs = [
-        sensitivity_job(
-            load, slew, float(tau),
-            process=process, sizing=sizing, options=options,
-            warm_start=warm_start,
-        )
-        for tau in skew_array
-    ]
-    campaign = run_campaign(
-        jobs, backend=backend, cache=cache, telemetry=telemetry,
-        max_workers=max_workers, batch_workers=batch_workers,
-    )
-    vmins = np.array([result.vmin_late for result in campaign])
-    return SensitivityCurve(
-        load=load, slew=slew, skews=skew_array, vmins=vmins, threshold=threshold
-    )
+    return sensitivity_family(
+        [load], [slew], skews, process=process, sizing=sizing,
+        threshold=threshold, options=options, backend=backend, cache=cache,
+        telemetry=telemetry, max_workers=max_workers,
+        batch_workers=batch_workers, warm_start=warm_start,
+    )[0]
 
 
 def extract_tau_min(
@@ -218,35 +255,15 @@ def sensitivity_family(
     journal completed points so an interrupted campaign restarts where
     it died.
     """
-    from repro.runtime import run_campaign, sensitivity_job
+    from repro.runtime import run_campaign
 
-    skew_array = np.asarray(list(skews), dtype=float)
-    pairs = [(load, slew) for load in loads for slew in slews]
-    jobs = [
-        sensitivity_job(
-            load, slew, float(tau),
-            process=process, sizing=sizing, options=options,
-            warm_start=warm_start,
-        )
-        for load, slew in pairs
-        for tau in skew_array
-    ]
+    jobs, fold = sensitivity_grid(
+        loads, slews, skews, process=process, sizing=sizing,
+        threshold=threshold, options=options, warm_start=warm_start,
+    )
     campaign = run_campaign(
         jobs, backend=backend, cache=cache, telemetry=telemetry,
         max_workers=max_workers, batch_workers=batch_workers,
         on_error=on_error, checkpoint=checkpoint, resume=resume,
     )
-    curves: List[SensitivityCurve] = []
-    for block, (load, slew) in enumerate(pairs):
-        chunk = campaign.results[block * len(skew_array):(block + 1) * len(skew_array)]
-        curves.append(
-            SensitivityCurve(
-                load=load, slew=slew, skews=skew_array,
-                vmins=np.array([
-                    getattr(result, "vmin_late", float("nan"))
-                    for result in chunk
-                ]),
-                threshold=threshold,
-            )
-        )
-    return curves
+    return fold(campaign.results)

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.analog.engine import TransientOptions
 from repro.core.sensing import SensorSizing
 from repro.montecarlo.sampling import MonteCarloSample
@@ -48,27 +46,17 @@ def scatter_analysis(
     The skews may themselves be randomised by the caller; the paper sweeps
     a deterministic grid per sample.
 
-    Every point goes through the same job evaluator as
+    The serial, uncached call of
     :func:`repro.montecarlo.parallel.scatter_analysis_parallel` (with the
-    same ``warm_start`` default, on), so the serial and parallel
-    analyses stay bit-identical whichever way the warm-start switch is
-    set.
+    same ``warm_start`` default, on), so the two analyses stay
+    bit-identical whichever way the warm-start switch is set.
     """
-    from repro.montecarlo.parallel import sample_job
-    from repro.runtime.jobs import evaluate_job
+    from repro.montecarlo.parallel import scatter_analysis_parallel
 
-    points: List[ScatterPoint] = []
-    for index, sample in enumerate(samples):
-        for tau in skews:
-            job = sample_job(
-                sample, tau, sizing=sizing, options=options,
-                warm_start=warm_start,
-            )
-            result = evaluate_job(job)
-            points.append(
-                ScatterPoint(skew=tau, vmin=result.vmin_late, sample_index=index)
-            )
-    return points
+    return scatter_analysis_parallel(
+        samples, skews, sizing=sizing, options=options, backend="serial",
+        cache=None, warm_start=warm_start,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """Process-parallel Monte Carlo evaluation.
 
 The Fig.-5 / Tab.-1 analyses run hundreds of independent transients; they
-parallelise perfectly.  :func:`scatter_analysis_parallel` is a drop-in
-replacement for :func:`repro.montecarlo.analysis.scatter_analysis` that
-routes the (sample, skew) grid through :func:`repro.runtime.run_campaign`:
-each grid point becomes a picklable :class:`~repro.runtime.SensorJob`,
-results come back in deterministic sample-major order regardless of
-worker scheduling, previously computed points are replayed from the
-content-addressed cache, and per-job timings land in an optional
-:class:`~repro.runtime.Telemetry` accumulator.
+parallelise perfectly.  :func:`scatter_analysis_parallel` routes the
+(sample, skew) grid of :func:`scatter_grid` through
+:func:`repro.runtime.run_campaign`: each grid point becomes a picklable
+:class:`~repro.runtime.SensorJob`, results come back in deterministic
+sample-major order regardless of worker scheduling, previously computed
+points are replayed from the content-addressed cache, and per-job
+timings land in an optional :class:`~repro.runtime.Telemetry`
+accumulator.  The service's ``montecarlo`` spec runs the same grid.
 
 The worker count is ``n_workers`` (half the CPUs when omitted), and the
 process pool always receives an explicit ``chunksize`` so large grids do
@@ -17,7 +17,7 @@ not pay one IPC round-trip per point.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analog.engine import TransientOptions
 from repro.core.sensing import SensorSizing
@@ -55,6 +55,41 @@ def sample_job(
         options=options,
         warm_start=True if warm_start is None else warm_start,
     )
+
+
+def scatter_grid(
+    samples: Sequence[MonteCarloSample],
+    skews: Sequence[float],
+    sizing: Optional[SensorSizing] = None,
+    options: Optional[TransientOptions] = None,
+    warm_start: Optional[bool] = None,
+) -> Tuple[List[SensorJob], Callable[[Sequence[Any]], List[ScatterPoint]]]:
+    """The Fig.-5 grid as ``(jobs, fold)``.
+
+    One :func:`sample_job` per (sample, skew), sample-major;
+    ``fold(results)`` turns the job-ordered results into one
+    :class:`ScatterPoint` each, a failed point (a
+    :class:`~repro.errors.JobError`) reading as NaN.
+    """
+    skew_list = [float(tau) for tau in skews]
+    jobs = [
+        sample_job(sample, tau, sizing=sizing, options=options,
+                   warm_start=warm_start)
+        for sample in samples
+        for tau in skew_list
+    ]
+
+    def fold(results: Sequence[Any]) -> List[ScatterPoint]:
+        return [
+            ScatterPoint(
+                skew=job.skew,
+                vmin=getattr(result, "vmin_late", float("nan")),
+                sample_index=flat // len(skew_list),
+            )
+            for flat, (job, result) in enumerate(zip(jobs, results))
+        ]
+
+    return jobs, fold
 
 
 def scatter_analysis_parallel(
@@ -95,13 +130,9 @@ def scatter_analysis_parallel(
     completed grid points so an interrupted Monte Carlo run restarts
     where it died.
     """
-    skew_list = [float(tau) for tau in skews]
-    jobs = [
-        sample_job(sample, tau, sizing=sizing, options=options,
-                   warm_start=warm_start)
-        for sample in samples
-        for tau in skew_list
-    ]
+    jobs, fold = scatter_grid(
+        samples, skews, sizing=sizing, options=options, warm_start=warm_start
+    )
     workers = n_workers if n_workers is not None else default_workers()
     if backend == "process" and (workers <= 1 or len(jobs) <= 1):
         # The pool backend degenerates to serial without real parallelism;
@@ -120,13 +151,4 @@ def scatter_analysis_parallel(
         checkpoint=checkpoint,
         resume=resume,
     )
-    points: List[ScatterPoint] = []
-    for flat, result in enumerate(campaign):
-        points.append(
-            ScatterPoint(
-                skew=jobs[flat].skew,
-                vmin=getattr(result, "vmin_late", float("nan")),
-                sample_index=flat // len(skew_list),
-            )
-        )
-    return points
+    return fold(campaign.results)

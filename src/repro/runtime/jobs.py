@@ -8,6 +8,10 @@ crosses process boundaries - worker processes rebuild the sensor locally
 from the job, exactly like the original ``repro.montecarlo.parallel``
 workers did.
 
+:func:`job_sensor` is the one mapping from job fields to a sensor, and
+:func:`job_circuit` adds the job's clocks; the cold, warm and lockstep
+evaluators all build their circuits through them.
+
 The evaluation result is the compact :class:`JobResult` (scalars only, no
 waveforms) so that results are cheap to pickle, JSON-serialisable for the
 disk cache, and bit-exactly reproducible across the serial and process
@@ -20,7 +24,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analog.engine import TransientOptions
-from repro.core.response import simulate_sensor
+from repro.circuit.netlist import Netlist
+from repro.core.response import clocked_netlist, simulate_sensor
 from repro.core.sensing import SensorSizing, SkewSensor
 from repro.devices.process import ProcessParams, nominal_process
 from repro.runtime.cache import stable_key
@@ -171,28 +176,41 @@ class JobResult:
         )
 
 
+def job_sensor(job: SensorJob) -> SkewSensor:
+    """The sensing circuit ``job`` describes, before any clock drive."""
+    return SkewSensor(
+        process=job.process,
+        sizing=job.sizing,
+        load1=job.load1,
+        load2=job.load2,
+        full_swing=job.full_swing,
+        parasitics=job.parasitics,
+    )
+
+
+def job_circuit(job: SensorJob) -> Tuple[SkewSensor, Netlist]:
+    """``(sensor, netlist)`` of ``job``: its sensor driven by its clocks."""
+    sensor = job_sensor(job)
+    return sensor, clocked_netlist(
+        sensor, job.skew, job.slew1, job.slew2, job.period, job.settle
+    )
+
+
 def evaluate_job(job: SensorJob) -> JobResult:
     """Run the transient described by ``job`` (no caching, no retries).
 
     Jobs with ``warm_start=True`` route through the prefix warm-start
     evaluator (checkpointed pre-skew prefix + forked measurement
-    suffix); everything else takes the cold full-horizon path below.
+    suffix); everything else takes the cold full-horizon path of
+    :func:`~repro.core.response.simulate_sensor`.
     """
     resolved = job.resolved()
     if resolved.warm_start:
         from repro.runtime.prefix import evaluate_job_warm
 
         return evaluate_job_warm(resolved)
-    sensor = SkewSensor(
-        process=resolved.process,
-        sizing=resolved.sizing,
-        load1=resolved.load1,
-        load2=resolved.load2,
-        full_swing=resolved.full_swing,
-        parasitics=resolved.parasitics,
-    )
     response = simulate_sensor(
-        sensor,
+        job_sensor(resolved),
         skew=resolved.skew,
         slew1=resolved.slew1,
         slew2=resolved.slew2,

@@ -33,6 +33,10 @@ ends.  This module exploits that:
    engine's backward-Euler-after-breakpoint rule, so the forked run is a
    legal grid continuation of the prefix.
 
+:func:`warm_plan` writes that plan once, for one job
+(:func:`evaluate_job_warm`) and for a warm lockstep stack
+(:func:`repro.batch.response.evaluate_jobs_batch`).
+
 Warm results are keyed (and cached) under ``SensorJob.warm_start=True``
 identities, disjoint from cold results: disabling warm start (pass
 ``warm_start=False``) reproduces the cold full-horizon evaluation
@@ -41,14 +45,13 @@ bit-identically.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analog.engine import TransientCheckpoint, transient
-from repro.core.response import measurement_windows
-from repro.core.sensing import SkewSensor
-from repro.devices.sources import clock_pair
+from repro.core.response import measurement_windows, read_response
 from repro.runtime.cache import get_checkpoint_cache, stable_key
-from repro.runtime.jobs import JobResult, SensorJob
+from repro.runtime.jobs import JobResult, SensorJob, evaluate_job, job_circuit
 from repro.runtime.telemetry import Stopwatch, Telemetry
 
 #: Namespace of checkpoint-tier keys (never collides with job results).
@@ -146,48 +149,24 @@ def group_by_prefix(
     return groups
 
 
-def _build_sensor(resolved: SensorJob) -> SkewSensor:
-    return SkewSensor(
-        process=resolved.process,
-        sizing=resolved.sizing,
-        load1=resolved.load1,
-        load2=resolved.load2,
-        full_swing=resolved.full_swing,
-        parasitics=resolved.parasitics,
-    )
-
-
-def _sensor_netlist(resolved: SensorJob):
-    """(sensor, netlist) of one resolved job, clocks included."""
-    sensor = _build_sensor(resolved)
-    phi1, phi2 = clock_pair(
-        period=resolved.period, slew1=resolved.slew1, slew2=resolved.slew2,
-        skew=resolved.skew, delay=resolved.settle, vdd=sensor.vdd,
-    )
-    return sensor, sensor.build(phi1=phi1, phi2=phi2)
-
-
 def prefix_checkpoint(
     resolved: SensorJob,
 ) -> Tuple[TransientCheckpoint, Dict[str, float]]:
     """Fetch or integrate the shared prefix checkpoint of ``resolved``.
 
-    Returns ``(checkpoint, stats)`` where ``stats`` carries the prefix
-    accounting the telemetry folds in: ``hits``/``builds`` counts, the
-    wall seconds spent building (``build_s``), the simulated seconds a
-    cache hit skipped (``saved_s``), and the engine escalation/step
-    counts of a fresh build (``steps``, plus ``esc:<rung>`` entries).
+    Returns ``(checkpoint, stats)``: ``{"hits": 1}`` on a cache hit;
+    after a fresh build, ``builds``, the wall seconds spent building
+    (``build_s``) and the build's engine step and escalation counts
+    (``steps``, plus ``esc:<rung>`` entries).
     """
     fork = fork_time(resolved)
     key = prefix_key(resolved)
     cache = get_checkpoint_cache()
     payload = cache.get(key)
     if payload is not None:
-        return TransientCheckpoint.from_payload(payload), {
-            "hits": 1.0, "saved_s": fork,
-        }
+        return TransientCheckpoint.from_payload(payload), {"hits": 1.0}
     watch = Stopwatch()
-    sensor, netlist = _sensor_netlist(resolved)
+    sensor, netlist = job_circuit(resolved)
     result = transient(
         netlist,
         t_stop=fork,
@@ -208,55 +187,64 @@ def prefix_checkpoint(
     return checkpoint, stats
 
 
+def warm_plan(
+    jobs: Sequence[SensorJob],
+) -> Tuple[TransientCheckpoint, float, Dict[str, float]]:
+    """``(checkpoint, t_stop, stats)`` of the warm run of resolved
+    ``jobs`` sharing one prefix key.
+
+    The checkpoint is fetched or built (:func:`prefix_checkpoint`);
+    ``t_stop`` is the latest ``fall_start``, where every measurement
+    window has ended.  ``stats`` counts ``hits`` (every job but one that
+    paid a build), ``builds`` and ``saved_s``: each job's skipped tail
+    after its ``fall_start``, plus the prefix once per hit.  A build's
+    own ``build_s``, ``steps`` and ``esc:<rung>`` counts ride along.
+    """
+    head = jobs[0]
+    checkpoint, stats = prefix_checkpoint(head)
+    fall_stops = [
+        measurement_windows(j.skew, j.slew1, j.slew2, j.period, j.settle)[2]
+        for j in jobs
+    ]
+    builds = stats.get("builds", 0.0)
+    hits = float(len(jobs) - int(builds))
+    cold_stop = head.settle + head.period
+    saved = sum(cold_stop - fs for fs in fall_stops) + checkpoint.t * hits
+    stats.update(hits=hits, builds=builds, saved_s=saved)
+    return checkpoint, max(fall_stops), stats
+
+
 def evaluate_job_warm(job: SensorJob) -> JobResult:
     """Warm-start evaluation: cached prefix + forked measurement suffix.
 
     Pure function of the job alone (the fork time and suffix horizon are
     per-job deterministic), so the result is cacheable under the job's
     ``warm_start=True`` key like any other.  Falls back to the cold
-    evaluator when the job is warm-ineligible.
+    evaluator when the job is warm-ineligible.  ``steps`` and
+    ``escalations`` include those of a prefix this call built.
     """
     resolved = job.resolved()
     if not warm_eligible(resolved):
-        from dataclasses import replace
-
-        from repro.runtime.jobs import evaluate_job
-
         return evaluate_job(replace(resolved, warm_start=False))
 
-    checkpoint, prefix_stats = prefix_checkpoint(resolved)
-    edge_start, _, fall_start, t_sample = measurement_windows(
-        resolved.skew, resolved.slew1, resolved.slew2,
-        resolved.period, resolved.settle,
-    )
-    _, netlist = _sensor_netlist(resolved)
+    checkpoint, t_stop, prefix = warm_plan([resolved])
+    _, netlist = job_circuit(resolved)
     result = transient(
         netlist,
-        t_stop=fall_start,
+        t_stop=t_stop,
         record=["phi1", "phi2", "y1", "y2"],
         options=resolved.options,
         resume_from=checkpoint,
     )
-    y1 = result.wave("y1")
-    y2 = result.wave("y2")
-    vmin_y1 = y1.window_min(edge_start, fall_start)
-    vmin_y2 = y2.window_min(edge_start, fall_start)
-    code = (
-        1 if y1.at(t_sample) > resolved.threshold else 0,
-        1 if y2.at(t_sample) > resolved.threshold else 0,
+    vmin_y1, vmin_y2, code = read_response(
+        result.wave("y1"), result.wave("y2"),
+        resolved.skew, resolved.slew1, resolved.slew2,
+        resolved.period, resolved.settle, resolved.threshold,
     )
-    # Simulated seconds never integrated by this job: the skipped
-    # post-measurement tail, plus the whole prefix on a cache hit.
-    t_stop_cold = resolved.settle + resolved.period
-    saved = (t_stop_cold - fall_start) + float(prefix_stats.get("saved_s", 0.0))
-    prefix = dict(prefix_stats)
-    prefix["saved_s"] = saved
     escalations = dict(result.escalations)
-    for name, value in list(prefix.items()):
-        if name.startswith("esc:"):
-            rung = name[4:]
-            escalations[rung] = escalations.get(rung, 0) + int(value)
-            del prefix[name]
+    for name in [name for name in prefix if name.startswith("esc:")]:
+        rung = name[4:]
+        escalations[rung] = escalations.get(rung, 0) + int(prefix.pop(name))
     steps = len(result.times) - 1 + int(prefix.pop("steps", 0))
     return JobResult(
         skew=resolved.skew,
@@ -268,6 +256,23 @@ def evaluate_job_warm(job: SensorJob) -> JobResult:
         kernel=tuple(sorted(result.kernel_stats.items())),
         prefix=tuple(sorted(prefix.items())),
     )
+
+
+def _build_prefix(job: SensorJob, telemetry: Optional[Telemetry]) -> bool:
+    """Integrate ``job``'s prefix here and now; ``False`` if that fails.
+
+    A failure is left to the per-job evaluation, which surfaces it
+    through the executor's normal retry/on_error machinery.
+    """
+    from repro.errors import SimulationError
+
+    try:
+        _, stats = prefix_checkpoint(job.resolved())
+    except SimulationError:
+        return False
+    if telemetry is not None:
+        telemetry.record_prefix(stats)
+    return True
 
 
 def prepare_prefixes(
@@ -283,25 +288,11 @@ def prepare_prefixes(
     off) builds its own - correctness never depends on this warm-up.
     Returns the number of prefixes built.
     """
-    from repro.errors import SimulationError
-
     built = 0
     cache = get_checkpoint_cache()
     for key, group in group_by_prefix(jobs).items():
-        if cache.get(key) is not None:
-            continue
-        try:
-            _, stats = prefix_checkpoint(group[0].resolved())
-        except SimulationError:
-            # Let the per-job evaluation surface the failure through the
-            # executor's normal retry/on_error machinery.
-            continue
-        if telemetry is not None:
-            telemetry.record_prefix(
-                {k: v for k, v in stats.items()
-                 if k in ("hits", "builds", "build_s", "saved_s")}
-            )
-        built += int(stats.get("builds", 0))
+        if cache.get(key) is None:
+            built += _build_prefix(group[0], telemetry)
     return built
 
 
@@ -319,25 +310,12 @@ def publish_prefixes(
     spawn-context workers and later processes.  Returns the number of
     groups built or re-published.
     """
-    from repro.errors import SimulationError
-
     published = 0
     cache = get_checkpoint_cache()
     for key, group in group_by_prefix(jobs).items():
         payload = cache.get(key)
         if payload is None:
-            try:
-                _, stats = prefix_checkpoint(group[0].resolved())
-            except SimulationError:
-                # The per-sample evaluation will surface the failure
-                # through the executor's normal error machinery.
-                continue
-            if telemetry is not None:
-                telemetry.record_prefix(
-                    {k: v for k, v in stats.items()
-                     if k in ("hits", "builds", "build_s", "saved_s")}
-                )
-            published += 1
+            published += _build_prefix(group[0], telemetry)
         elif cache.disk_enabled and not cache.on_disk(key):
             cache.put(key, payload)
             published += 1

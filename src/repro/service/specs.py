@@ -20,11 +20,13 @@ read the README quickstart and write one by hand.  Two kinds ship:
 :func:`normalize_spec` validates a raw dict (unknown kinds and keys are
 errors - a typo must not silently fall back to a default) and fills in
 the defaults; :func:`build_plan` compiles a normalized spec into a
-:class:`CampaignPlan`: the exact :class:`~repro.runtime.SensorJob` list
-a direct CLI run would build (same content addresses, same warm-start
-resolution - that is what makes service results bit-identical to local
-ones), the executor keyword arguments, and a ``fold`` function reducing
-the ordered campaign results to the JSON result payload.
+:class:`CampaignPlan`: the job list, the executor keyword arguments,
+and a ``fold`` function reducing the ordered campaign results to the
+JSON result payload.  The ``sensitivity`` and ``montecarlo`` kinds wrap
+the library's own grids and folds
+(:func:`repro.core.sensitivity.sensitivity_grid`,
+:func:`repro.montecarlo.parallel.scatter_grid`), so a service campaign
+runs the jobs a direct CLI run would and its results are bit-identical.
 
 The registry is open: :func:`register_kind` lets tests and future job
 families (jitter sweeps, aging campaigns, ...) plug in new kinds without
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.analog.engine import TransientOptions
-from repro.units import VTH_INTERPRET, fF, ns
+from repro.units import fF, ns
 
 #: The CLI's fast-but-accurate-enough transient options (the ``_FAST``
 #: the ``repro`` subcommands have always used); specs default to these
@@ -135,8 +137,12 @@ def _validate_common(spec: Dict[str, Any]) -> None:
             f"unknown on_error {spec['on_error']!r} "
             f"(use one of {ON_ERROR_MODES})"
         )
-    if spec["timeout_s"] is not None and float(spec["timeout_s"]) <= 0:
-        raise SpecError("timeout_s must be positive")
+    timeout_s = spec["timeout_s"]
+    if timeout_s is not None and (
+        isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float))
+        or not 0 < timeout_s < float("inf")
+    ):
+        raise SpecError("timeout_s must be a positive number or null")
     for key in ("workers", "batch_workers", "chunksize"):
         if spec[key] is not None and not _is_int(spec[key], minimum=1):
             raise SpecError(f"{key} must be a positive integer or null")
@@ -186,17 +192,19 @@ def _float_list(spec: Dict[str, Any], key: str) -> List[float]:
     return [float(v) for v in values]
 
 
-def _job_payload(index: int, key: str, result: Any) -> Dict[str, Any]:
-    """Per-job entry of a result payload (JobResult or JobError)."""
+def _jobs_payload(jobs: List[Any], campaign: Any) -> List[Dict[str, Any]]:
+    """Per-job entries of a result payload (JobResult or JobError)."""
     from repro.errors import JobError
 
-    if isinstance(result, JobError):
-        return {"index": index, "key": key, "error": result.error,
-                "message": result.message}
-    data = result.to_payload()
-    data.update(index=index, key=key, cached=result.cached,
-                resumed=result.resumed)
-    return data
+    entries = []
+    for index, (job, result) in enumerate(zip(jobs, campaign.results)):
+        if isinstance(result, JobError):
+            entries.append({"index": index, "key": job.key(),
+                            "error": result.error, "message": result.message})
+        else:
+            entries.append(dict(result.to_payload(), index=index, key=job.key(),
+                                cached=result.cached, resumed=result.resumed))
+    return entries
 
 
 # --------------------------------------------------------------------- #
@@ -210,49 +218,24 @@ def _skew_grid(tau_max_ns: float, points: int) -> List[float]:
 
 
 def _build_sensitivity(spec: Dict[str, Any]) -> CampaignPlan:
-    from repro.runtime import sensitivity_job
+    from repro.core.sensitivity import sensitivity_grid
 
-    loads = [fF(v) for v in _float_list(spec, "loads_ff")]
-    slews = [ns(v) for v in _float_list(spec, "slews_ns")]
     skews = _skew_grid(float(spec["tau_max_ns"]), int(spec["points"]))
-    options = _options(spec)
-    pairs = [(load, slew) for load in loads for slew in slews]
-    jobs = [
-        sensitivity_job(load, slew, tau, options=options,
-                        warm_start=spec["warm_start"])
-        for load, slew in pairs
-        for tau in skews
-    ]
+    jobs, curves_of = sensitivity_grid(
+        [fF(v) for v in _float_list(spec, "loads_ff")],
+        [ns(v) for v in _float_list(spec, "slews_ns")],
+        skews, options=_options(spec), warm_start=spec["warm_start"],
+    )
 
     def fold(campaign: Any) -> Dict[str, Any]:
-        import numpy as np
-
-        from repro.core.sensitivity import SensitivityCurve
-
-        curves = []
-        for block, (load, slew) in enumerate(pairs):
-            chunk = campaign.results[block * len(skews):(block + 1) * len(skews)]
-            vmins = np.array([
-                getattr(result, "vmin_late", float("nan")) for result in chunk
-            ])
-            curve = SensitivityCurve(
-                load=load, slew=slew, skews=np.array(skews), vmins=vmins,
-                threshold=VTH_INTERPRET,
-            )
-            curves.append({
-                "load_f": load,
-                "slew_s": slew,
-                "skews_s": list(skews),
-                "vmins_v": [float(v) for v in vmins],
-                "tau_min_s": curve.tau_min,
-            })
         return {
             "kind": "sensitivity",
-            "curves": curves,
-            "jobs": [
-                _job_payload(i, jobs[i].key(), r)
-                for i, r in enumerate(campaign.results)
+            "curves": [
+                {"load_f": c.load, "slew_s": c.slew, "skews_s": list(skews),
+                 "vmins_v": [float(v) for v in c.vmins], "tau_min_s": c.tau_min}
+                for c in curves_of(campaign.results)
             ],
+            "jobs": _jobs_payload(jobs, campaign),
         }
 
     return CampaignPlan(jobs=jobs, fold=fold, executor=_executor_kwargs(spec))
@@ -275,7 +258,7 @@ register_kind(
 # --------------------------------------------------------------------- #
 
 def _build_montecarlo(spec: Dict[str, Any]) -> CampaignPlan:
-    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.parallel import scatter_grid
     from repro.montecarlo.sampling import sample_population
 
     n_samples = int(spec["samples"])
@@ -289,34 +272,24 @@ def _build_montecarlo(spec: Dict[str, Any]) -> CampaignPlan:
     samples = sample_population(
         n_samples, fF(float(spec["load_ff"])), seed=int(spec["seed"])
     )
-    options = _options(spec)
-    jobs = [
-        sample_job(sample, tau, options=options, warm_start=spec["warm_start"])
-        for sample in samples
-        for tau in skews
-    ]
+    jobs, points_of = scatter_grid(
+        samples, skews, options=_options(spec), warm_start=spec["warm_start"]
+    )
 
     def fold(campaign: Any) -> Dict[str, Any]:
-        points = [
-            {
-                "skew_s": jobs[i].skew,
-                "vmin_v": getattr(result, "vmin_late", float("nan")),
-                "sample_index": i // len(skews),
-            }
-            for i, result in enumerate(campaign.results)
-        ]
-        flagged = {}
-        for tau in skews:
-            vmins = [p["vmin_v"] for p in points if p["skew_s"] == tau]
-            flagged[repr(tau)] = sum(1 for v in vmins if v > VTH_INTERPRET)
+        points = points_of(campaign.results)
         return {
             "kind": "montecarlo",
-            "points": points,
-            "flagged": flagged,
-            "jobs": [
-                _job_payload(i, jobs[i].key(), r)
-                for i, r in enumerate(campaign.results)
+            "points": [
+                {"skew_s": p.skew, "vmin_v": p.vmin,
+                 "sample_index": p.sample_index}
+                for p in points
             ],
+            "flagged": {
+                repr(tau): sum(p.skew == tau and p.flags_error() for p in points)
+                for tau in skews
+            },
+            "jobs": _jobs_payload(jobs, campaign),
         }
 
     return CampaignPlan(jobs=jobs, fold=fold, executor=_executor_kwargs(spec))
@@ -405,10 +378,7 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
             "topology": topology,
             "runs": runs,
             "flagged": sum(1 for r in runs if r.get("flagged")),
-            "jobs": [
-                _job_payload(i, jobs[i].key(), r)
-                for i, r in enumerate(campaign.results)
-            ],
+            "jobs": _jobs_payload(jobs, campaign),
         }
 
     return CampaignPlan(

@@ -62,7 +62,7 @@ from repro.runtime.checkpoint import (
     write_quarantine,
 )
 from repro.runtime.faults import get_injector
-from repro.service.specs import normalize_spec
+from repro.service.specs import build_plan, normalize_spec
 
 logger = logging.getLogger(__name__)
 
@@ -299,6 +299,12 @@ class JobStore:
     ) -> CampaignRecord:
         """Validate ``spec``, persist the submission, return its record.
 
+        The spec's plan is built here, once, so every check of its kind
+        builder (a montecarlo spec without a seed, a one-point skew
+        grid, an unknown topology...) raises
+        :class:`~repro.service.specs.SpecError` before anything is
+        journaled, not when the scheduler runs the campaign.
+
         A non-empty ``idempotency_key`` that matches a previous
         submission returns that submission's record unchanged - the
         dedupe that makes client-side POST retries safe (a retried
@@ -306,6 +312,7 @@ class JobStore:
         campaign twice).
         """
         normalized = normalize_spec(spec)
+        build_plan(normalized)
         with self._lock:
             if idempotency_key:
                 existing = self._idempotency.get(idempotency_key)

@@ -12,10 +12,8 @@ adds the sparse path of ROADMAP item 2:
   :class:`~repro.sparse.csr.SparseKernel` that evaluates the level-1
   devices without ever touching an ``(n, n)`` array;
 * :mod:`repro.sparse.linalg` - the :class:`~repro.sparse.linalg.SparseLU`
-  factor layer: ``scipy.sparse.linalg.splu`` when the ``repro[sparse]``
-  extra is installed, a pure-numpy dense-fallback otherwise (tier-1
-  stays dependency-free - the fallback is bit-compatible with the
-  engine's non-finite-step failure contract);
+  factor layer over ``scipy.sparse.linalg.splu``, from the
+  ``repro[sparse]`` extra;
 * :mod:`repro.sparse.newton` - :class:`~repro.sparse.newton.SparseBackend`,
   the CSR linear algebra the engine's one Newton loop runs on under
   ``jacobian_policy="sparse"`` (the modified-Newton policy itself stays
@@ -23,7 +21,8 @@ adds the sparse path of ROADMAP item 2:
   the DC operating-point hook.
 
 Select it with ``TransientOptions(jacobian_policy="sparse")`` or let
-``"auto"`` pick it by node count.
+``"auto"`` pick it by node count.  Without scipy both policies run on
+the engine's dense backend, so tier-1 stays numpy-only.
 """
 
 from repro.sparse.csr import CsrPlan, SparseKernel, csr_plan

@@ -1,32 +1,18 @@
-"""Sparse LU factor layer with a pure-numpy fallback.
+"""Sparse LU factor layer over ``scipy.sparse.linalg.splu``.
 
 :class:`SparseLU` owns the linear-solve side of the sparse Newton path:
 it is constructed once per topology from a fixed CSR pattern
 (``indptr``/``indices``) and refactored from a fresh ``data`` vector
 whenever the engine's modified-Newton policy decides the cached factor
-went stale.
+went stale.  It factors with SuperLU (COLAMD ordering) from the
+``repro[sparse]`` extra; :attr:`SparseLU.fill_nnz` (``L.nnz + U.nnz``)
+feeds the kernel stats.
 
-Two backends:
-
-``"scipy"``
-    ``scipy.sparse.linalg.splu`` (SuperLU with COLAMD ordering) - the
-    production path, installed via the ``repro[sparse]`` extra.  Fill-in
-    is observable through :attr:`SparseLU.fill_nnz` (``L.nnz + U.nnz``
-    of the last factorization), which the kernel stats surface.
-
-``"dense-fallback"``
-    The CSR data is scattered into a preallocated dense matrix and
-    inverted with the same ``raw_inv`` gufunc the dense engine uses.
-    Pure numpy, so tier-1 (which installs only ``numpy``) exercises the
-    whole sparse code path - assembly, factor-reuse policy, telemetry -
-    minus the sparse factorization itself.  Asymptotics are dense, but
-    correctness and the failure contract (singular system -> NaN
-    solution -> the Newton loop's non-finite step guard rejects) are
-    identical.
-
-The scipy import is resolved lazily through :func:`scipy_splu` so tests
-can monkeypatch the import machinery and call :func:`reset_backend` to
-prove the fallback contract without uninstalling anything.
+Without scipy, :func:`repro.analog.engine.resolve_jacobian_policy`
+routes ``"sparse"`` and ``"auto"`` to the dense backend and no
+:class:`SparseLU` is built.  The import is resolved lazily through
+:func:`scipy_splu`, so tests can hide scipy and call
+:func:`reset_backend` without uninstalling anything.
 """
 
 from __future__ import annotations
@@ -34,8 +20,6 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 import numpy as np
-
-from repro.analog.kernels import c_einsum, raw_inv
 
 #: Resolved ``(csc_matrix, splu)`` pair, or ``None`` when scipy is
 #: absent; ``_SPLU_RESOLVED`` gates the one-time import attempt.
@@ -47,8 +31,8 @@ def scipy_splu() -> Optional[Tuple[Any, Any]]:
     """``(csc_matrix, splu)`` from scipy, or ``None`` when unavailable.
 
     The import is attempted once per process (or per
-    :func:`reset_backend`); an ``ImportError`` selects the pure-numpy
-    fallback for every :class:`SparseLU` built afterwards.
+    :func:`reset_backend`); after an ``ImportError`` every run resolves
+    to the dense backend.
     """
     global _SPLU, _SPLU_RESOLVED
     if not _SPLU_RESOLVED:
@@ -64,7 +48,7 @@ def scipy_splu() -> Optional[Tuple[Any, Any]]:
 
 
 def scipy_available() -> bool:
-    """Whether the scipy backend would be used for new factor objects."""
+    """Whether the sparse backend can run (scipy imports)."""
     return scipy_splu() is not None
 
 
@@ -72,7 +56,7 @@ def reset_backend() -> None:
     """Forget the resolved backend so the next use re-imports scipy.
 
     Test hook: monkeypatch the import machinery, call this, and every
-    :class:`SparseLU` constructed afterwards takes the fallback path.
+    run resolved afterwards takes the dense backend.
     """
     global _SPLU, _SPLU_RESOLVED
     _SPLU = None
@@ -94,79 +78,57 @@ class SparseLU:
     :meth:`factor` consumes a ``data`` vector laid out on that pattern;
     :meth:`solve` applies the last factorization.  A singular system
     never raises from ``solve``: the solution comes back non-finite and
-    the caller's step guard handles it, mirroring ``raw_inv``.
+    the caller's step guard handles it, mirroring the dense engine's
+    ``raw_inv``.  Raises ``ImportError`` when scipy is unavailable.
     """
 
     def __init__(
         self, indptr: np.ndarray, indices: np.ndarray, n: int
     ) -> None:
+        if not scipy_available():
+            raise ImportError("SparseLU needs scipy (pip install 'repro[sparse]')")
+        _, self._splu = scipy_splu()
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.intp)
         self.indices = np.asarray(indices, dtype=np.intp)
         self.nnz = int(self.indices.size)
-        #: ``L.nnz + U.nnz`` of the last successful factorization
-        #: (``n * n`` on the dense fallback) - the fill-in telemetry.
+        #: ``L.nnz + U.nnz`` of the last successful factorization - the
+        #: fill-in telemetry.
         self.fill_nnz = 0
         self._factor: Any = None
-        resolved = scipy_splu()
-        if resolved is not None:
-            self._csc_matrix, self._splu = resolved
-            self.backend = "scipy"
-            # Structure template reused every factorization; only its
-            # ``data`` is rewritten before the CSR -> CSC conversion.
-            from scipy.sparse import csr_matrix
+        # Structure template reused every factorization; only its
+        # ``data`` is rewritten before the CSR -> CSC conversion.
+        from scipy.sparse import csr_matrix
 
-            self._template = csr_matrix(
-                (np.zeros(self.nnz), self.indices, self.indptr),
-                shape=(self.n, self.n),
-            )
-        else:
-            self.backend = "dense-fallback"
-            self._dense = np.zeros((self.n, self.n))
-            self._inv = np.empty((self.n, self.n))
-            # Row index of every CSR slot, for the dense scatter.
-            rows = np.repeat(
-                np.arange(self.n, dtype=np.intp), np.diff(self.indptr)
-            )
-            self._flat = rows * self.n + self.indices
+        self._template = csr_matrix(
+            (np.zeros(self.nnz), self.indices, self.indptr),
+            shape=(self.n, self.n),
+        )
 
     def factor(self, data: np.ndarray) -> None:
         """Factor the matrix whose CSR data is ``data``.
 
         Never raises on a singular system; the failure surfaces as a
-        non-finite :meth:`solve` result instead (same contract as the
-        dense engine's ``raw_inv``).
+        non-finite :meth:`solve` result instead.
         """
         if self.n == 0:
             self._factor = True
             self.fill_nnz = 0
             return
-        if self.backend == "scipy":
-            template = self._template
-            template.data[:] = data
-            try:
-                self._factor = self._splu(template.tocsc())
-                self.fill_nnz = int(self._factor.L.nnz + self._factor.U.nnz)
-            except RuntimeError:  # singular matrix
-                self._factor = None
-        else:
-            dense = self._dense
-            dense.reshape(-1)[self._flat] = data
-            # Singular -> NaN inverse; the solve result trips the
-            # caller's non-finite step guard.
-            raw_inv(dense, out=self._inv)
-            self._factor = True
-            self.fill_nnz = self.n * self.n
+        template = self._template
+        template.data[:] = data
+        try:
+            self._factor = self._splu(template.tocsc())
+            self.fill_nnz = int(self._factor.L.nnz + self._factor.U.nnz)
+        except RuntimeError:  # singular matrix
+            self._factor = None
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` with the last factorization into ``out``."""
         if self.n == 0:
             return out
-        if self.backend == "scipy":
-            if self._factor is None:
-                out[:] = np.nan
-                return out
-            out[:] = self._factor.solve(rhs)
+        if self._factor is None:
+            out[:] = np.nan
             return out
-        c_einsum("ij,j->i", self._inv, rhs, out=out)
+        out[:] = self._factor.solve(rhs)
         return out

@@ -7,7 +7,8 @@ runs on: refresh ``C/h``, the ``(C/h) @ v`` residual term, factor
 for the outer loop.  The modified-Newton policy is not here - it is the
 engine's, so the dense and sparse paths take the *same* iteration
 decisions on the same trajectory and the factor/reuse counters agree
-(``tests/test_sparse_engine.py`` pins the parity).
+(``tests/test_sparse_engine.py`` pins the parity).  The engine selects
+this backend only when scipy imports.
 
 :class:`SparseStaticSolver` is the matching DC-operating-point hook:
 ``dcop._newton_static`` accepts it as its ``solver`` to evaluate and
@@ -30,16 +31,14 @@ from repro.sparse.linalg import SparseLU
 class SparseKernelStats(KernelStats):
     """Kernel counters plus the sparse-path observables.
 
-    ``sparse_nnz`` is the pattern size of the Newton matrix,
-    ``sparse_fill_nnz`` the ``L + U`` fill of the last factorization
-    (``n*n`` on the dense fallback), ``sparse_fallback`` is 1 when the
-    run used the pure-numpy backend.  All three ride the generic
-    key-folding of :func:`repro.runtime.telemetry.record_kernel`.
+    ``sparse_nnz`` is the pattern size of the Newton matrix and
+    ``sparse_fill_nnz`` the ``L + U`` fill of the last factorization.
+    Both ride the generic key-folding of
+    :func:`repro.runtime.telemetry.record_kernel`.
     """
 
     sparse_nnz: int = 0
     sparse_fill_nnz: int = 0
-    sparse_fallback: int = 0
 
     def merge(self, other: KernelStats) -> None:
         """Fold another stats object in (sparse gauges take the max)."""
@@ -49,7 +48,6 @@ class SparseKernelStats(KernelStats):
             self.sparse_fill_nnz = max(
                 self.sparse_fill_nnz, other.sparse_fill_nnz
             )
-            self.sparse_fallback |= other.sparse_fallback
 
 
 class SparseBackend:
@@ -60,8 +58,7 @@ class SparseBackend:
     as a CSR ``data`` vector on the fixed
     :class:`~repro.sparse.csr.CsrPlan` pattern, factored by
     :class:`~repro.sparse.linalg.SparseLU`, and the charge terms are COO
-    mat-vecs.  Nothing ``(n, n)``-shaped is allocated (except inside the
-    scipy-absent dense fallback of ``SparseLU`` itself).
+    mat-vecs.  Nothing ``(n, n)``-shaped is allocated.
     """
 
     def __init__(self, circuit: Any) -> None:
@@ -69,10 +66,7 @@ class SparseBackend:
         self.plan = plan = csr_plan(circuit)
         self.kernel = SparseKernel(circuit, plan)
         self.lu = SparseLU(plan.indptr, plan.indices, circuit.n_free)
-        self.stats = SparseKernelStats(
-            sparse_nnz=plan.nnz,
-            sparse_fallback=0 if self.lu.backend == "scipy" else 1,
-        )
+        self.stats = SparseKernelStats(sparse_nnz=plan.nnz)
         self._dev = np.empty(plan.nnz)      # G_ff + device stamps
         self._data = np.empty(plan.nnz)     # alpha * dev + C/h (+ shunt diag)
         self._ch = np.zeros(plan.nnz)       # C/h data on the pattern

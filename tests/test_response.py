@@ -1,12 +1,16 @@
 """Electrical behaviour of the sensor (Figs. 2 and 3)."""
 
+import numpy as np
 import pytest
 
+from repro.analog.waveform import Waveform
 from repro.core.response import (
     ERROR_NONE,
     ERROR_PHI1_LATE,
     ERROR_PHI2_LATE,
     evaluate_response,
+    measurement_windows,
+    read_response,
     simulate_sensor,
 )
 from repro.core.sensing import SkewSensor
@@ -103,3 +107,56 @@ def test_asymmetric_loads_still_detect(fast_options):
     sensor = SkewSensor(load1=fF(80), load2=fF(240))
     response = simulate_sensor(sensor, skew=ns(1.0), options=fast_options)
     assert response.code == ERROR_PHI2_LATE
+
+
+# --------------------------------------------------------------------- #
+# The single waveform reading, on hand-built waveforms.
+# --------------------------------------------------------------------- #
+SETTLE, PERIOD, SLEW = ns(2.0), ns(20.0), ns(0.2)
+
+
+def _blip(base, t_mid, value, half=ns(0.01)):
+    """Flat ``base`` that sits at ``value`` on ``t_mid +- half`` only."""
+    ramp = half / 10
+    times = [0.0, t_mid - half - ramp, t_mid - half, t_mid + half,
+             t_mid + half + ramp, SETTLE + PERIOD]
+    values = [base, base, value, value, base, base]
+    return Waveform(np.array(times), np.array(values))
+
+
+def _read(y1, y2, tau, threshold=VTH_INTERPRET):
+    return read_response(y1, y2, tau, SLEW, SLEW, PERIOD, SETTLE, threshold)
+
+
+@pytest.mark.parametrize("tau", [ns(0.3), ns(-0.3)])
+def test_read_response_vmin_window(tau):
+    """``Vmin`` spans ``[settle + min(0, tau), fall_start]``: a dip just
+    inside either end counts, one just outside is ignored."""
+    start = SETTLE + min(0.0, tau)
+    fall = SETTLE + PERIOD / 2 - SLEW + min(0.0, tau)
+    edge_start, _, fall_start, _ = measurement_windows(
+        tau, SLEW, SLEW, PERIOD, SETTLE
+    )
+    assert (edge_start, fall_start) == (start, fall)
+    near = ns(0.05)
+    for t_dip in (start + near, fall - near):
+        vmin_y1, vmin_y2, _ = _read(_blip(5.0, t_dip, 1.0),
+                                    _blip(5.0, t_dip, 0.5), tau)
+        assert (vmin_y1, vmin_y2) == (1.0, 0.5)
+    for t_dip in (start - near, fall + near):
+        vmin_y1, vmin_y2, _ = _read(_blip(5.0, t_dip, 1.0),
+                                    _blip(5.0, t_dip, 0.5), tau)
+        assert (vmin_y1, vmin_y2) == (5.0, 5.0)
+
+
+def test_read_response_code_sampled_at_t_sample():
+    """The code reads each output at ``t_sample`` against ``threshold``."""
+    tau = ns(0.3)
+    t_sample = measurement_windows(tau, SLEW, SLEW, PERIOD, SETTLE)[3]
+    high_there = _blip(0.0, t_sample, 5.0)
+    low_there = _blip(5.0, t_sample, 0.0)
+    assert _read(high_there, low_there, tau)[2] == (1, 0)
+    assert _read(low_there, high_there, tau)[2] == (0, 1)
+    level = _blip(3.0, t_sample, 3.0)
+    assert _read(level, level, tau, threshold=2.75)[2] == (1, 1)
+    assert _read(level, level, tau, threshold=3.5)[2] == (0, 0)

@@ -55,6 +55,11 @@ def test_bad_spec_maps_to_400(service):
     with pytest.raises(ServiceError) as excinfo:
         service.submit({"kind": "synthetic", "bogus_key": 1})
     assert excinfo.value.status == 400
+    # A kind builder's check answers the submit, not the scheduler.
+    with pytest.raises(ServiceError) as excinfo:
+        service.submit({"kind": "montecarlo", "samples": 2})
+    assert excinfo.value.status == 400
+    assert "explicit seed" in excinfo.value.message
 
 
 def test_malformed_body_maps_to_400(service):

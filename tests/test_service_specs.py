@@ -1,0 +1,61 @@
+"""Service specs against the library: the same jobs give the same answers.
+
+A spec compiled by :func:`repro.service.specs.build_plan`, run through
+:func:`repro.runtime.run_campaign` and folded, must address the same
+jobs (content keys) and return the same numbers, bit for bit, as the
+library call it stands for - the promise of README "Serving campaigns".
+"""
+
+from repro.core.sensitivity import sensitivity_family
+from repro.montecarlo.parallel import sample_job, scatter_analysis_parallel
+from repro.montecarlo.sampling import sample_population
+from repro.runtime import run_campaign, sensitivity_job
+from repro.service.specs import FAST_OPTIONS, build_plan
+from repro.units import fF, ns
+
+
+def _serve(spec):
+    """``(plan, folded payload)`` of one spec, run without a cache."""
+    plan = build_plan(spec)
+    campaign = run_campaign(plan.jobs, cache=None, **plan.executor)
+    return plan, plan.fold(campaign)
+
+
+def test_sensitivity_spec_matches_sensitivity_family():
+    spec = {"kind": "sensitivity", "loads_ff": [160.0], "slews_ns": [0.2],
+            "tau_max_ns": 0.3, "points": 3}
+    plan, payload = _serve(spec)
+
+    load, slew = fF(160.0), ns(0.2)
+    skews = [ns(0.3) * k / 2 for k in range(3)]
+    keys = [sensitivity_job(load, slew, tau, options=FAST_OPTIONS).key()
+            for tau in skews]
+    assert [job.key() for job in plan.jobs] == keys
+    assert [entry["key"] for entry in payload["jobs"]] == keys
+
+    (curve,) = sensitivity_family([load], [slew], skews,
+                                  options=FAST_OPTIONS, cache=None)
+    (served,) = payload["curves"]
+    assert served["skews_s"] == skews
+    assert served["vmins_v"] == [float(v) for v in curve.vmins]
+    assert served["tau_min_s"] == curve.tau_min
+
+
+def test_montecarlo_spec_matches_scatter_analysis_parallel():
+    spec = {"kind": "montecarlo", "samples": 1, "seed": 7,
+            "load_ff": 160.0, "skews_ns": [0.0, 0.3]}
+    plan, payload = _serve(spec)
+
+    samples = sample_population(1, fF(160.0), seed=7)
+    skews = [ns(0.0), ns(0.3)]
+    keys = [sample_job(sample, tau, options=FAST_OPTIONS).key()
+            for sample in samples for tau in skews]
+    assert [job.key() for job in plan.jobs] == keys
+    assert [entry["key"] for entry in payload["jobs"]] == keys
+
+    points = scatter_analysis_parallel(samples, skews, options=FAST_OPTIONS,
+                                       backend="serial", cache=None)
+    assert payload["points"] == [
+        {"skew_s": p.skew, "vmin_v": p.vmin, "sample_index": p.sample_index}
+        for p in points
+    ]

@@ -60,6 +60,17 @@ def test_submit_rejects_bad_spec(tmp_path):
                 {"no_cache": "false"}, {"no_cache": None}):
         with pytest.raises(SpecError):
             store.submit({**SPEC, **bad})
+    # Kind-specific keys are checked at submit time too: the store builds
+    # the plan, so the kind builders' own checks reject the spec before
+    # anything is journaled.  A non-numeric timeout is a SpecError, not
+    # a bare ValueError.
+    for bad in ({"kind": "montecarlo", "samples": 2},
+                {"kind": "sensitivity", "points": 1},
+                {"kind": "sensitivity", "loads_ff": []},
+                {"kind": "whole_tree", "topology": "ring"},
+                {**SPEC, "timeout_s": "abc"}):
+        with pytest.raises(SpecError):
+            store.submit(bad)
     assert store.list() == []  # nothing journaled
     # Null still means "default" where a key allows it.
     record = store.submit({**SPEC, "workers": None, "chunksize": None,

@@ -10,8 +10,9 @@ the contract that makes it drop-in:
   fault, buffered clock tree);
 * **counter parity**: the (h, alpha)-keyed factor-reuse policy makes
   identical factor/reuse decisions through the sparse path;
-* **backend degradation**: with scipy absent the dense-fallback backend
-  produces bit-identical waveforms and reports itself in telemetry;
+* **no scipy, no sparse backend**: with scipy absent ``"sparse"`` and
+  ``"auto"`` resolve to the dense backend and give the ``"reuse"`` bits
+  (the tests that drive ``SparseLU`` itself skip);
 * **whole-tree equivalence**: a ~200-node full-chip netlist integrates
   to within 1 uV of the dense engine, and (slow tier) a 10^3-node tree
   completes on the sparse path.
@@ -48,6 +49,12 @@ FAST = TransientOptions(dt_max=ns(0.2), reltol=5e-3)
 #: Dense-vs-sparse waveform agreement bar, volts (the subsystem's
 #: contract; the golden circuits actually come out bit-identical).
 WAVEFORM_TOL = 1e-6
+
+#: Tests that drive ``SparseLU`` itself; tier-1 installs only numpy.
+needs_scipy = pytest.mark.skipif(
+    not slinalg.scipy_available(),
+    reason="SparseLU needs scipy (pip install 'repro[sparse]')",
+)
 
 
 def _sensing_netlist(skew=0.15):
@@ -100,6 +107,20 @@ def _assert_waveforms_close(dense, sparse, tol=WAVEFORM_TOL):
             worst = np.max(np.abs(np.interp(t_dense, t_sparse, v_sparse)
                                   - v_dense))
         assert worst <= tol, f"{node}: {worst:.3e} V off the dense path"
+
+
+def _counters(result):
+    """A run's kernel counters without the wall-clock phase timings."""
+    return {name: value for name, value in result.kernel_stats.items()
+            if not name.endswith("_s")}
+
+
+def _without_scipy(monkeypatch):
+    """Make the sparse layer see scipy as absent (undone by the caller's
+    ``slinalg.reset_backend()``)."""
+    monkeypatch.setattr(slinalg, "_SPLU", None)
+    monkeypatch.setattr(slinalg, "_SPLU_RESOLVED", True)
+    assert not slinalg.scipy_available()
 
 
 # --------------------------------------------------------------------- #
@@ -160,6 +181,7 @@ def test_sparse_transient_matches_dense(name):
     _assert_waveforms_close(dense, sparse)
 
 
+@needs_scipy
 def test_factor_reuse_counter_parity():
     netlist, sensor = _sensing_netlist()
     dense = _run_policy(netlist, "reuse", initial=sensor.dc_guess())
@@ -176,7 +198,7 @@ def test_factor_reuse_counter_parity():
     assert len(dense) == len(sparse)
 
 
-def test_auto_policy_resolves_by_node_count():
+def test_auto_policy_resolves_by_node_count(monkeypatch):
     class Stub:
         pass
 
@@ -184,10 +206,20 @@ def test_auto_policy_resolves_by_node_count():
     small.n_free = SPARSE_AUTO_NODES - 1
     big.n_free = SPARSE_AUTO_NODES
     auto = TransientOptions(jacobian_policy="auto")
-    assert resolve_jacobian_policy(small, auto) == ("dense", True)
-    assert resolve_jacobian_policy(big, auto) == ("sparse", True)
     explicit = TransientOptions(jacobian_policy="sparse")
-    assert resolve_jacobian_policy(small, explicit) == ("sparse", True)
+    assert resolve_jacobian_policy(small, auto) == ("dense", True)
+    if slinalg.scipy_available():
+        assert resolve_jacobian_policy(big, auto) == ("sparse", True)
+        assert resolve_jacobian_policy(small, explicit) == ("sparse", True)
+    # Without scipy neither policy can reach the sparse backend.
+    _without_scipy(monkeypatch)
+    try:
+        for options in (auto, explicit):
+            for stub in (small, big):
+                assert resolve_jacobian_policy(stub, options) == \
+                    ("dense", True)
+    finally:
+        slinalg.reset_backend()
 
 
 def test_dense_size_guard_counts():
@@ -200,25 +232,32 @@ def test_dense_size_guard_counts():
 
 
 # --------------------------------------------------------------------- #
-# scipy-absent fallback.
+# scipy absent: "sparse" and "auto" take the dense backend.
 # --------------------------------------------------------------------- #
 def test_numpy_fallback_without_scipy(monkeypatch):
-    monkeypatch.setattr(slinalg, "_SPLU", None)
-    monkeypatch.setattr(slinalg, "_SPLU_RESOLVED", True)
+    netlist, sensor = _sensing_netlist()
+    dense = _run_policy(netlist, "reuse", initial=sensor.dc_guess())
+    _without_scipy(monkeypatch)
     try:
-        assert not slinalg.scipy_available()
-        netlist, sensor = _sensing_netlist()
-        dense = _run_policy(netlist, "reuse", initial=sensor.dc_guess())
-        netlist2, sensor2 = _sensing_netlist()
-        sparse = _run_policy(netlist2, "sparse", initial=sensor2.dc_guess())
-        # The fallback factors through the engine's own dense inverse, so
-        # the run stays within the contract, and telemetry reports it.
-        _assert_waveforms_close(dense, sparse)
-        assert sparse.kernel_stats["sparse_fallback"] == 1
+        for policy in ("sparse", "auto"):
+            netlist2, sensor2 = _sensing_netlist()
+            circuit = CompiledCircuit.compile(netlist2)
+            options = TransientOptions(jacobian_policy=policy)
+            assert resolve_jacobian_policy(circuit, options) == \
+                ("dense", True)
+            run = _run_policy(netlist2, policy, initial=sensor2.dc_guess())
+            # The dense reuse path itself: the "reuse" bits and the same
+            # counters (so no sparse gauges either).
+            assert np.array_equal(run.times, dense.times)
+            for node in dense.voltages:
+                assert np.array_equal(run.voltages[node],
+                                      dense.voltages[node]), node
+            assert _counters(run) == _counters(dense)
     finally:
         slinalg.reset_backend()
 
 
+@needs_scipy
 def test_singular_factor_reports_nonfinite_solve():
     lu = slinalg.SparseLU(
         indptr=np.array([0, 1, 2]), indices=np.array([0, 1]), n=2
@@ -272,6 +311,7 @@ def test_grid_topology_dead_driver_flags():
 
 
 @pytest.mark.slow
+@needs_scipy
 def test_thousand_node_whole_tree_completes_sparse():
     run = simulate_whole_tree(levels=4, n_sensors=2, segments_per_wire=2)
     assert run.n_nodes >= 1000
