@@ -25,6 +25,12 @@ within tolerance), its ``prefix_hit_rate`` must stay positive (shards
 fork the parent's checkpoint instead of rebuilding it), and the
 throughput ratio lands in the record as ``shard_speedup`` (the multiply
 of the SIMD and multicore axes).
+
+A last warm leg runs at the cold batch leg's stack size and worker
+count, so the two differ in warm start only.  Its per-point ``Vmin``
+must agree with the scalar leg within 1 mV; it lands in the record as
+``batch_warm_wide``, with ``warm_vs_cold_batch`` its throughput over
+the cold batch leg's.
 """
 
 import numpy as np
@@ -52,19 +58,21 @@ SEED = 2024
 EQUIVALENCE_TOL = 1e-3
 #: Acceptance bar on batch-vs-process throughput.  Only meaningful on
 #: the *cold* legs: warm-start compresses the ratio on both sides (both
-#: engines then integrate measurement suffixes only, in per-prefix
-#: groups of ``len(SKEWS_NS)`` samples), so the engine acceptance pins
-#: ``warm_start=False`` exactly as the committed baseline record did.
+#: engines then integrate measurement suffixes only), so the engine
+#: acceptance pins ``warm_start=False`` exactly as the committed
+#: baseline record did.
 SPEEDUP_MIN = 5.0
 
 #: Pinned samples per stack for the cold batch leg: big enough for the
 #: full SIMD win, small enough that a sharded pool would stay balanced.
 COLD_STACK_SIZE = 30
 
-#: Pinned samples per stack for the warm legs: the warm group size (one
-#: prefix, all its skews).  Pinning matters because the auto-tuned size
-#: depends on the shard worker count (its fan-out bound) - identical
-#: stack composition is what makes the warm legs bit-comparable.
+#: Pinned samples per stack for the single-worker and sharded warm legs.
+#: Pinning matters because the auto-tuned size depends on the shard
+#: worker count (its fan-out bound) - identical stack composition is
+#: what makes those two legs bit-comparable.  It is not the widest a
+#: warm stack can be: warm stacks hold jobs of any samples that share a
+#: fork time, which the wide warm leg runs at ``COLD_STACK_SIZE``.
 WARM_STACK_SIZE = len(SKEWS_NS)
 
 #: Shard processes of the sharded warm leg (the width of the
@@ -128,6 +136,11 @@ def run():
     batch_points, batch_metrics = _run_backend(
         "batch", samples, batch_workers=1, chunksize=COLD_STACK_SIZE
     )
+    # Warm vs cold at one stack size and worker count.
+    wide = _run_backend(
+        "batch", samples, batch_workers=1, chunksize=COLD_STACK_SIZE,
+        warm_start=True,
+    )
     # Shard acceptance, warm (the campaign default, and the case where
     # every shard must reuse the parent's prefix): a single-worker warm
     # leg and a sharded warm leg at the same pinned stack size,
@@ -141,13 +154,13 @@ def run():
         chunksize=WARM_STACK_SIZE, warm_start=True,
     )
     sharded = (warm_points, warm_metrics, sharded_points, sharded_metrics)
-    return scalar_points, scalar_metrics, batch_points, batch_metrics, sharded
+    return (scalar_points, scalar_metrics, batch_points, batch_metrics,
+            wide, sharded)
 
 
 def test_fig5_scatterplot(benchmark):
-    scalar_points, scalar_metrics, batch_points, batch_metrics, sharded = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
-    )
+    (scalar_points, scalar_metrics, batch_points, batch_metrics, wide,
+     sharded) = benchmark.pedantic(run, rounds=1, iterations=1)
     tau_nominal = extract_tau_min(
         LOAD, tolerance=ns(0.005), options=ACCURATE_OPTIONS
     )
@@ -178,6 +191,13 @@ def test_fig5_scatterplot(benchmark):
     record["shard_speedup"] = (sharded_metrics["samples_per_s"]
                                / warm_metrics["samples_per_s"])
     record["shard_vmin_mismatches"] = shard_mismatches
+    wide_points, wide_metrics = wide
+    wide_deviations = np.array([
+        abs(s.vmin - w.vmin) for s, w in zip(scalar_points, wide_points)
+    ])
+    record["batch_warm_wide"] = wide_metrics
+    record["warm_vs_cold_batch"] = (wide_metrics["samples_per_s"]
+                                    / batch_metrics["samples_per_s"])
     write_bench_json("fig5_montecarlo", record)
 
     points = scalar_points
@@ -216,6 +236,10 @@ def test_fig5_scatterplot(benchmark):
         f"batch ({warm_metrics['samples_per_s']:.2f}), "
         f"{shard_mismatches} bit mismatches, prefix hit rate "
         f"{sharded_metrics['prefix_hit_rate']:.2f}",
+        f"    warm wide   = {wide_metrics['samples_per_s']:.2f} samples/s "
+        f"at stack {wide_metrics['batch_stack_size']} -> "
+        f"{record['warm_vs_cold_batch']:.2f}x the cold batch, "
+        f"max |dVmin| {wide_deviations.max() * 1e3:.3f} mV",
     ]
     emit("fig5_montecarlo", lines)
 
@@ -233,6 +257,10 @@ def test_fig5_scatterplot(benchmark):
         f"batch deviates {deviations.max() * 1e3:.3f} mV from scalar"
     )
     assert batch_metrics["batch_fallbacks"] == 0, "unexpected scalar fallbacks"
+    assert wide_deviations.max() <= EQUIVALENCE_TOL, (
+        f"wide warm batch deviates {wide_deviations.max() * 1e3:.3f} mV "
+        "from scalar"
+    )
     assert speedup >= SPEEDUP_MIN, (
         f"batch speedup {speedup:.2f}x below the {SPEEDUP_MIN:.0f}x bar"
     )

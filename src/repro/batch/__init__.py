@@ -33,14 +33,17 @@ slews and skew.  This package turns that shape into vectorized math:
 from repro.batch.compile import BatchCompiledCircuit, BatchTopologyError, compile_batch
 from repro.batch.dispatch import (
     DEFAULT_BATCH_SIZE,
-    batch_signature,
     dispatch_batches,
     group_batches,
     resolve_batch_plan,
     resolve_batch_workers,
 )
 from repro.batch.engine import BatchTransientResult, batch_transient
-from repro.batch.response import BatchEvaluation, evaluate_jobs_batch
+from repro.batch.response import (
+    BatchEvaluation,
+    batch_signature,
+    evaluate_jobs_batch,
+)
 
 __all__ = [
     "BatchCompiledCircuit",

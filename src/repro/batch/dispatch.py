@@ -9,9 +9,10 @@ behave identically across backends.
 
 Grouping and chunking
 ---------------------
-Jobs are grouped by :func:`batch_signature` (the fields one lockstep run
-must share: horizon, topology switches, engine options, warm-start
-prefix) and each group is split into chunks of at most
+Jobs are grouped by :func:`~repro.batch.response.batch_signature` (the
+fields one lockstep run must share: horizon, topology switches, engine
+options, warm-start fork time - so the warm jobs of many Monte Carlo
+samples form one group) and each group is split into chunks of at most
 :func:`resolve_batch_plan` samples: the explicit ``chunksize`` argument,
 else the auto-tune heuristic (:func:`auto_batch_size`: bound the stack
 by the :data:`DEFAULT_BATCH_MEM_BUDGET` memory budget over the circuit's
@@ -38,8 +39,8 @@ worker finished first; with the *same stack composition* (same resolved
 batch size), a sharded run is bit-identical to the single-worker batch
 path, which stays available as ``batch_workers=1``.
 
-Before the shards launch, every warm group's skew-invariant prefix is
-built once in the parent (:func:`repro.runtime.prefix.publish_prefixes`)
+Before the shards launch, every skew-invariant prefix is built once in
+the parent (:func:`repro.runtime.prefix.publish_prefixes`)
 and lands in its checkpoint memory tier - and on disk, when the disk
 tier is on.  Shard pools fork wherever fork exists, so every worker -
 first generation or rebuilt after a crash - inherits the parent's
@@ -53,7 +54,8 @@ executor's scalar :func:`~repro.runtime.executor._evaluate_outcome` -
 the same path the serial backend uses, with the same bounded
 ConvergenceError retries and the same serialised error diagnostics.  If
 an entire stack fails to build or integrate, every sample of that chunk
-takes the scalar path.  Nothing is silently degraded: every re-dispatch
+takes the scalar path; a warm row whose prefix build failed takes it
+alone.  Nothing is silently degraded: every re-dispatch
 is counted in ``Telemetry.batch_fallbacks``.
 """
 
@@ -65,7 +67,7 @@ import numpy as np
 
 from repro.batch.compile import BatchTopologyError
 from repro.batch.engine import stack_bytes_per_sample
-from repro.batch.response import evaluate_jobs_batch
+from repro.batch.response import batch_signature, evaluate_jobs_batch
 from repro.errors import SimulationError
 from repro.runtime.executor import (
     DEFAULT_MAX_REDISPATCH, _check_cancelled, _dispatch_process_chunks,
@@ -175,35 +177,6 @@ def resolve_batch_plan(
     except (SimulationError, ValueError, KeyError):
         return DEFAULT_BATCH_SIZE, False
     return auto_batch_size(max(counts.values()), workers, n_total, n_free), True
-
-
-def batch_signature(job: SensorJob) -> Hashable:
-    """The fields every job of one lockstep stack must share.
-
-    ``period``/``settle`` fix the shared time horizon, ``full_swing``/
-    ``parasitics`` fix the circuit topology, and ``options`` fixes the
-    engine knobs.  Everything else (skew, slews, loads, sizing, process
-    corner, threshold) may vary per sample - that is the point.
-
-    Warm-start jobs additionally carry their prefix key: a stack can
-    fork from one broadcast checkpoint only when every sample shares the
-    same skew-invariant prefix, so warm jobs with different prefixes (or
-    warm and cold jobs) never share a stack.
-    """
-    resolved = job.resolved()
-    prefix = None
-    if resolved.warm_start:
-        from repro.runtime.prefix import prefix_key, warm_eligible
-
-        prefix = prefix_key(resolved) if warm_eligible(resolved) else "cold"
-    return (
-        resolved.period,
-        resolved.settle,
-        resolved.full_swing,
-        resolved.parasitics,
-        resolved.options,
-        prefix,
-    )
 
 
 def group_batches(

@@ -40,6 +40,17 @@ a ``B = 1`` stack measured 2.0-2.3x slower than the scalar loop on the
 sensing transient (e.g. 141 ms vs 71 ms; four medians of 15 runs on a
 2-core x86 box), so the scalar loop cannot become its ``B = 1`` case.
 
+Resuming
+--------
+``resume_from`` takes one
+:class:`~repro.analog.engine.TransientCheckpoint` per sample, so a warm
+stack can hold rows of different Monte Carlo samples, each forked from
+its own prefix.  The rows carry their own ``state``/``state_prev`` and
+``t_prev``, and must share one ``t``: the stack restarts there with the
+scalar backward-Euler-after-breakpoint rule, and each row's first
+predictor is the scalar predictor from its own ``t_prev``.  A ``B = 1``
+resume therefore takes the scalar resume's decisions too.
+
 Fallback contract
 -----------------
 The in-batch escalation ladder is *step-halving only*.  A sample that
@@ -414,7 +425,7 @@ def batch_transient(
     record: Optional[Iterable[str]] = None,
     initial: Optional[Sequence[Optional[Dict[str, float]]]] = None,
     options: Optional[TransientOptions] = None,
-    resume_from: Optional[TransientCheckpoint] = None,
+    resume_from: Optional[Sequence[TransientCheckpoint]] = None,
 ) -> BatchTransientResult:
     """Integrate every sample of ``batch`` in lockstep over
     ``[t_start, t_stop]``.
@@ -433,15 +444,12 @@ def batch_transient(
         honours only the ``"step-halving"`` rung (see the module
         docstring's fallback contract).
     resume_from:
-        A *scalar* :class:`~repro.analog.engine.TransientCheckpoint`
-        broadcast over the whole stack: every sample starts from the
-        same prefix state (``t_start`` is taken from the checkpoint, the
-        per-sample operating-point solves are skipped) and the first
-        step uses the backward-Euler-after-breakpoint restart, exactly
-        like the scalar resume.  Legal because
-        :func:`~repro.batch.compile.compile_batch` enforces an identical
-        node ordering across samples - which is also checked here
-        against the checkpoint's ``nodes`` guard.
+        One :class:`~repro.analog.engine.TransientCheckpoint` per sample
+        (length ``B``; see *Resuming* in the module docstring).  Every
+        row must carry the stack's node order (its ``nodes`` guard) and
+        one shared ``t``, which becomes ``t_start``; the per-sample
+        operating-point solves are skipped.  A stack forking from one
+        prefix passes the same checkpoint in every row.
 
     Unlike the scalar :func:`~repro.analog.engine.transient`, this never
     raises on a non-convergent sample: the sample is masked out
@@ -451,7 +459,22 @@ def batch_transient(
     B = batch.batch_size
     n_free = batch.n_free
 
-    record, t_start = check_window(batch, record, resume_from, t_start, t_stop)
+    first = None
+    if resume_from is not None:
+        resume_from = list(resume_from)
+        if len(resume_from) != B:
+            raise ValueError(
+                f"resume_from needs one checkpoint per sample "
+                f"(got {len(resume_from)} for a stack of {B})"
+            )
+        first = resume_from[0]
+    record, t_start = check_window(batch, record, first, t_start, t_stop)
+    for row in resume_from or ():
+        if check_window(batch, record, row, t_start, t_stop)[1] != t_start:
+            raise ValueError(
+                f"per-row checkpoints must share one t "
+                f"(got {row.t!r} and {t_start!r})"
+            )
 
     raw = [b for b in batch.breakpoints(t_start, t_stop) if b > t_start]
     raw.append(t_stop)
@@ -460,7 +483,7 @@ def batch_transient(
     escalations: Dict[str, int] = {}
     fallback_reasons: Dict[int, str] = {}
     if resume_from is not None:
-        v = np.tile(resume_from.state, (B, 1))
+        v = np.array([row.state for row in resume_from], dtype=float)
         alive = np.ones(B, dtype=bool)
     else:
         v, alive = _batch_dcop(
@@ -478,8 +501,8 @@ def batch_transient(
     control = StepControl(options, breakpoints, t_start, t_stop)
     force_be = True
     if resume_from is not None:
-        v_prev = np.tile(resume_from.state_prev, (B, 1))
-        t_prev = resume_from.t_prev
+        v_prev = np.array([row.state_prev for row in resume_from], dtype=float)
+        t_prev = np.array([row.t_prev for row in resume_from])
     else:
         v_prev = v.copy()
         t_prev = t
@@ -510,7 +533,15 @@ def batch_transient(
 
         t_new = t + h
         batch.source_voltages_into(t_new, v_sources, dynamic_only=True)
-        control.predict_into(v, v_prev, t, t_prev, h, v_pred)
+        if np.ndim(t_prev):
+            # First step after per-row checkpoints: each row runs the
+            # scalar predictor from its own t_prev (which branches on
+            # ``t > t_prev``), until the first accept makes t_prev shared.
+            for row in range(B):
+                control.predict_into(v[row], v_prev[row], t, t_prev[row], h,
+                                     v_pred[row])
+        else:
+            control.predict_into(v, v_prev, t, t_prev, h, v_pred)
 
         alpha = 1.0 if force_be else 0.5
         f_hist = None

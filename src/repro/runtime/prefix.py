@@ -35,7 +35,9 @@ ends.  This module exploits that:
 
 :func:`warm_plan` writes that plan once, for one job
 (:func:`evaluate_job_warm`) and for a warm lockstep stack
-(:func:`repro.batch.response.evaluate_jobs_batch`).
+(:func:`repro.batch.response.evaluate_jobs_batch`): it fetches or builds
+each distinct prefix once and returns one checkpoint per job, so one
+stack can hold the jobs of many samples that share a fork time.
 
 Warm results are keyed (and cached) under ``SensorJob.warm_start=True``
 identities, disjoint from cold results: disabling warm start (pass
@@ -50,6 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analog.engine import TransientCheckpoint, transient
 from repro.core.response import measurement_windows, read_response
+from repro.errors import SimulationError
 from repro.runtime.cache import get_checkpoint_cache, stable_key
 from repro.runtime.jobs import JobResult, SensorJob, evaluate_job, job_circuit
 from repro.runtime.telemetry import Stopwatch, Telemetry
@@ -189,29 +192,50 @@ def prefix_checkpoint(
 
 def warm_plan(
     jobs: Sequence[SensorJob],
-) -> Tuple[TransientCheckpoint, float, Dict[str, float]]:
-    """``(checkpoint, t_stop, stats)`` of the warm run of resolved
-    ``jobs`` sharing one prefix key.
+) -> Tuple[List[Optional[TransientCheckpoint]], float, Dict[str, float]]:
+    """``(checkpoints, t_stop, stats)`` of the warm run of resolved
+    ``jobs`` sharing one fork time, period and settle.
 
-    The checkpoint is fetched or built (:func:`prefix_checkpoint`);
-    ``t_stop`` is the latest ``fall_start``, where every measurement
-    window has ended.  ``stats`` counts ``hits`` (every job but one that
-    paid a build), ``builds`` and ``saved_s``: each job's skipped tail
-    after its ``fall_start``, plus the prefix once per hit.  A build's
+    ``checkpoints[i]`` is job ``i``'s prefix checkpoint: each distinct
+    prefix key is fetched or built once (:func:`prefix_checkpoint`).  A
+    prefix whose build raises :class:`~repro.errors.SimulationError`
+    leaves its jobs' entries ``None``; when no job gets a checkpoint the
+    first such error is re-raised, so a single job fails as its build
+    did.  ``t_stop`` is the latest ``fall_start`` of the jobs with a
+    checkpoint, where every measurement window has ended.  ``stats``
+    counts ``hits`` (every job with a checkpoint but those that paid a
+    build), ``builds`` and ``saved_s``: each such job's skipped tail
+    after its ``fall_start``, plus the prefix once per hit.  The builds'
     own ``build_s``, ``steps`` and ``esc:<rung>`` counts ride along.
     """
-    head = jobs[0]
-    checkpoint, stats = prefix_checkpoint(head)
+    keys = [prefix_key(job) for job in jobs]
+    by_key: Dict[str, Optional[TransientCheckpoint]] = {}
+    stats: Dict[str, float] = {}
+    error: Optional[SimulationError] = None
+    for job, key in zip(jobs, keys):
+        if key in by_key:
+            continue
+        try:
+            by_key[key], fetched = prefix_checkpoint(job)
+        except SimulationError as exc:
+            by_key[key], error = None, error or exc
+            continue
+        for name, value in fetched.items():
+            stats[name] = stats.get(name, 0.0) + value
+    checkpoints = [by_key[key] for key in keys]
     fall_stops = [
         measurement_windows(j.skew, j.slew1, j.slew2, j.period, j.settle)[2]
-        for j in jobs
+        for j, checkpoint in zip(jobs, checkpoints) if checkpoint is not None
     ]
+    if not fall_stops:
+        raise error
+    fork = next(c.t for c in checkpoints if c is not None)
     builds = stats.get("builds", 0.0)
-    hits = float(len(jobs) - int(builds))
-    cold_stop = head.settle + head.period
-    saved = sum(cold_stop - fs for fs in fall_stops) + checkpoint.t * hits
+    hits = float(len(fall_stops) - int(builds))
+    cold_stop = jobs[0].settle + jobs[0].period
+    saved = sum(cold_stop - fs for fs in fall_stops) + fork * hits
     stats.update(hits=hits, builds=builds, saved_s=saved)
-    return checkpoint, max(fall_stops), stats
+    return checkpoints, max(fall_stops), stats
 
 
 def evaluate_job_warm(job: SensorJob) -> JobResult:
@@ -227,7 +251,7 @@ def evaluate_job_warm(job: SensorJob) -> JobResult:
     if not warm_eligible(resolved):
         return evaluate_job(replace(resolved, warm_start=False))
 
-    checkpoint, t_stop, prefix = warm_plan([resolved])
+    (checkpoint,), t_stop, prefix = warm_plan([resolved])
     _, netlist = job_circuit(resolved)
     result = transient(
         netlist,
@@ -264,8 +288,6 @@ def _build_prefix(job: SensorJob, telemetry: Optional[Telemetry]) -> bool:
     A failure is left to the per-job evaluation, which surfaces it
     through the executor's normal retry/on_error machinery.
     """
-    from repro.errors import SimulationError
-
     try:
         _, stats = prefix_checkpoint(job.resolved())
     except SimulationError:

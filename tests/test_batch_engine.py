@@ -39,14 +39,14 @@ FAST = TransientOptions(dt_max=200e-12, reltol=5e-3)
 ACCURATE = TransientOptions(dt_max=5e-12, reltol=1e-3)
 
 
-def _job(skew_ns, sample=None, options=FAST, load=fF(160)):
+def _job(skew_ns, sample=None, options=FAST, load=fF(160), warm_start=False):
     if sample is None:
         return SensorJob(skew=ns(skew_ns), load1=load, load2=load,
-                         options=options)
+                         options=options, warm_start=warm_start)
     return SensorJob(
         skew=ns(skew_ns), load1=sample.load1, load2=sample.load2,
         slew1=sample.slew1, slew2=sample.slew2, process=sample.process,
-        options=options,
+        options=options, warm_start=warm_start,
     )
 
 
@@ -99,13 +99,16 @@ def test_single_sample_walks_the_scalar_grid():
 # --------------------------------------------------------------------- #
 
 @pytest.mark.slow
-def test_montecarlo_slice_matches_scalar_within_1mv():
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_montecarlo_slice_matches_scalar_within_1mv(warm_start):
     samples = sample_population(4, fF(160), seed=2024)
-    jobs = [_job(sk, s, options=ACCURATE)
+    jobs = [_job(sk, s, options=ACCURATE, warm_start=warm_start)
             for sk in (0.0, 0.05, 0.4) for s in samples]
     scalar = [evaluate_job(job) for job in jobs]
     batch = evaluate_jobs_batch(jobs)
     assert batch.fallbacks == 0
+    if warm_start:  # every row's prefix is a hit or a build
+        assert batch.prefix["hits"] + batch.prefix["builds"] == len(jobs)
     codes = set()
     for s, b in zip(scalar, batch.results):
         assert abs(s.vmin_y1 - b.vmin_y1) <= 1e-3
@@ -115,13 +118,17 @@ def test_montecarlo_slice_matches_scalar_within_1mv():
     assert len(codes) >= 2, "slice must cover both code outcomes"
 
 
-def test_heterogeneous_pair_matches_scalar_within_1mv():
-    """Cheap non-slow guard: two different samples on one merged grid."""
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_heterogeneous_pair_matches_scalar_within_1mv(warm_start):
+    """Cheap non-slow guard: two different samples on one merged grid
+    (warm: each row forks from its own sample's prefix)."""
     samples = sample_population(2, fF(160), seed=9)
-    jobs = [_job(0.1, samples[0], options=ACCURATE),
-            _job(0.0, samples[1], options=ACCURATE)]
+    jobs = [_job(0.1, samples[0], options=ACCURATE, warm_start=warm_start),
+            _job(0.0, samples[1], options=ACCURATE, warm_start=warm_start)]
     scalar = [evaluate_job(job) for job in jobs]
     batch = evaluate_jobs_batch(jobs)
+    if warm_start:  # every row's prefix is a hit or a build
+        assert batch.prefix["hits"] + batch.prefix["builds"] == len(jobs)
     for s, b in zip(scalar, batch.results):
         assert abs(s.vmin_y2 - b.vmin_y2) <= 1e-3
         assert s.code == b.code

@@ -14,12 +14,17 @@ Pins the PR-5 warm-start machinery four ways:
   jobs differing only in tau / slew do;
 * end-to-end warm-vs-cold equivalence: job results within 1 uV, the
   bisection ``tau_min`` unchanged to sub-picosecond, the batch engine's
-  broadcast resume consistent with its cold path, and warm start
-  disabled (``warm_start=False``) restoring cold evaluation.
+  per-row resume consistent with its cold path (one sample's skews, or
+  several Monte Carlo samples in one stack), and warm start disabled
+  (``warm_start=False``) restoring cold evaluation;
+* warm stacks keyed on fork time: a stack must share one
+  ``batch_signature``, and a sample whose prefix build fails leaves the
+  stack for the scalar path alone.
 """
 
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,6 +280,98 @@ def test_batch_warm_stack_matches_batch_cold():
         assert w.code == c.code
 
 
+def _cross_sample_jobs(warm_start=True):
+    """3 Monte Carlo samples x 3 skews >= 0: three prefixes, one fork time."""
+    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.sampling import sample_population
+
+    return [
+        sample_job(sample, ns(tau), options=FAST, warm_start=warm_start)
+        for sample in sample_population(3, fF(160), seed=11)
+        for tau in (0.0, 0.15, 0.3)
+    ]
+
+
+def _items(jobs):
+    """Wrap jobs in the executor's work-item tuples."""
+    return [(k, job, 1, None) for k, job in enumerate(jobs)]
+
+
+def test_cross_sample_warm_stack(fresh_cache):
+    from repro.batch.dispatch import DEFAULT_BATCH_SIZE, group_batches
+
+    warm_jobs = _cross_sample_jobs()
+    chunks = group_batches(_items(warm_jobs), DEFAULT_BATCH_SIZE)
+    assert [len(chunk) for chunk in chunks] == [9]
+
+    warm = evaluate_jobs_batch(warm_jobs)
+    cold = evaluate_jobs_batch(_cross_sample_jobs(warm_start=False))
+    assert warm.prefix["builds"] == 3  # one per sample
+    assert warm.prefix["hits"] == 6
+    for w, c in zip(warm.results, cold.results):
+        assert w is not None and c is not None
+        assert abs(w.vmin_y1 - c.vmin_y1) <= 1e-3
+        assert abs(w.vmin_y2 - c.vmin_y2) <= 1e-3
+        assert w.code == c.code
+
+    # A negative skew forks earlier, so it cannot join the stack.
+    early = replace(warm_jobs[0], skew=ns(-0.1))
+    chunks = group_batches(_items(warm_jobs + [early]), DEFAULT_BATCH_SIZE)
+    assert [len(chunk) for chunk in chunks] == [9, 1]
+
+
+def test_batch_rejects_mixed_signatures():
+    def job(tau, warm_start):
+        return sensitivity_job(fF(160), ns(0.2), ns(tau), options=FAST,
+                               warm_start=warm_start)
+
+    with pytest.raises(ValueError):  # two fork times
+        evaluate_jobs_batch([job(0.0, True), job(-0.1, True)])
+    with pytest.raises(ValueError):  # warm and cold
+        evaluate_jobs_batch([job(0.0, True), job(0.15, False)])
+
+
+def test_prefix_failure_sends_only_its_rows_to_scalar(monkeypatch,
+                                                      fresh_cache):
+    import repro.runtime.prefix as prefix
+    from repro.errors import SimulationError
+    from repro.runtime import run_campaign
+
+    jobs = _cross_sample_jobs()
+    # The serial reference builds every prefix, so below only the stack
+    # calls prefix_checkpoint before the scalar re-dispatch does.
+    reference = run_campaign(jobs, backend="serial", cache=None)
+    real = prefix.prefix_checkpoint
+    bad = prefix_key(jobs[0])
+    fired = []
+
+    def fails_once(job):
+        if prefix_key(job) == bad and not fired:
+            fired.append(job)
+            raise SimulationError("synthetic prefix failure")
+        return real(job)
+
+    monkeypatch.setattr(prefix, "prefix_checkpoint", fails_once)
+    evaluation = evaluate_jobs_batch(jobs)
+    assert evaluation.fallback_reasons == {0: "prefix", 1: "prefix",
+                                           2: "prefix"}
+    assert evaluation.results[:3] == [None] * 3
+    assert all(r is not None for r in evaluation.results[3:])
+    assert evaluation.prefix["hits"] == 6
+
+    fired.clear()
+    telemetry = Telemetry()
+    results = run_campaign(jobs, backend="batch", batch_workers=1,
+                           cache=None, telemetry=telemetry)
+    assert fired, "the stack's prefix fetch must have failed"
+    assert telemetry.batch_fallbacks == 3
+    assert telemetry.batched_samples == 6
+    for got, want in zip(results[:3], reference[:3]):
+        assert got.vmin_y1 == want.vmin_y1  # the scalar warm path
+        assert got.vmin_y2 == want.vmin_y2
+        assert got.code == want.code
+
+
 def test_batch_resume_rejects_mismatched_nodes():
     from repro.batch.compile import compile_batch
     from repro.batch.engine import batch_transient
@@ -287,7 +384,8 @@ def test_batch_resume_rejects_mismatched_nodes():
         nodes=("a", "b", "c"),
     )
     with pytest.raises(ValueError):
-        batch_transient(batch, t_stop=T_STOP, options=FAST, resume_from=bad)
+        batch_transient(batch, t_stop=T_STOP, options=FAST,
+                        resume_from=[bad, bad])
 
 
 # --------------------------------------------------------------------- #
