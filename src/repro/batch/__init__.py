@@ -23,7 +23,7 @@ slews and skew.  This package turns that shape into vectorized math:
   silently degraded);
 * :mod:`repro.batch.dispatch` - campaign integration: grouping of
   compatible jobs into batches, stack sizing (an explicit ``chunksize``
-  or a memory/fan-out auto-tune), process sharding of whole stacks over
+  or a fan-out auto-tune), process sharding of whole stacks over
   ``batch_workers`` workers through the executor's windowed dispatcher
   (crash isolation and bounded redispatch included), and the outcome
   protocol the :func:`repro.runtime.run_campaign` executor consumes via

@@ -14,15 +14,13 @@ fields one lockstep run must share: horizon, topology switches, engine
 options, warm-start fork time - so the warm jobs of many Monte Carlo
 samples form one group) and each group is split into chunks of at most
 :func:`resolve_batch_plan` samples: the explicit ``chunksize`` argument,
-else the auto-tune heuristic (:func:`auto_batch_size`: bound the stack
-by the :data:`DEFAULT_BATCH_MEM_BUDGET` memory budget over the circuit's
-:func:`~repro.batch.engine.stack_bytes_per_sample`, by an even fan-out
-over the shard workers, and by :data:`MAX_AUTO_BATCH`).  Oversized
-batches trade diminishing vectorization gains for a denser
-merged-breakpoint schedule, so the tuner keeps stacks moderate.  The
-resolved size and worker count are recorded on the campaign
-:class:`~repro.runtime.telemetry.Telemetry` so summaries and BENCH JSON
-report the shape actually used.
+else the auto-tune heuristic (:func:`auto_batch_size`: an even fan-out
+of the largest group over the shard workers, capped at
+:data:`MAX_AUTO_BATCH`).  Oversized batches trade diminishing
+vectorization gains for a denser merged-breakpoint schedule, so the
+tuner keeps stacks moderate.  The resolved size and worker count are
+recorded on the campaign :class:`~repro.runtime.telemetry.Telemetry` so
+summaries and BENCH JSON report the shape actually used.
 
 Process sharding
 ----------------
@@ -39,12 +37,13 @@ worker finished first; with the *same stack composition* (same resolved
 batch size), a sharded run is bit-identical to the single-worker batch
 path, which stays available as ``batch_workers=1``.
 
-Before the shards launch, every skew-invariant prefix is built once in
-the parent (:func:`repro.runtime.prefix.publish_prefixes`)
-and lands in its checkpoint memory tier - and on disk, when the disk
-tier is on.  Shard pools fork wherever fork exists, so every worker -
-first generation or rebuilt after a crash - inherits the parent's
-memory tier and warm-starts from the checkpoint instead of
+Before any stack runs, in process or sharded, every skew-invariant
+prefix is built once in the parent
+(:func:`repro.runtime.prefix.publish_prefixes` - the campaign's one
+planner pass) and lands in its checkpoint memory tier - and on disk,
+when the disk tier is on.  Shard pools fork wherever fork exists, so
+every worker - first generation or rebuilt after a crash - inherits the
+parent's memory tier and warm-starts from the checkpoint instead of
 re-integrating it.
 
 Fallback contract
@@ -52,7 +51,7 @@ Fallback contract
 A sample the lockstep engine masks out is re-evaluated through the
 executor's scalar :func:`~repro.runtime.executor._evaluate_outcome` -
 the same path the serial backend uses, with the same bounded
-ConvergenceError retries and the same serialised error diagnostics.  If
+ConvergenceError retries and the same error diagnostics.  If
 an entire stack fails to build or integrate, every sample of that chunk
 takes the scalar path; a warm row whose prefix build failed takes it
 alone.  Nothing is silently degraded: every re-dispatch
@@ -61,27 +60,24 @@ is counted in ``Telemetry.batch_fallbacks``.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.batch.compile import BatchTopologyError
-from repro.batch.engine import stack_bytes_per_sample
 from repro.batch.response import batch_signature, evaluate_jobs_batch
 from repro.errors import SimulationError
 from repro.runtime.executor import (
-    DEFAULT_MAX_REDISPATCH, _check_cancelled, _dispatch_process_chunks,
-    _evaluate_outcome, _Item, _Outcome, resolve_workers,
+    DEFAULT_MAX_REDISPATCH, Outcome, _check_cancelled,
+    _dispatch_process_chunks, _evaluate_outcome, _Item, resolve_workers,
 )
-from repro.runtime.jobs import SensorJob, job_circuit
+from repro.runtime.prefix import publish_prefixes
 from repro.runtime.telemetry import Stopwatch, Telemetry
 
-#: Fallback samples per lockstep stack (no explicit size and the
-#: auto-tune heuristic inapplicable - e.g. no work items to measure).
+#: Fallback samples per lockstep stack (no explicit size and no work
+#: items to auto-tune from).
 DEFAULT_BATCH_SIZE = 64
-
-#: Auto-tune memory budget per stack, bytes (256 MB).
-DEFAULT_BATCH_MEM_BUDGET = 256 * 1024 ** 2
 
 #: Ceiling on the auto-tuned stack size.  Past ~10^2 samples the
 #: vectorization gain has flattened while the merged breakpoint schedule
@@ -105,45 +101,19 @@ def resolve_batch_workers(
     )
 
 
-def auto_batch_size(
-    n_jobs: int,
-    workers: int,
-    n_total: int,
-    n_free: int,
-    mem_budget: Optional[int] = None,
-) -> int:
-    """Auto-tuned samples per stack for one signature group.
+def auto_batch_size(n_jobs: int, workers: int) -> int:
+    """Auto-tuned samples per stack for a signature group of ``n_jobs``.
 
-    Three bounds, tightest wins:
-
-    * **memory** - the ``(B, n, n)`` stack tensors must fit the budget:
-      ``budget // stack_bytes_per_sample(n_total, n_free)``.  Irrelevant
-      for the 10-transistor sensor (kilobytes per sample) but the
-      operative bound at whole-chip node counts, where the per-sample
-      Jacobian inverse alone is ``8 * n_free**2`` bytes;
-    * **fan-out** - ``ceil(n_jobs / workers)``: never build a stack so
-      large that shard workers sit idle while one integrates everything;
-    * **cap** - :data:`MAX_AUTO_BATCH`, where the lockstep gain has
-      flattened against the densifying merged breakpoint schedule.
+    ``min(ceil(n_jobs / workers), MAX_AUTO_BATCH)``: the fan-out bound
+    never builds a stack so large that shard workers sit idle while one
+    integrates everything, and the cap stops where the lockstep gain has
+    flattened against the densifying merged breakpoint schedule.  No
+    memory bound is needed: the batch backend only runs sensor jobs,
+    whose topologies have 10 or 12 nodes, so a capped stack's matrices
+    take well under a megabyte.
     """
-    per_sample = stack_bytes_per_sample(n_total, n_free)
-    budget = DEFAULT_BATCH_MEM_BUDGET if mem_budget is None else mem_budget
-    by_memory = max(1, int(budget) // per_sample)
-    by_fanout = max(1, -(-int(n_jobs) // max(1, int(workers))))
-    return max(1, min(by_memory, by_fanout, MAX_AUTO_BATCH))
-
-
-def _estimate_dims(job: SensorJob) -> Tuple[int, int]:
-    """(n_total, n_free) of one job's compiled sensor netlist.
-
-    One scalar compile - cheap next to any transient - gives the
-    auto-tuner the node counts its memory model needs.
-    """
-    from repro.analog.compile import CompiledCircuit
-
-    _, netlist = job_circuit(job.resolved())
-    compiled = CompiledCircuit.compile(netlist)
-    return compiled.n_total, compiled.n_free
+    by_fanout = -(-int(n_jobs) // max(1, int(workers)))
+    return max(1, min(by_fanout, MAX_AUTO_BATCH))
 
 
 def resolve_batch_plan(
@@ -168,15 +138,8 @@ def resolve_batch_plan(
         return max(1, int(chunksize)), False
     if not items:
         return DEFAULT_BATCH_SIZE, False
-    counts: Dict[Hashable, int] = {}
-    for item in items:
-        signature = batch_signature(item[1])
-        counts[signature] = counts.get(signature, 0) + 1
-    try:
-        n_total, n_free = _estimate_dims(items[0][1])
-    except (SimulationError, ValueError, KeyError):
-        return DEFAULT_BATCH_SIZE, False
-    return auto_batch_size(max(counts.values()), workers, n_total, n_free), True
+    counts = Counter(batch_signature(item[1]) for item in items)
+    return auto_batch_size(max(counts.values()), workers), True
 
 
 def group_batches(
@@ -209,7 +172,7 @@ def group_batches(
 
 def evaluate_batch_chunk(
     chunk: Sequence[_Item],
-) -> Tuple[List[_Outcome], Dict[str, object]]:
+) -> Tuple[List[Outcome], Dict[str, object]]:
     """Evaluate one stack; scalar-re-dispatch masked-out samples.
 
     Returns ``(outcomes, stats)`` where outcomes follow the executor's
@@ -225,7 +188,7 @@ def evaluate_batch_chunk(
         "batched_samples": 0, "batch_fallbacks": 0, "escalations": {},
         "kernel": {}, "prefix": {},
     }
-    outcomes: List[_Outcome] = []
+    outcomes: List[Outcome] = []
     watch = Stopwatch()
     try:
         evaluation = evaluate_jobs_batch([item[1] for item in chunk])
@@ -248,7 +211,7 @@ def evaluate_batch_chunk(
             outcomes.append(_evaluate_outcome(item))
             stats["batch_fallbacks"] = int(stats["batch_fallbacks"]) + 1
         else:
-            outcomes.append((item[0], "ok", result, share, 1))
+            outcomes.append(Outcome(item[0], result=result, wall=share))
             stats["batched_samples"] = int(stats["batched_samples"]) + 1
     return outcomes, stats
 
@@ -280,7 +243,7 @@ def dispatch_batches(
     on_outcome=None,
     cancel_event=None,
     max_redispatch: int = DEFAULT_MAX_REDISPATCH,
-) -> List[_Outcome]:
+) -> List[Outcome]:
     """Run all work items through the batch engine.
 
     Parameters
@@ -324,9 +287,12 @@ def dispatch_batches(
         telemetry.record_batch_config(
             stack_size=batch_size, workers=effective, auto=auto
         )
+    # The campaign's one planner pass: build every warm prefix here, so
+    # in-process stacks and forked shard workers all fetch it.
+    publish_prefixes([item[1] for item in items], telemetry)
 
     if effective <= 1:
-        outcomes: List[_Outcome] = []
+        outcomes: List[Outcome] = []
         for chunk in chunks:
             _check_cancelled(cancel_event)
             chunk_outcomes, stats = evaluate_batch_chunk(chunk)
@@ -337,18 +303,15 @@ def dispatch_batches(
                     on_outcome(outcome)
         return outcomes
 
-    # Sharded path: publish the warm prefixes once, then fan whole
-    # stacks out through the executor's windowed dispatcher.  Stats ride
-    # home in each worker's payload and are folded here in the parent.
+    # Sharded path: fan whole stacks out through the executor's windowed
+    # dispatcher.  Stats ride home in each worker's payload and are
+    # folded here in the parent.
     def consume(payload, emit) -> None:
         chunk_outcomes, stats = payload
         _fold_stats(telemetry, stats)
         for outcome in chunk_outcomes:
             emit(outcome)
 
-    from repro.runtime.prefix import publish_prefixes
-
-    publish_prefixes([item[1] for item in items], telemetry)
     return _dispatch_process_chunks(
         chunks,
         workers=effective,

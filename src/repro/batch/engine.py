@@ -192,28 +192,6 @@ class _BatchNewtonWork:
         return self.c_over_h
 
 
-def stack_bytes_per_sample(
-    n_total: int, n_free: int, itemsize: int = 8
-) -> int:
-    """Approximate resident bytes one sample adds to a lockstep stack.
-
-    The dominant dense allocations a ``(B, n, n)`` stack carries *per
-    sample*: the stacked linear MNA parts (``G`` and ``C``, each
-    ``n_total**2``), the lockstep Newton loop's cached Jacobian inverse
-    (``n_free**2``) and ``C[:, :n_free, :] / h`` scratch
-    (``n_free * n_total``), and its handful of ``(B, n_free)`` residual,
-    update and step vectors.  The dispatcher's stack-size auto-tune
-    divides its memory budget by this to bound the stack size - an
-    estimate on purpose: it only needs to keep
-    whole-chip-scale stacks (where ``n_free**2`` dominates) from blowing
-    past the budget, not to account every transient history array.
-    """
-    n, nf = int(n_total), int(n_free)
-    matrices = 2 * n * n + nf * nf + nf * n
-    vectors = 16 * nf + 8
-    return max(1, int(itemsize) * (matrices + vectors))
-
-
 def _newton_step_batch(
     batch: BatchCompiledCircuit,
     v_guess: np.ndarray,

@@ -13,7 +13,7 @@ routers to balance delays).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 Point = Tuple[float, float]
 
@@ -116,10 +116,6 @@ class ClockTree:
             if n.name == name:
                 return n
         raise KeyError(f"no node named {name!r} in {self.name}")
-
-    def nodes_by_name(self) -> Dict[str, TreeNode]:
-        """Name -> node mapping."""
-        return {n.name: n for n in self.walk()}
 
     def path_to(self, node: TreeNode) -> List[TreeNode]:
         """Nodes from the root down to ``node`` inclusive."""

@@ -62,13 +62,6 @@ class PWLSource:
         return [float(x) for x in self._t[mask]]
 
 
-def _edge(
-    t_edge: float, rise: float, lo: float, hi: float
-) -> Tuple[List[float], List[float]]:
-    """PWL fragment for one transition starting at ``t_edge``."""
-    return [t_edge, t_edge + rise], [lo, hi]
-
-
 @dataclass
 class PulseSource:
     """A SPICE-style periodic pulse source.

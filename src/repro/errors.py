@@ -274,8 +274,8 @@ class CampaignCancelledError(RuntimeError):
         self.reason = reason
 
 
-#: Exception classes reconstructable from a worker's serialised error
-#: payload (class name + message + diagnostics dict).
+#: Exception classes reconstructable from a :class:`JobError` record
+#: (class name + message + diagnostics dict).
 ERROR_CLASSES: Dict[str, type] = {
     cls.__name__: cls
     for cls in (

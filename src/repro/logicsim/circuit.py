@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,17 +30,6 @@ class SimulationTrace:
             raise KeyError(f"net {net!r} has no recorded activity")
         times = [time for time, _ in history]
         index = bisect_right(times, t) - 1
-        if index < 0:
-            return history[0][1]
-        return history[index][1]
-
-    def value_before(self, net: str, t: float) -> int:
-        """Net value just before ``t`` (changes at exactly ``t`` excluded)."""
-        history = self.changes.get(net)
-        if not history:
-            raise KeyError(f"net {net!r} has no recorded activity")
-        times = [time for time, _ in history]
-        index = bisect_left(times, t) - 1
         if index < 0:
             return history[0][1]
         return history[index][1]

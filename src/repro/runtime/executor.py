@@ -52,7 +52,7 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
@@ -66,7 +66,6 @@ from repro.errors import (
     JobError,
     SimulationError,
     WorkerCrashError,
-    rebuild_error,
 )
 from repro.runtime.cache import ResultCache, get_cache
 from repro.runtime.checkpoint import CheckpointJournal, load_journal
@@ -134,20 +133,29 @@ class CampaignResult:
 
 
 # --------------------------------------------------------------------- #
-# Worker protocol.  Outcomes are plain picklable tuples:
-#   (index, "ok",    result, wall, attempts)
-#   (index, "error", error_class_name, message, diagnostics_dict,
-#    wall, attempts)
-# SimulationError subclasses are serialised in the worker so the pool
-# never has to pickle exception instances; anything else (programming
-# errors) propagates and fails the campaign regardless of ``on_error``.
+# Worker protocol.  Every evaluation - serial, pooled or a lockstep
+# sample - comes back as one picklable :class:`Outcome`.  A
+# SimulationError travels inside it whole (its ``__reduce__`` keeps the
+# class and the diagnostics); anything else (programming errors)
+# propagates and fails the campaign regardless of ``on_error``.
 # --------------------------------------------------------------------- #
 
 _Item = Tuple[int, SensorJob, int, Optional[Callable[[SensorJob], JobResult]]]
-_Outcome = Tuple
 
 
-def _evaluate_outcome(item: _Item) -> _Outcome:
+@dataclass(frozen=True)
+class Outcome:
+    """One job's evaluation: its ``result`` or the ``error`` it ended
+    in, the wall seconds and the attempts it took."""
+
+    index: int
+    result: Optional[JobResult] = None
+    error: Optional[SimulationError] = None
+    wall: float = 0.0
+    attempts: int = 1
+
+
+def _evaluate_outcome(item: _Item) -> Outcome:
     """Evaluate one job with bounded ConvergenceError retries.
 
     The chaos sites ``executor.crash`` / ``executor.hang`` hook in here -
@@ -163,12 +171,10 @@ def _evaluate_outcome(item: _Item) -> _Outcome:
         if injector.should_fire("executor.hang"):
             time.sleep(injector.hang_s)
         if injector.should_fire("executor.crash"):
-            error = WorkerCrashError(
+            return Outcome(index, error=WorkerCrashError(
                 f"job[{index}] worker crash (injected fault)",
                 job=job, dispatches=1,
-            )
-            return (index, "error", "WorkerCrashError", error.message,
-                    error.diagnostics.as_dict(), 0.0, 1)
+            ))
     func = evaluate or evaluate_job
     watch = Stopwatch()
     attempts = 0
@@ -176,42 +182,37 @@ def _evaluate_outcome(item: _Item) -> _Outcome:
         attempts += 1
         try:
             result = func(job)
-            return (index, "ok", result, watch.elapsed(), attempts)
-        except ConvergenceError as error:
-            if attempts > retries:
-                return (index, "error", type(error).__name__, error.message,
-                        error.diagnostics.as_dict(), watch.elapsed(), attempts)
+            return Outcome(index, result=result, wall=watch.elapsed(),
+                           attempts=attempts)
         except SimulationError as error:
-            return (index, "error", type(error).__name__, error.message,
-                    error.diagnostics.as_dict(), watch.elapsed(), attempts)
+            if isinstance(error, ConvergenceError) and attempts <= retries:
+                continue
+            return Outcome(index, error=error, wall=watch.elapsed(),
+                           attempts=attempts)
 
 
-def _worker_chunk(items: List[_Item]) -> List[_Outcome]:
+def _worker_chunk(items: List[_Item]) -> List[Outcome]:
     """Pool worker: evaluate a chunk of jobs, one outcome each."""
     return [_evaluate_outcome(item) for item in items]
 
 
-def _timeout_outcome(item: _Item, elapsed: float, timeout: float) -> _Outcome:
+def _timeout_outcome(item: _Item, elapsed: float, timeout: float) -> Outcome:
     """Synthesise the outcome of a job that exceeded its wall budget."""
     index, job, _, _ = item
-    error = CampaignTimeoutError(
+    return Outcome(index, error=CampaignTimeoutError(
         f"job[{index}] exceeded its {timeout} s timeout",
         job=job, attempts=1, elapsed=elapsed,
-    )
-    return (index, "error", "CampaignTimeoutError", error.message,
-            error.diagnostics.as_dict(), elapsed, 1)
+    ), wall=elapsed)
 
 
-def _crash_outcome(item: _Item, dispatches: int) -> _Outcome:
+def _crash_outcome(item: _Item, dispatches: int) -> Outcome:
     """Synthesise the outcome of a job declared poison after repeatedly
     breaking its worker pool."""
     index, job, _, _ = item
-    error = WorkerCrashError(
+    return Outcome(index, error=WorkerCrashError(
         f"job[{index}] killed its worker process {dispatches} time(s)",
         job=job, dispatches=dispatches,
-    )
-    return (index, "error", "WorkerCrashError", error.message,
-            error.diagnostics.as_dict(), 0.0, dispatches)
+    ), attempts=dispatches)
 
 
 def _mp_context():
@@ -279,7 +280,7 @@ def _poll_budget(
     return budget
 
 
-def _consume_outcomes(payload: Any, emit: Callable[[_Outcome], None]) -> None:
+def _consume_outcomes(payload: Any, emit: Callable[[Outcome], None]) -> None:
     """Default payload consumer: the worker returned a list of outcomes."""
     for outcome in payload:
         emit(outcome)
@@ -292,11 +293,11 @@ def _dispatch_process_chunks(
     max_redispatch: int,
     telemetry: Telemetry,
     worker: Callable[[List[_Item]], Any] = _worker_chunk,
-    consume: Callable[[Any, Callable[[_Outcome], None]], None] = _consume_outcomes,
+    consume: Callable[[Any, Callable[[Outcome], None]], None] = _consume_outcomes,
     isolate: str = "item",
-    on_outcome: Optional[Callable[[_Outcome], None]] = None,
+    on_outcome: Optional[Callable[[Outcome], None]] = None,
     cancel_event: Optional[threading.Event] = None,
-) -> List[_Outcome]:
+) -> List[Outcome]:
     """Windowed process-pool dispatch over pre-formed chunks.
 
     The crash-isolation core shared by the scalar process backend
@@ -334,11 +335,11 @@ def _dispatch_process_chunks(
     every job in it is reported as a
     :class:`~repro.errors.WorkerCrashError` outcome.
     """
-    outcomes: List[_Outcome] = []
+    outcomes: List[Outcome] = []
     suspects: List[List[_Item]] = []
     context = _mp_context()
 
-    def emit(outcome: _Outcome) -> None:
+    def emit(outcome: Outcome) -> None:
         outcomes.append(outcome)
         if on_outcome is not None:
             on_outcome(outcome)
@@ -466,40 +467,22 @@ def evaluate_cached(
 
     Used by the point evaluations (``vmin_for_skew`` and the
     ``extract_tau_min`` bisection) where spinning up a campaign per call
-    would be pure overhead.
+    would be pure overhead.  A hit replays through :func:`_replay` and a
+    miss folds through :func:`_assimilate`, the steps
+    :func:`run_campaign` takes for each of its jobs, under the label
+    ``"point"``; there is no journal, dedupe or prefix planner.
     """
     if cache == "default":
         cache = get_cache()
+    telemetry = telemetry if telemetry is not None else Telemetry()
     key = job.key() if cache is not None else None
-    if key is not None:
-        hit = cache.get(key)
-        if telemetry is not None:
-            telemetry.record_cache(hit is not None)
-        if hit is not None:
-            result = JobResult.from_payload(hit, cached=True)
-            if telemetry is not None:
-                telemetry.record_job(
-                    "point", wall=0.0, attempts=0, steps=result.steps,
-                    cached=True,
-                )
-            return result
-    outcome = _evaluate_outcome((0, job, retries, None))
-    if outcome[1] != "ok":
-        _, _, name, message, diag, _, _ = outcome
-        raise rebuild_error(name, message, diag)
-    _, _, result, wall, attempts = outcome
-    if telemetry is not None:
-        telemetry.record_job(
-            "point", wall=wall, attempts=attempts,
-            steps=result.steps, cached=False,
-            escalations=result.escalation_counts,
-            kernel=result.kernel_counts,
-        )
-        if result.prefix:
-            telemetry.record_prefix(dict(result.prefix))
-    if key is not None:
-        cache.put(key, result.to_payload())
-    return result
+    hit = _replay(key, "point", telemetry, cache, None, {})
+    if hit is not None:
+        return hit
+    return _assimilate(
+        _evaluate_outcome((0, job, retries, None)), job, key, "point",
+        telemetry, cache, None, "raise",
+    )
 
 
 def run_campaign(
@@ -538,8 +521,8 @@ def run_campaign(
         :class:`SensorJob` descriptions directly, so it rejects a custom
         ``evaluate``; it also has no per-job ``timeout`` (samples share
         one integration).  ``chunksize`` becomes the per-stack sample
-        count; when omitted it is auto-tuned from the signature-group
-        fan-out, the shard worker count and the stack-memory budget (see
+        count; when omitted it is auto-tuned from the largest
+        signature group's fan-out over the shard workers (see
         :func:`repro.batch.dispatch.resolve_batch_plan`); whole stacks
         fan out over ``batch_workers`` shard processes through the
         windowed dispatcher.
@@ -650,49 +633,30 @@ def run_campaign(
         journal = CheckpointJournal(checkpoint, fresh=not resume)
 
     # ------------------------------------------------------------------ #
-    # Resume/cache pass: satisfy journal and cache hits, dedupe
-    # identical pending jobs.
+    # Replay pass: satisfy journal and cache hits, dedupe identical
+    # pending jobs.
     # ------------------------------------------------------------------ #
     pending: List[Tuple[int, SensorJob]] = []
     key_owner: Dict[str, int] = {}
     duplicates: Dict[int, int] = {}
     keys: List[Optional[str]] = [None] * len(jobs)
     keyed = cache is not None or checkpoint is not None
-    if keyed:
-        for index, job in enumerate(jobs):
-            key = job.key()
-            keys[index] = key
-            if key in journalled:
-                results[index] = JobResult.from_payload(
-                    journalled[key], resumed=True
-                )
-                telemetry.record_job(
-                    f"job[{index}]", wall=0.0, attempts=0,
-                    steps=results[index].steps, resumed=True,
-                )
+    for index, job in enumerate(jobs):
+        if keyed:
+            key = keys[index] = job.key()
+            stored = _replay(
+                key, f"job[{index}]", telemetry, cache, journal, journalled
+            )
+            if stored is not None:
+                results[index] = stored
                 if progress is not None:
-                    progress(index, results[index])
+                    progress(index, stored)
                 continue
-            hit = cache.get(key) if cache is not None else None
-            if cache is not None:
-                telemetry.record_cache(hit is not None)
-            if hit is not None:
-                results[index] = JobResult.from_payload(hit, cached=True)
-                telemetry.record_job(
-                    f"job[{index}]", wall=0.0, attempts=0,
-                    steps=results[index].steps, cached=True,
-                )
-                if journal is not None:
-                    journal.record(key, results[index].to_payload())
-                if progress is not None:
-                    progress(index, results[index])
-            elif key in key_owner:
+            if key in key_owner:
                 duplicates[index] = key_owner[key]
-            else:
-                key_owner[key] = index
-                pending.append((index, job))
-    else:
-        pending = list(enumerate(jobs))
+                continue
+            key_owner[key] = index
+        pending.append((index, job))
 
     # ------------------------------------------------------------------ #
     # Dispatch the misses.
@@ -700,23 +664,25 @@ def run_campaign(
     items: List[_Item] = [(index, job, retries, evaluate)
                           for index, job in pending]
 
-    def _absorb(outcome: _Outcome) -> None:
+    def _absorb(outcome: Outcome) -> None:
         """Fold one outcome in as it lands: results, telemetry, cache,
         journal, then the progress callback.  Dispatchers call this from
         the campaign's own thread, so streamed journalling/progress needs
         no locking."""
-        _assimilate(
-            outcome, jobs, keys, results, telemetry, cache, journal,
-            on_error,
+        index = outcome.index
+        results[index] = _assimilate(
+            outcome, jobs[index], keys[index], f"job[{index}]", telemetry,
+            cache, journal, on_error,
         )
         if progress is not None:
-            progress(outcome[0], results[outcome[0]])
+            progress(index, results[index])
 
-    if items and evaluate is None:
+    if items and evaluate is None and backend != "batch":
         # Prefix planner: integrate each warm group's shared pre-skew
         # prefix once in the parent, so serial evaluations and
         # fork-started workers all inherit the checkpoint from the
-        # memory tier instead of racing to rebuild it.
+        # memory tier instead of racing to rebuild it.  The batch
+        # dispatcher runs the same planner itself.
         from repro.runtime.prefix import prepare_prefixes
 
         prepare_prefixes([job for _, job in pending], telemetry)
@@ -773,26 +739,17 @@ def run_campaign(
         owned = results[owner]
         assert owned is not None
         if isinstance(owned, JobError):
-            results[index] = JobError(
-                index=index, job=jobs[index], error=owned.error,
-                message=owned.message, diagnostics=dict(owned.diagnostics),
-                attempts=owned.attempts, wall=0.0,
+            results[index] = replace(
+                owned, index=index, job=jobs[index],
+                diagnostics=dict(owned.diagnostics), wall=0.0,
             )
-            telemetry.record_job(
-                f"job[{index}]", wall=0.0, attempts=0, steps=0,
-                cached=True, error=owned.error,
-            )
-            if progress is not None:
-                progress(index, results[index])
-            continue
-        results[index] = JobResult(
-            skew=owned.skew, vmin_y1=owned.vmin_y1, vmin_y2=owned.vmin_y2,
-            code=owned.code, steps=owned.steps, attempts=owned.attempts,
-            cached=True, escalations=owned.escalations,
-        )
+            steps, error = 0, owned.error
+        else:
+            results[index] = replace(owned, cached=True, kernel=(), prefix=())
+            steps, error = owned.steps, None
         telemetry.record_job(
-            f"job[{index}]", wall=0.0, attempts=0,
-            steps=owned.steps, cached=True,
+            f"job[{index}]", wall=0.0, attempts=0, steps=steps,
+            cached=True, error=error,
         )
         if progress is not None:
             progress(index, results[index])
@@ -801,57 +758,89 @@ def run_campaign(
     return CampaignResult(results=results, telemetry=telemetry)
 
 
+def _replay(
+    key: Optional[str],
+    label: str,
+    telemetry: Telemetry,
+    cache: Optional[ResultCache],
+    journal: Optional[CheckpointJournal],
+    journalled: Dict[str, Dict[str, Any]],
+) -> Optional[JobResult]:
+    """The stored result of ``key``, or ``None`` when it must be computed.
+
+    Tries the resumed journal first, then the cache (counting the
+    lookup); a cache hit is journalled, so a later resume finds it.
+    Either hit is recorded in ``telemetry`` as ``resumed`` or
+    ``cached``.
+    """
+    if key in journalled:
+        result = JobResult.from_payload(journalled[key], resumed=True)
+    elif cache is not None:
+        payload = cache.get(key)
+        telemetry.record_cache(payload is not None)
+        if payload is None:
+            return None
+        result = JobResult.from_payload(payload, cached=True)
+        if journal is not None:
+            journal.record(key, result.to_payload())
+    else:
+        return None
+    telemetry.record_job(
+        label, wall=0.0, attempts=0, steps=result.steps,
+        cached=result.cached, resumed=result.resumed,
+    )
+    return result
+
+
 def _assimilate(
-    outcome: _Outcome,
-    jobs: List[SensorJob],
-    keys: List[Optional[str]],
-    results: List[Optional[Union[JobResult, JobError]]],
+    outcome: Outcome,
+    job: SensorJob,
+    key: Optional[str],
+    label: str,
     telemetry: Telemetry,
     cache: Optional[ResultCache],
     journal: Optional[CheckpointJournal],
     on_error: str,
-) -> None:
-    """Fold one worker outcome into results, telemetry, cache, journal.
+) -> Union[JobResult, JobError]:
+    """Fold one outcome into telemetry, cache and journal, and return
+    what fills its result slot.
 
-    In ``raise`` mode an error outcome re-raises the original exception
-    type with its diagnostics (and the job descriptor for timeouts and
-    crashes) after the journal has been updated for every job that
-    finished before it.
+    In ``raise`` mode an error outcome re-raises its exception (with
+    the job descriptor on timeouts and crashes), after the journal has
+    been updated for every job that finished before it; in ``collect``
+    mode it becomes a :class:`~repro.errors.JobError`.
     """
-    index, status = outcome[0], outcome[1]
-    if status == "ok":
-        _, _, result, wall, attempts = outcome
-        results[index] = JobResult(
-            skew=result.skew, vmin_y1=result.vmin_y1, vmin_y2=result.vmin_y2,
-            code=result.code, steps=result.steps, attempts=attempts,
-            cached=False, escalations=result.escalations,
-            kernel=result.kernel, prefix=result.prefix,
-        )
+    error = outcome.error
+    if error is None:
+        result = replace(outcome.result, attempts=outcome.attempts,
+                         cached=False)
         telemetry.record_job(
-            f"job[{index}]", wall=wall, attempts=attempts,
+            label, wall=outcome.wall, attempts=outcome.attempts,
             steps=result.steps, cached=False,
             escalations=result.escalation_counts,
             kernel=result.kernel_counts,
         )
         if result.prefix:
             telemetry.record_prefix(dict(result.prefix))
-        if cache is not None and keys[index] is not None:
-            cache.put(keys[index], results[index].to_payload())
-        if journal is not None and keys[index] is not None:
-            journal.record(keys[index], results[index].to_payload())
-        return
+        if key is not None:
+            payload = result.to_payload()
+            if cache is not None:
+                cache.put(key, payload)
+            if journal is not None:
+                journal.record(key, payload)
+        return result
 
-    _, _, name, message, diagnostics, wall, attempts = outcome
+    name = type(error).__name__
     telemetry.record_job(
-        f"job[{index}]", wall=wall, attempts=attempts, steps=0,
+        label, wall=outcome.wall, attempts=outcome.attempts, steps=0,
         cached=False, error=name,
     )
     if on_error == "raise":
-        error = rebuild_error(name, message, diagnostics)
         if isinstance(error, (CampaignTimeoutError, WorkerCrashError)):
-            error.job = jobs[index]
+            error.job = job
         raise error
-    results[index] = JobError(
-        index=index, job=jobs[index], error=name, message=message,
-        diagnostics=dict(diagnostics), attempts=attempts, wall=wall,
+    return JobError(
+        index=outcome.index, job=job, error=name, message=error.message,
+        diagnostics=error.diagnostics.as_dict(), attempts=outcome.attempts,
+        wall=outcome.wall,
     )

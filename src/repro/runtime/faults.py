@@ -196,13 +196,6 @@ class FaultInjector:
                 self._fired[site] = fired + 1
             return fire
 
-    def reset_streams(self) -> None:
-        """Restart every site's decision stream (fresh, same seed)."""
-        with self._lock:
-            self._rngs.clear()
-            self._checked.clear()
-            self._fired.clear()
-
     def stats(self) -> Dict[str, Any]:
         """Checked/fired tallies per site (``/metrics`` payload half)."""
         with self._lock:

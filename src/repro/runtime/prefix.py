@@ -39,6 +39,12 @@ ends.  This module exploits that:
 each distinct prefix once and returns one checkpoint per job, so one
 stack can hold the jobs of many samples that share a fork time.
 
+A campaign plans its prefixes once, before dispatch:
+:func:`prepare_prefixes` builds each missing prefix in the parent
+process (the serial and process backends), and
+:func:`publish_prefixes` - the batch dispatcher's pass - adds the disk
+re-put that serves shard workers.
+
 Warm results are keyed (and cached) under ``SensorJob.warm_start=True``
 identities, disjoint from cold results: disabling warm start (pass
 ``warm_start=False``) reproduces the cold full-horizon evaluation
@@ -48,7 +54,7 @@ bit-identically.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analog.engine import TransientCheckpoint, transient
 from repro.core.response import measurement_windows, read_response
@@ -133,25 +139,6 @@ def prefix_key(job: SensorJob) -> str:
     return stable_key(prefix_signature(job), namespace=PREFIX_NAMESPACE)
 
 
-def group_by_prefix(
-    jobs: Iterable[SensorJob],
-) -> "Dict[str, List[SensorJob]]":
-    """Plan a campaign: warm-eligible jobs grouped by prefix key.
-
-    First-seen order is preserved; jobs that are cold (``warm_start``
-    off) or ineligible are left out.  Two jobs land in the same group
-    only when *every* skew-invariant field matches - the planner test
-    proves differing non-tau parameters never merge.
-    """
-    groups: Dict[str, List[SensorJob]] = {}
-    for job in jobs:
-        resolved = job.resolved()
-        if not (resolved.warm_start and warm_eligible(resolved)):
-            continue
-        groups.setdefault(prefix_key(resolved), []).append(job)
-    return groups
-
-
 def prefix_checkpoint(
     resolved: SensorJob,
 ) -> Tuple[TransientCheckpoint, Dict[str, float]]:
@@ -159,8 +146,9 @@ def prefix_checkpoint(
 
     Returns ``(checkpoint, stats)``: ``{"hits": 1}`` on a cache hit;
     after a fresh build, ``builds``, the wall seconds spent building
-    (``build_s``) and the build's engine step and escalation counts
-    (``steps``, plus ``esc:<rung>`` entries).
+    (``build_s``) and the build's solver-ladder counts (``esc:<rung>``
+    entries, which :meth:`~repro.runtime.telemetry.Telemetry.record_prefix`
+    folds into ``ladder_rungs``).
     """
     fork = fork_time(resolved)
     key = prefix_key(resolved)
@@ -180,13 +168,9 @@ def prefix_checkpoint(
     )
     checkpoint = result.checkpoint
     cache.put(key, checkpoint.to_payload())
-    stats: Dict[str, float] = {
-        "builds": 1.0,
-        "build_s": watch.elapsed(),
-        "steps": float(len(result.times) - 1),
-    }
+    stats: Dict[str, float] = {"builds": 1.0, "build_s": watch.elapsed()}
     for rung, count in result.escalations.items():
-        stats[f"esc:{rung}"] = stats.get(f"esc:{rung}", 0.0) + count
+        stats[f"esc:{rung}"] = float(count)
     return checkpoint, stats
 
 
@@ -206,7 +190,7 @@ def warm_plan(
     counts ``hits`` (every job with a checkpoint but those that paid a
     build), ``builds`` and ``saved_s``: each such job's skipped tail
     after its ``fall_start``, plus the prefix once per hit.  The builds'
-    own ``build_s``, ``steps`` and ``esc:<rung>`` counts ride along.
+    own ``build_s`` and ``esc:<rung>`` counts ride along.
     """
     keys = [prefix_key(job) for job in jobs]
     by_key: Dict[str, Optional[TransientCheckpoint]] = {}
@@ -245,7 +229,8 @@ def evaluate_job_warm(job: SensorJob) -> JobResult:
     per-job deterministic), so the result is cacheable under the job's
     ``warm_start=True`` key like any other.  Falls back to the cold
     evaluator when the job is warm-ineligible.  ``steps`` and
-    ``escalations`` include those of a prefix this call built.
+    ``escalations`` describe the suffix run only, whether or not this
+    call built the prefix; a build's counts travel in ``prefix``.
     """
     resolved = job.resolved()
     if not warm_eligible(resolved):
@@ -265,80 +250,76 @@ def evaluate_job_warm(job: SensorJob) -> JobResult:
         resolved.skew, resolved.slew1, resolved.slew2,
         resolved.period, resolved.settle, resolved.threshold,
     )
-    escalations = dict(result.escalations)
-    for name in [name for name in prefix if name.startswith("esc:")]:
-        rung = name[4:]
-        escalations[rung] = escalations.get(rung, 0) + int(prefix.pop(name))
-    steps = len(result.times) - 1 + int(prefix.pop("steps", 0))
     return JobResult(
         skew=resolved.skew,
         vmin_y1=vmin_y1,
         vmin_y2=vmin_y2,
         code=code,
-        steps=steps,
-        escalations=tuple(sorted(escalations.items())),
+        steps=len(result.times) - 1,
+        escalations=tuple(sorted(result.escalations.items())),
         kernel=tuple(sorted(result.kernel_stats.items())),
         prefix=tuple(sorted(prefix.items())),
     )
 
 
-def _build_prefix(job: SensorJob, telemetry: Optional[Telemetry]) -> bool:
-    """Integrate ``job``'s prefix here and now; ``False`` if that fails.
-
-    A failure is left to the per-job evaluation, which surfaces it
-    through the executor's normal retry/on_error machinery.
-    """
-    try:
-        _, stats = prefix_checkpoint(job.resolved())
-    except SimulationError:
-        return False
-    if telemetry is not None:
-        telemetry.record_prefix(stats)
-    return True
-
-
 def prepare_prefixes(
     jobs: Sequence[SensorJob], telemetry: Optional[Telemetry] = None
 ) -> int:
-    """Ensure every prefix group's checkpoint exists before dispatch.
+    """Build every missing warm prefix of ``jobs`` once, before dispatch.
 
-    Called by :func:`repro.runtime.executor.run_campaign` on the pending
-    (post-cache) work items: each group's shared prefix is integrated
-    once *in the parent process*, so fork-started worker pools inherit
-    it through the memory tier and the serial backend hits it directly.
-    A worker that misses anyway (a spawn context with the disk tier
-    off) builds its own - correctness never depends on this warm-up.
-    Returns the number of prefixes built.
+    The campaign's planner pass, run *in the parent process* so
+    fork-started worker pools inherit each checkpoint through the memory
+    tier and serial evaluations hit it directly.  Keys the checkpoint
+    tier already holds are skipped before :func:`prefix_checkpoint` is
+    called.  A failing build is left to the per-job evaluation, which
+    surfaces it through the executor's retry/on_error machinery, and a
+    worker that misses anyway builds its own - correctness never depends
+    on this warm-up.  Returns the number of prefixes built.
     """
     built = 0
     cache = get_checkpoint_cache()
-    for key, group in group_by_prefix(jobs).items():
-        if cache.get(key) is None:
-            built += _build_prefix(group[0], telemetry)
+    seen: Set[str] = set()
+    for job in jobs:
+        resolved = job.resolved()
+        if not (resolved.warm_start and warm_eligible(resolved)):
+            continue
+        key = prefix_key(resolved)
+        if key in seen:
+            continue
+        seen.add(key)
+        if cache.get(key) is not None:
+            continue
+        try:
+            _, stats = prefix_checkpoint(resolved)
+        except SimulationError:
+            continue
+        if telemetry is not None:
+            telemetry.record_prefix(stats)
+        built += 1
     return built
 
 
 def publish_prefixes(
     jobs: Sequence[SensorJob], telemetry: Optional[Telemetry] = None
 ) -> int:
-    """Make every prefix group's checkpoint available to shard workers.
+    """:func:`prepare_prefixes`, then make sure every warm prefix of
+    ``jobs`` is on disk too.
 
-    The sharded batch dispatcher calls this immediately before fanning
-    stacks out over a process pool.  It is :func:`prepare_prefixes` plus
-    one guarantee: when a disk tier is configured, the checkpoint ends
-    up *on disk*, not just in the parent's memory tier (a checkpoint
-    that reached only the memory tier is re-``put``).  Forked workers
-    inherit the memory tier either way; the disk copy also serves
-    spawn-context workers and later processes.  Returns the number of
-    groups built or re-published.
+    The batch dispatcher's planner pass.  When a disk tier is
+    configured, a checkpoint that only the parent's memory tier holds is
+    re-``put``: forked shard workers inherit the memory tier either way,
+    and the disk copy also serves spawn-context workers and later
+    processes.  Returns the number of prefixes built or re-published.
     """
-    published = 0
+    published = prepare_prefixes(jobs, telemetry)
     cache = get_checkpoint_cache()
-    for key, group in group_by_prefix(jobs).items():
+    if not cache.disk_enabled:
+        return published
+    resolved = [job.resolved() for job in jobs]
+    for key in {prefix_key(job) for job in resolved
+                if job.warm_start and warm_eligible(job)}:
         payload = cache.get(key)
-        if payload is None:
-            published += _build_prefix(group[0], telemetry)
-        elif cache.disk_enabled and not cache.on_disk(key):
+        if payload is not None and not cache.on_disk(key):
             cache.put(key, payload)
             published += 1
     return published

@@ -204,16 +204,23 @@ class Telemetry:
     def record_prefix(self, stats: Mapping[str, float]) -> None:
         """Fold prefix warm-start counters into the totals.
 
-        Accepts the keyed tuples/dicts the warm evaluator emits:
-        ``hits`` / ``builds`` (counts), ``build_s`` (wall seconds spent
-        integrating shared prefixes) and ``saved_s`` (simulated seconds
-        the warm path did not re-integrate).
+        Accepts the keyed tuples/dicts the warm evaluator and the
+        planner emit: ``hits`` / ``builds`` (counts), ``build_s`` (wall
+        seconds spent integrating shared prefixes), ``saved_s``
+        (simulated seconds the warm path did not re-integrate) and the
+        builds' ``esc:<rung>`` solver-ladder counts, which join
+        :attr:`ladder_rungs` - so each build's rungs count once, on
+        whichever path built it.
         """
         stats = dict(stats)
         self.prefix_hits += int(stats.get("hits", 0))
         self.prefix_builds += int(stats.get("builds", 0))
         self.prefix_build_s += float(stats.get("build_s", 0.0))
         self.prefix_saved_time_s += float(stats.get("saved_s", 0.0))
+        self.record_escalations({
+            name[4:]: count for name, count in stats.items()
+            if name.startswith("esc:")
+        })
 
     def record_batch(self, samples: int, fallbacks: int = 0) -> None:
         """Count one batch-engine stack: ``samples`` results produced in
@@ -228,7 +235,7 @@ class Telemetry:
         """Record the resolved batch-dispatch shape: ``stack_size``
         samples per lockstep stack fanned out over ``workers`` shard
         processes; ``auto`` marks a stack size chosen by the dispatcher's
-        memory/fan-out heuristic rather than an explicit setting.  Benches
+        fan-out heuristic rather than an explicit setting.  Benches
         read these back so BENCH JSON reports the size actually used."""
         self.batch_stack_size = int(stack_size)
         self.batch_workers = int(workers)

@@ -397,7 +397,12 @@ class CampaignScheduler:
             "campaigns_executed": executed,
             "scheduler": self.liveness(),
             "journal_quarantined": self.store.quarantined,
-            "telemetry": self.telemetry.as_dict(),
+            # Aggregates only: the per-job records grow with every job
+            # the service has run (and their labels repeat per campaign).
+            "telemetry": {
+                name: block for name, block in self.telemetry.as_dict().items()
+                if name != "records"
+            },
         }
         injector = get_injector()
         if injector.active:

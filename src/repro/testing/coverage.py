@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,3 @@ def coverage(outcomes: Iterable[bool]) -> CoverageSummary:
     outcomes = list(outcomes)
     return CoverageSummary(total=len(outcomes), detected=sum(outcomes))
 
-
-def coverage_table(
-    groups: Dict[str, List[Tuple[bool, bool]]]
-) -> List[Tuple[str, CoverageSummary, CoverageSummary]]:
-    """Per-kind coverage with and without IDDQ.
-
-    ``groups`` maps fault kind to ``(detected_logic, detected_any)`` pairs.
-    """
-    rows = []
-    for kind, outcomes in groups.items():
-        logic = coverage(flag for flag, _ in outcomes)
-        with_iddq = coverage(flag for _, flag in outcomes)
-        rows.append((kind, logic, with_iddq))
-    return rows

@@ -16,7 +16,7 @@ import pytest
 from repro.analog.engine import TransientOptions, transient
 from repro.core.sensing import SkewSensor
 from repro.devices.sources import clock_pair
-from repro.errors import ConvergenceError, JobError
+from repro.errors import ConvergenceError, JobError, StepSizeUnderflowError
 from repro.faults.models import NodeStuckAt, TransistorStuckOn
 from repro.runtime import JobResult, SensorJob, Telemetry, run_campaign
 from repro.units import ns
@@ -112,9 +112,14 @@ def test_mixed_campaign_keeps_order_and_collects_only_failures():
     assert campaign[2].skew == jobs[2].skew
 
 
-def test_raise_mode_still_aborts_with_diagnostics():
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_raise_mode_still_aborts_with_diagnostics(backend):
+    # On the process backend the ConvergenceError comes back from the
+    # worker inside its pickled Outcome, class and diagnostics intact.
     with pytest.raises(ConvergenceError) as excinfo:
-        run_campaign(_jobs(0.1), evaluate=_evaluate_stuck_node, retries=0)
+        run_campaign(_jobs(0.1, 0.3), backend=backend, max_workers=2,
+                     evaluate=_evaluate_stuck_node, retries=0)
+    assert type(excinfo.value) is StepSizeUnderflowError
     diag = excinfo.value.diagnostics
     assert "stuck-at-1" in diag.circuit
     assert diag.sim_time >= 0.0

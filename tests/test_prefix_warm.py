@@ -43,8 +43,8 @@ from repro.faults.models import TransistorStuckOn
 from repro.runtime import (
     Telemetry,
     evaluate_job,
-    group_by_prefix,
     prefix_key,
+    prepare_prefixes,
     sensitivity_job,
 )
 from repro.units import fF, ns
@@ -191,15 +191,40 @@ def test_planner_merges_tau_and_slew_only():
     cold = sensitivity_job(fF(160), ns(0.2), ns(0.15), options=FAST,
                            warm_start=False)
 
-    groups = group_by_prefix(shared + different + [cold])
+    # Jobs differing only in tau / slew share one prefix key.
     shared_key = prefix_key(shared[0])
-    assert [job.skew for job in groups[shared_key]] == \
-        [job.skew for job in shared]
-    # Every job with a differing non-tau field lands in its own group.
+    assert {prefix_key(job) for job in shared} == {shared_key}
+    # Every job with a differing non-tau field gets its own key.
     keys = [prefix_key(job) for job in different]
     assert len(set(keys) | {shared_key}) == len(different) + 1
     # Cold jobs are never planned.
-    assert sum(len(g) for g in groups.values()) == len(shared) + len(different)
+    assert prepare_prefixes([cold]) == 0
+
+
+def test_prefix_build_escalations_count_once_on_every_path(monkeypatch):
+    # A warm result describes its own suffix run: whether the point path
+    # builds the prefix itself, hits it, or a campaign planner built it,
+    # steps and escalations agree, and the build's solver rungs land in
+    # the telemetry of whichever path paid for it.
+    from repro.runtime import evaluate_cached, reset_cache, run_campaign
+
+    monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+    job = sensitivity_job(fF(120), ns(0.2), ns(0.1), options=FAST)
+    try:
+        reset_cache()
+        point = Telemetry()
+        built = evaluate_cached(job, cache=None, telemetry=point)
+        hit = evaluate_cached(job, cache=None)
+        reset_cache()
+        campaign = Telemetry()
+        (planned,) = run_campaign([job], cache=None, telemetry=campaign)
+    finally:
+        reset_cache()
+    for result in (hit, planned):
+        assert result.steps == built.steps
+        assert result.escalations == built.escalations
+    assert point.ladder_rungs.get("dcop:direct") == 1
+    assert campaign.ladder_rungs.get("dcop:direct") == 1
 
 
 def test_factory_default_is_warm():

@@ -292,6 +292,25 @@ def test_prune_spans_stale_version_namespaces(tmp_path):
     assert (live.disk_dir / ("b" * 64 + ".json")).exists()
 
 
+def test_prune_evicts_only_the_result_tier(fresh_cache):
+    from repro.runtime import get_cache, get_checkpoint_cache
+
+    # The default root also holds the service's campaign files and the
+    # checkpoint tier; a result-tier budget must leave both alone.
+    service_file = fresh_cache / "service" / "campaigns" / "c1" / "result.json"
+    service_file.parent.mkdir(parents=True)
+    service_file.write_text('{"kind": "synthetic"}')
+    checkpoints = get_checkpoint_cache()
+    checkpoints.put("c" * 64, {"t": 1.0})
+    results = get_cache()
+    results.put("r" * 64, {"x": 1})
+    results.prune(max_bytes=0)
+    assert service_file.exists()
+    assert checkpoints.on_disk("c" * 64)
+    assert not results.on_disk("r" * 64)
+    assert results.disk_total_bytes() == 0
+
+
 # --------------------------------------------------------------------- #
 # Tenant namespaces
 # --------------------------------------------------------------------- #

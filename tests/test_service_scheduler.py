@@ -166,13 +166,21 @@ def test_quota_rejection(tmp_path, synthetic_kind):
 
 def test_metrics_shape(scheduler):
     scheduler.start()
-    record = scheduler.submit({"kind": "synthetic", "jobs": 2})
-    wait_terminal(scheduler, record.campaign_id)
+    for _ in range(2):
+        record = scheduler.submit({"kind": "synthetic", "jobs": 2})
+        wait_terminal(scheduler, record.campaign_id)
+    # A campaign counts as executed once its telemetry is merged, which
+    # happens just after its store record turns terminal.
+    assert wait_for(lambda: scheduler.metrics()["campaigns_executed"] == 2)
     metrics = scheduler.metrics()
-    assert metrics["campaigns"]["done"] == 1
+    assert metrics["campaigns"]["done"] == 2
     assert metrics["queue_depth"] == 0
-    assert metrics["campaigns_executed"] == 1
-    assert metrics["telemetry"]["jobs"]["total"] == 2
+    assert metrics["campaigns_executed"] == 2
+    telemetry = metrics["telemetry"]
+    assert telemetry["jobs"]["total"] == 4
+    # Aggregates only: no per-job records growing with every campaign.
+    assert "records" not in telemetry
+    assert {"jobs", "engine", "wall_s"} <= set(telemetry)
 
 
 def test_restart_scheduler_picks_up_pending(tmp_path, synthetic_kind):
