@@ -16,9 +16,9 @@ the throughputs land in ``out/BENCH_fig4_sensitivity.json``.
 Warm-start coverage: the serial and batch legs run with prefix
 warm-start on (the default), a cold serial reference leg
 (``warm_start=False``) pins the ``tau_min`` deviation of the warm path
-at the sub-picosecond level, and a bisection leg times
-``extract_tau_min`` warm vs cold (every probe of the warm bisection
-forks the same cached prefix checkpoint).
+at the sub-picosecond level, and a ``tau_min`` leg times
+``extract_tau_min`` warm vs cold (every probe of the warm search forks
+the same cached prefix checkpoint).
 """
 
 import numpy as np
@@ -145,7 +145,7 @@ def test_fig4_vmin_vs_skew(benchmark):
         f"warm-start tau_min deviates {warm_deltas.max() * 1e12:.3f} ps"
     )
     assert abs(leg["tau_warm"] - leg["tau_cold"]) <= TAU_WARM_TOL, (
-        "warm bisection changed the returned tau_min"
+        "warm search changed the returned tau_min"
     )
 
     lines = [

@@ -36,9 +36,7 @@ def run():
         clk_to_q=ns(0.2), setup=ns(0.1), hold=ns(0.05),
     )
     target = recommend_sensitivity(budget, margin=0.8)
-    vth = tune_threshold(
-        target, LOAD, tolerance=ns(0.005), options=BENCH_OPTIONS
-    )
+    vth = tune_threshold(target, LOAD, options=BENCH_OPTIONS)
     achieved = extract_tau_min(
         LOAD, threshold=vth, tolerance=ns(0.005), options=BENCH_OPTIONS
     )

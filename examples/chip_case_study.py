@@ -59,7 +59,7 @@ def main():
         clk_to_q=ns(0.2), setup=ns(0.1), hold=ns(0.05),
     )
     target = recommend_sensitivity(budget, margin=0.8)
-    vth = tune_threshold(target, fF(160), tolerance=ns(0.01))
+    vth = tune_threshold(target, fF(160))
     tau_min = extract_tau_min(fF(160), threshold=vth, tolerance=ns(0.01))
     print(f"3.   skew budget [{to_ns(budget.min_skew):+.2f}, "
           f"{to_ns(budget.max_skew):+.2f}] ns -> tuned Vth = {vth:.2f} V, "

@@ -204,12 +204,12 @@ def mosfet_scatter_plan(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Memoized :func:`build_mosfet_scatter` keyed on the topology.
 
-    Bisection and serial sweeps recompile the same sensor topology for
-    every probe; the scatter plan depends only on connectivity, so one
-    module-level LRU (shared by the scalar and batch kernels) hands the
-    identical plan back.  The returned arrays are shared across kernels
-    and must be treated as read-only - both kernels only gather from
-    them.
+    ``tau_min`` searches and serial sweeps recompile the same sensor
+    topology for every probe; the scatter plan depends only on
+    connectivity, so one module-level LRU (shared by the scalar and
+    batch kernels) hands the identical plan back.  The returned arrays
+    are shared across kernels and must be treated as read-only - both
+    kernels only gather from them.
     """
     return _scatter_plan_cached(
         int(n),

@@ -17,9 +17,10 @@ machine and tunes the sensor to it:
 * :func:`recommend_sensitivity` - the largest ``tau_min`` that still
   catches every dangerous skew, with a safety margin;
 
-* :func:`tune_threshold` - solve for the interpretation threshold ``Vth``
-  that realises a requested ``tau_min`` on a given sensor (the paper's
-  first knob), by bisection on the measured sensitivity.
+* :func:`tune_threshold` - the interpretation threshold ``Vth`` that
+  realises a requested ``tau_min`` on a given sensor (the paper's first
+  knob).  ``tau_min`` is where ``Vmin(tau)`` crosses ``Vth``, so that
+  threshold is ``Vmin`` at the requested skew: one probe.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional
 
 from repro.analog.engine import TransientOptions
 from repro.core.sensing import SensorSizing
-from repro.core.sensitivity import extract_tau_min
+from repro.core.sensitivity import vmin_for_skew
 from repro.devices.process import ProcessParams
 from repro.units import ns
 
@@ -103,36 +104,28 @@ def tune_threshold(
     process: Optional[ProcessParams] = None,
     vth_lo: float = 1.2,
     vth_hi: float = 4.2,
-    tolerance: float = ns(0.005),
     options: Optional[TransientOptions] = None,
 ) -> float:
     """Interpretation threshold realising ``target_tau_min``.
 
-    ``tau_min`` grows monotonically with ``Vth`` (see the threshold
-    ablation), so a bisection on measured sensitivity converges.  Raises
-    ``ValueError`` when the target is outside the achievable range for
-    this sizing/load.
+    :func:`~repro.core.sensitivity.extract_tau_min` at threshold ``Vth``
+    finds the skew where ``Vmin(tau) = Vth``, and ``Vmin`` rises
+    monotonically with ``tau``, so the threshold whose ``tau_min`` is
+    the target is ``Vmin(target_tau_min)``: one
+    :func:`~repro.core.sensitivity.vmin_for_skew` probe at
+    ``extract_tau_min``'s default 0.2 ns slew.  By the same
+    monotonicity, the targets reachable with a threshold in
+    ``[vth_lo, vth_hi]`` are exactly those whose ``Vmin`` lies in it;
+    any other target raises ``ValueError``.
     """
-    def measured(vth: float) -> float:
-        return extract_tau_min(
-            load, sizing=sizing, process=process, threshold=vth,
-            tolerance=tolerance, options=options,
-        )
-
-    lo_val = measured(vth_lo)
-    hi_val = measured(vth_hi)
-    if not lo_val <= target_tau_min <= hi_val:
+    vth = vmin_for_skew(
+        target_tau_min, load, ns(0.2), sizing=sizing, process=process,
+        options=options,
+    )
+    if not vth_lo <= vth <= vth_hi:
         raise ValueError(
-            f"target tau_min {target_tau_min:.3e} s outside achievable "
-            f"range [{lo_val:.3e}, {hi_val:.3e}] for this sensor"
+            f"target tau_min {target_tau_min:.3e} s needs Vth = {vth:.3f} V, "
+            f"outside the achievable range [{vth_lo}, {vth_hi}] V for this "
+            "sensor"
         )
-    lo, hi = vth_lo, vth_hi
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        if measured(mid) < target_tau_min:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 0.02:
-            break
-    return 0.5 * (lo + hi)
+    return vth

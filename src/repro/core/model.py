@@ -104,13 +104,16 @@ def estimate_tau_min(
 ) -> float:
     """Closed-form sensitivity estimate, seconds.
 
-    ``tau_min ~= RACE_FACTOR * C_total * (Vth - VTn) / I_fall`` - compare
-    against :func:`repro.core.sensitivity.extract_tau_min` for the
-    measured value.  Validity: within ~10 % across the paper's load
-    (80-240 fF) and sizing (1.2-8 um) sweeps at the nominal threshold;
-    the Vth *direction* is correct but its slope is underpredicted (the
-    effective stack current varies along the dip), so use the threshold
-    ablation bench for quantitative Vth tuning.
+    ``tau_min ~= RACE_FACTOR * C_total * (Vth - VTn) / I_fall``.  It
+    seeds the crossing search of
+    :func:`repro.core.sensitivity.extract_tau_min`, which measures the
+    value; a wrong estimate there costs probes, not accuracy.
+    Validity: within ~10 % across the paper's load (80-240 fF) and
+    sizing (1.2-8 um) sweeps at the nominal threshold; the Vth
+    *direction* is correct but its slope is underpredicted (the
+    effective stack current varies along the dip), so quantitative Vth
+    tuning measures ``Vmin`` instead
+    (:func:`repro.clocktree.budget.tune_threshold`).
     """
     process = process or nominal_process()
     c_total = effective_output_capacitance(load, sizing, process)

@@ -7,9 +7,16 @@ threshold: larger skews are flagged, smaller ones tolerated.  The paper
 observes ``tau_min`` growing with load capacitance and nearly independent of
 clock slew.
 
+:func:`extract_tau_min` finds that crossing with a search seeded by the
+closed-form :func:`repro.core.model.estimate_tau_min`: it probes a +-20 %
+bracket around the estimate, widens it geometrically while a sign check
+fails, and closes it with Illinois (modified regula falsi) steps to a
+bracket no wider than ``tolerance``.  The estimate only places the first
+probes; the answer rests on the probes alone.
+
 All evaluations route through :mod:`repro.runtime`: every operating point
 is content-addressed in the result cache (so a repeated sweep or a
-bisection revisiting a point costs a lookup, not a transient), and
+search revisiting a point costs a lookup, not a transient), and
 :func:`sweep_skew` / :func:`sensitivity_family` accept a ``backend`` to
 fan the independent points out over worker processes or stack them
 into lockstep batches; both run the grid of :func:`sensitivity_grid`,
@@ -20,12 +27,14 @@ lazily inside the functions - ``repro.runtime`` itself imports from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analog.engine import TransientOptions
+from repro.core.model import estimate_tau_min
 from repro.core.sensing import SensorSizing  # noqa: F401 (re-exported legacy name)
 from repro.devices.process import ProcessParams
 from repro.units import VTH_INTERPRET, ns
@@ -194,32 +203,94 @@ def extract_tau_min(
     telemetry: Any = None,
     warm_start: Optional[bool] = None,
 ) -> float:
-    """Sensitivity ``tau_min`` by bisection on the ``Vmin`` crossing.
+    """Sensitivity ``tau_min``: the skew in ``(0, tau_hi]`` where ``Vmin``
+    crosses ``threshold``.
 
     More precise than reading it off a coarse sweep; used wherever a single
-    number per load is needed (Tab. 1 classification, ablations).  Each
-    bisection point is cached, so repeated extractions (and overlapping
-    brackets) replay instead of re-integrating.
+    number per load is needed (Tab. 1 classification, ablations).  The
+    search (:func:`_crossing`) is seeded by the closed-form
+    :func:`repro.core.model.estimate_tau_min`, which only places the
+    first probes: a wrong estimate, or one that raises (``threshold`` at
+    or below ``VTn``), costs probes, never accuracy.  The final bracket
+    is no wider than ``tolerance`` and its midpoint is returned;
+    ``tau = 0`` is never probed.  Every probe is a :func:`vmin_for_skew`
+    call, so it is cached and forks the warm prefix, and repeated
+    extractions replay instead of re-integrating.
+
+    Raises ``ValueError`` for ``tolerance <= 0`` or ``tau_hi <= 0``
+    (before any probe), and when ``Vmin`` at ``tau_hi`` does not exceed
+    ``threshold``.
     """
-    def vmin(tau: float) -> float:
+    if tolerance <= 0 or tau_hi <= 0:
+        raise ValueError(
+            f"tolerance ({tolerance:.3e} s) and tau_hi ({tau_hi:.3e} s) "
+            "must be positive"
+        )
+    try:
+        guess = estimate_tau_min(load, sizing, process, threshold)
+    except ValueError:
+        guess = 0.5 * tau_hi
+
+    def excess(tau: float) -> float:
         return vmin_for_skew(
             tau, load, slew, process=process, sizing=sizing, options=options,
             cache=cache, telemetry=telemetry, warm_start=warm_start,
-        )
+        ) - threshold
 
-    lo, hi = 0.0, tau_hi
-    v_hi = vmin(hi)
-    if v_hi <= threshold:
-        raise ValueError(
-            f"Vmin at tau = {hi:.3e} s is {v_hi:.3f} V <= threshold; "
-            "increase tau_hi"
-        )
+    return _crossing(excess, guess, tau_hi, tolerance)
+
+
+def _crossing(
+    excess: Callable[[float], float],
+    guess: float,
+    tau_hi: float,
+    tolerance: float,
+) -> float:
+    """Where the increasing ``excess`` turns positive in ``(0, tau_hi]``.
+
+    Probes a +-20 % bracket around ``guess`` (clamped to
+    ``[tolerance, tau_hi]``), widens it geometrically while a sign check
+    fails, then closes it with Illinois (modified regula falsi) steps.
+    Each step lands at least ``tolerance / 2`` inside the bracket, so
+    once a step falls next to the root, one probe on its other side
+    ends the search.  ``excess(0)`` is taken as non-positive and never
+    probed; until a probe reads non-positive, the search halves the
+    lowest probe that read positive.  Returns the midpoint of a bracket
+    no wider than ``tolerance`` (floored at four float spacings of
+    ``tau_hi``, so every step moves an end and the search ends); raises
+    ``ValueError`` when ``excess(tau_hi)`` is not positive.
+    """
+    tolerance = max(tolerance, 4.0 * math.ulp(tau_hi))
+    guess = min(max(guess, tolerance), tau_hi)
+    lo, f_lo = 0.0, None
+    x, width = 0.8 * guess, 0.4 * guess
+    while (f := excess(x)) <= 0:
+        if x >= tau_hi:
+            raise ValueError(
+                f"no crossing up to tau_hi = {tau_hi:.3e} s (Vmin - "
+                f"threshold there is {f:.3f} V); increase tau_hi"
+            )
+        lo, f_lo = x, f
+        x, width = min(x + width, tau_hi), 2.0 * width
+    hi, f_hi = x, f
+    kept = None  # the end the previous step kept: "lo" or "hi"
     while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if vmin(mid) > threshold:
-            hi = mid
+        if f_lo is None:
+            x = 0.5 * hi
         else:
-            lo = mid
+            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        x = min(max(x, lo + 0.5 * tolerance), hi - 0.5 * tolerance)
+        f = excess(x)
+        if f > 0:
+            hi, f_hi = x, f
+            if kept == "lo" and f_lo is not None:
+                f_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, f_lo = x, f
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
     return 0.5 * (lo + hi)
 
 

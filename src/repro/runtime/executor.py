@@ -466,7 +466,7 @@ def evaluate_cached(
     """Single-job fast path: cache lookup, evaluate on miss, store.
 
     Used by the point evaluations (``vmin_for_skew`` and the
-    ``extract_tau_min`` bisection) where spinning up a campaign per call
+    ``extract_tau_min`` search) where spinning up a campaign per call
     would be pure overhead.  A hit replays through :func:`_replay` and a
     miss folds through :func:`_assimilate`, the steps
     :func:`run_campaign` takes for each of its jobs, under the label

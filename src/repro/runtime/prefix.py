@@ -11,9 +11,10 @@ ends.  This module exploits that:
    PREFIX_GUARD``.  The guard keeps the checkpoint strictly before the
    first clock corner, so the prefix sees only flat sources; making the
    fork a *per-job deterministic* function (rather than a per-campaign
-   ``min`` over the submitted taus) is what lets sequential bisection
-   probes - which arrive one at a time - share one cached prefix: every
-   job with ``tau >= 0`` forks at exactly ``settle - PREFIX_GUARD``.
+   ``min`` over the submitted taus) is what lets the sequential probes
+   of a ``tau_min`` search - which arrive one at a time - share one
+   cached prefix: every job with ``tau >= 0`` forks at exactly
+   ``settle - PREFIX_GUARD``.
 
 2. **Prefix key.**  The checkpoint is content-addressed on the
    skew-invariant job fields (loads, process, sizing, topology switches,
@@ -86,7 +87,7 @@ def fork_time(job: SensorJob) -> float:
     """Fork time of ``job``: just before its earliest clock corner.
 
     ``settle + min(0, tau) - PREFIX_GUARD``; deterministic per job (not
-    per campaign) so bisection probes submitted one at a time still land
+    per campaign) so search probes submitted one at a time still land
     on the same cached prefix when ``tau >= 0``.
     """
     resolved = job.resolved()

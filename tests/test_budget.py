@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clocktree import budget as budget_module
 from repro.clocktree.budget import (
     SkewBudget,
     recommend_sensitivity,
     skew_budget,
     tune_threshold,
 )
-from repro.core.sensitivity import extract_tau_min
+from repro.core.sensitivity import extract_tau_min, vmin_for_skew
 from repro.logicsim.synth import at_speed_test, build_pipeline
 from repro.units import fF, ns
 
@@ -93,13 +94,19 @@ def test_budget_agrees_with_event_simulation(skew_ps):
         assert not result["passed"], f"skew {skew} outside budget must fail"
 
 
-@pytest.mark.slow
-def test_tune_threshold_hits_target(fast_options):
-    """The Vth knob realises a requested tau_min within tolerance."""
+def test_tune_threshold_hits_target(fast_options, monkeypatch):
+    """The Vth knob realises a requested tau_min within tolerance, from
+    one Vmin probe."""
+    probes = []
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        return vmin_for_skew(*args, **kwargs)
+
+    monkeypatch.setattr(budget_module, "vmin_for_skew", counted)
     target = ns(0.15)
-    vth = tune_threshold(
-        target, fF(160), tolerance=ns(0.01), options=fast_options
-    )
+    vth = tune_threshold(target, fF(160), options=fast_options)
+    assert len(probes) == 1
     achieved = extract_tau_min(
         fF(160), threshold=vth, tolerance=ns(0.01), options=fast_options
     )
@@ -107,7 +114,6 @@ def test_tune_threshold_hits_target(fast_options):
     assert 2.0 < vth < 3.6
 
 
-@pytest.mark.slow
 def test_tune_threshold_rejects_unreachable(fast_options):
     with pytest.raises(ValueError):
         tune_threshold(ns(5.0), fF(160), options=fast_options)

@@ -1,15 +1,38 @@
 """Sensitivity analysis (Fig. 4 machinery)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import sensitivity
 from repro.core.sensitivity import (
     SensitivityCurve,
+    _crossing,
     extract_tau_min,
     sweep_skew,
     vmin_for_skew,
 )
+from repro.runtime import Telemetry
 from repro.units import VTH_INTERPRET, fF, ns
+
+TAU_HI = ns(2.0)
+TOLERANCE = ns(0.002)
+
+
+def bisection_tau_min(load, slew, options):
+    """The oracle: plain bisection of the ``Vmin`` crossing on
+    ``[0, TAU_HI]`` down to ``TOLERANCE``."""
+    lo, hi = 0.0, TAU_HI
+    while hi - lo > TOLERANCE:
+        mid = 0.5 * (lo + hi)
+        if vmin_for_skew(mid, load, slew, options=options) > VTH_INTERPRET:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def test_curve_tau_min_interpolates():
@@ -85,7 +108,6 @@ def test_tau_min_in_subnanosecond_band(fast_options):
     assert ns(0.03) < tau < ns(0.25)
 
 
-@pytest.mark.slow
 def test_tau_min_insensitive_to_slew(fast_options):
     """Fig. 4: 'the circuit is rather unsensitive to the slope of clock
     signal waveforms' - a 4x slew change moves tau_min by < 20 %."""
@@ -101,3 +123,102 @@ def test_tau_min_insensitive_to_slew(fast_options):
 def test_extract_tau_min_validates_bracket(fast_options):
     with pytest.raises(ValueError):
         extract_tau_min(fF(160), tau_hi=ns(0.001), options=fast_options)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(tolerance=0.0),
+    dict(tolerance=-TOLERANCE),
+    dict(tau_hi=-ns(1.0)),
+    dict(tau_hi=0.0),
+])
+def test_extract_tau_min_rejects_bad_search_range(bad, fast_options):
+    """A non-positive tolerance or tau_hi raises before any probe: a zero
+    tolerance never closes the bracket, and a negative tau_hi would
+    yield a negative tau_min."""
+    telemetry = Telemetry()
+    with pytest.raises(ValueError):
+        extract_tau_min(
+            fF(160), options=fast_options, telemetry=telemetry, **bad
+        )
+    assert telemetry.jobs_total == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    root=st.floats(min_value=0.0, max_value=TAU_HI,
+                   exclude_min=True, exclude_max=True),
+    width=st.floats(min_value=1e-15, max_value=1e-9),
+    seed_ratio=st.floats(min_value=1e-3, max_value=10.0),
+    tolerance=st.floats(min_value=1e-13, max_value=1e-11),
+)
+def test_crossing_brackets_root_of_monotone_curve(
+    root, width, seed_ratio, tolerance,
+):
+    """Whatever the seed, the answer is within tolerance / 2 of the root,
+    and every probe lies in (0, tau_hi]."""
+    probes = []
+
+    def excess(tau):
+        probes.append(tau)
+        return math.tanh((tau - root) / width)
+
+    tau = _crossing(excess, seed_ratio * root, TAU_HI, tolerance)
+    assert abs(tau - root) <= 0.5 * tolerance + math.ulp(TAU_HI)
+    assert all(0.0 < probe <= TAU_HI for probe in probes)
+
+
+def test_crossing_ends_below_float_resolution():
+    """A tolerance finer than the float spacing near tau_hi ends at that
+    spacing instead of probing the same float forever."""
+    root = ns(0.123)
+    tau = _crossing(
+        lambda tau: math.tanh((tau - root) / ns(0.01)), root, TAU_HI, 1e-30,
+    )
+    assert abs(tau - root) <= 4 * math.ulp(TAU_HI)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    root=st.floats(min_value=TAU_HI, max_value=10 * TAU_HI),
+    width=st.floats(min_value=1e-15, max_value=1e-9),
+    seed_ratio=st.floats(min_value=1e-3, max_value=10.0),
+)
+def test_crossing_raises_without_crossing(root, width, seed_ratio):
+    with pytest.raises(ValueError):
+        _crossing(
+            lambda tau: math.tanh((tau - root) / width),
+            seed_ratio * root, TAU_HI, TOLERANCE,
+        )
+
+
+@pytest.mark.parametrize("slew_ns", [0.1, 0.4])
+@pytest.mark.parametrize("load_ff", [80, 160, 240])
+def test_seeded_search_matches_bisection(load_ff, slew_ns, fast_options):
+    """Over the Fig. 4 loads, the seeded search agrees with bisection
+    within tolerance, in at most 6 probes (bisection takes 11)."""
+    telemetry = Telemetry()
+    tau = extract_tau_min(
+        fF(load_ff), ns(slew_ns), options=fast_options, cache=None,
+        telemetry=telemetry,
+    )
+    oracle = bisection_tau_min(fF(load_ff), ns(slew_ns), fast_options)
+    assert abs(tau - oracle) <= TOLERANCE
+    assert telemetry.jobs_total <= 6
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("no estimate")
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda *args, **kwargs: TOLERANCE,
+    lambda *args, **kwargs: 0.99 * TAU_HI,
+    _raise_value_error,
+], ids=["tolerance", "near-tau_hi", "raises"])
+def test_wrong_estimate_costs_probes_not_accuracy(
+    estimate, monkeypatch, fast_options,
+):
+    oracle = bisection_tau_min(fF(160), ns(0.2), fast_options)
+    monkeypatch.setattr(sensitivity, "estimate_tau_min", estimate)
+    tau = extract_tau_min(fF(160), options=fast_options)
+    assert abs(tau - oracle) <= TOLERANCE
