@@ -13,7 +13,9 @@ engine): the same fault is simulated on the fully expanded tree with
 sensors grafted, and the Elmore-predicted skews are compared against the
 electrically measured ones.  The discrepancy lands in the BENCH record
 (``elmore_discrepancy_max_s``) - it quantifies how much the behavioural
-campaign's delay model diverges from the transistor-level truth.
+campaign's delay model diverges from the transistor-level truth.  Claim
+A5 of ``tests/test_acceptance.py`` asserts the same shape claims on
+every tier-1 run.
 """
 
 import os

@@ -72,10 +72,14 @@ ESCALATION_RUNGS = ("step-halving", "damped-newton", "gmin-restart")
 MAX_RESCUES = 50
 
 #: Free-node count at which ``jacobian_policy="auto"`` switches from the
-#: dense modified-Newton path to the CSR/SparseLU path.  Crossover sits
-#: well below this in wall time, but the dense path is still tolerable
-#: there; past ~256 nodes the O(n^3) refactorizations dominate runs.
-SPARSE_AUTO_NODES = 256
+#: dense modified-Newton path to the CSR/SparseLU path: the dense/sparse
+#: break-even ``benchmarks/bench_whole_tree.py`` measures
+#: (``crossover_free_nodes`` of ``benchmarks/out/BENCH_whole_tree.json``,
+#: a power law fitted to the wall-time speedup of whole H-trees and
+#: grids from 43 to 185 free nodes).  Up to 67 free nodes the two paths
+#: lie within 14 % of each other either way; from 79 up sparse wins every
+#: recorded case, a 2-level H-tree (125) by 2.6x.
+SPARSE_AUTO_NODES = 58
 
 
 def resolve_jacobian_policy(
@@ -487,6 +491,10 @@ class DenseBackend:
     def dcop_solver(self) -> None:
         """Operating-point hook: ``None`` keeps the dense ladder."""
         return None
+
+    def kernel_stats(self) -> Dict[str, Any]:
+        """The run's counter snapshot."""
+        return self.stats.as_dict()
 
 
 class _NewtonWork:
@@ -1013,6 +1021,6 @@ def transient(
             source_currents[node] = current_array[:, circuit.node_index[node]].copy()
     return TransientResult(
         times=time_array, voltages=voltages, source_currents=source_currents,
-        escalations=escalations, kernel_stats=stats.as_dict(),
+        escalations=escalations, kernel_stats=lin.kernel_stats(),
         checkpoint=checkpoint,
     )

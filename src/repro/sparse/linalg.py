@@ -4,9 +4,11 @@
 it is constructed once per topology from a fixed CSR pattern
 (``indptr``/``indices``) and refactored from a fresh ``data`` vector
 whenever the engine's modified-Newton policy decides the cached factor
-went stale.  It factors with SuperLU (COLAMD ordering) from the
-``repro[sparse]`` extra; :attr:`SparseLU.fill_nnz` (``L.nnz + U.nnz``)
-feeds the kernel stats.
+went stale.  The CSR -> CSC layout is built once per pattern, so a
+refactorization is one gather into a fixed CSC template plus SuperLU
+(COLAMD ordering) from the ``repro[sparse]`` extra.  The fill gauge
+:meth:`SparseLU.fill_nnz` (``L.nnz + U.nnz``) builds both triangles as
+scipy matrices, so the engine reads it once per run.
 
 Without scipy, :func:`repro.analog.engine.resolve_jacobian_policy`
 routes ``"sparse"`` and ``"auto"`` to the dense backend and no
@@ -75,11 +77,15 @@ class SparseLU:
     n:
         System size (``n_free`` of the compiled circuit).
 
-    :meth:`factor` consumes a ``data`` vector laid out on that pattern;
-    :meth:`solve` applies the last factorization.  A singular system
-    never raises from ``solve``: the solution comes back non-finite and
-    the caller's step guard handles it, mirroring the dense engine's
-    ``raw_inv``.  Raises ``ImportError`` when scipy is unavailable.
+    The CSR -> CSC data permutation and the CSC index arrays are built
+    once here; :meth:`factor` gathers a ``data`` vector laid out on the
+    CSR pattern into the fixed CSC template and factors it, and
+    :meth:`solve` applies the last factorization.  SuperLU receives the
+    matrix ``csr_matrix(...).tocsc()`` would give it, bit for bit.  A
+    singular system never raises from ``solve``: the solution comes back
+    non-finite and the caller's step guard handles it, mirroring the
+    dense engine's ``raw_inv``.  Raises ``ImportError`` when scipy is
+    unavailable.
     """
 
     def __init__(
@@ -87,23 +93,20 @@ class SparseLU:
     ) -> None:
         if not scipy_available():
             raise ImportError("SparseLU needs scipy (pip install 'repro[sparse]')")
-        _, self._splu = scipy_splu()
-        self.n = int(n)
-        self.indptr = np.asarray(indptr, dtype=np.intp)
-        self.indices = np.asarray(indices, dtype=np.intp)
-        self.nnz = int(self.indices.size)
-        #: ``L.nnz + U.nnz`` of the last successful factorization - the
-        #: fill-in telemetry.
-        self.fill_nnz = 0
-        self._factor: Any = None
-        # Structure template reused every factorization; only its
-        # ``data`` is rewritten before the CSR -> CSC conversion.
-        from scipy.sparse import csr_matrix
-
-        self._template = csr_matrix(
-            (np.zeros(self.nnz), self.indices, self.indptr),
-            shape=(self.n, self.n),
+        csc_matrix, self._splu = scipy_splu()
+        self.n = n = int(n)
+        indices = np.asarray(indices, dtype=np.intp)
+        # A stable sort by column keeps each column's rows ascending:
+        # the layout ``tocsc()`` builds, computed once per pattern.
+        self._perm = np.argsort(indices, kind="stable")
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        col_ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(indices, minlength=n), out=col_ptr[1:])
+        self._csc = csc_matrix(
+            (np.zeros(indices.size), rows[self._perm], col_ptr), shape=(n, n)
         )
+        self._factor: Any = None
+        self._last: Any = None  # last successful factorization
 
     def factor(self, data: np.ndarray) -> None:
         """Factor the matrix whose CSR data is ``data``.
@@ -113,15 +116,19 @@ class SparseLU:
         """
         if self.n == 0:
             self._factor = True
-            self.fill_nnz = 0
             return
-        template = self._template
-        template.data[:] = data
+        np.take(data, self._perm, out=self._csc.data)
         try:
-            self._factor = self._splu(template.tocsc())
-            self.fill_nnz = int(self._factor.L.nnz + self._factor.U.nnz)
+            self._factor = self._last = self._splu(self._csc)
         except RuntimeError:  # singular matrix
             self._factor = None
+
+    def fill_nnz(self) -> int:
+        """``L.nnz + U.nnz`` of the last successful factorization (0
+        before one).  Builds both triangles, so read it once per run."""
+        if self._last is None:
+            return 0
+        return int(self._last.L.nnz + self._last.U.nnz)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` with the last factorization into ``out``."""

@@ -18,7 +18,7 @@ factor sparsely while keeping the ladder logic untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class SparseKernelStats(KernelStats):
     """Kernel counters plus the sparse-path observables.
 
     ``sparse_nnz`` is the pattern size of the Newton matrix and
-    ``sparse_fill_nnz`` the ``L + U`` fill of the last factorization.
+    ``sparse_fill_nnz`` the ``L + U`` fill of the run's last successful
+    factorization (set once, by :meth:`SparseBackend.kernel_stats`).
     Both ride the generic key-folding of
     :func:`repro.runtime.telemetry.record_kernel`.
     """
@@ -101,8 +102,6 @@ class SparseBackend:
         if shunt:
             data[plan.diag_pos] += shunt
         self.lu.factor(data)
-        if self.lu.fill_nnz:
-            self.stats.sparse_fill_nnz = self.lu.fill_nnz
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Apply the last factorization to ``rhs``."""
@@ -122,6 +121,12 @@ class SparseBackend:
     def dcop_solver(self) -> "SparseStaticSolver":
         """The operating-point hook sharing this run's plan/kernel/LU."""
         return SparseStaticSolver(self)
+
+    def kernel_stats(self) -> Dict[str, Any]:
+        """The run's counter snapshot; the fill gauge is read here, once,
+        from the last successful factorization."""
+        self.stats.sparse_fill_nnz = self.lu.fill_nnz()
+        return self.stats.as_dict()
 
 
 class SparseStaticSolver:

@@ -13,6 +13,11 @@ the contract that makes it drop-in:
 * **no scipy, no sparse backend**: with scipy absent ``"sparse"`` and
   ``"auto"`` resolve to the dense backend and give the ``"reuse"`` bits
   (the tests that drive ``SparseLU`` itself skip);
+* **factor layer**: ``SparseLU``'s once-per-pattern CSC layout hands
+  SuperLU the matrix a per-call ``tocsc()`` would, bit for bit, and a
+  run's fill gauge is its last successful factorization's;
+* **crossover**: ``"auto"`` runs the 10x10 grid and the 2-level H-tree
+  of ``repro whole-tree`` sparse and a 1-level H-tree dense;
 * **whole-tree equivalence**: a ~200-node full-chip netlist integrates
   to within 1 uV of the dense engine, and (slow tier) a 10^3-node tree
   completes on the sparse path.
@@ -32,7 +37,9 @@ from repro.clocktree.electrical import TreeNetlistBuilder
 from repro.clocktree.htree import build_h_tree
 from repro.clocktree.tree import Buffer
 from repro.clocktree.whole_tree import (
+    GridNetlistBuilder,
     WholeTreeNetlistBuilder,
+    attach_sensors,
     select_sensor_pairs,
     simulate_whole_tree,
 )
@@ -277,6 +284,83 @@ def _whole_tree_netlist(levels, segments):
     netlist = builder.build(clock)
     builder.attach_sensors(select_sensor_pairs(tree, 2))
     return netlist, builder.initial_guess
+
+
+def _grid_netlist(rows, cols):
+    grid = GridNetlistBuilder(rows, cols)
+    netlist = grid.build(ClockSource(period=ns(4.0), slew=ns(0.2),
+                                     delay=ns(1.0)))
+    attach_sensors(netlist, grid.mirrored_pairs(2))
+    return netlist
+
+
+# --------------------------------------------------------------------- #
+# Factor layer: the fixed CSC layout and the once-per-run fill gauge.
+# --------------------------------------------------------------------- #
+def _reference_solve(plan, data, rhs):
+    """The reference ``SparseLU`` must match: a fresh CSR matrix,
+    converted with ``tocsc()`` and factored, on every call."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import splu
+
+    matrix = csr_matrix((data, plan.indices, plan.indptr),
+                        shape=(plan.nf, plan.nf))
+    return splu(matrix.tocsc()).solve(rhs)
+
+
+@needs_scipy
+@pytest.mark.parametrize("name", sorted(GOLDEN) + ["htree2", "grid10"])
+def test_sparse_lu_matches_per_call_tocsc_bitwise(name):
+    netlist = {
+        "htree2": lambda: _whole_tree_netlist(levels=2, segments=3)[0],
+        "grid10": lambda: _grid_netlist(10, 10),
+        **GOLDEN,
+    }[name]()
+    plan = csr_plan(CompiledCircuit.compile(netlist))
+    lu = slinalg.SparseLU(plan.indptr, plan.indices, plan.nf)
+    rng = np.random.default_rng(19)
+    row_starts = plan.indptr[:-1]
+    for _ in range(4):
+        data = rng.uniform(-1.0, 1.0, plan.nnz)
+        # Strict diagonal dominance keeps every draw well-posed.
+        data[plan.diag_pos] = 0.0
+        data[plan.diag_pos] = np.add.reduceat(np.abs(data), row_starts) + 1.0
+        rhs = rng.standard_normal(plan.nf)
+        lu.factor(data)
+        out = lu.solve(rhs, out=np.empty(plan.nf))
+        assert np.array_equal(out, _reference_solve(plan, data, rhs))
+
+
+@needs_scipy
+def test_fill_gauge_is_last_successful_factorization(monkeypatch):
+    csc_matrix, splu = slinalg.scipy_splu()
+    factors = []
+
+    def recording_splu(matrix):
+        factor = splu(matrix)
+        factors.append(factor)
+        return factor
+
+    monkeypatch.setattr(slinalg, "_SPLU", (csc_matrix, recording_splu))
+    netlist, initial = _whole_tree_netlist(levels=1, segments=3)
+    run = _run_policy(netlist, "sparse", initial=initial, t_stop=ns(2.0))
+    first, last = factors[0], factors[-1]
+    assert run.kernel_stats["sparse_fill_nnz"] == last.L.nnz + last.U.nnz
+    # The fill moves within a run, so "last" is not "first".
+    assert first.L.nnz + first.U.nnz != last.L.nnz + last.U.nnz
+
+
+def test_auto_policy_on_whole_trees():
+    auto = TransientOptions(jacobian_policy="auto")
+    expected = "sparse" if slinalg.scipy_available() else "dense"
+    small = CompiledCircuit.compile(_whole_tree_netlist(levels=1,
+                                                        segments=3)[0])
+    assert small.n_free == 37
+    assert resolve_jacobian_policy(small, auto) == ("dense", True)
+    for netlist in (_grid_netlist(10, 10),
+                    _whole_tree_netlist(levels=2, segments=3)[0]):
+        circuit = CompiledCircuit.compile(netlist)
+        assert resolve_jacobian_policy(circuit, auto) == (expected, True)
 
 
 def test_whole_tree_200_nodes_within_microvolt():
