@@ -2,23 +2,20 @@
 
 A trimmed-down version of ``bench_fig5_montecarlo.py`` sized for a
 continuous-integration minute: a small seeded population is evaluated
-through the serial scalar backend and the lockstep batch backend at the
-grid-converged :data:`_util.ACCURATE_OPTIONS`, per-point ``Vmin`` values
-are compared, and the measured throughputs are written to
-``out/BENCH_smoke_batch.json``.  A third leg fans the same stacks over
-:data:`SHARD_WORKERS` shard processes at the same pinned stack size: its
-per-point ``Vmin`` must be **bit-identical** to the single-worker batch
-leg, and the ratio lands in the record as ``shard_speedup``.  A fourth
-leg leaves the stack size to the auto-tune on one worker, which stacks
-every sample's warm jobs together (one stack across all samples); it
-must stay within the same 1 mV of the serial leg.  Runs standalone
+through the serial scalar backend and three lockstep batch legs at the
+grid-converged :data:`_util.ACCURATE_OPTIONS` - one worker at a pinned
+stack size, the same stacks fanned over :data:`SHARD_WORKERS` shard
+processes, and one worker at the auto-tuned size (one warm stack across
+all samples).  Every lockstep row steps its own time grid, so every
+batch leg must equal the serial leg **bit for bit** on every per-point
+``Vmin``, whatever its stack size or worker count; the throughputs
+land in ``out/BENCH_smoke_batch.json``, the sharded leg's ratio over
+the single-worker leg as ``shard_speedup``.  Runs standalone
 (``python benchmarks/smoke_batch.py``) so the CI job does not depend on
 the pytest-benchmark plugin.
 """
 
 import sys
-
-import numpy as np
 
 from repro.montecarlo.parallel import scatter_analysis_parallel
 from repro.montecarlo.sampling import sample_population
@@ -37,19 +34,15 @@ SKEWS_NS = (0.0, 0.1, 0.4)
 LOAD = fF(160)
 SEED = 7
 
-#: Pinned samples per stack of the single-worker and sharded legs.  The
-#: auto-tuned size depends on the shard worker count, so runs that must
-#: be bit-compared across worker counts (the whole point of the sharded
-#: leg) pin it.  It is not the widest a warm stack can be: warm stacks
-#: hold jobs of any samples that share a fork time (the auto leg).
+#: Pinned samples per stack of the single-worker and sharded legs, so
+#: the two differ in worker count only.  It is not the widest a warm
+#: stack can be: the auto leg stacks every sample's jobs together.
 STACK_SIZE = len(SKEWS_NS)
 
 #: Shard processes of the sharded leg (the width of the benchmark's
 #: ``mc_scatter`` workload).
 SHARD_WORKERS = 2
 
-#: Equivalence bar, volts (same as the full fig5 bench).
-EQUIVALENCE_TOL = 1e-3
 
 
 def _run_backend(backend, samples, batch_workers=None, chunksize=None):
@@ -72,71 +65,51 @@ def _run_backend(backend, samples, batch_workers=None, chunksize=None):
     }
 
 
+def _mismatches(reference, points):
+    """Per-point ``Vmin`` values that differ from ``reference`` in any
+    bit (not a tolerance)."""
+    return sum(1 for r, p in zip(reference, points) if r.vmin != p.vmin)
+
+
 def main():
-    """Run the smoke comparison; exit non-zero on an equivalence miss."""
+    """Run the smoke comparison; exit non-zero on a bit mismatch."""
     samples = sample_population(N_SAMPLES, LOAD, seed=SEED)
     scalar_points, scalar_metrics = _run_backend("serial", samples)
-    batch_points, batch_metrics = _run_backend(
-        "batch", samples, batch_workers=1, chunksize=STACK_SIZE
-    )
-    deviations = np.array([
-        abs(s.vmin - b.vmin) for s, b in zip(scalar_points, batch_points)
-    ])
-    speedup = batch_metrics["samples_per_s"] / scalar_metrics["samples_per_s"]
     record = {
         "options": {"dt_max": ACCURATE_OPTIONS.dt_max,
                     "reltol": ACCURATE_OPTIONS.reltol},
         "grid": {"samples": N_SAMPLES, "skews_ns": list(SKEWS_NS),
                  "seed": SEED},
         "scalar": scalar_metrics,
-        "batch": batch_metrics,
-        "speedup_batch_vs_serial": speedup,
-        "vmin_deviation_max": float(deviations.max()),
     }
-
-    sharded_points, sharded_metrics = _run_backend(
-        "batch", samples, batch_workers=SHARD_WORKERS, chunksize=STACK_SIZE
-    )
-    shard_mismatches = sum(
-        1 for b, s in zip(batch_points, sharded_points)
-        if b.vmin != s.vmin  # bit-identity, not a tolerance
-    )
-    shard_speedup = (sharded_metrics["samples_per_s"]
-                     / batch_metrics["samples_per_s"])
-    record["batch_sharded"] = sharded_metrics
-    record["shard_speedup"] = shard_speedup
-    record["shard_vmin_mismatches"] = shard_mismatches
-    print(f"smoke_batch: sharded x{SHARD_WORKERS} speedup "
-          f"{shard_speedup:.2f}x, {shard_mismatches} bit mismatches")
-
-    # Auto-tuned stack size on one worker: one warm stack across samples.
-    auto_points, auto_metrics = _run_backend("batch", samples,
-                                             batch_workers=1)
-    auto_deviation = max(
-        abs(s.vmin - a.vmin) for s, a in zip(scalar_points, auto_points)
-    )
-    record["batch_auto"] = auto_metrics
-    record["auto_vmin_deviation_max"] = auto_deviation
-    print(f"smoke_batch: auto stack {auto_metrics['batch_stack_size']}, "
-          f"{auto_metrics['samples_per_s']:.2f} samples/s, "
-          f"max |dVmin| {auto_deviation * 1e3:.3f} mV")
-
+    legs = {
+        "batch": dict(batch_workers=1, chunksize=STACK_SIZE),
+        "batch_sharded": dict(batch_workers=SHARD_WORKERS,
+                              chunksize=STACK_SIZE),
+        "batch_auto": dict(batch_workers=1),
+    }
+    failed = False
+    for name, kwargs in legs.items():
+        points, metrics = _run_backend("batch", samples, **kwargs)
+        mismatches = _mismatches(scalar_points, points)
+        record[name] = {**metrics, "vmin_mismatches": mismatches}
+        print(f"smoke_batch: {name} stack {metrics['batch_stack_size']} "
+              f"x{metrics['batch_workers']} workers, "
+              f"{metrics['samples_per_s']:.2f} samples/s, "
+              f"{mismatches} bit mismatches against serial, "
+              f"fallbacks {metrics['batch_fallbacks']}")
+        if mismatches:
+            print(f"FAIL: {name} is not bit-identical to the serial leg",
+                  file=sys.stderr)
+            failed = True
+    record["speedup_batch_vs_serial"] = (
+        record["batch"]["samples_per_s"] / scalar_metrics["samples_per_s"])
+    record["shard_speedup"] = (record["batch_sharded"]["samples_per_s"]
+                               / record["batch"]["samples_per_s"])
+    print(f"smoke_batch: speedup {record['speedup_batch_vs_serial']:.2f}x, "
+          f"sharded x{SHARD_WORKERS} {record['shard_speedup']:.2f}x")
     write_bench_json("smoke_batch", record)
-    print(f"smoke_batch: max |dVmin| {deviations.max() * 1e3:.3f} mV, "
-          f"speedup {speedup:.2f}x, "
-          f"fallbacks {batch_metrics['batch_fallbacks']}")
-    if deviations.max() > EQUIVALENCE_TOL:
-        print("FAIL: batch-vs-scalar deviation above 1 mV", file=sys.stderr)
-        return 1
-    if auto_deviation > EQUIVALENCE_TOL:
-        print("FAIL: auto-sized batch deviates above 1 mV from scalar",
-              file=sys.stderr)
-        return 1
-    if shard_mismatches:
-        print("FAIL: sharded batch is not bit-identical to single-worker",
-              file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -349,18 +349,26 @@ class TransientResult:
 class StepControl:
     """The step-control law of the scalar and the lockstep loop.
 
-    Breakpoint walk, linear predictor, local-error norm, rejection and
-    growth are written once here.  :func:`transient` applies them to
-    ``(n,)`` states and :func:`repro.batch.engine.batch_transient` to
-    ``(B, n)`` stacks, where the error is reduced per sample and the
-    worst active sample drives the shared step - so a single-sample
-    stack walks the scalar grid by construction.
+    Breakpoint schedule and walk, linear predictor, local-error norm,
+    rejection and growth are written once here.  :func:`transient`
+    steps one circuit with one instance;
+    :func:`repro.batch.engine.batch_transient` gives every row of a
+    stack its own instance over that row's circuit and window, calls
+    the scalar methods per row, and runs :meth:`predict_into` and
+    :meth:`lte` once over the ``(B, n)`` stack - so every row walks
+    its scalar grid by construction.
     """
 
-    def __init__(self, options: "TransientOptions", breakpoints: List[float],
-                 t_start: float, t_stop: float) -> None:
+    def __init__(self, options: "TransientOptions", circuit: Any,
+                 t_start: float, t_stop: float,
+                 extra: Iterable[float] = ()) -> None:
+        # Landing points: the source corners after ``t_start``, the
+        # horizon and any ``extra`` times (a checkpoint).
+        points = {b for b in circuit.breakpoints(t_start, t_stop) if b > t_start}
+        points.add(t_stop)
+        points.update(extra)
         self.options = options
-        self.points = breakpoints
+        self.points = sorted(points)
         self.t_stop = t_stop
         # Time comparison tolerance: a few ULPs at the horizon's magnitude.
         self.eps_t = 64.0 * np.spacing(max(abs(t_stop), abs(t_start), 1e-12))
@@ -388,10 +396,22 @@ class StepControl:
         return h * 0.25 >= options.dt_min and "step-halving" in options.escalation
 
     @staticmethod
-    def predict_into(v: np.ndarray, v_prev: np.ndarray, t: float,
-                     t_prev: float, h: float, out: np.ndarray) -> np.ndarray:
+    def predict_into(v: np.ndarray, v_prev: np.ndarray, t: Any,
+                     t_prev: Any, h: Any, out: np.ndarray) -> np.ndarray:
         """Linear extrapolation of the last two accepted points to
-        ``t + h`` (same rounding order as ``v + slope * h``)."""
+        ``t + h`` (same rounding order as ``v + slope * h``); a state
+        without history (``t == t_prev``) predicts itself.  A stack
+        passes ``(B,)`` arrays of per-row ``t``, ``t_prev`` and ``h``
+        with ``(B, n)`` states, and each row takes the scalar
+        arithmetic."""
+        if isinstance(t, np.ndarray):
+            ahead = t > t_prev
+            np.subtract(v, v_prev, out=out)
+            out /= np.where(ahead, t - t_prev, 1.0)[:, None]
+            out *= h[:, None]
+            out += v
+            np.copyto(out, v, where=~ahead[:, None])
+            return out
         if t > t_prev:
             np.subtract(v, v_prev, out=out)
             out /= t - t_prev
@@ -828,12 +848,6 @@ def transient(
             f"(got {checkpoint_at} for {t_start} .. {t_stop})"
         )
 
-    breakpoints = [b for b in circuit.breakpoints(t_start, t_stop) if b > t_start]
-    breakpoints.append(t_stop)
-    if checkpoint_at is not None:
-        breakpoints.append(checkpoint_at)
-    breakpoints = sorted(set(breakpoints))
-
     escalations: Dict[str, int] = {}
     work = _NewtonWork(circuit, options)
     if work.backend == "dense" and n_free > DENSE_WARN_NODES:
@@ -888,7 +902,10 @@ def transient(
 
     t = t_start
     h = options.dt_start
-    control = StepControl(options, breakpoints, t_start, t_stop)
+    control = StepControl(
+        options, circuit, t_start, t_stop,
+        extra=() if checkpoint_at is None else (checkpoint_at,),
+    )
     force_be = True  # first step after t0 behaves like after a breakpoint
     if resume_from is not None:
         # Restore the predictor history; h/force_be above already match

@@ -10,11 +10,11 @@ slews and skew.  This package turns that shape into vectorized math:
   :class:`~repro.analog.compile.CompiledCircuit` arrays with a leading
   batch axis, per-sample model cards, shared connectivity);
 * :mod:`repro.batch.engine` - :func:`batch_transient` integrates the
-  whole stack in lockstep: one shared adaptive time axis, vectorized
-  Newton with per-sample convergence masks, per-sample local-error
-  control driving a shared step size (a sample that rejects a step drops
-  the batch to the smallest accepted ``h``), and mask-out semantics for
-  samples that exhaust the in-batch ladder;
+  whole stack in lockstep: every sample on its own adaptive time axis
+  (own step, breakpoints and stop, so each row reproduces its scalar
+  run bit for bit), one vectorized Newton over the stack with
+  per-sample convergence masks, and mask-out semantics for samples that
+  exhaust the in-batch ladder;
 * :mod:`repro.batch.response` - :func:`evaluate_jobs_batch` evaluates a
   stack of :class:`~repro.runtime.SensorJob` descriptions and reports
   which samples need the scalar engine (the *fallback contract*: a

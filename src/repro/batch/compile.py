@@ -35,7 +35,7 @@ falls back to a per-sample Python loop (correct, just not vectorized).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,8 +63,9 @@ class _ClockGroup:
     period: np.ndarray
     vdd: np.ndarray
 
-    def values(self, t: float) -> np.ndarray:
-        """Clock voltages of all samples at time ``t`` (closed form)."""
+    def values(self, t: Union[float, np.ndarray]) -> np.ndarray:
+        """Clock voltages of all samples at time ``t`` - one time, or a
+        ``(B,)`` array of per-sample times (closed form)."""
         tau = np.mod(t - self.delay, self.period)
         r, w = self.slew, self.width
         v = np.where(
@@ -134,24 +135,29 @@ class BatchCompiledCircuit:
         return self.source_voltages_into(t, v)
 
     def source_voltages_into(
-        self, t: float, out: np.ndarray, dynamic_only: bool = False
+        self, t: Union[float, np.ndarray], out: np.ndarray,
+        dynamic_only: bool = False,
     ) -> np.ndarray:
         """Fill ``out`` (``(B, n_total)``) with the driven-node voltages
-        at ``t`` - the allocation-free variant the lockstep hot loop
-        uses.  Only driven entries are written; free entries keep their
-        values.  With ``dynamic_only`` the DC columns are skipped: a
-        caller reusing one buffer across timesteps writes the constants
-        once and refreshes only the time-varying sources per step.
+        at ``t`` - one time for the stack, or a ``(B,)`` array of
+        per-row times - the allocation-free variant the lockstep hot
+        loop uses.  Only driven entries are written; free entries keep
+        their values.  With ``dynamic_only`` the DC columns are skipped:
+        a caller reusing one buffer across timesteps writes the
+        constants once and refreshes only the time-varying sources per
+        step.
         """
         if not dynamic_only:
             for node, column in self._dc_values.items():
                 out[:, node] = column
         for group in self._clock_groups:
             out[:, group.node] = group.values(t)
-        for node in self._slow_nodes:
-            name = self._node_name(node)
-            for b, circuit in enumerate(self.circuits):
-                out[b, node] = circuit.netlist.sources[name].value(t)
+        if self._slow_nodes:
+            times = np.broadcast_to(t, (self.batch_size,)).tolist()
+            for node in self._slow_nodes:
+                name = self._node_name(node)
+                for b, circuit in enumerate(self.circuits):
+                    out[b, node] = circuit.netlist.sources[name].value(times[b])
         return out
 
     def _node_name(self, index: int) -> str:
@@ -159,13 +165,6 @@ class BatchCompiledCircuit:
             if i == index:
                 return name
         raise KeyError(f"no node with index {index}")
-
-    def breakpoints(self, t0: float, t1: float) -> List[float]:
-        """Union of every sample's source corners in ``[t0, t1]``."""
-        points = set()
-        for circuit in self.circuits:
-            points.update(circuit.breakpoints(t0, t1))
-        return sorted(points)
 
     # ------------------------------------------------------------------ #
     # Device evaluation

@@ -10,17 +10,17 @@ behave identically across backends.
 Grouping and chunking
 ---------------------
 Jobs are grouped by :func:`~repro.batch.response.batch_signature` (the
-fields one lockstep run must share: horizon, topology switches, engine
-options, warm-start fork time - so the warm jobs of many Monte Carlo
-samples form one group) and each group is split into chunks of at most
+fields one lockstep run must share: topology switches, engine options,
+warm or cold - so the jobs of a whole Monte Carlo campaign form one
+group) and each group is split into chunks of at most
 :func:`resolve_batch_plan` samples: the explicit ``chunksize`` argument,
 else the auto-tune heuristic (:func:`auto_batch_size`: an even fan-out
 of the largest group over the shard workers, capped at
-:data:`MAX_AUTO_BATCH`).  Oversized batches trade diminishing
-vectorization gains for a denser merged-breakpoint schedule, so the
-tuner keeps stacks moderate.  The resolved size and worker count are
-recorded on the campaign :class:`~repro.runtime.telemetry.Telemetry` so
-summaries and BENCH JSON report the shape actually used.
+:data:`MAX_AUTO_BATCH`).  Every row steps its own time grid, so the
+chunking moves where and how fast a job integrates, never its bits.
+The resolved size and worker count are recorded on the campaign
+:class:`~repro.runtime.telemetry.Telemetry` so summaries and BENCH JSON
+report the shape actually used.
 
 Process sharding
 ----------------
@@ -29,13 +29,14 @@ stacks fan out over a process pool through the executor's windowed
 submission core (:func:`repro.runtime.executor._dispatch_process_chunks`)
 - the same machinery the scalar process backend uses, inheriting its
 crash isolation and bounded redispatch.  The unit of crash isolation is
-the whole stack (``isolate="chunk"``): a lockstep stack is indivisible,
-because splitting it would change its composition and therefore its
-merged breakpoint schedule and its bits.  Outcomes are index-addressed,
-so merged results are deterministic in job order regardless of which
-worker finished first; with the *same stack composition* (same resolved
-batch size), a sharded run is bit-identical to the single-worker batch
-path, which stays available as ``batch_workers=1``.
+the whole stack (``isolate="chunk"``): a stack integrates in one call,
+so a crashed worker loses all of it and the stack is re-dispatched
+whole.  Outcomes are index-addressed, so merged results are
+deterministic in job order regardless of which worker finished first,
+and every row equals its scalar run bit for bit whatever stack it
+landed in - a sharded run is bit-identical to the single-worker batch
+path (``batch_workers=1``) and to the serial backend, at any stack
+size.
 
 Before any stack runs, in process or sharded, every skew-invariant
 prefix is built once in the parent
@@ -79,10 +80,9 @@ from repro.runtime.telemetry import Stopwatch, Telemetry
 #: items to auto-tune from).
 DEFAULT_BATCH_SIZE = 64
 
-#: Ceiling on the auto-tuned stack size.  Past ~10^2 samples the
-#: vectorization gain has flattened while the merged breakpoint schedule
-#: (every sample integrates every other sample's clock corners) keeps
-#: densifying, so bigger stacks get slower per sample.
+#: Ceiling on the auto-tuned stack size.  It was set while a stack's rows
+#: shared one merged time grid that densified with every row; rows now
+#: step their own grids, so the cap is a guess awaiting measurement.
 MAX_AUTO_BATCH = 128
 
 
@@ -106,11 +106,10 @@ def auto_batch_size(n_jobs: int, workers: int) -> int:
 
     ``min(ceil(n_jobs / workers), MAX_AUTO_BATCH)``: the fan-out bound
     never builds a stack so large that shard workers sit idle while one
-    integrates everything, and the cap stops where the lockstep gain has
-    flattened against the densifying merged breakpoint schedule.  No
-    memory bound is needed: the batch backend only runs sensor jobs,
-    whose topologies have 10 or 12 nodes, so a capped stack's matrices
-    take well under a megabyte.
+    integrates everything, and the cap bounds a stack's wall time (a
+    stack waits for its slowest row).  No memory bound is needed: the
+    batch backend only runs sensor jobs, whose topologies have 10 or 12
+    nodes, so a capped stack's matrices take well under a megabyte.
     """
     by_fanout = -(-int(n_jobs) // max(1, int(workers)))
     return max(1, min(by_fanout, MAX_AUTO_BATCH))
@@ -129,10 +128,9 @@ def resolve_batch_plan(
     only when the heuristic chose the size - callers record it so a
     tuned size is always distinguishable from a pinned one.
 
-    Note the auto-tuned size depends on the worker count (the fan-out
-    bound), so runs that must be bit-compared across *different* worker
-    counts should pin the size explicitly; the chosen size is recorded
-    in telemetry for exactly that purpose.
+    The auto-tuned size depends on the worker count (the fan-out
+    bound); it never changes a result, and the chosen size is recorded
+    in telemetry.
     """
     if chunksize is not None:
         return max(1, int(chunksize)), False
@@ -150,9 +148,8 @@ def group_batches(
     Items are grouped by :func:`batch_signature` preserving first-seen
     order, then each group is chunked to at most ``batch_size`` samples.
     The chunking is a pure function of ``(items, batch_size)`` - worker
-    count never enters - which is what makes sharded runs bit-identical
-    to single-worker runs at the same resolved size: sharding changes
-    where a stack integrates, never what is in it.
+    count never enters - so sharding changes where a stack integrates,
+    never what is in it.
     """
     groups: Dict[Hashable, List[_Item]] = {}
     order: List[Hashable] = []

@@ -1,19 +1,37 @@
 """Lockstep transient integration of a stacked circuit batch.
 
 :func:`batch_transient` advances every sample of a
-:class:`~repro.batch.compile.BatchCompiledCircuit` along *one shared
-time axis*: the step size ``h``, breakpoint schedule and BE/trapezoidal
-switching are common to the batch, while Newton convergence, local
-truncation error and liveness are tracked per sample.
+:class:`~repro.batch.compile.BatchCompiledCircuit` on *its own time
+axis*: each row carries its own ``t``, ``t_prev``, step ``h``,
+BE/trapezoidal flag, breakpoints and stop, stepped by its own
+:class:`~repro.analog.engine.StepControl` - the scalar law, called per
+row for ``running``/``clip``/``rejects``/``advance``.  One loop
+iteration makes one step attempt for every unfinished row; each row
+rejects, halves or accepts on its own, and a finished row idles until
+the stack's last row stops.  The work stays vectorised: one stack
+kernel call per Newton iteration, per-row ``C/h``, the masked Newton
+loop, the local-error norm and the linear predictor.
+
+Every row therefore takes its scalar run's decisions on its scalar
+run's bits - the same times, waveforms and Newton counters as
+:func:`~repro.analog.engine.transient` on that row's circuit, whatever
+the stack's other rows are (``tests/test_policy_parity.py``,
+``tests/test_batch_engine.py``); under ``"sparse"`` the scalar run
+factors with SuperLU, so there the values agree to rounding.  Three things make the bits carry
+over: every batched operation is elementwise or a per-row contraction
+(``c_einsum``, the batched ``raw_inv``); a backward-Euler row takes the
+scalar BE residual exactly (no ``0 * f_prev`` term); and the growth law
+runs per row on the scalar's float types (vectorised ``np.power``
+differs from the scalar ``**`` in the last bit).
 
 Mask semantics
 --------------
 Three per-sample masks drive the loop:
 
-* ``alive`` - samples still integrated in lockstep.  Dead samples keep
-  their last accepted state frozen (their recorded waveform stops being
-  meaningful at the time of death) and are excluded from every residual,
-  error and growth computation.
+* ``alive`` - samples still integrated in lockstep.  A dead sample stops
+  recording at its last accepted point (its waveform must not be
+  interpreted) and is excluded from every residual, error and growth
+  computation.
 * ``converged`` (inside the Newton solve) - samples the shared accept
   rule (:func:`~repro.analog.kernels.newton_accepts`) passed; they
   freeze while the stragglers iterate on.
@@ -30,26 +48,21 @@ sparse backend, so ``"sparse"`` and ``"auto"`` run the batched dense
 inverse with reuse), the keep-stale and accept rules of
 :mod:`repro.analog.kernels`, the level-1 stamp body, the per-sample
 operating points (the scalar DC ladder) and
-:class:`~repro.analog.engine.StepControl`, applied to the worst active
-sample: any active sample rejecting a step shrinks ``h`` for the whole
-batch, and growth follows the largest active error.  A single-sample
-stack therefore walks the scalar grid by construction, with the same
-Newton counters under every policy (``tests/test_policy_parity.py``).
-What stays separate is the masked, vectorised Newton iteration itself:
-a ``B = 1`` stack measured 2.0-2.3x slower than the scalar loop on the
-sensing transient (e.g. 141 ms vs 71 ms; four medians of 15 runs on a
-2-core x86 box), so the scalar loop cannot become its ``B = 1`` case.
+:class:`~repro.analog.engine.StepControl`.  What stays separate is the
+masked, vectorised Newton iteration itself: a ``B = 1`` stack measured
+2.0-2.3x slower than the scalar loop on the sensing transient (e.g.
+141 ms vs 71 ms; four medians of 15 runs on a 2-core x86 box), so the
+scalar loop cannot become its ``B = 1`` case.
 
 Resuming
 --------
 ``resume_from`` takes one
 :class:`~repro.analog.engine.TransientCheckpoint` per sample, so a warm
-stack can hold rows of different Monte Carlo samples, each forked from
-its own prefix.  The rows carry their own ``state``/``state_prev`` and
-``t_prev``, and must share one ``t``: the stack restarts there with the
-scalar backward-Euler-after-breakpoint rule, and each row's first
-predictor is the scalar predictor from its own ``t_prev``.  A ``B = 1``
-resume therefore takes the scalar resume's decisions too.
+stack can hold rows of different Monte Carlo samples forked at
+different times.  Each row restarts at its own checkpoint's ``t`` with
+the scalar backward-Euler-after-breakpoint rule and its own
+``state_prev``/``t_prev`` predictor history - the scalar resume's
+decisions, row by row.
 
 Fallback contract
 -----------------
@@ -66,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,10 +102,11 @@ from repro.analog.waveform import Waveform
 from repro.batch.compile import BatchCompiledCircuit
 from repro.errors import ConvergenceError
 
-#: Breakpoints of different samples closer than this are merged into one
-#: restart (seconds).  Clock slews are >= 100 ps in every paper
-#: workload, so a 1 ps merge cannot blur distinct waveform corners.
-BREAKPOINT_MERGE_TOL = 1e-12
+#: The Newton counters a stack keeps per row (``KernelStats`` fields).
+ROW_COUNTERS = (
+    "newton_iterations", "factorizations", "refactorizations",
+    "jacobian_reuses",
+)
 
 
 @dataclass
@@ -102,18 +116,18 @@ class BatchTransientResult:
     Attributes
     ----------
     times:
-        Shared accepted time points, ``(T,)``.
+        Per sample, its accepted time points (the start included).
     voltages:
-        Per recorded node, a ``(T, B)`` array; column ``b`` is sample
-        ``b``'s waveform.  Columns of samples with ``ok[b] == False``
-        are frozen at their last accepted value from the moment the
-        sample was masked out and must not be interpreted.
+        Per recorded node, one array per sample, aligned with
+        ``times[b]``.  A sample with ``ok[b] == False`` stops at its
+        last accepted point before it was masked out and must not be
+        interpreted.
     ok:
         ``(B,)`` bool; True where the sample completed in lockstep.
     escalations:
-        Batch-level solver tally: ``"step-halving"`` events (each event
-        shrank the shared step once) and the ``"dcop:*"`` rung counts of
-        the per-sample operating points.
+        Stack solver tally: the ``"step-halving"`` events of all rows
+        and the ``"dcop:*"`` rung counts of the per-sample operating
+        points.
     fallback_reasons:
         ``sample index -> reason`` for every masked-out sample (the
         caller's re-dispatch list).
@@ -121,16 +135,21 @@ class BatchTransientResult:
         Hot-loop observability record of the run
         (:meth:`repro.analog.kernels.KernelStats.as_dict`).
         ``newton_iterations``/``factorizations``/``jacobian_reuses``
-        count *per sample* (so ratios are comparable with the scalar
-        engine's); ``assembles`` counts whole-stack kernel calls.
+        count *per sample* (the sums of :attr:`row_counters`, so ratios
+        are comparable with the scalar engine's); ``assembles`` counts
+        whole-stack kernel calls.
+    row_counters:
+        Per :data:`ROW_COUNTERS` name, a ``(B,)`` array of each
+        sample's own count - what its scalar run reports.
     """
 
-    times: np.ndarray
-    voltages: Dict[str, np.ndarray]
+    times: List[np.ndarray]
+    voltages: Dict[str, List[np.ndarray]]
     ok: np.ndarray
     escalations: Dict[str, int] = field(default_factory=dict)
     fallback_reasons: Dict[int, str] = field(default_factory=dict)
     kernel_stats: Dict[str, float] = field(default_factory=dict)
+    row_counters: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def batch_size(self) -> int:
@@ -142,23 +161,20 @@ class BatchTransientResult:
         if node not in self.voltages:
             raise KeyError(f"node {node!r} was not recorded")
         return Waveform(
-            times=self.times,
-            values=self.voltages[node][:, sample],
+            times=self.times[sample],
+            values=self.voltages[node][sample],
             name=f"{node}[{sample}]",
         )
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 class _BatchNewtonWork:
     """Per-run scratch of the lockstep Newton loop.
 
-    Owns the reusable ``(B, n_free)`` residual buffers, the per-sample
-    cached Jacobian inverses of the modified-Newton policy - keyed on the
-    shared ``(h, alpha)`` scaling and persisting across time steps, with
-    a per-sample ``valid`` mask - and the
-    :class:`~repro.analog.kernels.KernelStats` counters.
+    Owns the reusable ``(B, n_free)`` residual buffers, the per-row
+    ``C/h`` scaling, the per-sample cached Jacobian inverses of the
+    modified-Newton policy - each keyed on its own row's ``(h, alpha)``
+    and persisting across time steps, with a per-sample ``valid`` mask -
+    and the per-row Newton counters.
     """
 
     def __init__(
@@ -180,16 +196,11 @@ class _BatchNewtonWork:
         self.step_prev = np.empty(B)
         self.c_rows = batch.C[:, :nf, :]
         self.c_over_h = np.empty((B, nf, n))
-        self.h_scaled: Optional[float] = None
+        self.h_scaled = np.full(B, np.nan)
         self.valid = np.zeros(B, dtype=bool)
-        self.key: Optional[Tuple[float, float]] = None
-
-    def scaled_c(self, h: float) -> np.ndarray:
-        """``C[:, :n_free, :] / h``, recomputed only when ``h`` changes."""
-        if self.h_scaled != h:
-            np.multiply(self.c_rows, 1.0 / h, out=self.c_over_h)
-            self.h_scaled = h
-        return self.c_over_h
+        self.key_h = np.full(B, np.nan)
+        self.key_alpha = np.full(B, np.nan)
+        self.counts = {name: np.zeros(B, dtype=np.int64) for name in ROW_COUNTERS}
 
 
 def _newton_step_batch(
@@ -198,13 +209,14 @@ def _newton_step_batch(
     v_sources: np.ndarray,
     q_prev: np.ndarray,
     f_prev: Optional[np.ndarray],
-    h: float,
-    alpha: float,
+    h: np.ndarray,
+    alpha: np.ndarray,
     options: TransientOptions,
     active: np.ndarray,
-    work: Optional[_BatchNewtonWork] = None,
+    work: _BatchNewtonWork,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One implicit step for the whole stack; ``alpha=1`` BE, ``0.5`` trap.
+    """One implicit step for every ``active`` row, at that row's own
+    ``h`` and ``alpha`` (``(B,)``; ``1`` BE, ``0.5`` trapezoidal).
 
     Solves the scalar residual
     ``(q - q_prev)/h + alpha*f + (1-alpha)*f_prev = 0`` per sample, with
@@ -212,11 +224,11 @@ def _newton_step_batch(
     :func:`repro.analog.engine._newton_step`, deciding reuse and
     acceptance per sample through the same
     :func:`~repro.analog.kernels.keep_stale` and
-    :func:`~repro.analog.kernels.newton_accepts` calls - so a
-    single-sample batch takes exactly the scalar decision sequence.
-    Samples converge (and freeze) individually; a sample whose solve
-    goes non-finite is frozen at the last finite iterate with its cached
-    factorization invalidated.
+    :func:`~repro.analog.kernels.newton_accepts` calls - so every row
+    takes exactly its scalar decision sequence.  Samples converge (and
+    freeze) individually; a sample whose solve goes non-finite is frozen
+    at the last finite iterate with its cached factorization
+    invalidated.
 
     Returns ``(v_new, converged)``; ``converged`` is a subset of
     ``active`` - the samples whose step succeeded.  Rows of
@@ -224,37 +236,41 @@ def _newton_step_batch(
     accepted.
     """
     n_free = batch.n_free
-    if work is None:
-        work = _BatchNewtonWork(batch, options)
-    kernel, stats = work.kernel, work.stats
+    kernel, stats, counts = work.kernel, work.stats, work.counts
     v = v_guess.copy()
     v[:, n_free:] = v_sources[:, n_free:]
 
-    modified = work.reuse
-    if not (modified and work.key == (h, alpha)):
-        work.valid[:] = False  # never reuse across a system-scaling change
     valid = work.valid
+    # Never reuse across a change of a row's system scaling.
+    valid &= (work.key_h == h) & (work.key_alpha == alpha)
     j_inv = work.j_inv
-    c_over_h = work.scaled_c(h)
+    inv_h = 1.0 / h
+    c_over_h = work.c_over_h
+    if (h != work.h_scaled).any():  # C/h, recomputed when an h changes
+        np.multiply(work.c_rows, inv_h[:, None, None], out=c_over_h)
+        work.h_scaled[:] = h
+    alpha_col = alpha[:, None]
     # Iteration-invariant part of the negated residual:
-    # ``q_prev / h - (1 - alpha) * f_prev``.
+    # ``q_prev / h - (1 - alpha) * f_prev`` - the last term on
+    # trapezoidal rows only, so a BE row keeps the scalar BE residual.
     rhs0, tmp = work.rhs0, work.tmp
-    np.multiply(q_prev[:, :n_free], 1.0 / h, out=rhs0)
+    np.multiply(q_prev[:, :n_free], inv_h[:, None], out=rhs0)
     if f_prev is not None:
-        np.multiply(f_prev[:, :n_free], 1.0 - alpha, out=tmp)
-        rhs0 -= tmp
+        np.multiply(f_prev[:, :n_free], 1.0 - alpha_col, out=tmp)
+        np.subtract(rhs0, tmp, out=rhs0, where=alpha_col != 1.0)
 
     neg_res, delta, qh = work.neg_res, work.delta, work.qh
     abs_buf, step, step_prev = work.abs_buf, work.step, work.step_prev
     step_prev[:] = np.inf
     step[:] = 0.0
     vntol = options.vntol
-    is_be = alpha == 1.0
     converged = np.zeros(batch.batch_size, dtype=bool)
     live = active.copy()
+    v_free = v[:, :n_free]
+    iterations = counts["newton_iterations"]
 
     # Hot-loop counters accumulate in locals; flushed in ``finally``.
-    n_iters = n_assembles = n_factor = n_refactor = n_reuse = 0
+    n_assembles = 0
     assemble_acc = factor_acc = solve_acc = 0.0
 
     try:
@@ -264,16 +280,14 @@ def _newton_step_batch(
             need_fresh = live & ~valid
             t0 = perf_counter()
             f, j = kernel.eval(v, with_jacobian=bool(need_fresh.any()))
-            n_iters += int(np.count_nonzero(live))
+            iterations += live
             n_assembles += 1
-            # Negated residual: rhs0 - (C/h) @ v - alpha * f(v).
+            # Negated residual: rhs0 - (C/h) @ v - alpha * f(v)
+            # (``f * 1.0`` is ``f`` exactly on BE rows).
             c_einsum("bij,bj->bi", c_over_h, v, out=qh)
             np.subtract(rhs0, qh, out=neg_res)
-            if is_be:
-                neg_res -= f[:, :n_free]
-            else:
-                np.multiply(f[:, :n_free], alpha, out=tmp)
-                neg_res -= tmp
+            np.multiply(f[:, :n_free], alpha_col, out=tmp)
+            neg_res -= tmp
             assemble_acc += perf_counter() - t0
 
             try_stale = live & valid
@@ -287,8 +301,8 @@ def _newton_step_batch(
                     step[:] = 0.0
                 solve_acc += perf_counter() - t0
                 reuse = try_stale & keep_stale(step, step_prev)
-                n_reuse += int(np.count_nonzero(reuse))
-                n_refactor += int(np.count_nonzero(try_stale & ~reuse))
+                counts["jacobian_reuses"] += reuse
+                counts["refactorizations"] += try_stale & ~reuse
                 fresh = live & ~reuse
             else:
                 fresh = need_fresh
@@ -301,15 +315,16 @@ def _newton_step_batch(
                     assemble_acc += perf_counter() - t0
                 t0 = perf_counter()
                 sub = np.flatnonzero(fresh)
-                jac = j[sub][:, :n_free, :n_free] * alpha
+                jac = j[sub][:, :n_free, :n_free] * alpha[sub][:, None, None]
                 jac += c_over_h[sub][:, :, :n_free]
                 # Singular jac -> NaN inverse (see kernels.raw_inv); the
                 # non-finite step guard below freezes the sample.
                 inv_sub = raw_inv(jac)
                 j_inv[sub] = inv_sub
-                valid[sub] = modified
-                work.key = (h, alpha)
-                n_factor += len(sub)
+                valid[sub] = work.reuse
+                work.key_h[sub] = h[sub]
+                work.key_alpha[sub] = alpha[sub]
+                counts["factorizations"][sub] += 1
                 factor_acc += perf_counter() - t0
                 t0 = perf_counter()
                 delta[sub] = c_einsum("bij,bj->bi", inv_sub, neg_res[sub])
@@ -332,18 +347,14 @@ def _newton_step_batch(
             over = live & (step > 1.0)
             if over.any():
                 delta[over] *= (1.0 / step[over])[:, None]
-            v[live, :n_free] += delta[live]
+            np.add(v_free, delta, out=v_free, where=live[:, None])
 
             done = live & newton_accepts(step, step_prev, vntol, iteration > 0)
             converged |= done
             live &= ~done
             np.copyto(step_prev, step, where=live)
     finally:
-        stats.newton_iterations += n_iters
         stats.assembles += n_assembles
-        stats.factorizations += n_factor
-        stats.refactorizations += n_refactor
-        stats.jacobian_reuses += n_reuse
         stats.assemble_s += assemble_acc
         stats.factor_s += factor_acc
         stats.solve_s += solve_acc
@@ -385,33 +396,24 @@ def _batch_dcop(
     return v, alive
 
 
-def merge_breakpoints(points: Iterable[float], tol: float) -> List[float]:
-    """Coalesce sorted breakpoints closer than ``tol`` into their first
-    representative, bounding the number of ``dt_start`` restarts the
-    merged schedule forces on the batch."""
-    merged: List[float] = []
-    for point in sorted(points):
-        if not merged or point - merged[-1] > tol:
-            merged.append(point)
-    return merged
-
-
 def batch_transient(
     batch: BatchCompiledCircuit,
-    t_stop: float,
+    t_stop: Union[float, Sequence[float]],
     t_start: float = 0.0,
     record: Optional[Iterable[str]] = None,
     initial: Optional[Sequence[Optional[Dict[str, float]]]] = None,
     options: Optional[TransientOptions] = None,
     resume_from: Optional[Sequence[TransientCheckpoint]] = None,
 ) -> BatchTransientResult:
-    """Integrate every sample of ``batch`` in lockstep over
-    ``[t_start, t_stop]``.
+    """Integrate every sample of ``batch`` over its own window, each on
+    its own time axis (see the module docstring).
 
     Parameters
     ----------
     batch:
         Stacked circuits from :func:`~repro.batch.compile.compile_batch`.
+    t_stop:
+        One stop for every sample, or a sequence of per-sample stops.
     record:
         Node names whose voltages to keep; defaults to every node.
     initial:
@@ -424,10 +426,9 @@ def batch_transient(
     resume_from:
         One :class:`~repro.analog.engine.TransientCheckpoint` per sample
         (length ``B``; see *Resuming* in the module docstring).  Every
-        row must carry the stack's node order (its ``nodes`` guard) and
-        one shared ``t``, which becomes ``t_start``; the per-sample
-        operating-point solves are skipped.  A stack forking from one
-        prefix passes the same checkpoint in every row.
+        row must carry the stack's node order (its ``nodes`` guard); its
+        ``t`` replaces ``t_start`` for that row, and the per-sample
+        operating-point solves are skipped.
 
     Unlike the scalar :func:`~repro.analog.engine.transient`, this never
     raises on a non-convergent sample: the sample is masked out
@@ -437,53 +438,58 @@ def batch_transient(
     B = batch.batch_size
     n_free = batch.n_free
 
-    first = None
+    checkpoints: List[Optional[TransientCheckpoint]] = [None] * B
     if resume_from is not None:
-        resume_from = list(resume_from)
-        if len(resume_from) != B:
+        checkpoints = list(resume_from)
+        if len(checkpoints) != B:
             raise ValueError(
                 f"resume_from needs one checkpoint per sample "
-                f"(got {len(resume_from)} for a stack of {B})"
+                f"(got {len(checkpoints)} for a stack of {B})"
             )
-        first = resume_from[0]
-    record, t_start = check_window(batch, record, first, t_start, t_stop)
-    for row in resume_from or ():
-        if check_window(batch, record, row, t_start, t_stop)[1] != t_start:
-            raise ValueError(
-                f"per-row checkpoints must share one t "
-                f"(got {row.t!r} and {t_start!r})"
-            )
-
-    raw = [b for b in batch.breakpoints(t_start, t_stop) if b > t_start]
-    raw.append(t_stop)
-    breakpoints = merge_breakpoints(raw, BREAKPOINT_MERGE_TOL)
+    stops = np.broadcast_to(np.asarray(t_stop, dtype=float), (B,)).tolist()
+    record = list(record) if record is not None else None
+    starts = []
+    for checkpoint, stop in zip(checkpoints, stops):
+        record, start = check_window(batch, record, checkpoint, t_start, stop)
+        starts.append(start)
+    controls = [
+        StepControl(options, circuit, start, stop)
+        for circuit, start, stop in zip(batch.circuits, starts, stops)
+    ]
 
     escalations: Dict[str, int] = {}
     fallback_reasons: Dict[int, str] = {}
     if resume_from is not None:
-        v = np.array([row.state for row in resume_from], dtype=float)
+        v = np.array([row.state for row in checkpoints], dtype=float)
+        v_prev = np.array([row.state_prev for row in checkpoints], dtype=float)
+        t_prev = np.array([row.t_prev for row in checkpoints], dtype=float)
         alive = np.ones(B, dtype=bool)
     else:
         v, alive = _batch_dcop(
             batch, t_start, initial, escalations, fallback_reasons
         )
+        v_prev = v.copy()
+        t_prev = np.full(B, float(t_start))
+    t = np.array(starts, dtype=float)
 
     work = _BatchNewtonWork(batch, options)
     kernel, stats = work.kernel, work.stats
 
-    times: List[float] = [t_start]
-    states: List[np.ndarray] = [v.copy()]
+    # Accepted points: the start, then each iteration's step attempt
+    # (fresh arrays, never written again) with the mask of the rows
+    # that accepted it.
+    times_log: List[np.ndarray] = [t.copy()]
+    states_log: List[np.ndarray] = [v.copy()]
+    accepted_log: List[np.ndarray] = [np.ones(B, dtype=bool)]
 
-    t = t_start
-    h = options.dt_start
-    control = StepControl(options, breakpoints, t_start, t_stop)
-    force_be = True
-    if resume_from is not None:
-        v_prev = np.array([row.state_prev for row in resume_from], dtype=float)
-        t_prev = np.array([row.t_prev for row in resume_from])
-    else:
-        v_prev = v.copy()
-        t_prev = t
+    # Per-row step state, as Python scalars for the per-row control law.
+    t_rows = list(starts)
+    h_rows = [options.dt_start] * B
+    force_be = [True] * B  # every row starts like after a breakpoint
+    hit_bp = [False] * B
+    stepping = alive & np.array(
+        [control.running(start) for control, start in zip(controls, starts)]
+    )
 
     # Reusable step buffers, mirroring the scalar engine's workspaces:
     # sources, predictor, charge history and the LTE weight/error
@@ -491,95 +497,104 @@ def batch_transient(
     # records and the Newton iterate it hands back.
     n_total = batch.n_total
     v_sources = np.zeros((B, n_total))
-    batch.source_voltages_into(t_start, v_sources)  # constants written once
+    batch.source_voltages_into(t, v_sources)  # constants written once
     v_pred = np.empty((B, n_total))
     q_prev = np.empty((B, n_total))
     weight = np.empty((B, n_free))
     err_buf = np.empty((B, n_free))
     err_all = np.zeros(B)
+    lte = controls[0].lte  # the norm reads only the options all rows share
+    dt_min = options.dt_min
+    halvings = 0
 
-    def _mask(samples: np.ndarray, reason: str) -> None:
-        for b in np.flatnonzero(samples):
-            alive[b] = False
-            fallback_reasons[b] = reason
+    def _mask(b: int, reason: str) -> None:
+        alive[b] = stepping[b] = False
+        fallback_reasons[b] = reason
 
-    while control.running(t) and alive.any():
-        h, hit_bp = control.clip(t, h)
-        if h < options.dt_min:
-            _mask(alive.copy(), "step-underflow")
+    while stepping.any():
+        # One step attempt for every unfinished row, on its own axis.
+        for b in stepping.nonzero()[0].tolist():
+            h_rows[b], hit_bp[b] = controls[b].clip(t_rows[b], h_rows[b])
+            if h_rows[b] < dt_min:
+                _mask(b, "step-underflow")
+        active = stepping.copy()
+        if not active.any():
             break
-
+        h = np.array(h_rows)
         t_new = t + h
         batch.source_voltages_into(t_new, v_sources, dynamic_only=True)
-        if np.ndim(t_prev):
-            # First step after per-row checkpoints: each row runs the
-            # scalar predictor from its own t_prev (which branches on
-            # ``t > t_prev``), until the first accept makes t_prev shared.
-            for row in range(B):
-                control.predict_into(v[row], v_prev[row], t, t_prev[row], h,
-                                     v_pred[row])
-        else:
-            control.predict_into(v, v_prev, t, t_prev, h, v_pred)
+        StepControl.predict_into(v, v_prev, t, t_prev, h, v_pred)
 
-        alpha = 1.0 if force_be else 0.5
+        trapezoidal = active & ~np.array(force_be)
+        alpha = np.where(trapezoidal, 0.5, 1.0)
         f_hist = None
-        if not force_be:
+        if trapezoidal.any():
             f_hist, _ = kernel.eval(v, with_jacobian=False, stats=stats)
         c_einsum("bij,bj->bi", batch.C, v, out=q_prev)
 
         v_new, converged = _newton_step_batch(
             batch, v_pred, v_sources, q_prev, f_hist, h, alpha, options,
-            alive, work=work,
+            active, work,
         )
         blown = converged & ~np.isfinite(v_new).all(axis=1)
         converged &= ~blown
-        stuck = alive & ~converged
-        masked_now = False
-        if stuck.any():
-            if control.can_halve(h):
-                # The whole batch retries at the failing samples' pace.
-                escalations["step-halving"] = (
-                    escalations.get("step-halving", 0) + 1
-                )
-                h *= 0.25
-                force_be = True
-                continue
-            # Floor reached: mask the stragglers out, keep the rest.
-            _mask(stuck, "non-finite" if blown.any() else "newton-floor")
-            masked_now = True
-            if not alive.any():
-                break
 
         t_accept = perf_counter()
-        # Per-sample LTE; the worst active sample drives the shared step.
-        control.lte(v_new, v_pred, weight, err_buf, out=err_all)
-        err_active = err_all[alive]
-        err_worst = float(err_active.max()) if err_active.size else 0.0
+        for b in (active & ~converged).nonzero()[0].tolist():
+            if controls[b].can_halve(h_rows[b]):
+                halvings += 1
+                h_rows[b] *= 0.25
+                force_be[b] = True
+            else:  # floor reached: the scalar ladder takes over
+                _mask(b, "non-finite" if blown[b] else "newton-floor")
 
-        if not masked_now and control.rejects(err_worst, h, hit_bp):
-            h *= 0.4  # any rejecting sample shrinks the shared step
-            stats.accept_s += perf_counter() - t_accept
-            continue
-
-        # Accept: dead samples carry their last state forward frozen.
-        np.copyto(v_new, v, where=~alive[:, None])
-        v_prev, t_prev = v, t
-        v, t = v_new, t_new
-        times.append(t)
-        states.append(v)  # _newton_step_batch returned a fresh array
-        h, force_be = control.advance(h, err_worst, hit_bp or masked_now)
+        rows = converged.nonzero()[0].tolist()
+        if rows:
+            lte(v_new, v_pred, weight, err_buf, out=err_all)
+        accepted = []
+        for b in rows:
+            control, err = controls[b], err_all[b]
+            if control.rejects(err, h_rows[b], hit_bp[b]):
+                h_rows[b] *= 0.4
+                continue
+            accepted.append(b)
+            h_rows[b], force_be[b] = control.advance(h_rows[b], err, hit_bp[b])
+        if accepted:
+            mask = np.zeros(B, dtype=bool)
+            mask[accepted] = True
+            np.copyto(v_prev, v, where=mask[:, None])
+            np.copyto(v, v_new, where=mask[:, None])
+            np.copyto(t_prev, t, where=mask)
+            np.copyto(t, t_new, where=mask)
+            times_log.append(t_new)
+            states_log.append(v_new)
+            accepted_log.append(mask)
+            t_new_rows = t_new.tolist()
+            for b in accepted:
+                t_rows[b] = t_new_rows[b]
+                stepping[b] = controls[b].running(t_rows[b])
         stats.accept_s += perf_counter() - t_accept
 
-    time_array = np.asarray(times)
-    state_array = np.asarray(states)  # (T, B, n)
+    if halvings:
+        escalations["step-halving"] = halvings
+    for name, counts in work.counts.items():
+        setattr(stats, name, int(counts.sum()))
+
+    time_grid = np.array(times_log)      # (K, B)
+    state_grid = np.array(states_log)    # (K, B, n)
+    accepted_grid = np.array(accepted_log)
+    points = [np.flatnonzero(accepted_grid[:, b]) for b in range(B)]
     voltages = {
-        node: state_array[:, :, batch.node_index[node]].copy() for node in record
+        node: [state_grid[k, b, batch.node_index[node]]
+               for b, k in enumerate(points)]
+        for node in record
     }
     return BatchTransientResult(
-        times=time_array,
+        times=[time_grid[k, b] for b, k in enumerate(points)],
         voltages=voltages,
         ok=alive.copy(),
         escalations=escalations,
         fallback_reasons=fallback_reasons,
         kernel_stats=stats.as_dict(),
+        row_counters={name: c.copy() for name, c in work.counts.items()},
     )

@@ -6,20 +6,21 @@ with :func:`~repro.runtime.jobs.job_circuit` (each with its own clock
 pair, loads, sizing and process corner), compiles the stack, runs one
 lockstep transient and reads every sample with
 :func:`repro.core.response.read_response` - the reading the scalar
-paths use - so a batch result is the scalar result up to
-integration-grid differences (bounded by the engine's LTE control; the
-equivalence suite pins it below 1 mV on ``Vmin``).  A cold stack spans
-``[0, settle + period]``; a warm stack runs the
-:func:`repro.runtime.prefix.warm_plan` of the single-job warm path: each
-row forks from its own sample's checkpoint at the shared fork time, and
-the stack stops at the latest ``fall_start``.
+paths use.  Every row steps its own window on its own time axis, so a
+batch result is its scalar twin's bit for bit (``Vmin``, code and
+``steps``), whatever else the stack holds (to rounding under
+``jacobian_policy="sparse"``, whose scalar run factors with SuperLU).  A cold row spans
+``[0, settle + period]``; a warm row runs the
+:func:`repro.runtime.prefix.warm_plan` of the single-job warm path: it
+forks from its own sample's checkpoint at its own fork time and stops
+at its own ``fall_start``.
 
 :func:`batch_signature` is the one statement of what a stack must share
-(horizon, topology switches, engine options and, for warm jobs, the
-fork time); the dispatcher groups by it and :func:`evaluate_jobs_batch`
-refuses jobs that do not share it.  Samples the engine masked out - and
-warm rows whose prefix build failed (reason ``"prefix"``) - come back as
-``None`` results for the caller to re-dispatch to the scalar path.
+(topology switches, engine options, warm or cold); the dispatcher
+groups by it and :func:`evaluate_jobs_batch` refuses jobs that do not
+share it.  Samples the engine masked out - and warm rows whose prefix
+build failed (reason ``"prefix"``) - come back as ``None`` results for
+the caller to re-dispatch to the scalar path.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class BatchEvaluation:
     results: List[Optional[JobResult]]
     escalations: Dict[str, int] = field(default_factory=dict)
     fallback_reasons: Dict[int, str] = field(default_factory=dict)
-    steps: int = 0
     #: Whole-stack hot-loop counters of the lockstep run
     #: (:meth:`repro.analog.kernels.KernelStats.as_dict`).  Kept at the
     #: stack level - the per-sample ``JobResult.kernel`` tallies stay
@@ -71,31 +71,22 @@ class BatchEvaluation:
 def batch_signature(job: SensorJob) -> Hashable:
     """The fields every job of one lockstep stack must share.
 
-    ``period``/``settle`` fix the shared time horizon, ``full_swing``/
-    ``parasitics`` fix the circuit topology, and ``options`` fixes the
-    engine knobs.  Everything else (skew, slews, loads, sizing, process
-    corner, threshold) may vary per sample - that is the point.
-
-    Warm-start jobs additionally carry their fork time: every row of a
-    warm stack resumes from its own prefix checkpoint, and the rows
-    must share the time they resume at.  Every job with ``tau >= 0``
-    forks at ``settle - PREFIX_GUARD``, so the warm jobs of a whole
-    Monte Carlo campaign share one signature.  Warm and cold jobs (and
-    warm jobs the warm path does not apply to) never share a stack.
+    ``full_swing``/``parasitics`` fix the circuit topology, ``options``
+    fixes the engine knobs, and warm-vs-cold fixes how the rows start
+    (from their own prefix checkpoints, or from operating points).
+    Everything else (skew, slews, period, settle, loads, sizing,
+    process corner, threshold, fork time) may vary per sample: each row
+    steps its own window on its own time axis.  A warm-start job the
+    warm path does not apply to runs cold, so it stacks with cold jobs.
     """
-    from repro.runtime.prefix import fork_time, warm_eligible
+    from repro.runtime.prefix import warm_eligible
 
     resolved = job.resolved()
-    fork = None
-    if resolved.warm_start:
-        fork = fork_time(resolved) if warm_eligible(resolved) else "cold"
     return (
-        resolved.period,
-        resolved.settle,
         resolved.full_swing,
         resolved.parasitics,
         resolved.options,
-        fork,
+        resolved.warm_start and warm_eligible(resolved),
     )
 
 
@@ -103,45 +94,47 @@ def evaluate_jobs_batch(jobs: Sequence[SensorJob]) -> BatchEvaluation:
     """Evaluate ``jobs`` as one lockstep batch.
 
     Every job is resolved, its sensor netlist built with its own clock
-    pair, and the stack compiled and integrated once.  Jobs must share
-    one :func:`batch_signature`; a mismatch raises ``ValueError``.  A
-    warm job whose prefix build fails leaves the stack with fallback
-    reason ``"prefix"`` and a ``None`` result.
+    pair, and the stack compiled and integrated once, each row over its
+    own window.  Jobs must share one :func:`batch_signature`; a mismatch
+    raises ``ValueError``.  A warm job whose prefix build fails leaves
+    the stack with fallback reason ``"prefix"`` and a ``None`` result.
     """
     if not jobs:
         return BatchEvaluation(results=[])
     resolved = [job.resolved() for job in jobs]
-    if len({batch_signature(job) for job in resolved}) > 1:
+    signatures = {batch_signature(job) for job in resolved}
+    if len(signatures) > 1:
         raise ValueError(
-            "jobs in one batch must share one batch_signature (period, "
-            "settle, full_swing, parasitics, options, warm fork time)"
+            "jobs in one batch must share one batch_signature (full_swing, "
+            "parasitics, options, warm or cold)"
         )
-    head = resolved[0]
+    warm = signatures.pop()[-1]  # the signature's warm-or-cold field
 
-    from repro.runtime.prefix import warm_eligible, warm_plan
+    from repro.runtime.prefix import warm_plan
 
     rows = list(range(len(resolved)))
     resume_from = None
     fallback_reasons: Dict[int, str] = {}
-    if head.warm_start and warm_eligible(head):
-        # Warm stack: every row forks from its own prefix checkpoint at
-        # the shared fork time and integrates only up to the latest
-        # row's fall_start.
-        checkpoints, t_stop, prefix_stats = warm_plan(resolved)
+    if warm:
+        # Warm stack: every row forks from its own prefix checkpoint and
+        # integrates up to its own fall_start.
+        checkpoints, stops, prefix_stats = warm_plan(resolved)
         rows = [i for i in rows if checkpoints[i] is not None]
         resume_from = [checkpoints[i] for i in rows]
+        t_stop = [stops[i] for i in rows]
         fallback_reasons = {
             i: "prefix" for i, c in enumerate(checkpoints) if c is None
         }
     else:
-        t_stop, prefix_stats = head.settle + head.period, {}
+        t_stop = [job.settle + job.period for job in resolved]
+        prefix_stats = {}
 
     circuits = [job_circuit(resolved[i]) for i in rows]
     batch = compile_batch([netlist for _, netlist in circuits])
     result = batch_transient(
         batch, t_stop=t_stop, record=list(RECORD_NODES),
         initial=[sensor.dc_guess() for sensor, _ in circuits],
-        options=head.options, resume_from=resume_from,
+        options=resolved[0].options, resume_from=resume_from,
     )
 
     results: List[Optional[JobResult]] = [None] * len(resolved)
@@ -154,9 +147,11 @@ def evaluate_jobs_batch(jobs: Sequence[SensorJob]) -> BatchEvaluation:
             job.skew, job.slew1, job.slew2, job.period, job.settle,
             job.threshold,
         )
+        # Counted as the scalar twin counts: a cold run's points
+        # including t = 0, a warm run's suffix steps.
         results[index] = JobResult(
             skew=job.skew, vmin_y1=vmin_y1, vmin_y2=vmin_y2, code=code,
-            steps=len(result),
+            steps=len(result.times[row]) - int(warm),
         )
     for row, reason in result.fallback_reasons.items():
         fallback_reasons[rows[row]] = reason
@@ -164,7 +159,6 @@ def evaluate_jobs_batch(jobs: Sequence[SensorJob]) -> BatchEvaluation:
         results=results,
         escalations=dict(result.escalations),
         fallback_reasons=fallback_reasons,
-        steps=len(result),
         kernel_stats=dict(result.kernel_stats),
         prefix=prefix_stats,
     )

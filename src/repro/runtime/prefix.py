@@ -37,8 +37,9 @@ ends.  This module exploits that:
 :func:`warm_plan` writes that plan once, for one job
 (:func:`evaluate_job_warm`) and for a warm lockstep stack
 (:func:`repro.batch.response.evaluate_jobs_batch`): it fetches or builds
-each distinct prefix once and returns one checkpoint per job, so one
-stack can hold the jobs of many samples that share a fork time.
+each distinct prefix once and returns one checkpoint and one stop per
+job, so one stack can hold the jobs of many samples, each row on its
+own window.
 
 A campaign plans its prefixes once, before dispatch:
 :func:`prepare_prefixes` builds each missing prefix in the parent
@@ -177,50 +178,60 @@ def prefix_checkpoint(
 
 def warm_plan(
     jobs: Sequence[SensorJob],
-) -> Tuple[List[Optional[TransientCheckpoint]], float, Dict[str, float]]:
-    """``(checkpoints, t_stop, stats)`` of the warm run of resolved
-    ``jobs`` sharing one fork time, period and settle.
+) -> Tuple[List[Optional[TransientCheckpoint]], List[Optional[float]],
+           Dict[str, float]]:
+    """``(checkpoints, stops, stats)`` of the warm runs of resolved
+    ``jobs``.
 
     ``checkpoints[i]`` is job ``i``'s prefix checkpoint: each distinct
     prefix key is fetched or built once (:func:`prefix_checkpoint`).  A
     prefix whose build raises :class:`~repro.errors.SimulationError`
     leaves its jobs' entries ``None``; when no job gets a checkpoint the
     first such error is re-raised, so a single job fails as its build
-    did.  ``t_stop`` is the latest ``fall_start`` of the jobs with a
-    checkpoint, where every measurement window has ended.  ``stats``
-    counts ``hits`` (every job with a checkpoint but those that paid a
-    build), ``builds`` and ``saved_s``: each such job's skipped tail
-    after its ``fall_start``, plus the prefix once per hit.  The builds'
-    own ``build_s`` and ``esc:<rung>`` counts ride along.
+    did.  ``stops[i]`` is job ``i``'s ``fall_start``, where every one of
+    its measurement windows has ended (``None`` without a checkpoint).
+    ``stats`` counts ``hits`` (every job with a checkpoint but those
+    that paid a build), ``builds`` and ``saved_s``: per job with a
+    checkpoint, its skipped tail after its ``fall_start``, plus its
+    prefix when it was a hit - so a plan's ``saved_s`` is the sum of its
+    jobs' single-job plans'.  The builds' own ``build_s`` and
+    ``esc:<rung>`` counts ride along.
     """
-    keys = [prefix_key(job) for job in jobs]
     by_key: Dict[str, Optional[TransientCheckpoint]] = {}
+    checkpoints: List[Optional[TransientCheckpoint]] = []
+    stops: List[Optional[float]] = []
     stats: Dict[str, float] = {}
     error: Optional[SimulationError] = None
-    for job, key in zip(jobs, keys):
-        if key in by_key:
-            continue
-        try:
-            by_key[key], fetched = prefix_checkpoint(job)
-        except SimulationError as exc:
-            by_key[key], error = None, error or exc
-            continue
-        for name, value in fetched.items():
-            stats[name] = stats.get(name, 0.0) + value
-    checkpoints = [by_key[key] for key in keys]
-    fall_stops = [
-        measurement_windows(j.skew, j.slew1, j.slew2, j.period, j.settle)[2]
-        for j, checkpoint in zip(jobs, checkpoints) if checkpoint is not None
-    ]
-    if not fall_stops:
+    hits = saved = 0.0
+    for job in jobs:
+        key = prefix_key(job)
+        built = False
+        if key not in by_key:
+            try:
+                by_key[key], fetched = prefix_checkpoint(job)
+            except SimulationError as exc:
+                by_key[key], error = None, error or exc
+            else:
+                built = "builds" in fetched
+                for name, value in fetched.items():
+                    stats[name] = stats.get(name, 0.0) + value
+        checkpoint = by_key[key]
+        stop = None
+        if checkpoint is not None:
+            stop = measurement_windows(
+                job.skew, job.slew1, job.slew2, job.period, job.settle
+            )[2]
+            skipped = job.settle + job.period - stop
+            if not built:
+                hits += 1.0
+                skipped += checkpoint.t
+            saved += skipped
+        checkpoints.append(checkpoint)
+        stops.append(stop)
+    if error is not None and all(c is None for c in checkpoints):
         raise error
-    fork = next(c.t for c in checkpoints if c is not None)
-    builds = stats.get("builds", 0.0)
-    hits = float(len(fall_stops) - int(builds))
-    cold_stop = jobs[0].settle + jobs[0].period
-    saved = sum(cold_stop - fs for fs in fall_stops) + fork * hits
-    stats.update(hits=hits, builds=builds, saved_s=saved)
-    return checkpoints, max(fall_stops), stats
+    stats.update(hits=hits, builds=stats.get("builds", 0.0), saved_s=saved)
+    return checkpoints, stops, stats
 
 
 def evaluate_job_warm(job: SensorJob) -> JobResult:
@@ -237,7 +248,7 @@ def evaluate_job_warm(job: SensorJob) -> JobResult:
     if not warm_eligible(resolved):
         return evaluate_job(replace(resolved, warm_start=False))
 
-    (checkpoint,), t_stop, prefix = warm_plan([resolved])
+    (checkpoint,), (t_stop,), prefix = warm_plan([resolved])
     _, netlist = job_circuit(resolved)
     result = transient(
         netlist,

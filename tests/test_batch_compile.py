@@ -58,15 +58,15 @@ def test_source_voltages_match_scalar_sources():
             assert np.array_equal(stacked[k], expected), f"t={t}"
 
 
-def test_breakpoints_are_sorted_union():
+def test_source_voltages_at_per_row_times():
+    """Each row of a stack reads its sources at its own time."""
     netlists = [_netlist(skew=ns(0.0)), _netlist(skew=ns(0.1))]
     batch = compile_batch(netlists)
-    merged = batch.breakpoints(0.0, 20e-9)
-    assert np.all(np.diff(merged) > 0)
-    merged_set = set(merged)
-    for netlist in netlists:
-        for point in CompiledCircuit.compile(netlist).breakpoints(0.0, 20e-9):
-            assert point in merged_set
+    compiled = [CompiledCircuit.compile(nl) for nl in netlists]
+    times = np.array([2.05e-9, 2.31e-9])
+    stacked = batch.source_voltages_into(times, np.zeros((2, batch.n_total)))
+    for k, circuit in enumerate(compiled):
+        assert np.array_equal(stacked[k], circuit.source_voltages(times[k]))
 
 
 def test_topology_mismatch_rejected():

@@ -17,9 +17,10 @@ Pins the PR-5 warm-start machinery four ways:
   per-row resume consistent with its cold path (one sample's skews, or
   several Monte Carlo samples in one stack), and warm start disabled
   (``warm_start=False``) restoring cold evaluation;
-* warm stacks keyed on fork time: a stack must share one
-  ``batch_signature``, and a sample whose prefix build fails leaves the
-  stack for the scalar path alone.
+* warm stacks of any fork times, periods and stops: each row equals its
+  single-job warm run bit for bit, a stack must share one
+  ``batch_signature`` (warm and cold rows never mix), and a sample whose
+  prefix build fails leaves the stack for the scalar path alone.
 """
 
 import json
@@ -322,8 +323,16 @@ def _items(jobs):
     return [(k, job, 1, None) for k, job in enumerate(jobs)]
 
 
+def _assert_same_result(got, want):
+    assert got.vmin_y1 == want.vmin_y1  # bit-exact, not approx
+    assert got.vmin_y2 == want.vmin_y2
+    assert got.code == want.code
+    assert got.steps == want.steps
+
+
 def test_cross_sample_warm_stack(fresh_cache):
     from repro.batch.dispatch import DEFAULT_BATCH_SIZE, group_batches
+    from repro.runtime.prefix import evaluate_job_warm
 
     warm_jobs = _cross_sample_jobs()
     chunks = group_batches(_items(warm_jobs), DEFAULT_BATCH_SIZE)
@@ -339,10 +348,50 @@ def test_cross_sample_warm_stack(fresh_cache):
         assert abs(w.vmin_y2 - c.vmin_y2) <= 1e-3
         assert w.code == c.code
 
-    # A negative skew forks earlier, so it cannot join the stack.
+    # A negative skew forks earlier, and joins the stack all the same:
+    # every row steps its own window.
     early = replace(warm_jobs[0], skew=ns(-0.1))
-    chunks = group_batches(_items(warm_jobs + [early]), DEFAULT_BATCH_SIZE)
-    assert [len(chunk) for chunk in chunks] == [9, 1]
+    jobs = warm_jobs + [early]
+    chunks = group_batches(_items(jobs), DEFAULT_BATCH_SIZE)
+    assert [len(chunk) for chunk in chunks] == [10]
+    stack = evaluate_jobs_batch(jobs)
+    for job, got in zip(jobs, stack.results):
+        _assert_same_result(got, evaluate_job_warm(job))
+
+
+def test_warm_stack_mixes_forks_periods_and_stops(monkeypatch, tmp_path):
+    """One warm stack of an earlier fork, another period and two
+    tau >= 0 jobs: each row is its single-job warm run, and the stack's
+    prefix plan is the sum of the single-job plans."""
+    from repro.runtime import reset_cache
+    from repro.runtime.prefix import evaluate_job_warm, fork_time, warm_plan
+
+    base = sensitivity_job(fF(160), ns(0.2), ns(0.0), options=FAST)
+    jobs = [base, replace(base, skew=ns(0.15)), replace(base, skew=ns(-0.1)),
+            replace(base, skew=ns(0.1), period=ns(16.0))]
+    resolved = [job.resolved() for job in jobs]
+    assert len({fork_time(job) for job in resolved}) == 2
+    assert len({job.period for job in resolved}) == 2
+
+    def fresh(name):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+        reset_cache()
+
+    try:
+        fresh("stack")
+        stack = evaluate_jobs_batch(jobs)
+        assert stack.fallbacks == 0
+        assert stack.prefix["builds"] == 2 and stack.prefix["hits"] == 2
+        for job, got in zip(jobs, stack.results):
+            _assert_same_result(got, evaluate_job_warm(job))
+
+        fresh("single")  # the same builds and hits, one job at a time
+        single = [warm_plan([job])[2] for job in resolved]
+    finally:
+        reset_cache()
+    for name in ("hits", "builds"):
+        assert stack.prefix[name] == sum(plan[name] for plan in single)
+    assert stack.prefix["saved_s"] == sum(plan["saved_s"] for plan in single)
 
 
 def test_batch_rejects_mixed_signatures():
@@ -350,8 +399,8 @@ def test_batch_rejects_mixed_signatures():
         return sensitivity_job(fF(160), ns(0.2), ns(tau), options=FAST,
                                warm_start=warm_start)
 
-    with pytest.raises(ValueError):  # two fork times
-        evaluate_jobs_batch([job(0.0, True), job(-0.1, True)])
+    # Two fork times share a stack; warm and cold rows do not.
+    assert evaluate_jobs_batch([job(0.0, True), job(-0.1, True)]).fallbacks == 0
     with pytest.raises(ValueError):  # warm and cold
         evaluate_jobs_batch([job(0.0, True), job(0.15, False)])
 

@@ -82,13 +82,18 @@ def test_resolve_chunksize():
 # Backends return identical, ordered results.
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("backend, warm_start", [
-    pytest.param("serial", False, id="serial"),
-    pytest.param("process", False, id="process"),
-    pytest.param("serial", True, id="serial-warm"),
-    pytest.param("process", True, id="process-warm"),
+@pytest.mark.parametrize("backend, warm_start, batch_workers", [
+    pytest.param("serial", False, None, id="serial"),
+    pytest.param("process", False, None, id="process"),
+    pytest.param("serial", True, None, id="serial-warm"),
+    pytest.param("process", True, None, id="process-warm"),
+    pytest.param("batch", False, 1, id="batch"),
+    pytest.param("batch", True, 1, id="batch-warm"),
+    pytest.param("batch", False, 2, id="batch-sharded"),
+    pytest.param("batch", True, 2, id="batch-sharded-warm"),
 ])
-def test_backends_bit_identical(backend, warm_start, monkeypatch):
+def test_backends_bit_identical(backend, warm_start, batch_workers,
+                                monkeypatch):
     from repro.runtime import reset_cache
 
     jobs = jobs_for(0.1, 0.4, warm_start=warm_start)
@@ -97,11 +102,14 @@ def test_backends_bit_identical(backend, warm_start, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
     reset_cache()
     try:
-        reference = run_campaign(jobs, backend="serial", cache=None)
+        serial = Telemetry()
+        reference = run_campaign(jobs, backend="serial", cache=None,
+                                 telemetry=serial)
         reset_cache()
         telemetry = Telemetry()
         campaign = run_campaign(jobs, backend=backend, cache=None,
-                                max_workers=2, telemetry=telemetry)
+                                max_workers=2, batch_workers=batch_workers,
+                                telemetry=telemetry)
     finally:
         monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
         reset_cache()
@@ -110,6 +118,10 @@ def test_backends_bit_identical(backend, warm_start, monkeypatch):
         assert got.vmin_y2 == want.vmin_y2
         assert got.code == want.code
         assert got.steps == want.steps
+    assert telemetry.steps_integrated == serial.steps_integrated
+    if backend == "batch":
+        assert telemetry.batched_samples == len(jobs)
+        assert telemetry.batch_workers == batch_workers
     if warm_start:
         # One parent-side prefix build; every job forks from it.
         assert telemetry.prefix_builds == 1
