@@ -33,17 +33,42 @@ checkpoint and walks its own grid, so its per-point ``Vmin`` must agree
 with the cold scalar leg within 1 mV; it lands in the record as
 ``batch_warm_wide``, with ``warm_vs_cold_batch`` its throughput over
 the cold batch leg's.
+
+The ``prefix_planner`` leg measures the campaign planner's prefix
+builds, which the legs above cannot show (their ``samples_per_s``
+leaves the prefix-build wall out).  For B in :data:`PLANNER_SIZES`
+Monte Carlo samples it times building all B prefixes one scalar
+transient at a time and as one lockstep stack - the two ways
+:func:`repro.runtime.prefix.build_prefixes` builds a missing group -
+from an empty checkpoint tier, alternating which side runs first, under
+:data:`_util.BENCH_OPTIONS` and
+:data:`_util.ACCURATE_OPTIONS`.  The stacked checkpoints must equal the
+scalar ones bit for bit.  The record keeps each side's median
+milliseconds per prefix and the ``crossover``: the smallest B from
+which the stack wins at every measured size - what
+:data:`repro.runtime.prefix.PREFIX_STACK_MIN` quotes.
 """
+
+import os
+import statistics
+import time
 
 import numpy as np
 
+import repro.runtime.prefix as prefix
 from repro.core.sensitivity import extract_tau_min
-from repro.montecarlo.parallel import default_workers, scatter_analysis_parallel
+from repro.montecarlo.parallel import (
+    default_workers,
+    sample_job,
+    scatter_analysis_parallel,
+)
 from repro.montecarlo.sampling import sample_population
+from repro.runtime import reset_cache
 from repro.units import VTH_INTERPRET, fF, ns, to_ns
 
 from _util import (
     ACCURATE_OPTIONS,
+    BENCH_OPTIONS,
     Stopwatch,
     Telemetry,
     emit,
@@ -77,6 +102,12 @@ WARM_STACK_SIZE = len(SKEWS_NS)
 #: Shard processes of the sharded warm leg (the width of the
 #: benchmark's ``mc_scatter`` workload).
 SHARD_WORKERS = 2
+
+#: Prefixes per planner pass in the ``prefix_planner`` leg (18 is one
+#: ``mc_scatter`` campaign's).
+PLANNER_SIZES = (1, 2, 3, 4, 6, 9, 18)
+#: Timed builds per size and side; the leg reports medians.
+PLANNER_REPEATS = 10
 
 
 def _run_backend(backend, samples, n_workers=None, batch_workers=None,
@@ -122,6 +153,78 @@ def _run_backend(backend, samples, n_workers=None, batch_workers=None,
     }
 
 
+def _build_all(jobs, stacked):
+    """``(seconds, checkpoints)`` of building every prefix of ``key ->
+    job`` into an empty, memory-only checkpoint tier: the two ways
+    :func:`repro.runtime.prefix.build_prefixes` builds a missing group,
+    as one stack or one scalar transient each."""
+    reset_cache()
+    start = time.perf_counter()
+    if stacked:
+        built = prefix._stack_prefixes(jobs)
+    else:
+        built = {key: prefix.prefix_checkpoint(job)
+                 for key, job in jobs.items()}
+    elapsed = time.perf_counter() - start
+    return elapsed, {key: checkpoint for key, (checkpoint, _) in built.items()}
+
+
+def _same_bits(a, b):
+    return (a.t == b.t and a.t_prev == b.t_prev
+            and np.array_equal(a.state, b.state)
+            and np.array_equal(a.state_prev, b.state_prev))
+
+
+def _planner_leg(options):
+    """Per-prefix build cost, scalar against stacked, at each planner
+    size (see the module docstring)."""
+    samples = sample_population(max(PLANNER_SIZES), LOAD, seed=SEED)
+    rows = []
+    for size in PLANNER_SIZES:
+        jobs = {}
+        for sample in samples[:size]:
+            job = sample_job(sample, 0.0, options=options).resolved()
+            jobs[prefix.prefix_key(job)] = job
+        times = {False: [], True: []}
+        built = {}
+        for repeat in range(PLANNER_REPEATS):
+            for stacked in ((False, True) if repeat % 2 else (True, False)):
+                elapsed, built[stacked] = _build_all(jobs, stacked)
+                times[stacked].append(elapsed / size)
+        rows.append({
+            "prefixes": size,
+            "scalar_ms": statistics.median(times[False]) * 1e3,
+            "stacked_ms": statistics.median(times[True]) * 1e3,
+            "bit_mismatches": sum(
+                1 for key in jobs
+                if not _same_bits(built[True][key], built[False][key])),
+        })
+        rows[-1]["speedup"] = rows[-1]["scalar_ms"] / rows[-1]["stacked_ms"]
+    crossover = None
+    for row in reversed(rows):
+        if row["speedup"] <= 1.0:
+            break
+        crossover = row["prefixes"]
+    return {"options": {"dt_max": options.dt_max, "reltol": options.reltol},
+            "repeats": PLANNER_REPEATS, "rows": rows, "crossover": crossover}
+
+
+def prefix_planner():
+    """The ``prefix_planner`` leg under both option sets, on a
+    memory-only checkpoint tier (restored afterwards)."""
+    saved = os.environ.get("REPRO_CACHE_DISABLE")
+    os.environ["REPRO_CACHE_DISABLE"] = "1"
+    try:
+        return {"bench": _planner_leg(BENCH_OPTIONS),
+                "accurate": _planner_leg(ACCURATE_OPTIONS)}
+    finally:
+        if saved is None:
+            del os.environ["REPRO_CACHE_DISABLE"]
+        else:
+            os.environ["REPRO_CACHE_DISABLE"] = saved
+        reset_cache()
+
+
 def run():
     samples = sample_population(N_SAMPLES, LOAD, seed=SEED)
     # Engine acceptance, cold: the scalar reference goes through a
@@ -154,12 +257,12 @@ def run():
     )
     sharded = (warm_points, warm_metrics, sharded_points, sharded_metrics)
     return (scalar_points, scalar_metrics, batch_points, batch_metrics,
-            wide, sharded)
+            wide, sharded, prefix_planner())
 
 
 def test_fig5_scatterplot(benchmark):
     (scalar_points, scalar_metrics, batch_points, batch_metrics, wide,
-     sharded) = benchmark.pedantic(run, rounds=1, iterations=1)
+     sharded, planner) = benchmark.pedantic(run, rounds=1, iterations=1)
     tau_nominal = extract_tau_min(
         LOAD, tolerance=ns(0.005), options=ACCURATE_OPTIONS
     )
@@ -199,6 +302,7 @@ def test_fig5_scatterplot(benchmark):
     record["warm_vs_cold_vmin_deviation_max"] = float(wide_deviations.max())
     record["warm_vs_cold_batch"] = (wide_metrics["samples_per_s"]
                                     / batch_metrics["samples_per_s"])
+    record["prefix_planner"] = planner
     write_bench_json("fig5_montecarlo", record)
 
     points = scalar_points
@@ -243,6 +347,17 @@ def test_fig5_scatterplot(benchmark):
         f"max |dVmin| {wide_deviations.max() * 1e3:.3f} mV against cold "
         f"(bar {EQUIVALENCE_TOL * 1e3:.0f} mV)",
     ]
+    lines += ["", "  planner prefix builds, ms per prefix (median of "
+              f"{PLANNER_REPEATS}), scalar vs one stack:"]
+    for name, leg in planner.items():
+        lines.append(f"    {name} options (dt_max "
+                     f"{leg['options']['dt_max'] * 1e12:.0f} ps), "
+                     f"crossover at {leg['crossover']} prefixes:")
+        for row in leg["rows"]:
+            lines.append(
+                f"      {row['prefixes']:3d} prefixes  {row['scalar_ms']:7.2f} "
+                f"vs {row['stacked_ms']:7.2f} -> {row['speedup']:.2f}x, "
+                f"{row['bit_mismatches']} bit mismatches")
     emit("fig5_montecarlo", lines)
 
     # Shape claims: clean separation far from tau_min.  In the transition
@@ -279,3 +394,9 @@ def test_fig5_scatterplot(benchmark):
     assert sharded_metrics["prefix_hit_rate"] > 0, (
         "sharded warm leg never forked the parent's prefix"
     )
+    # Planner acceptance: a stacked prefix is its scalar build, bit for
+    # bit, at every size and under both option sets.
+    for leg in planner.values():
+        assert all(row["bit_mismatches"] == 0 for row in leg["rows"]), (
+            "stacked prefix checkpoints differ from their scalar builds"
+        )

@@ -41,11 +41,13 @@ size.
 Before any stack runs, in process or sharded, every skew-invariant
 prefix is built once in the parent
 (:func:`repro.runtime.prefix.publish_prefixes` - the campaign's one
-planner pass) and lands in its checkpoint memory tier - and on disk,
-when the disk tier is on.  Shard pools fork wherever fork exists, so
-every worker - first generation or rebuilt after a crash - inherits the
-parent's memory tier and warm-starts from the checkpoint instead of
-re-integrating it.
+planner pass, which keys each job's prefix once and integrates the
+missing ones as a lockstep stack of their own from
+:data:`~repro.runtime.prefix.PREFIX_STACK_MIN` prefixes up) and lands
+in its checkpoint memory tier - and on disk, when the disk tier is on.
+Shard pools fork wherever fork exists, so every worker - first
+generation or rebuilt after a crash - inherits the parent's memory tier
+and warm-starts from the checkpoint instead of re-integrating it.
 
 Fallback contract
 -----------------

@@ -54,8 +54,8 @@ masked, vectorised Newton iteration itself: a ``B = 1`` stack measured
 141 ms vs 71 ms; four medians of 15 runs on a 2-core x86 box), so the
 scalar loop cannot become its ``B = 1`` case.
 
-Resuming
---------
+Checkpoints
+-----------
 ``resume_from`` takes one
 :class:`~repro.analog.engine.TransientCheckpoint` per sample, so a warm
 stack can hold rows of different Monte Carlo samples forked at
@@ -63,6 +63,13 @@ different times.  Each row restarts at its own checkpoint's ``t`` with
 the scalar backward-Euler-after-breakpoint rule and its own
 ``state_prev``/``t_prev`` predictor history - the scalar resume's
 decisions, row by row.
+
+The other way round, every completed row hands back the checkpoint of
+its own stop (``checkpoints[b]``): its last two accepted points, which
+the loop holds anyway.  That is the checkpoint the scalar run takes
+with ``checkpoint_at`` equal to its ``t_stop``, bit for bit, so a stack
+of prefix runs, each stopping at its own fork, builds every prefix of a
+campaign at once (:func:`repro.runtime.prefix.build_prefixes`).
 
 Fallback contract
 -----------------
@@ -88,6 +95,7 @@ from repro.analog.engine import (
     StepControl,
     TransientCheckpoint,
     TransientOptions,
+    _node_order,
     check_window,
     resolve_jacobian_policy,
 )
@@ -127,7 +135,7 @@ class BatchTransientResult:
     escalations:
         Stack solver tally: the ``"step-halving"`` events of all rows
         and the ``"dcop:*"`` rung counts of the per-sample operating
-        points.
+        points (the sums of :attr:`row_escalations`).
     fallback_reasons:
         ``sample index -> reason`` for every masked-out sample (the
         caller's re-dispatch list).
@@ -141,6 +149,12 @@ class BatchTransientResult:
     row_counters:
         Per :data:`ROW_COUNTERS` name, a ``(B,)`` array of each
         sample's own count - what its scalar run reports.
+    row_escalations:
+        Per sample, its own ``escalations`` tally - what its scalar run
+        reports while it needs no rung beyond step-halving.
+    checkpoints:
+        Per sample, the :class:`~repro.analog.engine.TransientCheckpoint`
+        at its own stop (``None`` where ``ok[b]`` is False).
     """
 
     times: List[np.ndarray]
@@ -150,6 +164,9 @@ class BatchTransientResult:
     fallback_reasons: Dict[int, str] = field(default_factory=dict)
     kernel_stats: Dict[str, float] = field(default_factory=dict)
     row_counters: Dict[str, np.ndarray] = field(default_factory=dict)
+    row_escalations: List[Dict[str, int]] = field(default_factory=list)
+    checkpoints: List[Optional[TransientCheckpoint]] = field(
+        default_factory=list)
 
     @property
     def batch_size(self) -> int:
@@ -365,7 +382,7 @@ def _batch_dcop(
     batch: BatchCompiledCircuit,
     t: float,
     initial: Optional[Sequence[Optional[Dict[str, float]]]],
-    escalations: Dict[str, int],
+    row_escalations: List[Dict[str, int]],
     fallback_reasons: Dict[int, str],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Operating points for the whole stack at time ``t``.
@@ -374,7 +391,8 @@ def _batch_dcop(
     ladder on its own compiled circuit, so a stack starts from exactly
     the states the scalar engine would; a sample the ladder rejects is
     masked out with reason ``"dcop"`` (its row keeps the source
-    voltages).  The rungs that succeeded are tallied as ``"dcop:*"``.
+    voltages).  The rung that succeeded lands in the row's tally as
+    ``"dcop:*"``.
 
     Returns ``(v, alive)`` with ``v`` of shape ``(B, n_total)``.
     """
@@ -391,8 +409,7 @@ def _batch_dcop(
             alive[b] = False
             fallback_reasons[b] = "dcop"
             continue
-        rung = f"dcop:{stats['dcop_rung']}"
-        escalations[rung] = escalations.get(rung, 0) + 1
+        row_escalations[b][f"dcop:{stats['dcop_rung']}"] = 1
     return v, alive
 
 
@@ -433,6 +450,8 @@ def batch_transient(
     Unlike the scalar :func:`~repro.analog.engine.transient`, this never
     raises on a non-convergent sample: the sample is masked out
     (``ok[b] = False``, reason recorded) and the survivors continue.
+    Every completed row returns the checkpoint at its own stop
+    (``checkpoints``; see *Checkpoints* in the module docstring).
     """
     options = options or TransientOptions()
     B = batch.batch_size
@@ -457,7 +476,7 @@ def batch_transient(
         for circuit, start, stop in zip(batch.circuits, starts, stops)
     ]
 
-    escalations: Dict[str, int] = {}
+    row_escalations: List[Dict[str, int]] = [{} for _ in range(B)]
     fallback_reasons: Dict[int, str] = {}
     if resume_from is not None:
         v = np.array([row.state for row in checkpoints], dtype=float)
@@ -466,7 +485,7 @@ def batch_transient(
         alive = np.ones(B, dtype=bool)
     else:
         v, alive = _batch_dcop(
-            batch, t_start, initial, escalations, fallback_reasons
+            batch, t_start, initial, row_escalations, fallback_reasons
         )
         v_prev = v.copy()
         t_prev = np.full(B, float(t_start))
@@ -505,7 +524,6 @@ def batch_transient(
     err_all = np.zeros(B)
     lte = controls[0].lte  # the norm reads only the options all rows share
     dt_min = options.dt_min
-    halvings = 0
 
     def _mask(b: int, reason: str) -> None:
         alive[b] = stepping[b] = False
@@ -542,7 +560,8 @@ def batch_transient(
         t_accept = perf_counter()
         for b in (active & ~converged).nonzero()[0].tolist():
             if controls[b].can_halve(h_rows[b]):
-                halvings += 1
+                tally = row_escalations[b]
+                tally["step-halving"] = tally.get("step-halving", 0) + 1
                 h_rows[b] *= 0.25
                 force_be[b] = True
             else:  # floor reached: the scalar ladder takes over
@@ -575,10 +594,21 @@ def batch_transient(
                 stepping[b] = controls[b].running(t_rows[b])
         stats.accept_s += perf_counter() - t_accept
 
-    if halvings:
-        escalations["step-halving"] = halvings
+    escalations: Dict[str, int] = {}
+    for tally in row_escalations:
+        for rung, count in tally.items():
+            escalations[rung] = escalations.get(rung, 0) + count
     for name, counts in work.counts.items():
         setattr(stats, name, int(counts.sum()))
+    nodes = _node_order(batch)
+    t_prev_rows = t_prev.tolist()
+    checkpoints = [
+        TransientCheckpoint(
+            t=t_rows[b], t_prev=t_prev_rows[b], state=v[b].copy(),
+            state_prev=v_prev[b].copy(), nodes=nodes,
+        ) if alive[b] else None
+        for b in range(B)
+    ]
 
     time_grid = np.array(times_log)      # (K, B)
     state_grid = np.array(states_log)    # (K, B, n)
@@ -597,4 +627,6 @@ def batch_transient(
         fallback_reasons=fallback_reasons,
         kernel_stats=stats.as_dict(),
         row_counters={name: c.copy() for name, c in work.counts.items()},
+        row_escalations=row_escalations,
+        checkpoints=checkpoints,
     )

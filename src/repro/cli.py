@@ -297,10 +297,12 @@ def _cmd_whole_tree(args: argparse.Namespace) -> int:
             segments_per_wire=args.segments,
             options=replace(_FAST, jacobian_policy="auto"),
         )
-    except KeyError as exc:
-        # e.g. --open-node naming a sink the tree does not have.
+    except (KeyError, ValueError) as exc:
+        # e.g. --open-node naming a sink the tree does not have, or
+        # given with a grid, which has no tree node to open.
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        if args.topology == "htree" and fault is not None:
+        if (isinstance(exc, KeyError) and args.topology == "htree"
+                and fault is not None):
             from repro.clocktree.htree import build_h_tree
             from repro.clocktree.tree import Buffer
 

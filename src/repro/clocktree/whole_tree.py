@@ -409,8 +409,9 @@ def simulate_whole_tree(
     sensing circuits on the most critical disjoint pairs.
     ``topology="grid"`` builds the TRIX-style mesh of ``grid_shape``
     with column-mirrored sensor pairs; ``dead_injections`` kills
-    drivers.  The default engine options select the Jacobian policy by
-    node count (``"auto"``), so whole-chip instances run sparse.
+    drivers, and a tree ``fault`` raises ``ValueError``.  The default
+    engine options select the Jacobian policy by node count
+    (``"auto"``), so whole-chip instances run sparse.
 
     The run simulates one settle interval plus one full clock period and
     samples each sensor mid-high-phase, exactly like the per-pair
@@ -444,6 +445,11 @@ def simulate_whole_tree(
         placements = builder.attach_sensors(pairs)
         initial = builder.initial_guess
     elif topology == "grid":
+        if fault is not None:
+            raise ValueError(
+                f"cannot apply {fault.describe()} to a grid: tree faults "
+                "need topology 'htree'"
+            )
         rows, cols = grid_shape
         grid = GridNetlistBuilder(
             rows, cols, process=process, model=model,

@@ -41,11 +41,21 @@ each distinct prefix once and returns one checkpoint and one stop per
 job, so one stack can hold the jobs of many samples, each row on its
 own window.
 
-A campaign plans its prefixes once, before dispatch:
-:func:`prepare_prefixes` builds each missing prefix in the parent
-process (the serial and process backends), and
-:func:`publish_prefixes` - the batch dispatcher's pass - adds the disk
-re-put that serves shard workers.
+Prefixes are built in one place, :func:`build_prefixes`.  A group of at
+least :data:`PREFIX_STACK_MIN` missing prefixes that share one circuit
+topology and one set of engine options integrates as one lockstep stack
+(:func:`repro.batch.engine.batch_transient`, every row stopping at its
+own fork and handing back its checkpoint there).  Every other prefix -
+a smaller group, a ``"sparse"`` policy, a row the stack masked out - is
+a scalar :func:`prefix_checkpoint` build.  Each stacked checkpoint is
+its scalar build bit for bit, so which path built a cached prefix never
+shows in a result.
+
+A campaign plans its prefixes once, before dispatch, in one pass that
+keys each job's prefix once: :func:`prepare_prefixes` builds the
+missing ones in the parent process (the serial and process backends),
+and :func:`publish_prefixes` - the batch dispatcher's pass - adds the
+disk re-put that serves shard workers.
 
 Warm results are keyed (and cached) under ``SensorJob.warm_start=True``
 identities, disjoint from cold results: disabling warm start (pass
@@ -56,9 +66,13 @@ bit-identically.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analog.engine import TransientCheckpoint, transient
+from repro.analog.engine import (
+    TransientCheckpoint,
+    resolve_jacobian_policy,
+    transient,
+)
 from repro.core.response import measurement_windows, read_response
 from repro.errors import SimulationError
 from repro.runtime.cache import get_checkpoint_cache, stable_key
@@ -82,6 +96,22 @@ PREFIX_GUARD = 50e-12
 #: dt_start ramps - the checkpoint round-trip would cost more than the
 #: handful of steps it saves.
 _MIN_PREFIX_STEPS = 16.0
+
+#: Fewest missing prefixes of one topology and option set that
+#: :func:`build_prefixes` integrates as one lockstep stack instead of
+#: one scalar transient each: the break-even the ``prefix_planner`` leg
+#: of ``benchmarks/bench_fig5_montecarlo.py`` measures (``crossover``
+#: of both option sets in ``benchmarks/out/BENCH_fig5_montecarlo.json``,
+#: a 2-core x86 box).  Per prefix, a stack of 2 costs more than two
+#: scalar builds (0.86x their speed under FAST options, 0.77x
+#: grid-converged), a stack of 3 less (1.14x, 1.16x), and the gain
+#: grows with the stack: one ``mc_scatter`` campaign's 18 prefixes
+#: build 2.7x (FAST) and 4.9x faster.
+PREFIX_STACK_MIN = 3
+
+#: A prefix fetch: ``(checkpoint, stats)`` (see :func:`prefix_checkpoint`),
+#: or the :class:`~repro.errors.SimulationError` its build raised.
+Fetched = Union[Tuple[TransientCheckpoint, Dict[str, float]], SimulationError]
 
 
 def fork_time(job: SensorJob) -> float:
@@ -176,6 +206,89 @@ def prefix_checkpoint(
     return checkpoint, stats
 
 
+def _stack_prefixes(
+    group: Mapping[str, SensorJob],
+) -> Dict[str, Tuple[TransientCheckpoint, Dict[str, float]]]:
+    """Integrate the missing prefixes of ``group`` (one topology, one
+    option set) as one lockstep stack; cache and return every completed
+    row's checkpoint.
+
+    Each row runs its own sensor from the scalar DC ladder to its own
+    fork, so its checkpoint is its scalar build's bit for bit, and its
+    stats are a scalar build's: ``builds``, its ``esc:<rung>`` counts,
+    and an equal share of the stack's wall as ``build_s``.  Returns
+    nothing when the policy would run the scalar build on the sparse
+    backend (a stack has none, and SuperLU rounds differently); a row
+    the stack masks out is missing from the result.
+    """
+    # Imported lazily: repro.batch imports this module.
+    from repro.batch.compile import compile_batch
+    from repro.batch.engine import batch_transient
+
+    watch = Stopwatch()
+    jobs = list(group.values())
+    circuits = [job_circuit(job) for job in jobs]
+    batch = compile_batch([netlist for _, netlist in circuits])
+    options = jobs[0].options
+    if resolve_jacobian_policy(batch, options)[0] != "dense":
+        return {}
+    result = batch_transient(
+        batch, t_stop=[fork_time(job) for job in jobs], record=[],
+        initial=[sensor.dc_guess() for sensor, _ in circuits],
+        options=options,
+    )
+    cache = get_checkpoint_cache()
+    done = []
+    for key, checkpoint, rungs in zip(
+        group, result.checkpoints, result.row_escalations
+    ):
+        if checkpoint is not None:
+            cache.put(key, checkpoint.to_payload())
+            done.append((key, checkpoint, rungs))
+    share = watch.elapsed() / max(1, len(done))
+    built = {}
+    for key, checkpoint, rungs in done:
+        stats = {"builds": 1.0, "build_s": share}
+        for rung, count in rungs.items():
+            stats[f"esc:{rung}"] = float(count)
+        built[key] = (checkpoint, stats)
+    return built
+
+
+def build_prefixes(jobs: Mapping[str, SensorJob]) -> Dict[str, Fetched]:
+    """Fetch or build the prefix checkpoint of every ``key -> job`` of
+    resolved, warm-eligible ``jobs`` (``key`` its :func:`prefix_key`).
+
+    The one implementation of prefix building.  With at least
+    :data:`PREFIX_STACK_MIN` keys, the ones the checkpoint tier lacks
+    are grouped by topology switches and engine options, and every
+    group of at least :data:`PREFIX_STACK_MIN` integrates as one
+    lockstep stack (:func:`_stack_prefixes`).  Every other key - a hit,
+    a smaller group, a policy whose scalar build runs the sparse
+    backend, a row the stack masked out - goes through the scalar
+    :func:`prefix_checkpoint`; a build that raises maps its key to the
+    :class:`~repro.errors.SimulationError`.
+    """
+    fetched: Dict[str, Fetched] = {}
+    if len(jobs) >= PREFIX_STACK_MIN:
+        cache = get_checkpoint_cache()
+        groups: Dict[Hashable, Dict[str, SensorJob]] = {}
+        for key, job in jobs.items():
+            if key not in cache:
+                signature = (job.full_swing, job.parasitics, job.options)
+                groups.setdefault(signature, {})[key] = job
+        for group in groups.values():
+            if len(group) >= PREFIX_STACK_MIN:
+                fetched.update(_stack_prefixes(group))
+    for key, job in jobs.items():
+        if key not in fetched:
+            try:
+                fetched[key] = prefix_checkpoint(job)
+            except SimulationError as exc:
+                fetched[key] = exc
+    return fetched
+
+
 def warm_plan(
     jobs: Sequence[SensorJob],
 ) -> Tuple[List[Optional[TransientCheckpoint]], List[Optional[float]],
@@ -184,7 +297,7 @@ def warm_plan(
     ``jobs``.
 
     ``checkpoints[i]`` is job ``i``'s prefix checkpoint: each distinct
-    prefix key is fetched or built once (:func:`prefix_checkpoint`).  A
+    prefix key is fetched or built once (:func:`build_prefixes`).  A
     prefix whose build raises :class:`~repro.errors.SimulationError`
     leaves its jobs' entries ``None``; when no job gets a checkpoint the
     first such error is re-raised, so a single job fails as its build
@@ -197,27 +310,32 @@ def warm_plan(
     jobs' single-job plans'.  The builds' own ``build_s`` and
     ``esc:<rung>`` counts ride along.
     """
-    by_key: Dict[str, Optional[TransientCheckpoint]] = {}
+    keys = [prefix_key(job) for job in jobs]
+    distinct: Dict[str, SensorJob] = {}
+    for key, job in zip(keys, jobs):
+        distinct.setdefault(key, job)
+    fetched = build_prefixes(distinct)
     checkpoints: List[Optional[TransientCheckpoint]] = []
     stops: List[Optional[float]] = []
     stats: Dict[str, float] = {}
     error: Optional[SimulationError] = None
     hits = saved = 0.0
-    for job in jobs:
-        key = prefix_key(job)
+    seen = set()
+    for key, job in zip(keys, jobs):
+        outcome = fetched[key]
         built = False
-        if key not in by_key:
-            try:
-                by_key[key], fetched = prefix_checkpoint(job)
-            except SimulationError as exc:
-                by_key[key], error = None, error or exc
+        if key not in seen:  # the key's first job carries its fetch
+            seen.add(key)
+            if isinstance(outcome, SimulationError):
+                error = error or outcome
             else:
-                built = "builds" in fetched
-                for name, value in fetched.items():
+                built = "builds" in outcome[1]
+                for name, value in outcome[1].items():
                     stats[name] = stats.get(name, 0.0) + value
-        checkpoint = by_key[key]
+        checkpoint = None
         stop = None
-        if checkpoint is not None:
+        if not isinstance(outcome, SimulationError):
+            checkpoint = outcome[0]
             stop = measurement_windows(
                 job.skew, job.slew1, job.slew2, job.period, job.settle
             )[2]
@@ -274,6 +392,30 @@ def evaluate_job_warm(job: SensorJob) -> JobResult:
     )
 
 
+def _plan_prefixes(
+    jobs: Sequence[SensorJob], telemetry: Optional[Telemetry]
+) -> Tuple[int, List[str]]:
+    """The campaign's planner pass: key each warm job's prefix once and
+    build the missing ones with :func:`build_prefixes`.  Returns the
+    number built and every warm prefix key of ``jobs``."""
+    cache = get_checkpoint_cache()
+    keyed: Dict[str, SensorJob] = {}
+    for job in jobs:
+        resolved = job.resolved()
+        if resolved.warm_start and warm_eligible(resolved):
+            keyed.setdefault(prefix_key(resolved), resolved)
+    missing = {key: job for key, job in keyed.items()
+               if cache.get(key) is None}
+    built = 0
+    for outcome in build_prefixes(missing).values():
+        if isinstance(outcome, SimulationError):
+            continue
+        if telemetry is not None:
+            telemetry.record_prefix(outcome[1])
+        built += 1
+    return built, list(keyed)
+
+
 def prepare_prefixes(
     jobs: Sequence[SensorJob], telemetry: Optional[Telemetry] = None
 ) -> int:
@@ -281,34 +423,16 @@ def prepare_prefixes(
 
     The campaign's planner pass, run *in the parent process* so
     fork-started worker pools inherit each checkpoint through the memory
-    tier and serial evaluations hit it directly.  Keys the checkpoint
-    tier already holds are skipped before :func:`prefix_checkpoint` is
-    called.  A failing build is left to the per-job evaluation, which
-    surfaces it through the executor's retry/on_error machinery, and a
-    worker that misses anyway builds its own - correctness never depends
-    on this warm-up.  Returns the number of prefixes built.
+    tier and serial evaluations hit it directly.  Each job's prefix is
+    keyed once; keys the checkpoint tier already holds are skipped, and
+    the rest go to :func:`build_prefixes` together, so a campaign of
+    many samples builds its prefixes as one lockstep stack.  A failing
+    build is left to the per-job evaluation, which surfaces it through
+    the executor's retry/on_error machinery, and a worker that misses
+    anyway builds its own - correctness never depends on this warm-up.
+    Returns the number of prefixes built.
     """
-    built = 0
-    cache = get_checkpoint_cache()
-    seen: Set[str] = set()
-    for job in jobs:
-        resolved = job.resolved()
-        if not (resolved.warm_start and warm_eligible(resolved)):
-            continue
-        key = prefix_key(resolved)
-        if key in seen:
-            continue
-        seen.add(key)
-        if cache.get(key) is not None:
-            continue
-        try:
-            _, stats = prefix_checkpoint(resolved)
-        except SimulationError:
-            continue
-        if telemetry is not None:
-            telemetry.record_prefix(stats)
-        built += 1
-    return built
+    return _plan_prefixes(jobs, telemetry)[0]
 
 
 def publish_prefixes(
@@ -317,19 +441,18 @@ def publish_prefixes(
     """:func:`prepare_prefixes`, then make sure every warm prefix of
     ``jobs`` is on disk too.
 
-    The batch dispatcher's planner pass.  When a disk tier is
-    configured, a checkpoint that only the parent's memory tier holds is
-    re-``put``: forked shard workers inherit the memory tier either way,
-    and the disk copy also serves spawn-context workers and later
-    processes.  Returns the number of prefixes built or re-published.
+    The batch dispatcher's planner pass, in the same single pass over
+    the jobs.  When a disk tier is configured, a checkpoint that only
+    the parent's memory tier holds is re-``put``: forked shard workers
+    inherit the memory tier either way, and the disk copy also serves
+    spawn-context workers and later processes.  Returns the number of
+    prefixes built or re-published.
     """
-    published = prepare_prefixes(jobs, telemetry)
+    published, keys = _plan_prefixes(jobs, telemetry)
     cache = get_checkpoint_cache()
     if not cache.disk_enabled:
         return published
-    resolved = [job.resolved() for job in jobs]
-    for key in {prefix_key(job) for job in resolved
-                if job.warm_start and warm_eligible(job)}:
+    for key in keys:
         payload = cache.get(key)
         if payload is not None and not cache.on_disk(key):
             cache.put(key, payload)

@@ -335,7 +335,21 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
         raise SpecError("grid must be [rows, cols] with both >= 2")
     fault = None
     if spec["fault_node"] is not None:
-        fault = ("resistive_open", str(spec["fault_node"]),
+        node = str(spec["fault_node"])
+        if topology != "htree":
+            raise SpecError("fault_node needs topology 'htree' (a grid has "
+                            "no tree node to open)")
+        from repro.clocktree.htree import build_h_tree
+        from repro.clocktree.tree import Buffer
+
+        # Every node but the root is fed by a wire that can open.
+        names = [n.name for n in
+                 build_h_tree(int(spec["levels"]), buffer=Buffer()).walk()
+                 if n.wire is not None]
+        if node not in names:
+            raise SpecError(f"fault_node {node!r} is not a node of the "
+                            f"h-tree; use one of {' '.join(names)}")
+        fault = ("resistive_open", node,
                  float(spec["fault_extra_kohm"]) * 1e3)
     dead = tuple(
         (int(r), int(c)) for r, c in (spec["dead_injections"] or [])

@@ -151,6 +151,14 @@ def test_scheme_command_with_fault(capsys):
     assert "1" in out.split("scan path :")[1]
 
 
+def test_whole_tree_command_rejects_grid_open(capsys):
+    # A grid has no tree node to open: the run must not report a
+    # fault-free grid as if the open were there.
+    assert main(["whole-tree", "--topology", "grid", "--grid", "2", "2",
+                 "--sensors", "1", "--open-node", "s1"]) == 2
+    assert "htree" in capsys.readouterr().err
+
+
 def test_export_command_stdout(capsys):
     assert main(["export"]) == 0
     out = capsys.readouterr().out

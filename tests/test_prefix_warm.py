@@ -20,7 +20,11 @@ Pins the PR-5 warm-start machinery four ways:
 * warm stacks of any fork times, periods and stops: each row equals its
   single-job warm run bit for bit, a stack must share one
   ``batch_signature`` (warm and cold rows never mix), and a sample whose
-  prefix build fails leaves the stack for the scalar path alone.
+  prefix build fails leaves the stack for the scalar path alone;
+* the stacked planner: prefixes built as one lockstep stack equal their
+  scalar builds bit for bit, a campaign keeps its results and its
+  prefix accounting, a row the stack masks out and the ``"sparse"``
+  policy take the scalar build.
 """
 
 import json
@@ -444,6 +448,209 @@ def test_prefix_failure_sends_only_its_rows_to_scalar(monkeypatch,
         assert got.vmin_y1 == want.vmin_y1  # the scalar warm path
         assert got.vmin_y2 == want.vmin_y2
         assert got.code == want.code
+
+
+# --------------------------------------------------------------------- #
+# Stacked prefix planner.
+# --------------------------------------------------------------------- #
+def _mixed_prefix_jobs(options=FAST):
+    """Five prefixes of one topology: two loads, a process corner, a
+    sizing and a negative skew, which forks earlier than the rest."""
+    from repro.core.sensing import SensorSizing
+    from repro.units import um
+
+    base = sensitivity_job(fF(160), ns(0.2), ns(0.1), options=options)
+    jobs = [
+        base,
+        replace(base, load1=fF(80), load2=fF(80)),
+        replace(base, process=corner_process("ss")),
+        replace(base, sizing=SensorSizing(w_n=um(3.0), w_p=um(6.0))),
+        replace(base, load1=fF(240), load2=fF(240), skew=ns(-0.1)),
+    ]
+    return {prefix_key(job): job.resolved() for job in jobs}
+
+
+def _no_cache(monkeypatch):
+    from repro.runtime import reset_cache
+
+    monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+    reset_cache()
+
+
+def _assert_same_checkpoint(got, want):
+    assert got.t == want.t and got.t_prev == want.t_prev
+    assert np.array_equal(got.state, want.state)
+    assert np.array_equal(got.state_prev, want.state_prev)
+    assert got.nodes == want.nodes
+
+
+def _scalar_builds(jobs):
+    """Each prefix of ``key -> job`` built alone, from an empty tier."""
+    import repro.runtime.prefix as prefix
+    from repro.runtime import reset_cache
+
+    reset_cache()
+    return {key: prefix.prefix_checkpoint(job) for key, job in jobs.items()}
+
+
+def test_stacked_prefixes_equal_scalar_builds(monkeypatch):
+    import repro.runtime.prefix as prefix
+
+    jobs = _mixed_prefix_jobs()
+    assert len(jobs) >= prefix.PREFIX_STACK_MIN
+    assert len({prefix.fork_time(job) for job in jobs.values()}) == 2
+    _no_cache(monkeypatch)
+    scalar_calls = []
+    real = prefix.prefix_checkpoint
+    monkeypatch.setattr(prefix, "prefix_checkpoint",
+                        lambda job: scalar_calls.append(job) or real(job))
+    planned = prefix.build_prefixes(jobs)
+    assert scalar_calls == [], "every prefix must come from the stack"
+    monkeypatch.setattr(prefix, "prefix_checkpoint", real)
+    scalar = _scalar_builds(jobs)
+    for key, (want, want_stats) in scalar.items():
+        got, got_stats = planned[key]
+        _assert_same_checkpoint(got, want)
+        assert got_stats.keys() == want_stats.keys()
+        assert got_stats["builds"] == 1.0
+        for name, value in want_stats.items():
+            if name.startswith("esc:"):
+                assert got_stats[name] == value
+    # A stacked checkpoint serves the warm suffix as the scalar one does.
+    from repro.runtime import reset_cache
+    from repro.runtime.prefix import evaluate_job_warm
+
+    reset_cache()
+    prefix.build_prefixes(jobs)
+    stacked = [evaluate_job_warm(job) for job in jobs.values()]
+    reset_cache()
+    for job, got in zip(jobs.values(), stacked):
+        _assert_same_result(got, evaluate_job_warm(job))
+
+
+def _campaign_jobs():
+    """4 Monte Carlo samples x 2 skews: four prefixes, one stack."""
+    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.sampling import sample_population
+
+    return [
+        sample_job(sample, ns(tau), options=FAST)
+        for sample in sample_population(4, fF(160), seed=5)
+        for tau in (0.0, 0.2)
+    ]
+
+
+def _counted_campaign(jobs, **kwargs):
+    from repro.runtime import reset_cache, run_campaign
+
+    reset_cache()
+    telemetry = Telemetry()
+    results = run_campaign(jobs, cache=None, telemetry=telemetry, **kwargs)
+    return results, telemetry
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"backend": "serial"},
+    {"backend": "batch", "batch_workers": 2},
+], ids=["serial", "batch-x2"])
+def test_stacked_planner_keeps_campaign_results_and_counts(monkeypatch,
+                                                           kwargs):
+    import repro.runtime.prefix as prefix
+
+    jobs = _campaign_jobs()
+    n_prefixes = len({prefix_key(job) for job in jobs})
+    assert n_prefixes >= prefix.PREFIX_STACK_MIN
+    _no_cache(monkeypatch)
+    with monkeypatch.context() as one_at_a_time:
+        one_at_a_time.setattr(prefix, "PREFIX_STACK_MIN", len(jobs) + 1)
+        reference, _ = _counted_campaign(jobs, backend="serial")
+        alone, alone_t = _counted_campaign(jobs, **kwargs)
+    stacks = []
+    real = prefix._stack_prefixes
+    monkeypatch.setattr(prefix, "_stack_prefixes",
+                        lambda group: stacks.append(len(group)) or real(group))
+    try:
+        stacked, stacked_t = _counted_campaign(jobs, **kwargs)
+    finally:
+        from repro.runtime import reset_cache
+
+        reset_cache()
+    assert stacks[0] == n_prefixes  # the planner pass, one stack
+    for got, want in zip(stacked, reference):
+        _assert_same_result(got, want)
+    for got, want in zip(alone, reference):
+        _assert_same_result(got, want)
+    assert stacked_t.prefix_builds == alone_t.prefix_builds == n_prefixes
+    assert stacked_t.prefix_hits == alone_t.prefix_hits == len(jobs)
+    assert stacked_t.ladder_rungs == alone_t.ladder_rungs
+    assert stacked_t.ladder_rungs["dcop:direct"] == n_prefixes
+    # A build records no kernel counters, stacked or not.
+    counters = ("newton_iterations", "factorizations", "jacobian_reuses")
+    assert ({name: stacked_t.kernel.get(name) for name in counters}
+            == {name: alone_t.kernel.get(name) for name in counters})
+
+
+def test_masked_prefix_row_takes_the_scalar_build(monkeypatch):
+    import repro.batch.engine as batch_engine
+    import repro.runtime.prefix as prefix
+    from repro.errors import SimulationError
+    from repro.runtime import reset_cache, run_campaign
+
+    jobs = _mixed_prefix_jobs()
+    poisoned_key = list(jobs)[1]
+    real_transient = batch_engine.batch_transient
+
+    def poisoned(batch, **kwargs):
+        batch.m_beta[1, :] = np.nan  # row 1's devices go non-finite
+        return real_transient(batch, **kwargs)
+
+    monkeypatch.setattr(batch_engine, "batch_transient", poisoned)
+    _no_cache(monkeypatch)
+    scalar_calls = []
+    real = prefix.prefix_checkpoint
+    monkeypatch.setattr(prefix, "prefix_checkpoint",
+                        lambda job: scalar_calls.append(job) or real(job))
+    planned = prefix.build_prefixes(jobs)
+    assert [prefix_key(job) for job in scalar_calls] == [poisoned_key]
+    monkeypatch.setattr(prefix, "prefix_checkpoint", real)
+    for key, (want, _) in _scalar_builds(jobs).items():
+        _assert_same_checkpoint(planned[key][0], want)
+
+    # When the scalar build raises too, that prefix's jobs fail as they
+    # always have, and only they.
+    def fails(job):
+        if prefix_key(job) == poisoned_key:
+            raise SimulationError("synthetic prefix failure")
+        return real(job)
+
+    monkeypatch.setattr(prefix, "prefix_checkpoint", fails)
+    campaign_jobs = [replace(job, skew=tau) for job in jobs.values()
+                     for tau in (ns(0.05), ns(0.1))]
+    try:
+        reset_cache()
+        campaign = run_campaign(campaign_jobs, cache=None, on_error="collect")
+    finally:
+        reset_cache()
+    failed = [prefix_key(job) == poisoned_key for job in campaign_jobs]
+    assert [error.index for error in campaign.errors] == [
+        i for i, bad in enumerate(failed) if bad]
+
+
+def test_sparse_policy_builds_scalar_prefixes(monkeypatch):
+    import repro.runtime.prefix as prefix
+    from repro.sparse.linalg import scipy_available
+
+    jobs = _mixed_prefix_jobs(replace(FAST, jacobian_policy="sparse"))
+    _no_cache(monkeypatch)
+    scalar_calls = []
+    real = prefix.prefix_checkpoint
+    monkeypatch.setattr(prefix, "prefix_checkpoint",
+                        lambda job: scalar_calls.append(job) or real(job))
+    planned = prefix.build_prefixes(jobs)
+    # With scipy the scalar build factors with SuperLU, which a stack
+    # cannot reproduce; without it "sparse" resolves to dense and stacks.
+    assert len(scalar_calls) == (len(jobs) if scipy_available() else 0)
+    assert all(planned[key][1]["builds"] == 1.0 for key in jobs)
 
 
 def test_batch_resume_rejects_mismatched_nodes():

@@ -59,3 +59,25 @@ def test_montecarlo_spec_matches_scatter_analysis_parallel():
         {"skew_s": p.skew, "vmin_v": p.vmin, "sample_index": p.sample_index}
         for p in points
     ]
+
+
+def test_whole_tree_spec_rejects_a_fault_it_cannot_apply():
+    import pytest
+
+    from repro.service.specs import SpecError
+
+    base = {"kind": "whole_tree", "levels": 1, "sensors": 1,
+            "fault_extra_kohm": 5}
+    # An unknown node is refused at submit time, naming the valid ones,
+    # not by a bare KeyError at run time.
+    with pytest.raises(SpecError, match="b0 s1 s2 b3 s4 s5"):
+        build_plan({**base, "fault_node": "nope"})
+    # A grid has no tree node to open: refused, not run fault-free.
+    with pytest.raises(SpecError, match="htree"):
+        build_plan({**base, "topology": "grid", "grid": [2, 2],
+                    "fault_node": "s1"})
+    plan = build_plan({**base, "fault_node": "s1"})
+    assert plan.jobs[0].fault == ("resistive_open", "s1", 5e3)
+    campaign = run_campaign(plan.jobs, cache=None, evaluate=plan.evaluate,
+                            **plan.executor)
+    assert "code" in plan.fold(campaign)["runs"][0]
