@@ -19,12 +19,28 @@ warm-start on (the default), a cold serial reference leg
 at the sub-picosecond level, and a ``tau_min`` leg times
 ``extract_tau_min`` warm vs cold (every probe of the warm search forks
 the same cached prefix checkpoint).
+
+The search leg counts ``extract_tau_min``'s probes per answer on the 12
+(load, slew) pairs and on six off-nominal contexts (``Vth`` 2.25 and
+3.25 V, ``W_n`` 1.2 and 8 um, the ss and ff corners; the three loads at
+0.2 ns), checks every answer against a reference search at a tenth of
+the tolerance, and measures how much shallower ``Vmin(tau)`` rises at
+the crossing than the closed-form model implies - the ratio
+``core.sensitivity.SLOPE_SHALLOWING`` is set from.
 """
 
 import numpy as np
 
-from repro.core.sensitivity import extract_tau_min, sensitivity_family
-from repro.units import VTH_INTERPRET, fF, ns, to_ns
+from repro.core.model import estimate_tau_min, race_swing
+from repro.core.sensing import SensorSizing
+from repro.core.sensitivity import (
+    SLOPE_SHALLOWING,
+    extract_tau_min,
+    sensitivity_family,
+    vmin_for_skew,
+)
+from repro.devices.process import corner_process
+from repro.units import VTH_INTERPRET, fF, ns, to_ns, um
 
 from _util import (
     BENCH_OPTIONS,
@@ -50,6 +66,30 @@ TAU_MIN_TOL = ns(0.005)
 #: so the crossing must not move by even a picosecond.
 TAU_WARM_TOL = 1e-12
 
+#: ``extract_tau_min``'s default tolerance, and the reference search's.
+SEARCH_TOL = ns(0.002)
+REFERENCE_TOL = SEARCH_TOL / 10
+
+#: Off-nominal contexts of the search leg (W_p = 2 W_n, as in
+#: ``bench_ablation_sizing.py``), each at LOADS_FF and SEARCH_SLEW_NS.
+SEARCH_CONTEXTS = {
+    "vth_2.25": dict(threshold=2.25),
+    "vth_3.25": dict(threshold=3.25),
+    "wn_1.2um": dict(sizing=SensorSizing(w_n=um(1.2), w_p=um(2.4))),
+    "wn_8um": dict(sizing=SensorSizing(w_n=um(8.0), w_p=um(16.0))),
+    "ss": dict(process=corner_process("ss")),
+    "ff": dict(process=corner_process("ff")),
+}
+SEARCH_SLEW_NS = 0.2
+
+#: Bar on probes per answer, per context: on average the first probe,
+#: the step off it and at most two Illinois steps.
+SEARCH_PROBES_MAX = 4.0
+
+#: Half-width of the span, as a fraction of tau_min, over which the
+#: slope of Vmin(tau) at the crossing is measured.
+SLOPE_SPAN = 0.05
+
 
 def _family(backend, telemetry, warm_start=None):
     """One fresh (cache-bypassing) Fig.-4 family on the given backend."""
@@ -63,6 +103,59 @@ def _family(backend, telemetry, warm_start=None):
         telemetry=telemetry,
         warm_start=warm_start,
     )
+
+
+def _search_answer(load, slew, threshold=VTH_INTERPRET, process=None,
+                   sizing=None):
+    """One fresh ``extract_tau_min`` answer, its probe count, a
+    reference answer at REFERENCE_TOL, and the model-implied slope of
+    ``Vmin(tau)`` over the one measured across the reference crossing."""
+    kwargs = dict(threshold=threshold, process=process, sizing=sizing,
+                  options=BENCH_OPTIONS, cache=None)
+    telemetry = Telemetry()
+    tau = extract_tau_min(load, slew, telemetry=telemetry, **kwargs)
+    reference = extract_tau_min(load, slew, tolerance=REFERENCE_TOL,
+                                **kwargs)
+    vmin = [
+        vmin_for_skew((1.0 + side * SLOPE_SPAN) * reference, load, slew,
+                      process=process, sizing=sizing, options=BENCH_OPTIONS,
+                      cache=None)
+        for side in (-1.0, 1.0)
+    ]
+    measured = (vmin[1] - vmin[0]) / (2.0 * SLOPE_SPAN * reference)
+    model = (race_swing(process, threshold)
+             / estimate_tau_min(load, sizing, process, threshold))
+    return {
+        "load_fF": load * 1e15, "slew_ns": slew * 1e9,
+        "tau_min_s": tau, "reference_s": reference,
+        "probes": telemetry.jobs_total, "slope_ratio": model / measured,
+    }
+
+
+def _search_summary(answers):
+    return {
+        "probes_per_answer": float(np.mean([a["probes"] for a in answers])),
+        "deviation_max_s": max(abs(a["tau_min_s"] - a["reference_s"])
+                               for a in answers),
+        "slope_ratio_max": max(a["slope_ratio"] for a in answers),
+        "answers": answers,
+    }
+
+
+def search_leg():
+    """Probes per answer of the ``tau_min`` search, per context."""
+    watch = Stopwatch()
+    legs = {"fig4": _search_summary([
+        _search_answer(fF(c), ns(s)) for c in LOADS_FF for s in SLEWS_NS
+    ])}
+    for name, context in SEARCH_CONTEXTS.items():
+        legs[name] = _search_summary([
+            _search_answer(fF(c), ns(SEARCH_SLEW_NS), **context)
+            for c in LOADS_FF
+        ])
+    return {"tolerance_s": SEARCH_TOL, "reference_tolerance_s": REFERENCE_TOL,
+            "slope_shallowing": SLOPE_SHALLOWING, "wall_s": watch.elapsed(),
+            "contexts": legs}
 
 
 def run():
@@ -82,6 +175,7 @@ def run():
         fF(160), options=BENCH_OPTIONS, cache=None, warm_start=True
     )
     t_tau_warm = watch.elapsed()
+    search = search_leg()
     return {
         "cold_curves": cold_curves, "curves": curves,
         "batch_curves": batch_curves,
@@ -90,6 +184,7 @@ def run():
         "tel_batch": tel_batch,
         "tau_cold": tau_cold, "tau_warm": tau_warm,
         "t_tau_cold": t_tau_cold, "t_tau_warm": t_tau_warm,
+        "search": search,
     }
 
 
@@ -135,6 +230,7 @@ def test_fig4_vmin_vs_skew(benchmark):
             "speedup_warm_vs_cold": leg["t_tau_cold"] / leg["t_tau_warm"],
             "tau_min_deviation_s": abs(leg["tau_warm"] - leg["tau_cold"]),
         },
+        "search": leg["search"],
     })
     assert len(tau_deltas) == len(curves), "batch lost a tau_min crossing"
     assert tau_deltas.max() <= TAU_MIN_TOL, (
@@ -147,6 +243,16 @@ def test_fig4_vmin_vs_skew(benchmark):
     assert abs(leg["tau_warm"] - leg["tau_cold"]) <= TAU_WARM_TOL, (
         "warm search changed the returned tau_min"
     )
+    contexts = leg["search"]["contexts"]
+    for name, summary in contexts.items():
+        # Each answer is within half a tolerance of the crossing, the
+        # reference within half of its own.
+        assert summary["deviation_max_s"] <= 0.5 * (SEARCH_TOL
+                                                    + REFERENCE_TOL), name
+        assert summary["probes_per_answer"] <= SEARCH_PROBES_MAX, name
+    # The second probe must land past the crossing: the assumed slope
+    # stays shallower than the measured one across the Fig. 4 grid.
+    assert contexts["fig4"]["slope_ratio_max"] < SLOPE_SHALLOWING
 
     lines = [
         "Fig. 4 reproduction: Vmin of the late output vs skew tau",
@@ -173,6 +279,16 @@ def test_fig4_vmin_vs_skew(benchmark):
             f"(slew-induced spread {spread * 100:.1f} %)"
         )
     lines.append("  paper: tau_min ~= 0.09 .. 0.16 ns, slew-insensitive")
+    lines.append("")
+    lines.append(
+        "  tau_min search: probes per answer (model slope / measured "
+        "slope at the crossing, max)"
+    )
+    for name, summary in contexts.items():
+        lines.append(
+            f"    {name:9s} {summary['probes_per_answer']:4.2f} "
+            f"({summary['slope_ratio_max']:.2f})"
+        )
     emit("fig4_sensitivity", lines)
 
     # Shape claims.

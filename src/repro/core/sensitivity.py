@@ -8,10 +8,12 @@ observes ``tau_min`` growing with load capacitance and nearly independent of
 clock slew.
 
 :func:`extract_tau_min` finds that crossing with a search seeded by the
-closed-form :func:`repro.core.model.estimate_tau_min`: it probes a +-20 %
-bracket around the estimate, widens it geometrically while a sign check
-fails, and closes it with Illinois (modified regula falsi) steps to a
-bracket no wider than ``tolerance``.  The estimate only places the first
+closed-form :func:`repro.core.model.estimate_tau_min`: it probes the
+estimate, steps off it by the excess that probe read over a slope
+:data:`SLOPE_SHALLOWING` times shallower than the model implies,
+doubles the step while a sign check fails, and closes the bracket with
+Illinois (modified regula falsi) steps to no wider than ``tolerance``.
+On the Fig. 4 grid that takes 2-4 probes.  The model only places the
 probes; the answer rests on the probes alone.
 
 All evaluations route through :mod:`repro.runtime`: every operating point
@@ -34,10 +36,23 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analog.engine import TransientOptions
-from repro.core.model import estimate_tau_min
+from repro.core.model import estimate_tau_min, race_swing
 from repro.core.sensing import SensorSizing  # noqa: F401 (re-exported legacy name)
 from repro.devices.process import ProcessParams
 from repro.units import VTH_INTERPRET, ns
+
+#: How much shallower than the closed-form model implies the search
+#: assumes ``Vmin(tau)`` rises at the crossing, so that its second probe
+#: lands just past it.  The model spends the race swing ``Vth - VTn``
+#: over one estimated ``tau_min``; the slope measured across the
+#: crossing is 2.9-3.2x shallower on the Fig. 4 grid (the search leg of
+#: ``benchmarks/bench_fig4_sensitivity.py``: ``slope_ratio_max`` 3.18
+#: under ``search.contexts.fig4`` in
+#: ``benchmarks/out/BENCH_fig4_sensitivity.json``, a 2-core x86 box),
+#: and 4 is the next whole factor.  Below the ratio the second probe
+#: falls short and the step doubles; far above it the second probe
+#: lands far past the crossing and the bracket closes more slowly.
+SLOPE_SHALLOWING = 4.0
 
 
 @dataclass
@@ -208,10 +223,13 @@ def extract_tau_min(
 
     More precise than reading it off a coarse sweep; used wherever a single
     number per load is needed (Tab. 1 classification, ablations).  The
-    search (:func:`_crossing`) is seeded by the closed-form
-    :func:`repro.core.model.estimate_tau_min`, which only places the
-    first probes: a wrong estimate, or one that raises (``threshold`` at
-    or below ``VTn``), costs probes, never accuracy.  The final bracket
+    search (:func:`_crossing`) probes the closed-form
+    :func:`repro.core.model.estimate_tau_min` first and sizes its next
+    step from the excess read there, over the model-implied slope made
+    :data:`SLOPE_SHALLOWING` times shallower.  The model only places
+    the probes: a wrong estimate, or one that raises (``threshold`` at
+    or below ``VTn``; the search then steps by a fixed fraction from
+    ``tau_hi / 2``), costs probes, never accuracy.  The final bracket
     is no wider than ``tolerance`` and its midpoint is returned;
     ``tau = 0`` is never probed.  Every probe is a :func:`vmin_for_skew`
     call, so it is cached and forks the warm prefix, and repeated
@@ -228,8 +246,9 @@ def extract_tau_min(
         )
     try:
         guess = estimate_tau_min(load, sizing, process, threshold)
+        slope = race_swing(process, threshold) / (SLOPE_SHALLOWING * guess)
     except ValueError:
-        guess = 0.5 * tau_hi
+        guess, slope = 0.5 * tau_hi, None
 
     def excess(tau: float) -> float:
         return vmin_for_skew(
@@ -237,7 +256,7 @@ def extract_tau_min(
             cache=cache, telemetry=telemetry, warm_start=warm_start,
         ) - threshold
 
-    return _crossing(excess, guess, tau_hi, tolerance)
+    return _crossing(excess, guess, tau_hi, tolerance, slope)
 
 
 def _crossing(
@@ -245,45 +264,57 @@ def _crossing(
     guess: float,
     tau_hi: float,
     tolerance: float,
+    slope: Optional[float] = None,
 ) -> float:
     """Where the increasing ``excess`` turns positive in ``(0, tau_hi]``.
 
-    Probes a +-20 % bracket around ``guess`` (clamped to
-    ``[tolerance, tau_hi]``), widens it geometrically while a sign check
-    fails, then closes it with Illinois (modified regula falsi) steps.
-    Each step lands at least ``tolerance / 2`` inside the bracket, so
-    once a step falls next to the root, one probe on its other side
-    ends the search.  ``excess(0)`` is taken as non-positive and never
-    probed; until a probe reads non-positive, the search halves the
-    lowest probe that read positive.  Returns the midpoint of a bracket
-    no wider than ``tolerance`` (floored at four float spacings of
-    ``tau_hi``, so every step moves an end and the search ends); raises
-    ``ValueError`` when ``excess(tau_hi)`` is not positive.
+    Probes ``guess`` (clamped to ``[tolerance, tau_hi]``) first, then
+    steps towards the root by the excess it read over the assumed
+    ``slope`` (a fifth of that first probe when ``slope`` is None),
+    the step held within ``[tolerance / 2, first probe / 2]`` and
+    doubled while the sign check fails.  A step down never goes below
+    half the lowest probe that read positive, so ``excess(0)`` is taken
+    as non-positive and never probed.  Illinois (modified regula falsi)
+    steps then close the bracket, each landing at least
+    ``tolerance / 2`` inside it, so once a step falls next to the root,
+    one probe on its other side ends the search.  Returns the midpoint
+    of a bracket no wider than ``tolerance`` (floored at four float
+    spacings of ``tau_hi``, so every step moves an end and the search
+    ends); raises ``ValueError`` when ``excess(tau_hi)`` is not
+    positive.
     """
     tolerance = max(tolerance, 4.0 * math.ulp(tau_hi))
-    guess = min(max(guess, tolerance), tau_hi)
-    lo, f_lo = 0.0, None
-    x, width = 0.8 * guess, 0.4 * guess
-    while (f := excess(x)) <= 0:
-        if x >= tau_hi:
-            raise ValueError(
-                f"no crossing up to tau_hi = {tau_hi:.3e} s (Vmin - "
-                f"threshold there is {f:.3f} V); increase tau_hi"
-            )
-        lo, f_lo = x, f
-        x, width = min(x + width, tau_hi), 2.0 * width
-    hi, f_hi = x, f
+    x = min(max(guess, tolerance), tau_hi)
+    f = excess(x)
+    step = 0.2 * x if slope is None else abs(f) / slope
+    step = min(max(step, 0.5 * tolerance), 0.5 * x)
+    lo, f_lo, hi, f_hi = 0.0, None, tau_hi, None
+    while True:
+        if f > 0:
+            hi, f_hi = x, f
+            if f_lo is not None or hi <= tolerance:
+                break
+            x = max(hi - step, 0.5 * hi)
+        else:
+            if x >= tau_hi:
+                raise ValueError(
+                    f"no crossing up to tau_hi = {tau_hi:.3e} s (Vmin - "
+                    f"threshold there is {f:.3f} V); increase tau_hi"
+                )
+            lo, f_lo = x, f
+            if f_hi is not None:
+                break
+            x = min(lo + step, tau_hi)
+        step *= 2.0
+        f = excess(x)
     kept = None  # the end the previous step kept: "lo" or "hi"
     while hi - lo > tolerance:
-        if f_lo is None:
-            x = 0.5 * hi
-        else:
-            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         x = min(max(x, lo + 0.5 * tolerance), hi - 0.5 * tolerance)
         f = excess(x)
         if f > 0:
             hi, f_hi = x, f
-            if kept == "lo" and f_lo is not None:
+            if kept == "lo":
                 f_lo *= 0.5
             kept = "lo"
         else:

@@ -35,6 +35,7 @@ touching the store, scheduler or API.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -184,12 +185,48 @@ def _executor_kwargs(spec: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def _number(value: Any, key: str) -> float:
+    """``value`` as a float.  A boolean, a non-number or a non-finite
+    number (JSON admits ``NaN`` and ``Infinity``) is a :class:`SpecError`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise SpecError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value: Any, key: str, minimum: int) -> int:
+    """``value`` if it is an int of at least ``minimum`` (never a
+    boolean), else a :class:`SpecError`."""
+    if not _is_int(value, minimum):
+        raise SpecError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _float_list(spec: Dict[str, Any], key: str) -> List[float]:
     values = spec[key]
-    if (not isinstance(values, (list, tuple)) or not values
-            or not all(isinstance(v, (int, float)) for v in values)):
+    if not isinstance(values, (list, tuple)) or not values:
         raise SpecError(f"{key} must be a non-empty list of numbers")
-    return [float(v) for v in values]
+    return [_number(v, key) for v in values]
+
+
+def _check_circuits(jobs: List[Any]) -> None:
+    """Build each distinct sensor and clock pair of ``jobs`` once, so a
+    value they reject (a negative load, a slew outside
+    ``(0, period / 2)``) is a :class:`SpecError` at submit time instead
+    of a ``ValueError`` inside the campaign."""
+    from repro.runtime.jobs import job_circuit
+
+    checked = set()
+    for job in jobs:
+        # The skew only delays a clock, which neither rejects.
+        circuit = (job.load1, job.load2, job.slew1, job.slew2)
+        if circuit in checked:
+            continue
+        checked.add(circuit)
+        try:
+            job_circuit(job)
+        except ValueError as error:
+            raise SpecError(f"bad circuit value: {error}") from None
 
 
 def _jobs_payload(jobs: List[Any], campaign: Any) -> List[Dict[str, Any]]:
@@ -211,21 +248,18 @@ def _jobs_payload(jobs: List[Any], campaign: Any) -> List[Dict[str, Any]]:
 # Kind: sensitivity (the Fig.-4 family, = `repro campaign`).
 # --------------------------------------------------------------------- #
 
-def _skew_grid(tau_max_ns: float, points: int) -> List[float]:
-    if points < 2:
-        raise SpecError("points must be >= 2")
-    return [ns(tau_max_ns) * k / (points - 1) for k in range(points)]
-
-
 def _build_sensitivity(spec: Dict[str, Any]) -> CampaignPlan:
     from repro.core.sensitivity import sensitivity_grid
 
-    skews = _skew_grid(float(spec["tau_max_ns"]), int(spec["points"]))
+    tau_max = ns(_number(spec["tau_max_ns"], "tau_max_ns"))
+    points = _integer(spec["points"], "points", minimum=2)
+    skews = [tau_max * k / (points - 1) for k in range(points)]
     jobs, curves_of = sensitivity_grid(
         [fF(v) for v in _float_list(spec, "loads_ff")],
         [ns(v) for v in _float_list(spec, "slews_ns")],
         skews, options=_options(spec), warm_start=spec["warm_start"],
     )
+    _check_circuits(jobs)
 
     def fold(campaign: Any) -> Dict[str, Any]:
         return {
@@ -261,20 +295,20 @@ def _build_montecarlo(spec: Dict[str, Any]) -> CampaignPlan:
     from repro.montecarlo.parallel import scatter_grid
     from repro.montecarlo.sampling import sample_population
 
-    n_samples = int(spec["samples"])
-    if n_samples < 1:
-        raise SpecError("samples must be >= 1")
+    n_samples = _integer(spec["samples"], "samples", minimum=1)
     if spec["seed"] is None:
         # Fresh draws would make the campaign non-reproducible *and*
         # non-resumable (a restart would re-draw a different population).
         raise SpecError("montecarlo specs must carry an explicit seed")
+    seed = _integer(spec["seed"], "seed", minimum=0)
     skews = [ns(v) for v in _float_list(spec, "skews_ns")]
     samples = sample_population(
-        n_samples, fF(float(spec["load_ff"])), seed=int(spec["seed"])
+        n_samples, fF(_number(spec["load_ff"], "load_ff")), seed=seed
     )
     jobs, points_of = scatter_grid(
         samples, skews, options=_options(spec), warm_start=spec["warm_start"]
     )
+    _check_circuits(jobs)
 
     def fold(campaign: Any) -> Dict[str, Any]:
         points = points_of(campaign.results)
@@ -325,14 +359,20 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
         raise SpecError(f"topology must be 'htree' or 'grid', got {topology!r}")
     seeds = spec["seeds"]
     if (not isinstance(seeds, (list, tuple)) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
-        raise SpecError("seeds must be a non-empty list of integers")
-    if int(spec["sensors"]) < 1:
-        raise SpecError("sensors must be >= 1")
+            or not all(_is_int(s, minimum=0) for s in seeds)):
+        raise SpecError("seeds must be a non-empty list of integers >= 0")
+    levels = _integer(spec["levels"], "levels", minimum=1)
+    sensors = _integer(spec["sensors"], "sensors", minimum=1)
+    segments = _integer(spec["segments_per_wire"], "segments_per_wire",
+                        minimum=0)
     grid = spec["grid"]
     if (not isinstance(grid, (list, tuple)) or len(grid) != 2
-            or not all(isinstance(g, int) and g >= 2 for g in grid)):
+            or not all(_is_int(g, minimum=2) for g in grid)):
         raise SpecError("grid must be [rows, cols] with both >= 2")
+    variation = _number(spec["variation"], "variation")
+    extra_kohm = _number(spec["fault_extra_kohm"], "fault_extra_kohm")
+    if variation < 0 or extra_kohm < 0:
+        raise SpecError("variation and fault_extra_kohm must be >= 0")
     fault = None
     if spec["fault_node"] is not None:
         node = str(spec["fault_node"])
@@ -344,13 +384,12 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
 
         # Every node but the root is fed by a wire that can open.
         names = [n.name for n in
-                 build_h_tree(int(spec["levels"]), buffer=Buffer()).walk()
+                 build_h_tree(levels, buffer=Buffer()).walk()
                  if n.wire is not None]
         if node not in names:
             raise SpecError(f"fault_node {node!r} is not a node of the "
                             f"h-tree; use one of {' '.join(names)}")
-        fault = ("resistive_open", node,
-                 float(spec["fault_extra_kohm"]) * 1e3)
+        fault = ("resistive_open", node, extra_kohm * 1e3)
     dead = tuple(
         (int(r), int(c)) for r, c in (spec["dead_injections"] or [])
     )
@@ -362,15 +401,15 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
     jobs = [
         WholeTreeJob(
             topology=topology,
-            levels=int(spec["levels"]),
-            rows=int(grid[0]),
-            cols=int(grid[1]),
-            n_sensors=int(spec["sensors"]),
-            variation=float(spec["variation"]),
-            seed=int(seed),
+            levels=levels,
+            rows=grid[0],
+            cols=grid[1],
+            n_sensors=sensors,
+            variation=variation,
+            seed=seed,
             fault=fault,
             dead_injections=dead,
-            segments_per_wire=int(spec["segments_per_wire"]),
+            segments_per_wire=segments,
             options=options,
         )
         for seed in seeds

@@ -143,6 +143,17 @@ def test_extract_tau_min_rejects_bad_search_range(bad, fast_options):
     assert telemetry.jobs_total == 0
 
 
+#: An assumed slope as a multiple of the true one, or None (no model
+#: slope: the fixed-fraction step).
+SLOPE_RATIOS = st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e3))
+
+
+def _assumed_slope(slope_ratio, width):
+    """The assumed slope of ``tanh((tau - root) / width)``, whose true
+    slope at the root is ``1 / width``."""
+    return None if slope_ratio is None else slope_ratio / width
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     root=st.floats(min_value=0.0, max_value=TAU_HI,
@@ -150,21 +161,44 @@ def test_extract_tau_min_rejects_bad_search_range(bad, fast_options):
     width=st.floats(min_value=1e-15, max_value=1e-9),
     seed_ratio=st.floats(min_value=1e-3, max_value=10.0),
     tolerance=st.floats(min_value=1e-13, max_value=1e-11),
+    slope_ratio=SLOPE_RATIOS,
 )
 def test_crossing_brackets_root_of_monotone_curve(
-    root, width, seed_ratio, tolerance,
+    root, width, seed_ratio, tolerance, slope_ratio,
 ):
-    """Whatever the seed, the answer is within tolerance / 2 of the root,
-    and every probe lies in (0, tau_hi]."""
+    """Whatever the seed and the assumed slope, the answer is within
+    tolerance / 2 of the root, and every probe lies in (0, tau_hi]."""
     probes = []
 
     def excess(tau):
         probes.append(tau)
         return math.tanh((tau - root) / width)
 
-    tau = _crossing(excess, seed_ratio * root, TAU_HI, tolerance)
+    tau = _crossing(excess, seed_ratio * root, TAU_HI, tolerance,
+                    _assumed_slope(slope_ratio, width))
     assert abs(tau - root) <= 0.5 * tolerance + math.ulp(TAU_HI)
     assert all(0.0 < probe <= TAU_HI for probe in probes)
+
+
+@pytest.mark.parametrize("seed_ratio", [0.7, 0.8, 0.95, 1.05, 1.3, 1.8])
+def test_crossing_steps_by_the_measured_excess(seed_ratio):
+    """On a straight line, with the slope assumed a quarter as steep as
+    it is, the second probe lands past the root from any estimate within
+    0.7-1.8x of it (the step is capped at half the estimate), and the
+    search ends in four probes.  A step that ignores the excess the
+    first probe read needs more somewhere."""
+    root, slope = ns(0.15), 6e9  # 6 mV/ps, as Fig. 4 measures
+    probes = []
+
+    def excess(tau):
+        probes.append(tau)
+        return slope * (tau - root)
+
+    tau = _crossing(excess, seed_ratio * root, TAU_HI, TOLERANCE,
+                    slope / 4.0)
+    assert abs(tau - root) <= 0.5 * TOLERANCE
+    assert (probes[1] - root) * (probes[0] - root) < 0
+    assert len(probes) <= 4
 
 
 def test_crossing_ends_below_float_resolution():
@@ -182,12 +216,15 @@ def test_crossing_ends_below_float_resolution():
     root=st.floats(min_value=TAU_HI, max_value=10 * TAU_HI),
     width=st.floats(min_value=1e-15, max_value=1e-9),
     seed_ratio=st.floats(min_value=1e-3, max_value=10.0),
+    slope_ratio=SLOPE_RATIOS,
 )
-def test_crossing_raises_without_crossing(root, width, seed_ratio):
+def test_crossing_raises_without_crossing(root, width, seed_ratio,
+                                          slope_ratio):
     with pytest.raises(ValueError):
         _crossing(
             lambda tau: math.tanh((tau - root) / width),
             seed_ratio * root, TAU_HI, TOLERANCE,
+            _assumed_slope(slope_ratio, width),
         )
 
 
@@ -195,7 +232,7 @@ def test_crossing_raises_without_crossing(root, width, seed_ratio):
 @pytest.mark.parametrize("load_ff", [80, 160, 240])
 def test_seeded_search_matches_bisection(load_ff, slew_ns, fast_options):
     """Over the Fig. 4 loads, the seeded search agrees with bisection
-    within tolerance, in at most 6 probes (bisection takes 11)."""
+    within tolerance, in at most 4 probes (bisection takes 11)."""
     telemetry = Telemetry()
     tau = extract_tau_min(
         fF(load_ff), ns(slew_ns), options=fast_options, cache=None,
@@ -203,7 +240,7 @@ def test_seeded_search_matches_bisection(load_ff, slew_ns, fast_options):
     )
     oracle = bisection_tau_min(fF(load_ff), ns(slew_ns), fast_options)
     assert abs(tau - oracle) <= TOLERANCE
-    assert telemetry.jobs_total <= 6
+    assert telemetry.jobs_total <= 4
 
 
 def _raise_value_error(*args, **kwargs):

@@ -6,11 +6,17 @@ jobs (content keys) and return the same numbers, bit for bit, as the
 library call it stands for - the promise of README "Serving campaigns".
 """
 
+import threading
+
+import pytest
+
 from repro.core.sensitivity import sensitivity_family
 from repro.montecarlo.parallel import sample_job, scatter_analysis_parallel
 from repro.montecarlo.sampling import sample_population
 from repro.runtime import run_campaign, sensitivity_job
-from repro.service.specs import FAST_OPTIONS, build_plan
+from repro.service.api import create_server
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.specs import FAST_OPTIONS, SpecError, build_plan
 from repro.units import fF, ns
 
 
@@ -62,10 +68,6 @@ def test_montecarlo_spec_matches_scatter_analysis_parallel():
 
 
 def test_whole_tree_spec_rejects_a_fault_it_cannot_apply():
-    import pytest
-
-    from repro.service.specs import SpecError
-
     base = {"kind": "whole_tree", "levels": 1, "sensors": 1,
             "fault_extra_kohm": 5}
     # An unknown node is refused at submit time, naming the valid ones,
@@ -81,3 +83,66 @@ def test_whole_tree_spec_rejects_a_fault_it_cannot_apply():
     campaign = run_campaign(plan.jobs, cache=None, evaluate=plan.evaluate,
                             **plan.executor)
     assert "code" in plan.fold(campaign)["runs"][0]
+
+
+_SENSITIVITY = {"kind": "sensitivity", "loads_ff": [160.0],
+                "slews_ns": [0.2], "tau_max_ns": 0.2, "points": 2}
+_MONTECARLO = {"kind": "montecarlo", "samples": 1, "seed": 7,
+               "load_ff": 160.0, "skews_ns": [0.1]}
+_WHOLE_TREE = {"kind": "whole_tree", "levels": 1, "sensors": 1}
+
+
+#: Spec -> the text its SpecError must carry, by case name.
+_BAD_SPECS = {
+    "nan-load": ({**_SENSITIVITY, "loads_ff": [float("nan")]}, "loads_ff"),
+    "nan-tau-max": ({**_SENSITIVITY, "tau_max_ns": float("nan")},
+                    "tau_max_ns"),
+    "inf-tau-max": ({**_SENSITIVITY, "tau_max_ns": float("inf")},
+                    "tau_max_ns"),
+    "bool-load": ({**_SENSITIVITY, "loads_ff": [True]}, "loads_ff"),
+    "bool-slew": ({**_SENSITIVITY, "slews_ns": [False]}, "slews_ns"),
+    "bool-points": ({**_SENSITIVITY, "points": True}, "points"),
+    "nan-points": ({**_SENSITIVITY, "points": float("nan")}, "points"),
+    "negative-load": ({**_SENSITIVITY, "loads_ff": [-5.0]}, "non-negative"),
+    "zero-slew": ({**_SENSITIVITY, "slews_ns": [0.0]},
+                  "slew must be positive"),
+    "half-period-slew": ({**_SENSITIVITY, "slews_ns": [12.0]}, "half period"),
+    "inf-skew": ({**_MONTECARLO, "skews_ns": [float("inf")]}, "skews_ns"),
+    "inf-mc-load": ({**_MONTECARLO, "load_ff": float("-inf")}, "load_ff"),
+    "negative-mc-load": ({**_MONTECARLO, "load_ff": -160.0}, "non-negative"),
+    "bool-seed": ({**_MONTECARLO, "seed": True}, "seed"),
+    "nan-variation": ({**_WHOLE_TREE, "variation": float("nan")},
+                      "variation"),
+    "negative-variation": ({**_WHOLE_TREE, "variation": -0.1}, "variation"),
+    "bool-sensors": ({**_WHOLE_TREE, "sensors": True}, "sensors"),
+    "bool-tree-seed": ({**_WHOLE_TREE, "seeds": [True]}, "seeds"),
+}
+
+
+@pytest.mark.parametrize("spec, key", _BAD_SPECS.values(), ids=_BAD_SPECS)
+def test_spec_rejects_non_finite_and_non_physical_numbers(spec, key):
+    """A value the campaign would choke on, or silently simulate as
+    NaN, is refused when the plan is built, naming what is wrong."""
+    with pytest.raises(SpecError, match=key):
+        build_plan(spec)
+
+
+def test_server_answers_400_for_a_nan_spec(tmp_path):
+    """Through the HTTP API: the bad spec is a 400 at submit, not a
+    campaign that fails (or answers) later."""
+    server = create_server(state_dir=str(tmp_path / "state"))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServiceClient(f"http://127.0.0.1:{server.port}", retries=0)
+    try:
+        for bad in ({**_SENSITIVITY, "loads_ff": [float("nan")]},
+                    {**_SENSITIVITY, "tau_max_ns": float("nan")}):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(bad)
+            assert excinfo.value.status == 400
+            assert "finite" in excinfo.value.message
+        assert client.list() == []
+    finally:
+        server.shutdown_all()
+        thread.join(5.0)
+    assert not thread.is_alive()
