@@ -6,19 +6,7 @@ indicators latch, and the testing/checking circuitry collects the answers
 (scan path off-line, two-rail checker on-line).  The bench runs a fault
 campaign over both tree styles (symmetric H-tree and DME zero-skew routed)
 and validates one behavioural verdict with the transistor-level sensor.
-
-With ``REPRO_BENCH_WHOLE_TREE=1`` the bench additionally runs the
-full-chip electrical path (`repro.clocktree.whole_tree`, sparse MNA
-engine): the same fault is simulated on the fully expanded tree with
-sensors grafted, and the Elmore-predicted skews are compared against the
-electrically measured ones.  The discrepancy lands in the BENCH record
-(``elmore_discrepancy_max_s``) - it quantifies how much the behavioural
-campaign's delay model diverges from the transistor-level truth.  Claim
-A5 of ``tests/test_acceptance.py`` asserts the same shape claims on
-every tier-1 run.
 """
-
-import os
 
 import numpy as np
 
@@ -31,6 +19,7 @@ from repro.clocktree import (
     build_zero_skew_tree,
     sink_delays,
 )
+from repro.clocktree.whole_tree import select_sensor_pairs, simulate_whole_tree
 from repro.core.response import simulate_sensor
 from repro.core.sensing import SkewSensor
 from repro.core.sensitivity import extract_tau_min
@@ -132,57 +121,53 @@ def test_fig6_scheme_campaign(benchmark):
         f"sensor code {response.code}"
     )
 
-    # Flag-gated whole-tree electrical path: the full-chip netlist on the
-    # sparse engine, Elmore predictions checked against measured skews.
-    electrical = None
-    if os.environ.get("REPRO_BENCH_WHOLE_TREE"):
-        from repro.clocktree import ResistiveOpen as _Open
-        from repro.clocktree.whole_tree import (
-            select_sensor_pairs,
-            simulate_whole_tree,
+    # Whole-tree electrical path (`repro.clocktree.whole_tree`, sparse
+    # MNA engine): the same fault on the fully expanded tree with sensors
+    # grafted.  The gap between the Elmore-predicted and the electrically
+    # measured skews lands in the record (``elmore_discrepancy_max_s``):
+    # how far the behavioural campaign's delay model is from the
+    # transistor-level truth.  Claim A5 of ``tests/test_acceptance.py``
+    # asserts the same shape claims on every tier-1 run.
+    pairs = select_sensor_pairs(htree, 2)
+    wt_fault = ResistiveOpen(node=pairs[0].sink_a, extra_resistance=8000.0)
+    run_wt = simulate_whole_tree(levels=2, n_sensors=2, fault=wt_fault)
+    elmore = sink_delays(wt_fault.apply(htree))
+    per_pair = []
+    worst_gap = 0.0
+    for placement in run_wt.placements:
+        predicted = elmore[placement.sink_b] - elmore[placement.sink_a]
+        measured = run_wt.skews[placement.label]
+        gap = abs(measured - predicted)
+        worst_gap = max(worst_gap, gap)
+        per_pair.append({
+            "pair": placement.label,
+            "elmore_skew_s": predicted,
+            "electrical_skew_s": measured,
+            "code": list(run_wt.codes[placement.label]),
+        })
+        lines.append(
+            f"  whole-tree {placement.label}: Elmore "
+            f"{to_ns(predicted):+.3f} ns vs electrical "
+            f"{to_ns(measured):+.3f} ns  code "
+            f"{run_wt.codes[placement.label]}"
         )
-
-        pairs = select_sensor_pairs(htree, 2)
-        wt_fault = _Open(node=pairs[0].sink_a, extra_resistance=8000.0)
-        run_wt = simulate_whole_tree(levels=2, n_sensors=2, fault=wt_fault)
-        elmore = sink_delays(wt_fault.apply(htree))
-        per_pair = []
-        worst_gap = 0.0
-        for placement in run_wt.placements:
-            predicted = (elmore[placement.sink_b]
-                         - elmore[placement.sink_a])
-            measured = run_wt.skews[placement.label]
-            gap = abs(measured - predicted)
-            worst_gap = max(worst_gap, gap)
-            per_pair.append({
-                "pair": placement.label,
-                "elmore_skew_s": predicted,
-                "electrical_skew_s": measured,
-                "code": list(run_wt.codes[placement.label]),
-            })
-            lines.append(
-                f"  whole-tree {placement.label}: Elmore "
-                f"{to_ns(predicted):+.3f} ns vs electrical "
-                f"{to_ns(measured):+.3f} ns  code "
-                f"{run_wt.codes[placement.label]}"
-            )
-        electrical = {
-            "n_nodes": run_wt.n_nodes,
-            "pairs": per_pair,
-            "elmore_discrepancy_max_s": worst_gap,
-            "flagged": run_wt.flagged,
-        }
-        # Elmore is a pessimistic bound, not the 50%-crossing truth; the
-        # recorded discrepancy (~0.3 ns on the faulted pair here) is the
-        # point of the record.  The shape claims: prediction and
-        # measurement agree in sign on the faulted pair, stay within
-        # half a nanosecond, and the sensors still catch the fault.
-        faulted = per_pair[0]
-        assert np.sign(faulted["elmore_skew_s"]) == np.sign(
-            faulted["electrical_skew_s"]
-        )
-        assert worst_gap < ns(0.5)
-        assert run_wt.flagged
+    electrical = {
+        "n_nodes": run_wt.n_nodes,
+        "pairs": per_pair,
+        "elmore_discrepancy_max_s": worst_gap,
+        "flagged": run_wt.flagged,
+    }
+    # Elmore is a pessimistic bound, not the 50%-crossing truth; the
+    # recorded discrepancy (~0.3 ns on the faulted pair here) is the
+    # point of the record.  The shape claims: prediction and
+    # measurement agree in sign on the faulted pair, stay within
+    # half a nanosecond, and the sensors still catch the fault.
+    faulted = per_pair[0]
+    assert np.sign(faulted["elmore_skew_s"]) == np.sign(
+        faulted["electrical_skew_s"]
+    )
+    assert worst_gap < ns(0.5)
+    assert run_wt.flagged
 
     emit("fig6_scheme", lines)
     write_bench_json("fig6_scheme", {

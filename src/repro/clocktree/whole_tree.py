@@ -30,12 +30,14 @@ electrical skews plus per-sensor error codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analog.compile import CompiledCircuit
 from repro.analog.engine import TransientOptions, TransientResult, transient
+from repro.analog.kernels import KernelStats
 from repro.circuit.compose import graft, prefixed_guess
 from repro.circuit.netlist import Netlist
 from repro.clocktree.electrical import TreeNetlistBuilder, buffer_inverter_sizing
@@ -354,9 +356,14 @@ class WholeTreeRun:
     measured skew ``t(b) - t(a)`` in seconds (``inf`` when a monitored
     sink never crosses vdd/2 inside the window); ``codes`` to the sensor's
     threshold-interpreted ``(y1, y2)`` pair (``(0, 0)`` healthy,
-    anything else an error indication); ``arrivals`` holds the absolute
-    arrival per monitored sink.  ``n_nodes`` is the MNA system size -
-    the scaling observable of the sparse path.
+    anything else an error indication); ``arrivals`` holds the rising
+    edge's arrival per monitored sink, from the settle time.
+    ``n_nodes`` is the MNA system size - the scaling observable of the
+    sparse path.
+
+    ``result`` ends where the clock starts to fall, unless a monitored
+    sink had not arrived by then: that run goes on to the end of the
+    clock period (see :func:`simulate_whole_tree`).
     """
 
     result: TransientResult
@@ -409,13 +416,23 @@ def simulate_whole_tree(
     sensing circuits on the most critical disjoint pairs.
     ``topology="grid"`` builds the TRIX-style mesh of ``grid_shape``
     with column-mirrored sensor pairs; ``dead_injections`` kills
-    drivers, and a tree ``fault`` raises ``ValueError``.  The default
-    engine options select the Jacobian policy by node count
-    (``"auto"``), so whole-chip instances run sparse.
+    drivers.  An input the topology has no use for raises
+    ``ValueError``: a tree ``fault`` or a ``variation`` on a grid,
+    ``dead_injections`` on an H-tree.  The default engine options select
+    the Jacobian policy by node count (``"auto"``), so whole-chip
+    instances run sparse.
 
-    The run simulates one settle interval plus one full clock period and
-    samples each sensor mid-high-phase, exactly like the per-pair
-    co-simulation it supersedes.
+    The readouts are each monitored sink's rising-edge arrival and each
+    sensor's code, sampled mid-high-phase at ``settle + 0.4 * period``,
+    exactly like the per-pair co-simulation this supersedes.  So the run
+    integrates from the operating point to the clock's fall start
+    (:meth:`~repro.devices.sources.ClockSource.falling_edge`), a
+    breakpoint a full-period run lands on too, and keeps a checkpoint
+    there.  A monitored sink still below vdd/2 at that point (a severe
+    resistive open) makes the run resume from the checkpoint to
+    ``settle + period`` - the grid a full-period run walks past that
+    breakpoint - and ``result`` joins both segments.  Either way every
+    readout equals a full-period run's bit for bit.
     """
     process = process or nominal_process()
     clock = ClockSource(period=period, slew=slew, delay=settle,
@@ -426,6 +443,11 @@ def simulate_whole_tree(
         )
 
     if topology == "htree":
+        if dead_injections:
+            raise ValueError(
+                "dead_injections need topology 'grid': an H-tree has no "
+                "injection drivers"
+            )
         tree = tree or build_h_tree(levels, buffer=Buffer())
         if variation:
             tree = perturb_tree(
@@ -450,6 +472,11 @@ def simulate_whole_tree(
                 f"cannot apply {fault.describe()} to a grid: tree faults "
                 "need topology 'htree'"
             )
+        if variation:
+            raise ValueError(
+                "variation needs topology 'htree': the grid is built "
+                "without process variation"
+            )
         rows, cols = grid_shape
         grid = GridNetlistBuilder(
             rows, cols, process=process, model=model,
@@ -462,25 +489,42 @@ def simulate_whole_tree(
     else:
         raise ValueError(f"unknown topology {topology!r} (htree/grid)")
 
-    record: List[str] = []
-    for placement in placements:
-        record.extend((placement.node_a, placement.node_b,
-                       placement.y1, placement.y2))
-    result = transient(
-        netlist,
-        t_stop=settle + period,
-        record=sorted(set(record)),
-        initial=initial,
-        options=options,
+    record = sorted({node for p in placements
+                     for node in (p.node_a, p.node_b, p.y1, p.y2)})
+    circuit = CompiledCircuit.compile(netlist)
+    fall_start = clock.falling_edge(0)
+    head = transient(
+        netlist, t_stop=fall_start, record=record, initial=initial,
+        options=options, compiled=circuit, checkpoint_at=fall_start,
     )
+    readout = dict(
+        placements=placements, n_nodes=len(netlist.nodes()), settle=settle,
+        t_sample=settle + 0.4 * period, level=process.vdd / 2.0,
+        threshold=threshold,
+    )
+    run = _read_out(head, **readout)
+    if all(np.isfinite(a) for a in run.arrivals.values()):
+        return run
+    # A monitored sink still lags vdd/2: go on to the period's end.
+    tail = transient(
+        netlist, t_stop=settle + period, record=record, options=options,
+        compiled=circuit, resume_from=head.checkpoint,
+    )
+    return _read_out(_join(head, tail), **readout)
 
-    level = process.vdd / 2.0
-    run = WholeTreeRun(
-        result=result, placements=placements,
-        n_nodes=len(netlist.nodes()),
-    )
-    t_sample = settle + 0.4 * period
-    run.t_sample = t_sample
+
+def _read_out(
+    result: TransientResult,
+    placements: List[SensorPlacement],
+    n_nodes: int,
+    settle: float,
+    t_sample: float,
+    level: float,
+    threshold: float,
+) -> WholeTreeRun:
+    """Arrivals, skews and codes of ``placements`` from ``result``."""
+    run = WholeTreeRun(result=result, placements=placements,
+                       n_nodes=n_nodes, t_sample=t_sample)
     for placement in placements:
         label = placement.label
         arrivals: Dict[str, float] = {}
@@ -501,6 +545,31 @@ def simulate_whole_tree(
             1 if result.wave(placement.y2).at(t_sample) > threshold else 0,
         )
     return run
+
+
+def _join(head: TransientResult, tail: TransientResult) -> TransientResult:
+    """One result from a run and its resumption at the run's last point.
+
+    ``tail`` starts with that point again, so its first sample is
+    dropped.  Escalations and kernel counters add up; the sparse gauges
+    are the tail's, as a whole run reports its last factorization.
+    """
+    counters = {f.name for f in fields(KernelStats)}
+    kernel = {
+        name: head.kernel_stats[name] + value if name in counters else value
+        for name, value in tail.kernel_stats.items()
+    }
+    return TransientResult(
+        times=np.concatenate([head.times, tail.times[1:]]),
+        voltages={node: np.concatenate([wave, tail.voltages[node][1:]])
+                  for node, wave in head.voltages.items()},
+        escalations={
+            rung: head.escalations.get(rung, 0) + tail.escalations.get(rung, 0)
+            for rung in {**head.escalations, **tail.escalations}
+        },
+        kernel_stats=kernel,
+        checkpoint=head.checkpoint,
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -189,6 +189,16 @@ class ClockSource:
         """Start time of the ``index``-th rising edge (0-based)."""
         return self.delay + self.skew + index * self.period
 
+    def falling_edge(self, index: int) -> float:
+        """Start time of the ``index``-th falling edge (0-based).
+
+        Computed with the pulse's own corner arithmetic, so the value is
+        bit-equal to the corner :meth:`breakpoints` lists: a run that
+        stops here stops on a point every longer run lands on too.
+        """
+        pulse = self._pulse
+        return pulse.delay + index * pulse.period + pulse.rise + pulse.width
+
 
 def jittery_clock(
     period: float,

@@ -373,6 +373,12 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
     extra_kohm = _number(spec["fault_extra_kohm"], "fault_extra_kohm")
     if variation < 0 or extra_kohm < 0:
         raise SpecError("variation and fault_extra_kohm must be >= 0")
+    if variation and topology == "grid":
+        raise SpecError("variation needs topology 'htree' (a grid is built "
+                        "without process variation)")
+    if spec["dead_injections"] and topology == "htree":
+        raise SpecError("dead_injections need topology 'grid' (an h-tree "
+                        "has no injection drivers)")
     fault = None
     if spec["fault_node"] is not None:
         node = str(spec["fault_node"])

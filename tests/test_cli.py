@@ -159,6 +159,20 @@ def test_whole_tree_command_rejects_grid_open(capsys):
     assert "htree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, needs", [
+    (["--topology", "grid", "--grid", "6", "6", "--variation", "0.1"],
+     "htree"),
+    (["--levels", "1", "--dead-injection", "0", "0"], "grid"),
+])
+def test_whole_tree_command_rejects_inputs_its_topology_ignores(
+        capsys, flags, needs):
+    # A grid has no process variation, an H-tree no injection drivers:
+    # the run must not print the nominal network as if they applied.
+    assert main(["whole-tree", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"topology '{needs}'" in err
+
+
 def test_export_command_stdout(capsys):
     assert main(["export"]) == 0
     out = capsys.readouterr().out

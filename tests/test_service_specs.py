@@ -85,6 +85,22 @@ def test_whole_tree_spec_rejects_a_fault_it_cannot_apply():
     assert "code" in plan.fold(campaign)["runs"][0]
 
 
+def test_whole_tree_spec_rejects_inputs_its_topology_ignores():
+    """A grid has no process variation and an H-tree no injection
+    drivers: either input is refused, not planned as jobs that all run
+    the unvaried, healthy network."""
+    grid = {"kind": "whole_tree", "topology": "grid", "grid": [4, 4]}
+    with pytest.raises(SpecError, match="variation needs topology 'htree'"):
+        build_plan({**grid, "variation": 0.3, "seeds": [0, 1]})
+    with pytest.raises(SpecError, match="dead_injections need topology"):
+        build_plan({**_WHOLE_TREE, "dead_injections": [[0, 0]]})
+    # The defaults still plan, on both topologies.
+    assert build_plan({**grid, "dead_injections": [[0, 0]]}).jobs[0] \
+        .dead_injections == ((0, 0),)
+    assert build_plan({**_WHOLE_TREE, "variation": 0.1}).jobs[0] \
+        .variation == 0.1
+
+
 _SENSITIVITY = {"kind": "sensitivity", "loads_ff": [160.0],
                 "slews_ns": [0.2], "tau_max_ns": 0.2, "points": 2}
 _MONTECARLO = {"kind": "montecarlo", "samples": 1, "seed": 7,

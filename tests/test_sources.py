@@ -115,6 +115,27 @@ def test_clock_negative_skew():
     assert clk.value(ns(0.5)) == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    period_ns=st.floats(1.0, 50.0),
+    slew_frac=st.floats(0.01, 0.45),
+    skew_ns=st.floats(-2.0, 2.0),
+    delay_ns=st.floats(0.0, 5.0),
+    index=st.integers(0, 5),
+)
+def test_clock_falling_edge_is_a_breakpoint(period_ns, slew_frac, skew_ns,
+                                            delay_ns, index):
+    """A run that stops at ``falling_edge(k)`` stops on a corner every
+    longer run lands on: the value is a member of ``breakpoints()`` bit
+    for bit, not merely close to one."""
+    clk = ClockSource(period=ns(period_ns), slew=slew_frac * ns(period_ns),
+                      skew=ns(skew_ns), delay=ns(delay_ns))
+    edge = clk.falling_edge(index)
+    assert edge in clk.breakpoints(clk.rising_edge(index),
+                                   clk.rising_edge(index + 1))
+    assert edge == pytest.approx(clk.rising_edge(index) + clk.period / 2)
+
+
 def test_clock_validation():
     with pytest.raises(ValueError):
         ClockSource(period=ns(1), slew=ns(0.6))

@@ -20,7 +20,11 @@ the contract that makes it drop-in:
   of ``repro whole-tree`` sparse and a 1-level H-tree dense;
 * **whole-tree equivalence**: a ~200-node full-chip netlist integrates
   to within 1 uV of the dense engine, and (slow tier) a 10^3-node tree
-  completes on the sparse path.
+  completes on the sparse path;
+* **whole-tree window**: ``simulate_whole_tree`` stops at the clock's
+  fall start, or goes on to the period's end when a monitored sink has
+  not arrived; either way every readout equals a full-period run's bit
+  for bit (a tier-1 slice; the whole mix under ``slow``).
 """
 
 import numpy as np
@@ -33,7 +37,9 @@ from repro.analog.engine import (
     resolve_jacobian_policy,
     transient,
 )
+from repro.clocktree import whole_tree
 from repro.clocktree.electrical import TreeNetlistBuilder
+from repro.clocktree.faults import ResistiveOpen
 from repro.clocktree.htree import build_h_tree
 from repro.clocktree.tree import Buffer
 from repro.clocktree.whole_tree import (
@@ -44,12 +50,13 @@ from repro.clocktree.whole_tree import (
     simulate_whole_tree,
 )
 from repro.core.sensing import SkewSensor
+from repro.devices.process import nominal_process
 from repro.devices.sources import ClockSource, clock_pair
 from repro.faults.models import TransistorStuckOn
 from repro.sparse import csr_plan
 from repro.sparse.csr import SparseKernel
 from repro.sparse import linalg as slinalg
-from repro.units import fF, ns
+from repro.units import VTH_INTERPRET, fF, ns
 
 FAST = TransientOptions(dt_max=ns(0.2), reltol=5e-3)
 
@@ -392,6 +399,96 @@ def test_grid_topology_dead_driver_flags():
     )
     assert degraded.flagged
     assert degraded.worst_skew > healthy.worst_skew
+
+
+def test_whole_tree_rejects_inputs_its_topology_ignores():
+    # Both used to run the unvaried grid / the healthy tree silently.
+    with pytest.raises(ValueError, match="variation needs topology 'htree'"):
+        simulate_whole_tree(topology="grid", grid_shape=(4, 4),
+                            variation=0.3, seed=1)
+    with pytest.raises(ValueError, match="dead_injections need topology"):
+        simulate_whole_tree(levels=1, dead_injections=[(0, 0)])
+
+
+# --------------------------------------------------------------------- #
+# The whole-tree window: the run stops where the clock starts to fall.
+# --------------------------------------------------------------------- #
+def _open_s13(ohms):
+    return {"levels": 2, "fault": ResistiveOpen(node="s13",
+                                                extra_resistance=ohms)}
+
+
+#: name -> (``simulate_whole_tree`` inputs, whether the run must go on
+#: past the fall start because a monitored sink still lags vdd/2 there).
+WINDOW_CASES = {
+    "grid6": ({"topology": "grid", "grid_shape": (6, 6)}, False),
+    "grid6-dead": ({"topology": "grid", "grid_shape": (6, 6),
+                    "dead_injections": [(0, 0)]}, False),
+    "grid10": ({"topology": "grid", "grid_shape": (10, 10)}, False),
+    "grid10-dead": ({"topology": "grid", "grid_shape": (10, 10),
+                     "dead_injections": [(9, 9)]}, False),
+    "htree2": ({"levels": 2}, False),
+    "htree2-var": ({"levels": 2, "variation": 0.1, "seed": 3}, False),
+    "htree2-open8k": (_open_s13(8e3), False),
+    # s13 crosses vdd/2 2.5 ns after the clock starts to fall.
+    "htree2-open100k": (_open_s13(1e5), True),
+    # s13 never arrives inside the period.
+    "htree2-open1M": (_open_s13(1e6), True),
+}
+#: The tier-1 slice; the rest of the mix runs under ``slow``.
+WINDOW_TIER1 = ("grid6-dead", "htree2-open8k", "htree2-open100k")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=() if name in WINDOW_TIER1 else pytest.mark.slow)
+    for name in WINDOW_CASES
+])
+def test_whole_tree_window_reads_out_as_a_full_period_run(monkeypatch, name):
+    """Every readout equals a full-period run's of the same netlist, bit
+    for bit, read the way ``simulate_whole_tree`` reads them; the
+    waveforms equal it on the integrated span, and a run that goes on
+    past the fall start equals it entirely."""
+    case, continues = WINDOW_CASES[name]
+    calls = []
+
+    def spy(netlist, **kwargs):
+        calls.append((netlist, kwargs))
+        return transient(netlist, **kwargs)
+
+    monkeypatch.setattr(whole_tree, "transient", spy)
+    run = simulate_whole_tree(n_sensors=2, **case)
+
+    settle, period = ns(2.0), ns(20.0)
+    netlist, kwargs = calls[0]
+    clock = ClockSource(period=period, slew=ns(0.2), delay=settle)
+    assert kwargs["t_stop"] == clock.falling_edge(0)
+    full = transient(netlist, **{**kwargs, "t_stop": settle + period,
+                                 "checkpoint_at": None})
+    reference = whole_tree._read_out(
+        full, run.placements, run.n_nodes, settle, run.t_sample,
+        level=nominal_process().vdd / 2.0, threshold=VTH_INTERPRET,
+    )
+    assert run.arrivals == reference.arrivals
+    assert run.skews == reference.skews
+    assert run.codes == reference.codes
+    assert run.flagged == reference.flagged
+    for placement in run.placements:
+        for node in (placement.y1, placement.y2):
+            assert (run.result.wave(node).at(run.t_sample)
+                    == full.wave(node).at(run.t_sample))
+
+    n = len(run.result)
+    assert np.array_equal(run.result.times, full.times[:n])
+    for node, wave in run.result.voltages.items():
+        assert np.array_equal(wave, full.voltages[node][:n]), node
+    assert len(calls) == (2 if continues else 1)
+    if continues:
+        assert n == len(full)
+        assert _counters(run.result) == _counters(full)
+        assert run.result.escalations == full.escalations
+    else:
+        assert all(np.isfinite(a) for a in run.arrivals.values())
+        assert run.result.times[-1] == pytest.approx(clock.falling_edge(0))
 
 
 @pytest.mark.slow
