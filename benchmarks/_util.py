@@ -52,23 +52,18 @@ def emit(name: str, lines: Iterable[str]) -> str:
 def throughput_metrics(
     telemetry: Telemetry, wall_s: float, n_samples: int
 ) -> Dict[str, Any]:
-    """Per-leg throughput numbers with one-time setup work excluded.
+    """Per-leg throughput numbers.
 
-    ``samples_per_s`` divides by the wall time minus the prefix-build
-    wall: building a checkpoint is a one-time cost amortised across the
-    campaign (and across reruns through the checkpoint cache tier), so
-    folding it into the per-sample rate would understate steady-state
-    throughput and make the rate depend on how warm the cache happened
-    to be.  The build time is still reported (``prefix_build_s``) so
-    nothing is hidden, alongside the warm-start effectiveness counters
-    (``prefix_hit_rate``, ``integrated_time_saved_s``).
+    ``samples_per_s`` divides by the leg's whole wall time: a prefix
+    build is per-job work like the suffix forked from it.  The build
+    wall is reported on its own too (``prefix_build_s``), alongside the
+    warm-start effectiveness counters (``prefix_hit_rate``,
+    ``integrated_time_saved_s``).
     """
-    build_s = min(telemetry.prefix_build_s, wall_s)
-    timed_s = max(wall_s - build_s, 1e-9)
     return {
         "wall_s": wall_s,
         "prefix_build_s": telemetry.prefix_build_s,
-        "samples_per_s": n_samples / timed_s,
+        "samples_per_s": n_samples / wall_s,
         "prefix_hit_rate": telemetry.prefix_hit_rate,
         "integrated_time_saved_s": telemetry.prefix_saved_time_s,
     }

@@ -2,7 +2,7 @@
 
 This module is what ``run_campaign(backend="batch")`` lazily imports.
 It takes the executor's post-cache work items (cache hits were already
-satisfied upstream, so only cold samples reach the stack), groups them
+satisfied upstream, so only cache misses reach the stack), groups them
 into batchable stacks, and returns outcomes in the executor's standard
 worker protocol - so caching, journaling, telemetry and error policies
 behave identically across backends.
@@ -10,9 +10,9 @@ behave identically across backends.
 Grouping and chunking
 ---------------------
 Jobs are grouped by :func:`~repro.batch.response.batch_signature` (the
-fields one lockstep run must share: topology switches, engine options,
-warm or cold - so the jobs of a whole Monte Carlo campaign form one
-group) and each group is split into chunks of at most
+fields one lockstep run must share: topology switches and engine
+options - so the jobs of a whole Monte Carlo campaign form one group)
+and each group is split into chunks of at most
 :func:`resolve_batch_plan` samples: the explicit ``chunksize`` argument,
 else the auto-tune heuristic (:func:`auto_batch_size`: an even fan-out
 of the largest group over the shard workers, capped at
@@ -39,7 +39,7 @@ path (``batch_workers=1``) and to the serial backend, at any stack
 size.
 
 Before any stack runs, in process or sharded, every skew-invariant
-prefix is built once in the parent
+prefix of a ``warm_start`` job is built once in the parent
 (:func:`repro.runtime.prefix.publish_prefixes` - the campaign's one
 planner pass, which keys each job's prefix once and integrates the
 missing ones as a lockstep stack of their own from
@@ -56,7 +56,7 @@ executor's scalar :func:`~repro.runtime.executor._evaluate_outcome` -
 the same path the serial backend uses, with the same bounded
 ConvergenceError retries and the same error diagnostics.  If
 an entire stack fails to build or integrate, every sample of that chunk
-takes the scalar path; a warm row whose prefix build failed takes it
+takes the scalar path; a row with no prefix checkpoint takes it
 alone.  Nothing is silently degraded: every re-dispatch
 is counted in ``Telemetry.batch_fallbacks``.
 """

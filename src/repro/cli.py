@@ -62,11 +62,33 @@ def _sensitivity_grid(args: argparse.Namespace):
     return [ns(args.tau_max) * k / (args.points - 1) for k in range(args.points)]
 
 
+def _sensitivity_spec(args: argparse.Namespace, slews: List[float]) -> dict:
+    """The service's ``sensitivity`` spec of the grid flags
+    ``sensitivity``, ``campaign`` and ``submit`` share."""
+    return {"kind": "sensitivity", "loads_ff": args.loads, "slews_ns": slews,
+            "tau_max_ns": args.tau_max, "points": args.points}
+
+
+def _refused(spec: dict) -> bool:
+    """Whether the service would refuse ``spec`` (a 400 there); prints
+    its message as ``error: ...``."""
+    from repro.service.specs import SpecError, build_plan
+
+    try:
+        build_plan(spec)
+    except SpecError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.core.sensitivity import sweep_skew
     from repro.report import sensitivity_report
     from repro.runtime import Telemetry
 
+    if _refused(_sensitivity_spec(args, [args.slew])):
+        return 2
     telemetry = Telemetry()
     cache = None if args.no_cache else "default"
     skews = _sensitivity_grid(args)
@@ -91,6 +113,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.runtime import Telemetry
     from repro.units import to_ns
 
+    if _refused(_sensitivity_spec(args, args.slews)):
+        return 2
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
@@ -394,8 +418,7 @@ def _load_spec(args: argparse.Namespace) -> dict:
         return json.loads(text)
     spec: dict = {"kind": args.kind}
     if args.kind == "sensitivity":
-        spec.update(loads_ff=args.loads, slews_ns=args.slews,
-                    tau_max_ns=args.tau_max, points=args.points)
+        spec = _sensitivity_spec(args, args.slews)
     elif args.kind == "montecarlo":
         if args.seed is None:
             print("error: montecarlo specs need --seed (reproducibility)",
@@ -550,9 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="bypass the result cache")
         p.add_argument("--no-warm-start", action="store_true",
-                       help="disable prefix warm-start (full cold "
-                            "transients, bit-identical to the pre-prefix "
-                            "behaviour)")
+                       help="build each job's pre-skew prefix on the spot "
+                            "instead of through the checkpoint cache tier "
+                            "(same results)")
 
     sens = sub.add_parser("sensitivity", help="Vmin vs tau sweep")
     sens.add_argument("--loads", type=float, nargs="+",

@@ -7,9 +7,10 @@ high by an undischarged block) never occurs in fault-free operation, ``00``
 (well, the sub-threshold clamp) is the no-error response, and ``01`` / ``10``
 flag a late ``phi2`` / late ``phi1`` respectively.
 
-The cold :func:`simulate_sensor`, the prefix warm start and the lockstep
-stacks all drive the sensor through :func:`clocked_netlist` and read it
-through :func:`read_response`, each written once.
+The full-period :func:`simulate_sensor` (Figs. 2/3 and ``repro waves``),
+the sensor-job evaluation of :mod:`repro.runtime.prefix` and the
+lockstep stacks all drive the sensor through :func:`clocked_netlist` and
+read it through :func:`read_response`, each written once.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def measurement_windows(
     ``Vmin`` is taken over ``[edge_start, fall_start]`` (first rising
     edge to the start of the falling edge - the half period during which
     the paper says the error indication holds) and the logic code is
-    sampled at ``t_sample`` (see :func:`read_response`).  The warm paths
-    also stop integrating at ``fall_start``, where every window ends.
+    sampled at ``t_sample`` (see :func:`read_response`).  Sensor-job
+    evaluations stop integrating at ``fall_start``, where every window
+    ends.
     """
     edge_start = settle + min(0.0, skew)
     late_edge_end = settle + max(0.0, skew) + max(slew1, slew2)

@@ -157,8 +157,7 @@ def vmin_for_skew(
     ``warm_start=None`` (the default) means on: the evaluation forks a
     cached pre-skew prefix checkpoint and integrates only the
     measurement suffix (see :mod:`repro.runtime.prefix`); ``False``
-    forces the cold full-horizon path, bit-identical to the
-    pre-warm-start behaviour.
+    builds the prefix on the spot instead, with the same result.
     """
     from repro.runtime import evaluate_cached, sensitivity_job
 

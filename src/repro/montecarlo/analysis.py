@@ -49,7 +49,7 @@ def scatter_analysis(
     The serial, uncached call of
     :func:`repro.montecarlo.parallel.scatter_analysis_parallel` (with the
     same ``warm_start`` default, on), so the two analyses stay
-    bit-identical whichever way the warm-start switch is set.
+    bit-identical - as they are whichever way the switch is set.
     """
     from repro.montecarlo.parallel import scatter_analysis_parallel
 

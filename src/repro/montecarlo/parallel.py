@@ -40,9 +40,10 @@ def sample_job(
 ) -> SensorJob:
     """The runtime job of one Monte Carlo (sample, skew) grid point.
 
-    ``warm_start=None`` means on: warm jobs skip the post-measurement
-    half period and reuse the pre-skew prefix across the skews of one
-    sample (and across reruns, through the checkpoint cache tier).
+    ``warm_start=None`` means on: warm jobs reuse the pre-skew prefix
+    across the skews of one sample (and across reruns, through the
+    checkpoint cache tier); ``False`` builds it per job, with the same
+    result.
     """
     return SensorJob(
         skew=skew,

@@ -1,16 +1,16 @@
 """Campaign job descriptions and their evaluation.
 
 A :class:`SensorJob` is a *complete, picklable, hashable* description of
-one sensor transient: everything :func:`repro.core.response.simulate_sensor`
-needs, and nothing else.  Jobs are the unit of work of the campaign
+one sensor transient: the sensor, its clock pair and its engine options,
+and nothing else.  Jobs are the unit of work of the campaign
 executor, the unit of addressing of the result cache, and the payload that
 crosses process boundaries - worker processes rebuild the sensor locally
 from the job, exactly like the original ``repro.montecarlo.parallel``
 workers did.
 
 :func:`job_sensor` is the one mapping from job fields to a sensor, and
-:func:`job_circuit` adds the job's clocks; the cold, warm and lockstep
-evaluators all build their circuits through them.
+:func:`job_circuit` adds the job's clocks; the scalar and lockstep
+evaluators both build their circuits through them.
 
 The evaluation result is the compact :class:`JobResult` (scalars only, no
 waveforms) so that results are cheap to pickle, JSON-serialisable for the
@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.analog.engine import TransientOptions
 from repro.circuit.netlist import Netlist
-from repro.core.response import clocked_netlist, simulate_sensor
+from repro.core.response import clocked_netlist
 from repro.core.sensing import SensorSizing, SkewSensor
 from repro.devices.process import ProcessParams, nominal_process
 from repro.runtime.cache import stable_key
@@ -58,13 +58,14 @@ class SensorJob:
     full_swing: bool = False
     parasitics: bool = True
     options: Optional[TransientOptions] = None
-    #: Evaluate through the prefix warm-start path (fork the shared
-    #: pre-skew waveform from a cached checkpoint and integrate only the
-    #: measurement suffix).  Part of the job identity: warm results live
-    #: under their own cache keys, so disabling warm start reproduces the
-    #: cold results bit-identically.  The raw default is off; the factory
-    #: helpers (:func:`sensitivity_job`, Monte Carlo ``sample_job``)
-    #: default to on.
+    #: Read the job's pre-skew prefix checkpoint from the checkpoint
+    #: tier of :mod:`repro.runtime.cache` (and write it there after a
+    #: build).  Off, the job builds its prefix on the spot and never
+    #: touches the tier; either way it runs the same suffix and returns
+    #: the same bits, so the switch is not part of the job identity.
+    #: The raw default is off; the factory helpers
+    #: (:func:`sensitivity_job`, Monte Carlo ``sample_job``) default to
+    #: on.
     warm_start: bool = False
 
     def resolved(self) -> "SensorJob":
@@ -77,8 +78,13 @@ class SensorJob:
         return job
 
     def key(self) -> str:
-        """Content-address of this job's result (engine-version aware)."""
-        return stable_key(self.resolved(), namespace=JOB_NAMESPACE)
+        """Content-address of this job's result (engine-version aware).
+
+        Hashed as ``warm_start=True`` whatever the field says: the
+        switch moves where the prefix comes from, never the result.
+        """
+        return stable_key(replace(self.resolved(), warm_start=True),
+                          namespace=JOB_NAMESPACE)
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,8 @@ class JobResult:
 
     Mirrors the scalar fields of
     :class:`repro.core.response.SensorResponse`; ``steps`` is the number
-    of accepted integration points (the telemetry's engine-step
-    statistic), zero when the value was replayed from cache.
+    of steps the run that read the response accepted (the telemetry's
+    engine-step statistic), zero when the value was replayed from cache.
     ``escalations`` is the solver-ladder tally of the underlying
     transient (sorted ``(rung, count)`` pairs - a tuple so the record
     stays hashable), and ``resumed`` marks values replayed from a
@@ -200,35 +206,14 @@ def job_circuit(job: SensorJob) -> Tuple[SkewSensor, Netlist]:
 def evaluate_job(job: SensorJob) -> JobResult:
     """Run the transient described by ``job`` (no caching, no retries).
 
-    Jobs with ``warm_start=True`` route through the prefix warm-start
-    evaluator (checkpointed pre-skew prefix + forked measurement
-    suffix); everything else takes the cold full-horizon path of
-    :func:`~repro.core.response.simulate_sensor`.
+    The one evaluation of a sensor job,
+    :func:`~repro.runtime.prefix.evaluate_job_warm`: a prefix checkpoint
+    (from the checkpoint tier when ``warm_start`` is set, else built on
+    the spot) and the measurement suffix forked from it.
     """
-    resolved = job.resolved()
-    if resolved.warm_start:
-        from repro.runtime.prefix import evaluate_job_warm
+    from repro.runtime.prefix import evaluate_job_warm
 
-        return evaluate_job_warm(resolved)
-    response = simulate_sensor(
-        job_sensor(resolved),
-        skew=resolved.skew,
-        slew1=resolved.slew1,
-        slew2=resolved.slew2,
-        period=resolved.period,
-        settle=resolved.settle,
-        threshold=resolved.threshold,
-        options=resolved.options,
-    )
-    return JobResult(
-        skew=resolved.skew,
-        vmin_y1=response.vmin_y1,
-        vmin_y2=response.vmin_y2,
-        code=response.code,
-        steps=len(response.result),
-        escalations=tuple(sorted(response.result.escalations.items())),
-        kernel=tuple(sorted(response.result.kernel_stats.items())),
-    )
+    return evaluate_job_warm(job)
 
 
 def sensitivity_job(
@@ -247,7 +232,7 @@ def sensitivity_job(
 
     Mirrors the parameter conventions of
     :func:`repro.core.sensitivity.vmin_for_skew`.  ``warm_start=None``
-    means on; pass ``False`` to force the cold full-horizon evaluation.
+    means on; pass ``False`` to keep the job off the checkpoint tier.
     """
     return SensorJob(
         skew=skew,

@@ -25,17 +25,21 @@ ends.  This module exploits that:
    checkpoint tier of :mod:`repro.runtime.cache`, namespaced by the same
    physics fingerprint as results.
 
-3. **Warm evaluation.**  A warm job integrates (or fetches) the prefix
-   once with ``checkpoint_at=fork``, then resumes from the checkpoint
-   over the *measurement suffix only* ``[fork, fall_start]`` - every
-   window of :func:`repro.core.response.measurement_windows` lies inside
-   it, so the post-measurement half period (about half of a cold run's
-   accepted steps) is never integrated at all.  The restart uses the
-   engine's backward-Euler-after-breakpoint rule, so the forked run is a
-   legal grid continuation of the prefix.
+3. **Evaluation.**  A job fetches (or integrates) the prefix with
+   ``checkpoint_at=fork``, then resumes from the checkpoint over the
+   *measurement suffix only* ``[fork, fall_start]`` - every window of
+   :func:`repro.core.response.measurement_windows` lies inside it, so
+   the post-measurement half period is never integrated at all.  The
+   restart uses the engine's backward-Euler-after-breakpoint rule, so
+   the forked run is a legal grid continuation of the prefix.  This is
+   the only evaluation of a sensor job: ``SensorJob.warm_start`` only
+   says whether the prefix comes from (and goes to) the checkpoint
+   tier or is built on the spot, so a job returns the same bits either
+   way.  A job with no usable fork (:func:`warm_eligible` false) runs
+   one transient from its operating point to ``fall_start``.
 
 :func:`warm_plan` writes that plan once, for one job
-(:func:`evaluate_job_warm`) and for a warm lockstep stack
+(:func:`evaluate_job_warm`) and for a lockstep stack
 (:func:`repro.batch.response.evaluate_jobs_batch`): it fetches or builds
 each distinct prefix once and returns one checkpoint and one stop per
 job, so one stack can hold the jobs of many samples, each row on its
@@ -51,21 +55,16 @@ a scalar :func:`prefix_checkpoint` build.  Each stacked checkpoint is
 its scalar build bit for bit, so which path built a cached prefix never
 shows in a result.
 
-A campaign plans its prefixes once, before dispatch, in one pass that
-keys each job's prefix once: :func:`prepare_prefixes` builds the
-missing ones in the parent process (the serial and process backends),
-and :func:`publish_prefixes` - the batch dispatcher's pass - adds the
-disk re-put that serves shard workers.
-
-Warm results are keyed (and cached) under ``SensorJob.warm_start=True``
-identities, disjoint from cold results: disabling warm start (pass
-``warm_start=False``) reproduces the cold full-horizon evaluation
-bit-identically.
+A campaign plans the prefixes of its ``warm_start`` jobs once, before
+dispatch, in one pass that keys each job's prefix once:
+:func:`prepare_prefixes` builds the missing ones in the parent process
+(the serial and process backends), and :func:`publish_prefixes` - the
+batch dispatcher's pass - adds the disk re-put that serves shard
+workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analog.engine import (
@@ -76,7 +75,7 @@ from repro.analog.engine import (
 from repro.core.response import measurement_windows, read_response
 from repro.errors import SimulationError
 from repro.runtime.cache import get_checkpoint_cache, stable_key
-from repro.runtime.jobs import JobResult, SensorJob, evaluate_job, job_circuit
+from repro.runtime.jobs import JobResult, SensorJob, job_circuit
 from repro.runtime.telemetry import Stopwatch, Telemetry
 
 #: Namespace of checkpoint-tier keys (never collides with job results).
@@ -89,7 +88,7 @@ PREFIX_NAMESPACE = "transient-prefix"
 #: flat; 50 ps is also large enough that the post-restart dt ramp
 #: (dt_start = 0.1 ps, growing 2x per accepted step) re-reaches the
 #: pre-edge cruise step before the first clock corner, so the forked
-#: grid meets the edge the same way a cold run does.
+#: grid meets the edge the same way an unforked run does.
 PREFIX_GUARD = 50e-12
 
 #: Don't bother forking when the prefix is shorter than this many
@@ -103,10 +102,10 @@ _MIN_PREFIX_STEPS = 16.0
 #: of ``benchmarks/bench_fig5_montecarlo.py`` measures (``crossover``
 #: of both option sets in ``benchmarks/out/BENCH_fig5_montecarlo.json``,
 #: a 2-core x86 box).  Per prefix, a stack of 2 costs more than two
-#: scalar builds (0.86x their speed under FAST options, 0.77x
-#: grid-converged), a stack of 3 less (1.14x, 1.16x), and the gain
+#: scalar builds (0.74x their speed under FAST options, 0.77x
+#: grid-converged), a stack of 3 less (1.09x, 1.07x), and the gain
 #: grows with the stack: one ``mc_scatter`` campaign's 18 prefixes
-#: build 2.7x (FAST) and 4.9x faster.
+#: build 2.9x (FAST) and 4.9x faster.
 PREFIX_STACK_MIN = 3
 
 #: A prefix fetch: ``(checkpoint, stats)`` (see :func:`prefix_checkpoint`),
@@ -126,20 +125,15 @@ def fork_time(job: SensorJob) -> float:
 
 
 def warm_eligible(job: SensorJob) -> bool:
-    """Whether the warm path applies to ``job`` at all.
+    """Whether ``job`` has a usable fork: one comfortably after ``t=0``.
 
-    Requires a usefully long prefix (the fork comfortably after ``t=0``)
-    and a measurement suffix that actually starts after the fork.
+    The suffix always starts after the fork: ``fall_start - fork`` is
+    ``period / 2 - max(slew1, slew2) + PREFIX_GUARD``, and
+    :class:`~repro.devices.sources.ClockSource` refuses a slew of half
+    the period or more.
     """
     resolved = job.resolved()
-    fork = fork_time(resolved)
-    if fork < _MIN_PREFIX_STEPS * resolved.options.dt_start:
-        return False
-    _, _, fall_start, _ = measurement_windows(
-        resolved.skew, resolved.slew1, resolved.slew2,
-        resolved.period, resolved.settle,
-    )
-    return fall_start > fork + PREFIX_GUARD
+    return fork_time(resolved) >= _MIN_PREFIX_STEPS * resolved.options.dt_start
 
 
 def prefix_signature(job: SensorJob) -> Dict[str, object]:
@@ -180,14 +174,16 @@ def prefix_checkpoint(
     after a fresh build, ``builds``, the wall seconds spent building
     (``build_s``) and the build's solver-ladder counts (``esc:<rung>``
     entries, which :meth:`~repro.runtime.telemetry.Telemetry.record_prefix`
-    folds into ``ladder_rungs``).
+    folds into ``ladder_rungs``).  The checkpoint tier is read and
+    written only for a ``warm_start`` job; any other job always builds.
     """
     fork = fork_time(resolved)
-    key = prefix_key(resolved)
-    cache = get_checkpoint_cache()
-    payload = cache.get(key)
-    if payload is not None:
-        return TransientCheckpoint.from_payload(payload), {"hits": 1.0}
+    if resolved.warm_start:
+        key = prefix_key(resolved)
+        cache = get_checkpoint_cache()
+        payload = cache.get(key)
+        if payload is not None:
+            return TransientCheckpoint.from_payload(payload), {"hits": 1.0}
     watch = Stopwatch()
     sensor, netlist = job_circuit(resolved)
     result = transient(
@@ -199,7 +195,8 @@ def prefix_checkpoint(
         checkpoint_at=fork,
     )
     checkpoint = result.checkpoint
-    cache.put(key, checkpoint.to_payload())
+    if resolved.warm_start:
+        cache.put(key, checkpoint.to_payload())
     stats: Dict[str, float] = {"builds": 1.0, "build_s": watch.elapsed()}
     for rung, count in result.escalations.items():
         stats[f"esc:{rung}"] = float(count)
@@ -207,11 +204,11 @@ def prefix_checkpoint(
 
 
 def _stack_prefixes(
-    group: Mapping[str, SensorJob],
-) -> Dict[str, Tuple[TransientCheckpoint, Dict[str, float]]]:
+    group: Mapping[Hashable, SensorJob],
+) -> Dict[Hashable, Tuple[TransientCheckpoint, Dict[str, float]]]:
     """Integrate the missing prefixes of ``group`` (one topology, one
-    option set) as one lockstep stack; cache and return every completed
-    row's checkpoint.
+    option set) as one lockstep stack; return every completed row's
+    checkpoint, cached under its key when its job is ``warm_start``.
 
     Each row runs its own sensor from the scalar DC ladder to its own
     fork, so its checkpoint is its scalar build's bit for bit, and its
@@ -239,11 +236,12 @@ def _stack_prefixes(
     )
     cache = get_checkpoint_cache()
     done = []
-    for key, checkpoint, rungs in zip(
-        group, result.checkpoints, result.row_escalations
+    for (key, job), checkpoint, rungs in zip(
+        group.items(), result.checkpoints, result.row_escalations
     ):
         if checkpoint is not None:
-            cache.put(key, checkpoint.to_payload())
+            if job.warm_start:
+                cache.put(key, checkpoint.to_payload())
             done.append((key, checkpoint, rungs))
     share = watch.elapsed() / max(1, len(done))
     built = {}
@@ -255,28 +253,35 @@ def _stack_prefixes(
     return built
 
 
-def build_prefixes(jobs: Mapping[str, SensorJob]) -> Dict[str, Fetched]:
+def build_prefixes(
+    jobs: Mapping[Hashable, SensorJob],
+) -> Dict[Hashable, Fetched]:
     """Fetch or build the prefix checkpoint of every ``key -> job`` of
-    resolved, warm-eligible ``jobs`` (``key`` its :func:`prefix_key`).
+    resolved, warm-eligible ``jobs``: ``key`` is the job's
+    :func:`prefix_key` (its checkpoint-tier key) when the job is
+    ``warm_start``, and any other name for a cold job's build.
 
     The one implementation of prefix building.  With at least
-    :data:`PREFIX_STACK_MIN` keys, the ones the checkpoint tier lacks
-    are grouped by topology switches and engine options, and every
-    group of at least :data:`PREFIX_STACK_MIN` integrates as one
-    lockstep stack (:func:`_stack_prefixes`).  Every other key - a hit,
-    a smaller group, a policy whose scalar build runs the sparse
-    backend, a row the stack masked out - goes through the scalar
+    :data:`PREFIX_STACK_MIN` keys, the ones the checkpoint tier cannot
+    serve (a miss, or a job that is not ``warm_start``) are grouped by
+    :func:`~repro.batch.response.batch_signature`, and every group of at
+    least :data:`PREFIX_STACK_MIN` integrates as one lockstep stack
+    (:func:`_stack_prefixes`).  Every other key - a hit, a smaller
+    group, a policy whose scalar build runs the sparse backend, a row
+    the stack masked out - goes through the scalar
     :func:`prefix_checkpoint`; a build that raises maps its key to the
     :class:`~repro.errors.SimulationError`.
     """
-    fetched: Dict[str, Fetched] = {}
+    fetched: Dict[Hashable, Fetched] = {}
     if len(jobs) >= PREFIX_STACK_MIN:
+        # Imported lazily: repro.batch imports this module.
+        from repro.batch.response import batch_signature
+
         cache = get_checkpoint_cache()
-        groups: Dict[Hashable, Dict[str, SensorJob]] = {}
+        groups: Dict[Hashable, Dict[Hashable, SensorJob]] = {}
         for key, job in jobs.items():
-            if key not in cache:
-                signature = (job.full_swing, job.parasitics, job.options)
-                groups.setdefault(signature, {})[key] = job
+            if not (job.warm_start and key in cache):
+                groups.setdefault(batch_signature(job), {})[key] = job
         for group in groups.values():
             if len(group) >= PREFIX_STACK_MIN:
                 fetched.update(_stack_prefixes(group))
@@ -291,40 +296,43 @@ def build_prefixes(jobs: Mapping[str, SensorJob]) -> Dict[str, Fetched]:
 
 def warm_plan(
     jobs: Sequence[SensorJob],
-) -> Tuple[List[Optional[TransientCheckpoint]], List[Optional[float]],
+) -> Tuple[List[Optional[TransientCheckpoint]], List[float],
            Dict[str, float]]:
-    """``(checkpoints, stops, stats)`` of the warm runs of resolved
-    ``jobs``.
+    """``(checkpoints, stops, stats)`` of the runs of resolved ``jobs``.
 
     ``checkpoints[i]`` is job ``i``'s prefix checkpoint: each distinct
-    prefix key is fetched or built once (:func:`build_prefixes`).  A
-    prefix whose build raises :class:`~repro.errors.SimulationError`
-    leaves its jobs' entries ``None``; when no job gets a checkpoint the
-    first such error is re-raised, so a single job fails as its build
-    did.  ``stops[i]`` is job ``i``'s ``fall_start``, where every one of
-    its measurement windows has ended (``None`` without a checkpoint).
-    ``stats`` counts ``hits`` (every job with a checkpoint but those
-    that paid a build), ``builds`` and ``saved_s``: per job with a
-    checkpoint, its skipped tail after its ``fall_start``, plus its
-    prefix when it was a hit - so a plan's ``saved_s`` is the sum of its
-    jobs' single-job plans'.  The builds' own ``build_s`` and
-    ``esc:<rung>`` counts ride along.
+    prefix is fetched or built once (:func:`build_prefixes`), a
+    ``warm_start`` job's through the checkpoint tier and any other's on
+    the spot, so the two never share a build.  A job with no usable
+    fork, or whose prefix build raised
+    :class:`~repro.errors.SimulationError`, gets ``None``; when no job
+    gets a checkpoint the first such error is re-raised, so a single job
+    fails as its build did.  ``stops[i]`` is job ``i``'s ``fall_start``,
+    where every one of its measurement windows has ended.  ``stats``
+    counts ``hits`` (every job with a checkpoint but those that paid a
+    build), ``builds`` and ``saved_s``, the prefix span of every hit -
+    so a plan's ``saved_s`` is the sum of its jobs' single-job plans'.
+    The builds' own ``build_s`` and ``esc:<rung>`` counts ride along.
     """
-    keys = [prefix_key(job) for job in jobs]
-    distinct: Dict[str, SensorJob] = {}
+    keys: List[Optional[Hashable]] = []
+    for job in jobs:
+        key = prefix_key(job) if warm_eligible(job) else None
+        # A cold job's build is its own, never named as a tier entry.
+        keys.append(key if key is None or job.warm_start else ("cold", key))
+    distinct: Dict[Hashable, SensorJob] = {}
     for key, job in zip(keys, jobs):
-        distinct.setdefault(key, job)
+        if key is not None:
+            distinct.setdefault(key, job)
     fetched = build_prefixes(distinct)
     checkpoints: List[Optional[TransientCheckpoint]] = []
-    stops: List[Optional[float]] = []
     stats: Dict[str, float] = {}
     error: Optional[SimulationError] = None
     hits = saved = 0.0
     seen = set()
-    for key, job in zip(keys, jobs):
-        outcome = fetched[key]
+    for key in keys:
+        outcome = fetched.get(key)
         built = False
-        if key not in seen:  # the key's first job carries its fetch
+        if key is not None and key not in seen:  # first job carries it
             seen.add(key)
             if isinstance(outcome, SimulationError):
                 error = error or outcome
@@ -333,45 +341,42 @@ def warm_plan(
                 for name, value in outcome[1].items():
                     stats[name] = stats.get(name, 0.0) + value
         checkpoint = None
-        stop = None
-        if not isinstance(outcome, SimulationError):
+        if outcome is not None and not isinstance(outcome, SimulationError):
             checkpoint = outcome[0]
-            stop = measurement_windows(
-                job.skew, job.slew1, job.slew2, job.period, job.settle
-            )[2]
-            skipped = job.settle + job.period - stop
             if not built:
                 hits += 1.0
-                skipped += checkpoint.t
-            saved += skipped
+                saved += checkpoint.t
         checkpoints.append(checkpoint)
-        stops.append(stop)
     if error is not None and all(c is None for c in checkpoints):
         raise error
+    stops = [measurement_windows(job.skew, job.slew1, job.slew2, job.period,
+                                 job.settle)[2] for job in jobs]
     stats.update(hits=hits, builds=stats.get("builds", 0.0), saved_s=saved)
     return checkpoints, stops, stats
 
 
 def evaluate_job_warm(job: SensorJob) -> JobResult:
-    """Warm-start evaluation: cached prefix + forked measurement suffix.
+    """The evaluation of a sensor job: its prefix checkpoint, then the
+    measurement suffix forked from it.
 
     Pure function of the job alone (the fork time and suffix horizon are
     per-job deterministic), so the result is cacheable under the job's
-    ``warm_start=True`` key like any other.  Falls back to the cold
-    evaluator when the job is warm-ineligible.  ``steps`` and
-    ``escalations`` describe the suffix run only, whether or not this
-    call built the prefix; a build's counts travel in ``prefix``.
+    key like any other, and a ``warm_start`` job (prefix from the
+    checkpoint tier) and its twin without (prefix built on the spot)
+    return the same bits.  A job with no usable fork runs one transient
+    from its operating point to its ``fall_start``.  ``steps`` and
+    ``escalations`` describe the run that reads the response, whether or
+    not this call built the prefix; a build's counts travel in
+    ``prefix``.
     """
     resolved = job.resolved()
-    if not warm_eligible(resolved):
-        return evaluate_job(replace(resolved, warm_start=False))
-
     (checkpoint,), (t_stop,), prefix = warm_plan([resolved])
-    _, netlist = job_circuit(resolved)
+    sensor, netlist = job_circuit(resolved)
     result = transient(
         netlist,
         t_stop=t_stop,
         record=["phi1", "phi2", "y1", "y2"],
+        initial=sensor.dc_guess(),
         options=resolved.options,
         resume_from=checkpoint,
     )

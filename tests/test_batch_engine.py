@@ -7,9 +7,9 @@ all assert exact equality:
 * a single-sample batch walks the scalar engine's grid point for point,
   with the scalar's values;
 * multi-sample batches - different Monte Carlo samples and skews, cold
-  or each row forked from its own prefix - give every job its scalar
-  result bit for bit (``Vmin``, code and ``steps``), whatever its stack
-  mates are;
+  or warm, each row forked from its own prefix - give every job its
+  scalar result bit for bit (``Vmin``, code and ``steps``), whatever its
+  stack mates are;
 * white-box mask semantics: a sample whose physics is poisoned is masked
   out with a recorded reason while its batchmates integrate on,
   untouched.
@@ -100,8 +100,8 @@ def test_montecarlo_slice_matches_scalar_bit_for_bit(warm_start):
     scalar = [evaluate_job(job) for job in jobs]
     batch = evaluate_jobs_batch(jobs)
     assert batch.fallbacks == 0
-    if warm_start:  # every row's prefix is a hit or a build
-        assert batch.prefix["hits"] + batch.prefix["builds"] == len(jobs)
+    # Cold or warm, every row's prefix is a hit or a build.
+    assert batch.prefix["hits"] + batch.prefix["builds"] == len(jobs)
     for s, b in zip(scalar, batch.results):
         _assert_same_result(b, s)
     assert len({s.code for s in scalar}) >= 2, \
@@ -110,16 +110,16 @@ def test_montecarlo_slice_matches_scalar_bit_for_bit(warm_start):
 
 @pytest.mark.parametrize("warm_start", [False, True])
 def test_heterogeneous_pair_matches_scalar_bit_for_bit(warm_start):
-    """Two different samples and skews in one stack (warm: each row
-    forks from its own sample's prefix); each row alone, in a stack of
-    one, gives the same bits too."""
+    """Two different samples and skews in one stack (each row forks
+    from its own sample's prefix); each row alone, in a stack of one,
+    gives the same bits too."""
     samples = sample_population(2, fF(160), seed=9)
     jobs = [_job(0.1, samples[0], warm_start=warm_start),
             _job(0.0, samples[1], warm_start=warm_start)]
     scalar = [evaluate_job(job) for job in jobs]
     batch = evaluate_jobs_batch(jobs)
-    if warm_start:  # every row's prefix is a hit or a build
-        assert batch.prefix["hits"] + batch.prefix["builds"] == len(jobs)
+    # Cold or warm, every row's prefix is a hit or a build.
+    assert batch.prefix["hits"] + batch.prefix["builds"] == len(jobs)
     for job, s, b in zip(jobs, scalar, batch.results):
         _assert_same_result(b, s)
         _assert_same_result(evaluate_jobs_batch([job]).results[0], s)
@@ -132,7 +132,7 @@ def test_heterogeneous_pair_matches_scalar_bit_for_bit(warm_start):
 def test_poisoned_sample_is_masked_not_fatal():
     jobs = [_job(0.0), _job(0.15)]
     from repro.batch import response as batch_response
-    from repro.core.response import read_response
+    from repro.core.response import read_response, simulate_sensor
     from repro.runtime.jobs import job_circuit
 
     resolved = [job.resolved() for job in jobs]
@@ -152,13 +152,18 @@ def test_poisoned_sample_is_masked_not_fatal():
     assert not result.ok[0]
     assert result.ok[1]
     assert result.fallback_reasons[0] in ("non-finite", "newton-floor")
-    # The survivor still equals the scalar engine on its measurement.
+    # The survivor still equals the scalar engine's full-period run on
+    # its measurement.
     job = resolved[1]
     vmin_y1, vmin_y2, code = read_response(
         result.wave("y1", 1), result.wave("y2", 1), job.skew, job.slew1,
         job.slew2, job.period, job.settle, job.threshold,
     )
-    reference = evaluate_job(jobs[1])
+    reference = simulate_sensor(
+        circuits[1][0], skew=job.skew, slew1=job.slew1, slew2=job.slew2,
+        period=job.period, settle=job.settle, threshold=job.threshold,
+        options=job.options,
+    )
     assert (vmin_y1, vmin_y2, code) == (
         reference.vmin_y1, reference.vmin_y2, reference.code)
 

@@ -111,6 +111,29 @@ def test_sensitivity_passes_batch_workers(monkeypatch, capsys):
     assert all(call["backend"] == "batch" for call in calls)
 
 
+@pytest.mark.parametrize("command", ["sensitivity", "campaign"])
+@pytest.mark.parametrize("flags, spec, message", [
+    (["--points", "1"], {"points": 1}, "points must be an integer >= 2"),
+    (["--points", "0"], {"points": 0}, "points must be an integer >= 2"),
+    (["--tau-max", "nan"], {"tau_max_ns": float("nan")},
+     "tau_max_ns must be a finite number"),
+    (["--loads", "-160"], {"loads_ff": [-160.0]}, "bad circuit value"),
+    (["--tau-max", "-12"], {"tau_max_ns": -12.0}, "at or before t = 0"),
+], ids=["points-1", "points-0", "tau-max-nan", "negative-load",
+        "tau-max-before-start"])
+def test_grid_commands_refuse_what_the_service_refuses(capsys, command,
+                                                       flags, spec, message):
+    # Both commands validate their flags through the sensitivity kind's
+    # build_plan: where the service answers 400, the CLI exits 2.
+    from repro.service.specs import SpecError, build_plan
+
+    with pytest.raises(SpecError, match=message):
+        build_plan({"kind": "sensitivity", **spec})
+    assert main([command, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_thread_backend_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["campaign", "--backend", "thread", "--points", "3"])

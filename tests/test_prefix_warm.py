@@ -12,15 +12,15 @@ Pins the PR-5 warm-start machinery four ways:
 * the prefix planner groups by the skew-invariant physics only: jobs
   differing in any non-tau field (load, options, process) never merge,
   jobs differing only in tau / slew do;
-* end-to-end warm-vs-cold equivalence: job results within 1 uV, the
-  bisection ``tau_min`` unchanged to sub-picosecond, the batch engine's
-  per-row resume consistent with its cold path (one sample's skews, or
-  several Monte Carlo samples in one stack), and warm start disabled
-  (``warm_start=False``) restoring cold evaluation;
-* warm stacks of any fork times, periods and stops: each row equals its
-  single-job warm run bit for bit, a stack must share one
-  ``batch_signature`` (warm and cold rows never mix), and a sample whose
-  prefix build fails leaves the stack for the scalar path alone;
+* one evaluation, whatever ``warm_start`` says: a job with the switch
+  off builds its prefix on the spot, never touches the checkpoint tier,
+  and returns its warm twin's result and key bit for bit - scalar, in
+  one stack, for a ``tau_min`` search, on random Monte Carlo jobs and
+  for a job with no usable fork;
+* stacks of any fork times, periods and stops: each row equals its
+  single-job run bit for bit, a stack must share one
+  ``batch_signature`` (cold and warm rows may mix), and a sample with no
+  checkpoint leaves the stack for the scalar path alone;
 * the stacked planner: prefixes built as one lockstep stack equal their
   scalar builds bit for bit, a campaign keeps its results and its
   prefix accounting, a row the stack masks out and the ``"sparse"``
@@ -56,17 +56,8 @@ from repro.units import fF, ns
 
 FAST = TransientOptions(dt_max=ns(0.2), reltol=5e-3)
 
-#: Bar on warm-vs-cold waveform agreement (interpolated, same grid), volts.
+#: Bar on resumed-vs-plain waveform agreement (interpolated), volts.
 WAVEFORM_TOL = 1e-6
-
-#: Bar on warm-vs-cold *measured Vmin* agreement, volts.  Looser than the
-#: waveform bar because ``window_min`` is a discrete min over accepted
-#: grid points: the warm and cold grids sample the Vmin valley at
-#: slightly different abscissae, which shifts the measured extremum by
-#: O(dt^2 * curvature) even when the waveforms themselves agree to 1 uV
-#: (the batch-vs-scalar equivalence suite bounds the same artifact at
-#: 1 mV; the threshold crossings it feeds move by well under 1 ps).
-VMIN_TOL = 1e-5
 
 T_CHECK = ns(1.5)
 T_STOP = ns(6.0)
@@ -245,23 +236,33 @@ def test_factory_default_is_warm():
 
 
 # --------------------------------------------------------------------- #
-# End-to-end warm vs cold.
+# End-to-end warm vs cold: one evaluation.
 # --------------------------------------------------------------------- #
-def test_warm_job_matches_cold_job():
+def _tier_empty():
+    """Whether the checkpoint tier holds nothing, in memory or on disk."""
+    from repro.runtime.cache import get_checkpoint_cache
+
+    tier = get_checkpoint_cache()
+    return len(tier) == 0 and tier.disk_entries() == 0
+
+
+def test_warm_job_matches_cold_job(fresh_cache):
     cold_job = sensitivity_job(fF(160), ns(0.2), ns(0.15), options=FAST,
                                warm_start=False)
     warm_job = sensitivity_job(fF(160), ns(0.2), ns(0.15), options=FAST,
                                warm_start=True)
     cold = evaluate_job(cold_job)
+    assert _tier_empty()  # built on the spot, off the tier
+    assert dict(cold.prefix)["builds"] == 1
     warm = evaluate_job(warm_job)
-    assert cold.prefix == ()
+    assert not _tier_empty()
     assert dict(warm.prefix)  # hits or builds recorded
-    assert abs(warm.vmin_y1 - cold.vmin_y1) <= VMIN_TOL
-    assert abs(warm.vmin_y2 - cold.vmin_y2) <= VMIN_TOL
+    assert warm.vmin_y1 == cold.vmin_y1  # bit-exact, not approx
+    assert warm.vmin_y2 == cold.vmin_y2
     assert warm.code == cold.code
-    # The warm run integrates strictly fewer steps (prefix amortised,
-    # post-measurement tail skipped).
-    assert warm.steps < cold.steps
+    assert warm.steps == cold.steps
+    assert warm.to_payload() == cold.to_payload()
+    assert warm_job.key() == cold_job.key()
 
 
 def test_extract_tau_min_warm_equals_cold():
@@ -269,7 +270,101 @@ def test_extract_tau_min_warm_equals_cold():
                   tolerance=ns(0.004))
     cold = extract_tau_min(fF(160), warm_start=False, **kwargs)
     warm = extract_tau_min(fF(160), warm_start=True, **kwargs)
-    assert abs(warm - cold) <= 1e-12
+    assert warm == cold
+
+
+def _random_fast_jobs(n, seed):
+    """``n`` warm FAST jobs, one Monte Carlo process sample each, with
+    loads of 60-260 fF, slews of 0.1-0.4 ns and tau in [-0.2, 0.4] ns."""
+    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.sampling import sample_population
+
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for sample in sample_population(n, fF(160), seed=seed):
+        load1, load2 = rng.uniform(60.0, 260.0, size=2)
+        slew1, slew2 = rng.uniform(0.1, 0.4, size=2)
+        jobs.append(replace(
+            sample_job(sample, ns(rng.uniform(-0.2, 0.4)), options=FAST),
+            load1=fF(load1), load2=fF(load2), slew1=ns(slew1),
+            slew2=ns(slew2),
+        ))
+    return jobs
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_cold_equals_warm_on_random_jobs(fresh_cache, seed):
+    warm_jobs = _random_fast_jobs(8, seed)
+    cold_jobs = [replace(job, warm_start=False) for job in warm_jobs]
+    cold = [evaluate_job(job) for job in cold_jobs]
+    cold_stack = evaluate_jobs_batch(cold_jobs)
+    assert _tier_empty()
+    for warm_job, cold_job, want in zip(warm_jobs, cold_jobs, cold):
+        assert evaluate_job(warm_job).to_payload() == want.to_payload()
+        assert warm_job.key() == cold_job.key()
+    # Twins share a stack; each row is its twin's row and its scalar run.
+    stack = evaluate_jobs_batch(warm_jobs + cold_jobs)
+    assert stack.fallbacks == cold_stack.fallbacks == 0
+    n = len(warm_jobs)
+    for warm_row, cold_row, alone, want in zip(
+            stack.results[:n], stack.results[n:], cold_stack.results, cold):
+        assert warm_row.to_payload() == cold_row.to_payload()
+        assert alone.to_payload() == cold_row.to_payload()
+        _assert_same_result(cold_row, want)
+
+
+def test_job_without_fork_evaluates_alike(fresh_cache):
+    from repro.runtime import run_campaign
+    from repro.runtime.prefix import warm_eligible
+
+    warm_job = sensitivity_job(fF(160), ns(0.2), -ns(1.96), options=FAST)
+    cold_job = replace(warm_job, warm_start=False)
+    assert warm_job.settle == ns(2.0) and not warm_eligible(warm_job)
+    want = evaluate_job(cold_job).to_payload()
+    for job in (warm_job, cold_job):
+        assert evaluate_job(job).to_payload() == want
+        # No checkpoint: the row leaves the stack for the scalar path.
+        assert evaluate_jobs_batch([job]).fallback_reasons == {0: "prefix"}
+        for backend in ("serial", "batch"):
+            telemetry = Telemetry()
+            (got,) = run_campaign([job], backend=backend, batch_workers=1,
+                                  cache=None, telemetry=telemetry)
+            assert got.to_payload() == want
+            assert telemetry.batch_fallbacks == (backend == "batch")
+    assert _tier_empty()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"backend": "serial"},
+    {"backend": "batch", "batch_workers": 2},
+], ids=["serial", "batch-x2"])
+def test_cold_campaign_leaves_the_tier_empty(fresh_cache, kwargs):
+    from repro.runtime import run_campaign
+
+    warm_jobs = _campaign_jobs()
+    telemetry = Telemetry()
+    cold = run_campaign([replace(job, warm_start=False) for job in warm_jobs],
+                        cache=None, telemetry=telemetry, **kwargs)
+    assert _tier_empty()
+    assert telemetry.prefix_builds > 0  # each reported in its own run
+    warm = run_campaign(warm_jobs, cache=None, **kwargs)
+    assert not _tier_empty()
+    for got, want in zip(cold, warm):
+        _assert_same_result(got, want)
+
+
+def test_cold_request_replays_the_warm_result(fresh_cache):
+    from repro.runtime import run_campaign
+
+    warm_jobs = _campaign_jobs()[:3]
+    warm = run_campaign(warm_jobs)
+    telemetry = Telemetry()
+    cold = run_campaign([replace(job, warm_start=False) for job in warm_jobs],
+                        telemetry=telemetry)
+    assert telemetry.cache_hits == len(warm_jobs)
+    assert telemetry.jobs_evaluated == 0
+    for got, want in zip(cold, warm):
+        assert got.cached and got.to_payload() == want.to_payload()
 
 
 def test_campaign_telemetry_counts_prefix_reuse():
@@ -287,7 +382,7 @@ def test_campaign_telemetry_counts_prefix_reuse():
     assert "prefix" in telemetry.as_dict()["engine"]
 
 
-def test_batch_warm_stack_matches_batch_cold():
+def test_batch_warm_stack_matches_batch_cold(fresh_cache):
     taus = (ns(0.0), ns(0.15), ns(0.3))
     warm_jobs = [
         sensitivity_job(fF(160), ns(0.2), tau, options=FAST, warm_start=True)
@@ -297,16 +392,16 @@ def test_batch_warm_stack_matches_batch_cold():
         sensitivity_job(fF(160), ns(0.2), tau, options=FAST, warm_start=False)
         for tau in taus
     ]
-    warm = evaluate_jobs_batch(warm_jobs)
     cold = evaluate_jobs_batch(cold_jobs)
+    assert _tier_empty()
+    warm = evaluate_jobs_batch(warm_jobs)
     assert warm.prefix, "warm stack must report prefix accounting"
     assert warm.prefix["hits"] + warm.prefix["builds"] == len(taus)
     assert warm.prefix["saved_s"] > 0.0
-    assert not cold.prefix
     for w, c in zip(warm.results, cold.results):
         assert w is not None and c is not None
-        assert abs(w.vmin_y1 - c.vmin_y1) <= 1e-3
-        assert abs(w.vmin_y2 - c.vmin_y2) <= 1e-3
+        assert w.vmin_y1 == c.vmin_y1  # bit-exact, not approx
+        assert w.vmin_y2 == c.vmin_y2
         assert w.code == c.code
 
 
@@ -348,8 +443,8 @@ def test_cross_sample_warm_stack(fresh_cache):
     assert warm.prefix["hits"] == 6
     for w, c in zip(warm.results, cold.results):
         assert w is not None and c is not None
-        assert abs(w.vmin_y1 - c.vmin_y1) <= 1e-3
-        assert abs(w.vmin_y2 - c.vmin_y2) <= 1e-3
+        assert w.vmin_y1 == c.vmin_y1  # bit-exact, not approx
+        assert w.vmin_y2 == c.vmin_y2
         assert w.code == c.code
 
     # A negative skew forks earlier, and joins the stack all the same:
@@ -403,10 +498,14 @@ def test_batch_rejects_mixed_signatures():
         return sensitivity_job(fF(160), ns(0.2), ns(tau), options=FAST,
                                warm_start=warm_start)
 
-    # Two fork times share a stack; warm and cold rows do not.
-    assert evaluate_jobs_batch([job(0.0, True), job(-0.1, True)]).fallbacks == 0
-    with pytest.raises(ValueError):  # warm and cold
-        evaluate_jobs_batch([job(0.0, True), job(0.15, False)])
+    # Two fork times share a stack, and so do warm and cold rows; two
+    # option sets do not.
+    for mates in ([job(0.0, True), job(-0.1, True)],
+                  [job(0.0, True), job(0.15, False)]):
+        assert evaluate_jobs_batch(mates).fallbacks == 0
+    with pytest.raises(ValueError):  # two option sets
+        evaluate_jobs_batch([job(0.0, True),
+                             replace(job(0.15, True), options=None)])
 
 
 def test_prefix_failure_sends_only_its_rows_to_scalar(monkeypatch,

@@ -110,6 +110,9 @@ def test_backends_bit_identical(backend, warm_start, batch_workers,
         campaign = run_campaign(jobs, backend=backend, cache=None,
                                 max_workers=2, batch_workers=batch_workers,
                                 telemetry=telemetry)
+        reset_cache()
+        warm = run_campaign(jobs_for(0.1, 0.4, warm_start=True),
+                            backend="serial", cache=None)
     finally:
         monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
         reset_cache()
@@ -118,6 +121,11 @@ def test_backends_bit_identical(backend, warm_start, batch_workers,
         assert got.vmin_y2 == want.vmin_y2
         assert got.code == want.code
         assert got.steps == want.steps
+    # Cold equals warm: every run equals the warm serial one.
+    for got, want in zip(campaign, warm):
+        assert (got.vmin_y1, got.vmin_y2, got.code, got.steps,
+                got.escalations) == (want.vmin_y1, want.vmin_y2, want.code,
+                                     want.steps, want.escalations)
     assert telemetry.steps_integrated == serial.steps_integrated
     if backend == "batch":
         assert telemetry.batched_samples == len(jobs)

@@ -124,6 +124,11 @@ _BAD_SPECS = {
                   "slew must be positive"),
     "half-period-slew": ({**_SENSITIVITY, "slews_ns": [12.0]}, "half period"),
     "inf-skew": ({**_MONTECARLO, "skews_ns": [float("inf")]}, "skews_ns"),
+    # The measurement window would end before the run starts at t = 0.
+    "skew-before-start": ({**_MONTECARLO, "skews_ns": [-12.0]},
+                          "at or before t = 0"),
+    "tau-max-before-start": ({**_SENSITIVITY, "tau_max_ns": -12.0},
+                             "at or before t = 0"),
     "inf-mc-load": ({**_MONTECARLO, "load_ff": float("-inf")}, "load_ff"),
     "negative-mc-load": ({**_MONTECARLO, "load_ff": -160.0}, "non-negative"),
     "bool-seed": ({**_MONTECARLO, "seed": True}, "seed"),
