@@ -18,9 +18,11 @@ import json
 import os
 import platform
 import time
-from typing import Any, Dict, Iterable
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator
 
 from repro.analog.engine import TransientOptions
+from repro.runtime import reset_cache
 from repro.runtime.telemetry import (  # noqa: F401  (re-exported for benches)
     Stopwatch,
     Telemetry,
@@ -42,6 +44,24 @@ BENCH_OPTIONS = TransientOptions(dt_max=200e-12, reltol=5e-3)
 ACCURATE_OPTIONS = TransientOptions(dt_max=5e-12, reltol=1e-3)
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
+
+
+@contextmanager
+def memory_only_caches() -> Iterator[None]:
+    """Run the block with the disk cache tiers off
+    (``REPRO_CACHE_DISABLE=1``), so a leg that empties its caches with
+    ``reset_cache()`` starts from nothing; the setting is restored and
+    the caches emptied again on exit."""
+    saved = os.environ.get("REPRO_CACHE_DISABLE")
+    os.environ["REPRO_CACHE_DISABLE"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_CACHE_DISABLE"]
+        else:
+            os.environ["REPRO_CACHE_DISABLE"] = saved
+        reset_cache()
 
 
 def emit(name: str, lines: Iterable[str]) -> str:

@@ -18,7 +18,24 @@ warm-start on (the default), a cold serial reference leg
 (``warm_start=False``: every job builds its own prefix, off the
 checkpoint tier) must return the same ``tau_min`` values bit for bit,
 and a ``tau_min`` leg times ``extract_tau_min`` warm vs cold (every
-probe of the warm search forks the same cached prefix checkpoint).
+probe of the warm search forks the same cached prefix checkpoint):
+:data:`TAU_EXTRACT_REPEATS` searches per side from an empty,
+memory-only checkpoint tier, alternating which side runs first, and
+the record keeps each side's median - one search takes ~0.1 s, too
+short for a single timing to mean anything.
+
+The stamp leg times :class:`repro.analog.kernels.ScalarKernel`'s two
+level-1 stamp bodies - Python floats and numpy rows - on the sensor,
+a 1-level and a 2-level H-tree and a 6x6 grid (two sensors grafted on
+each, as ``bench_whole_tree.py`` builds them): the median microseconds
+per evaluation, with and without the Jacobian, over rounds that each
+time every circuit and alternate which body runs first.  In each round
+a straight line in the device count is fitted to each body's times;
+``crossover_devices``, the median over the rounds of the device count
+where the lines cross (the smaller of the Jacobian's and the
+residual's), is what :data:`repro.analog.kernels.FLOAT_STAMP_MAX_DEVICES`
+quotes.  The two bodies must return the same bits on every evaluated
+voltage vector.
 
 The search leg counts ``extract_tau_min``'s probes per answer on the 12
 (load, slew) pairs and on six off-nominal contexts (``Vth`` 2.25 and
@@ -29,8 +46,14 @@ the crossing than the closed-form model implies - the ratio
 ``core.sensitivity.SLOPE_SHALLOWING`` is set from.
 """
 
+import statistics
+import time
+
 import numpy as np
 
+from repro.analog import kernels
+from repro.analog.compile import CompiledCircuit
+from repro.analog.kernels import ScalarKernel
 from repro.core.model import estimate_tau_min, race_swing
 from repro.core.sensing import SensorSizing
 from repro.core.sensitivity import (
@@ -40,6 +63,8 @@ from repro.core.sensitivity import (
     vmin_for_skew,
 )
 from repro.devices.process import corner_process
+from repro.runtime import reset_cache, sensitivity_job
+from repro.runtime.jobs import job_circuit
 from repro.units import VTH_INTERPRET, fF, ns, to_ns, um
 
 from _util import (
@@ -47,9 +72,11 @@ from _util import (
     Stopwatch,
     Telemetry,
     emit,
+    memory_only_caches,
     throughput_metrics,
     write_bench_json,
 )
+from bench_whole_tree import build_case
 
 LOADS_FF = (80, 160, 240)
 SLEWS_NS = (0.1, 0.2, 0.3, 0.4)
@@ -83,6 +110,25 @@ SEARCH_PROBES_MAX = 4.0
 #: Half-width of the span, as a fraction of tau_min, over which the
 #: slope of Vmin(tau) at the crossing is measured.
 SLOPE_SPAN = 0.05
+
+#: Timed ``extract_tau_min`` searches per side of the ``tau_extract``
+#: leg; the record keeps each side's median.
+TAU_EXTRACT_REPEATS = 7
+
+#: Circuits of the stamp leg beside the sensor: ``bench_whole_tree.py``
+#: cases (topology, size), each with two sensors grafted.
+STAMP_TREES = {
+    "htree1": ("htree", (1, 3)),
+    "grid6": ("grid", (6, 6)),
+    "htree2": ("htree", (2, 3)),
+}
+#: Voltage vectors per timed pass and alternating rounds per body.
+STAMP_EVALS = 200
+STAMP_ROUNDS = 9
+
+#: Bar on the float body's Jacobian-evaluation speedup on the sensor,
+#: the circuit it exists for.
+STAMP_SENSOR_SPEEDUP_MIN = 1.2
 
 
 def _family(backend, telemetry, warm_start=None):
@@ -152,6 +198,131 @@ def search_leg():
             "contexts": legs}
 
 
+def tau_extract_leg():
+    """Warm against cold ``extract_tau_min`` at 160 fF: the median of
+    :data:`TAU_EXTRACT_REPEATS` alternating searches per side, each
+    from an empty, memory-only checkpoint tier."""
+    walls = {False: [], True: []}
+    taus = {False: set(), True: set()}
+    with memory_only_caches():
+        for repeat in range(TAU_EXTRACT_REPEATS):
+            for warm in ((False, True) if repeat % 2 == 0
+                         else (True, False)):
+                reset_cache()
+                watch = Stopwatch()
+                taus[warm].add(extract_tau_min(
+                    fF(160), options=BENCH_OPTIONS, cache=None,
+                    warm_start=warm,
+                ))
+                walls[warm].append(watch.elapsed())
+    cold_s = statistics.median(walls[False])
+    warm_s = statistics.median(walls[True])
+    return {
+        "load_fF": 160.0,
+        "repeats": TAU_EXTRACT_REPEATS,
+        "cold_wall_s": cold_s,
+        "warm_wall_s": warm_s,
+        "cold_walls_s": walls[False],
+        "warm_walls_s": walls[True],
+        "speedup_warm_vs_cold": cold_s / warm_s,
+        "tau_min_s": sorted(taus[False] | taus[True]),
+    }
+
+
+def _stamp_kernel(circuit, floats):
+    """A :class:`ScalarKernel` of ``circuit`` on one stamp body."""
+    saved = kernels.FLOAT_STAMP_MAX_DEVICES
+    kernels.FLOAT_STAMP_MAX_DEVICES = circuit.m_d.size if floats else -1
+    try:
+        return ScalarKernel(circuit)
+    finally:
+        kernels.FLOAT_STAMP_MAX_DEVICES = saved
+
+
+def _eval_us(kernel, voltages, with_jacobian):
+    start = time.perf_counter()
+    for v in voltages:
+        kernel.eval(v, with_jacobian=with_jacobian)
+    return (time.perf_counter() - start) / len(voltages) * 1e6
+
+
+def _line_crossing(devices, times):
+    """Device count where straight-line fits of the two bodies' times
+    (``times[body]``, one per device count) cross, with the fits
+    (``us = intercept + slope * devices``)."""
+    fits = {}
+    for body in ("floats", "numpy"):
+        slope, intercept = np.polyfit(devices, times[body], 1)
+        fits[body] = {"intercept_us": float(intercept),
+                      "slope_us": float(slope)}
+    crossing = ((fits["numpy"]["intercept_us"]
+                 - fits["floats"]["intercept_us"])
+                / (fits["floats"]["slope_us"] - fits["numpy"]["slope_us"]))
+    return float(crossing), fits
+
+
+def stamp_leg():
+    """Float against numpy stamp-body eval times (module docstring)."""
+    sensor, netlist = job_circuit(sensitivity_job(fF(160), ns(0.2), 0.0))
+    circuits = {"sensor": netlist}
+    for name, (topology, size) in STAMP_TREES.items():
+        circuits[name] = build_case(topology, size)[0]
+    rng = np.random.default_rng(4)
+    cases = []
+    for name, netlist in circuits.items():
+        circuit = CompiledCircuit.compile(netlist)
+        bodies = {"floats": _stamp_kernel(circuit, True),
+                  "numpy": _stamp_kernel(circuit, False)}
+        voltages = rng.uniform(0.0, sensor.vdd,
+                               size=(STAMP_EVALS, circuit.n_total))
+        mismatches = 0
+        for v in voltages:
+            f_a, j_a = bodies["floats"].eval(v)
+            f_b, j_b = bodies["numpy"].eval(v)
+            mismatches += not (np.array_equal(f_a, f_b)
+                               and np.array_equal(j_a, j_b))
+        cases.append((name, circuit, bodies, voltages, mismatches))
+    # Every round times every circuit and body, so a slow spell of the
+    # box scales all the lines the crossover is read from alike.
+    times = {(name, body, jac): [] for name, *_ in cases
+             for body in ("floats", "numpy") for jac in (True, False)}
+    for round_ in range(STAMP_ROUNDS):
+        for name, _, bodies, voltages, _ in cases:
+            for body in (("floats", "numpy") if round_ % 2 == 0
+                         else ("numpy", "floats")):
+                for jac in (True, False):
+                    times[name, body, jac].append(
+                        _eval_us(bodies[body], voltages, jac))
+    rows = [{
+        "circuit": name,
+        "devices": int(circuit.m_d.size),
+        "free_nodes": int(circuit.n_free),
+        "jacobian_us": {body: statistics.median(times[name, body, True])
+                        for body in bodies},
+        "residual_us": {body: statistics.median(times[name, body, False])
+                        for body in bodies},
+        "bit_mismatches": mismatches,
+    } for name, circuit, bodies, _, mismatches in cases]
+    devices = [row["devices"] for row in rows]
+    record = {"evals": STAMP_EVALS, "rounds": STAMP_ROUNDS, "rows": rows,
+              "fits": {}}
+    for kind, jac in (("jacobian", True), ("residual", False)):
+        record["fits"][kind] = _line_crossing(devices, {
+            body: [row[f"{kind}_us"][body] for row in rows]
+            for body in ("floats", "numpy")})[1]
+        # One crossing per round, from times taken side by side; the
+        # median of the rounds' crossings is the one recorded.
+        per_round = [_line_crossing(devices, {
+            body: [times[name, body, jac][k] for name, *_ in cases]
+            for body in ("floats", "numpy")})[0]
+            for k in range(STAMP_ROUNDS)]
+        record[f"crossover_{kind}_rounds"] = per_round
+        record[f"crossover_{kind}_devices"] = statistics.median(per_round)
+    record["crossover_devices"] = min(record["crossover_jacobian_devices"],
+                                      record["crossover_residual_devices"])
+    return record
+
+
 def run():
     tel_cold, tel_scalar, tel_batch = Telemetry(), Telemetry(), Telemetry()
     watch = Stopwatch()
@@ -161,24 +332,15 @@ def run():
     t_scalar = watch.restart()
     batch_curves = _family("batch", tel_batch)
     t_batch = watch.restart()
-    tau_cold = extract_tau_min(
-        fF(160), options=BENCH_OPTIONS, cache=None, warm_start=False
-    )
-    t_tau_cold = watch.restart()
-    tau_warm = extract_tau_min(
-        fF(160), options=BENCH_OPTIONS, cache=None, warm_start=True
-    )
-    t_tau_warm = watch.elapsed()
-    search = search_leg()
     return {
         "cold_curves": cold_curves, "curves": curves,
         "batch_curves": batch_curves,
         "t_cold": t_cold, "t_scalar": t_scalar, "t_batch": t_batch,
         "tel_cold": tel_cold, "tel_scalar": tel_scalar,
         "tel_batch": tel_batch,
-        "tau_cold": tau_cold, "tau_warm": tau_warm,
-        "t_tau_cold": t_tau_cold, "t_tau_warm": t_tau_warm,
-        "search": search,
+        "tau_extract": tau_extract_leg(),
+        "search": search_leg(),
+        "stamp": stamp_leg(),
     }
 
 
@@ -217,14 +379,9 @@ def test_fig4_vmin_vs_skew(benchmark):
         "speedup_warm_vs_cold_serial": leg["t_cold"] / t_scalar,
         "tau_min_deviation_max_s": float(warm_deltas.max()),
         "tau_min_deviation_batch_s": float(tau_deltas.max()),
-        "tau_extract": {
-            "load_fF": 160.0,
-            "cold_wall_s": leg["t_tau_cold"],
-            "warm_wall_s": leg["t_tau_warm"],
-            "speedup_warm_vs_cold": leg["t_tau_cold"] / leg["t_tau_warm"],
-            "tau_min_deviation_s": abs(leg["tau_warm"] - leg["tau_cold"]),
-        },
+        "tau_extract": leg["tau_extract"],
         "search": leg["search"],
+        "stamp": leg["stamp"],
     })
     assert len(tau_deltas) == len(curves), "batch lost a tau_min crossing"
     assert tau_deltas.max() <= TAU_MIN_TOL, (
@@ -235,8 +392,17 @@ def test_fig4_vmin_vs_skew(benchmark):
     assert warm_deltas.max() == 0.0, (
         f"warm-start tau_min deviates {warm_deltas.max() * 1e12:.3f} ps"
     )
-    assert leg["tau_warm"] == leg["tau_cold"], (
+    assert len(leg["tau_extract"]["tau_min_s"]) == 1, (
         "warm search changed the returned tau_min"
+    )
+    stamp = leg["stamp"]
+    assert all(row["bit_mismatches"] == 0 for row in stamp["rows"]), (
+        "the float and numpy stamp bodies returned different bits"
+    )
+    sensor_row = stamp["rows"][0]
+    assert (sensor_row["jacobian_us"]["numpy"]
+            >= STAMP_SENSOR_SPEEDUP_MIN * sensor_row["jacobian_us"]["floats"]), (
+        "the float stamp body lost its edge on the sensor"
     )
     contexts = leg["search"]["contexts"]
     for name, summary in contexts.items():
@@ -284,6 +450,25 @@ def test_fig4_vmin_vs_skew(benchmark):
             f"    {name:9s} {summary['probes_per_answer']:4.2f} "
             f"({summary['slope_ratio_max']:.2f})"
         )
+    lines.append("")
+    lines.append(
+        "  scalar stamp bodies, us per evaluation (median of "
+        f"{STAMP_ROUNDS}), floats vs numpy:"
+    )
+    for row in stamp["rows"]:
+        lines.append(
+            f"    {row['circuit']:7s} {row['devices']:3d} devices  Jacobian "
+            f"{row['jacobian_us']['floats']:6.1f} vs "
+            f"{row['jacobian_us']['numpy']:6.1f}  residual "
+            f"{row['residual_us']['floats']:6.1f} vs "
+            f"{row['residual_us']['numpy']:6.1f}"
+        )
+    lines.append(
+        f"    fitted crossover {stamp['crossover_devices']:.1f} devices "
+        f"(Jacobian {stamp['crossover_jacobian_devices']:.1f}, residual "
+        f"{stamp['crossover_residual_devices']:.1f}; median of "
+        f"{STAMP_ROUNDS} rounds)"
+    )
     emit("fig4_sensitivity", lines)
 
     # Shape claims.

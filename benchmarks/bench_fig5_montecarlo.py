@@ -54,7 +54,6 @@ which the stack wins at every measured size - what
 :data:`repro.runtime.prefix.PREFIX_STACK_MIN` quotes.
 """
 
-import os
 import statistics
 import time
 
@@ -77,6 +76,7 @@ from _util import (
     Stopwatch,
     Telemetry,
     emit,
+    memory_only_caches,
     throughput_metrics,
     write_bench_json,
 )
@@ -213,18 +213,10 @@ def _planner_leg(options):
 
 def prefix_planner():
     """The ``prefix_planner`` leg under both option sets, on a
-    memory-only checkpoint tier (restored afterwards)."""
-    saved = os.environ.get("REPRO_CACHE_DISABLE")
-    os.environ["REPRO_CACHE_DISABLE"] = "1"
-    try:
+    memory-only checkpoint tier."""
+    with memory_only_caches():
         return {"bench": _planner_leg(BENCH_OPTIONS),
                 "accurate": _planner_leg(ACCURATE_OPTIONS)}
-    finally:
-        if saved is None:
-            del os.environ["REPRO_CACHE_DISABLE"]
-        else:
-            os.environ["REPRO_CACHE_DISABLE"] = saved
-        reset_cache()
 
 
 def run():

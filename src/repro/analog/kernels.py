@@ -24,10 +24,17 @@ first and makes the second factorization-aware:
   gsum)`` (the swap exchanges ``gds`` and ``gsum``) plus ``u * gm`` on
   the gate column.  This is what makes the index arrays precomputable.
 
-* :func:`level1_stamp` is the one level-1 stamp body: the scalar, the
-  batched (:mod:`repro.batch.kernels`) and the sparse
-  (:mod:`repro.sparse.csr`) kernels each add only their own gather and
-  scatter around it.
+* The level-1 stamp has two bodies, one set of IEEE operations.
+  :func:`level1_stamp` runs them as numpy ufuncs over ``(M,)`` or
+  ``(B, M)`` rows: the batched (:mod:`repro.batch.kernels`) and the
+  sparse (:mod:`repro.sparse.csr`) kernels call it, and so does
+  :class:`ScalarKernel` above :data:`FLOAT_STAMP_MAX_DEVICES` devices.
+  :func:`level1_stamp_floats` runs them on Python floats, one device at
+  a time, for the scalar kernel of a sensor-sized circuit, where numpy's
+  fixed per-call cost outweighs the arithmetic.  Both keep the same
+  operand order, so their weights are bit-equal
+  (``tests/test_kernels.py::test_float_stamp_matches_numpy_stamp``);
+  each kernel adds only its own gather and scatter around them.
 
 * :func:`keep_stale` and :func:`newton_accepts` are the modified-Newton
   policy's two decisions, called by the scalar and the lockstep Newton
@@ -47,7 +54,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +78,19 @@ except ImportError:  # pragma: no cover - older numpy layout
             out[...] = result
             return out
         return result
+
+#: Largest device count whose :class:`ScalarKernel` stamps on Python
+#: floats (:func:`level1_stamp_floats`); larger circuits take the numpy
+#: :func:`level1_stamp`.  The float pass grows by ~1.7 us per device
+#: with the Jacobian (~1.0 us without); numpy's calls cost a fixed ~45
+#: us (~28 us) plus ~0.3 us (~0.15 us) per device.  The two cross where
+#: ``benchmarks/bench_fig4_sensitivity.py`` fits them to: 24.9 devices
+#: (``stamp.crossover_devices`` of
+#: ``benchmarks/out/BENCH_fig4_sensitivity.json``, a 2-core x86 box;
+#: the median of 9 rounds whose own crossings spread over 19-31).  The
+#: 10-device sensor evaluates 2.0x faster on floats, the 1-level H-tree
+#: (32 devices) 1.1x slower and the 2-level H-tree (64) 1.7x slower.
+FLOAT_STAMP_MAX_DEVICES = 24
 
 #: A stale factorization is kept only while the Newton update norm keeps
 #: contracting by at least this factor per iteration; a slower stale
@@ -287,7 +307,13 @@ def level1_stamp(
     swap: np.ndarray,
     jw: Optional[Any] = None,
 ) -> np.ndarray:
-    """The level-1 MOSFET stamp body every kernel calls.
+    """The level-1 MOSFET stamp as numpy ufuncs over device rows.
+
+    The batched and sparse kernels call it, and so does
+    :class:`ScalarKernel` on a circuit of more than
+    :data:`FLOAT_STAMP_MAX_DEVICES` devices; a smaller scalar circuit
+    runs the same operations on Python floats
+    (:func:`level1_stamp_floats`).
 
     ``sv`` is the sign-premultiplied ``(vd, vg, vs)`` gather with the
     three blocks along its last axis; ``card`` supplies the model cards
@@ -365,6 +391,81 @@ def level1_stamp(
     return w
 
 
+def level1_stamp_floats(
+    vl: List[float],
+    devices: Sequence[Tuple[int, int, int, float]],
+    card: Any,
+    with_jacobian: bool,
+) -> Tuple[List[float], Optional[List[float]]]:
+    """:func:`level1_stamp` of one circuit, one device at a time on
+    Python floats.
+
+    ``vl`` is the node voltage vector as a list, ``devices`` each
+    MOSFET's ``(d, g, s, polarity)``, the polarity premultiplying the
+    gathered voltages; ``card`` supplies the model cards, read at every
+    call.  Returns the residual weights ``w`` and, with the Jacobian,
+    the ``(6M,)`` stamp weights in :func:`level1_stamp`'s row-major
+    stamp order (``None`` without).
+
+    Each value is the IEEE operation :func:`level1_stamp` performs, on
+    the same operands in the same order, so both bodies return the same
+    bits.  Its three ufunc selections become comparisons that keep
+    numpy's picks: ``minimum``/``maximum`` return their second operand
+    on a tie and propagate NaN.  (A NaN drain or source voltage picks a
+    finite ``vmin`` and ``x`` here, but its NaN ``vds`` reaches every
+    output through ``clm`` either way.)
+    """
+    w: List[float] = []
+    if with_jacobian:
+        dd: List[float] = []
+        dg: List[float] = []
+        ds: List[float] = []
+        sd: List[float] = []
+        sg: List[float] = []
+        ss: List[float] = []
+    for (d, g, s, p), vt, beta, lam, sign in zip(
+        devices, card.m_vt.tolist(), card.m_beta.tolist(),
+        card.m_lam.tolist(), card.m_sign.tolist(),
+    ):
+        svd = vl[d] * p
+        svs = vl[s] * p
+        dv = svd - svs
+        swap = dv < 0.0
+        vds = abs(dv)
+        # vgs - vt, vgs referenced to min(svd, svs): svd exactly where
+        # swap, svs on a tie.
+        vov = vl[g] * p - (svd if swap else svs) - vt
+        if vov <= 0.0:  # maximum(vov, 0.0): a tie gives +0.0, NaN stays
+            vov = 0.0
+        x = vds if vds < vov else vov
+        clm = lam * vds + 1.0
+        core = vov * x - x * x * 0.5
+        ids = beta * core * clm * sign
+        w.append(-ids if swap else ids)
+        if with_jacobian:
+            gm = beta * x * clm
+            gds = ((vov - x) * clm + core * lam) * beta
+            # The fixed-frame stamps with sg = swap * gm (1.0 * gm is gm).
+            if swap:
+                jdd = gds + gm
+                jss = gds + (gm - gm)
+                jdg = -gm
+            else:
+                zero = 0.0 * gm
+                jdd = gds + zero
+                jss = gds + (gm - zero)
+                jdg = gm
+            dd.append(jdd)
+            dg.append(jdg)
+            ds.append(-jss)
+            sd.append(-jdd)
+            sg.append(-jdg)
+            ss.append(jss)
+    if not with_jacobian:
+        return w, None
+    return w, dd + dg + ds + sd + sg + ss
+
+
 class ScalarKernel:
     """Reusable-buffer device evaluation for one compiled circuit.
 
@@ -390,12 +491,21 @@ class ScalarKernel:
         self.j = np.empty((n, n))
         self._j_flat = self.j.reshape(-1)
         self._fs = np.empty(n)        # incidence @ weights scratch
-        self._jw = np.empty((6, m))   # Jacobian stamp weights, row-major
-        self._jw_flat = self._jw.reshape(-1)
         self._nn = n * n
-        self._b = np.empty((10, m))   # elementwise scratch rows
-        self._swap = np.empty(m, dtype=bool)
-        self._idx_all, self._sign3 = level1_gather(circuit)
+        # The stamp body: Python floats up to FLOAT_STAMP_MAX_DEVICES
+        # devices, numpy rows (and their scratch) above.
+        self._devices: Optional[Tuple[Tuple[int, int, int, float], ...]] = None
+        if m <= FLOAT_STAMP_MAX_DEVICES:
+            self._devices = tuple(zip(
+                circuit.m_d.tolist(), circuit.m_g.tolist(),
+                circuit.m_s.tolist(), circuit.m_sign.tolist(),
+            ))
+        else:
+            self._jw = np.empty((6, m))   # Jacobian stamp weights, row-major
+            self._jw_flat = self._jw.reshape(-1)
+            self._b = np.empty((10, m))   # elementwise scratch rows
+            self._swap = np.empty(m, dtype=bool)
+            self._idx_all, self._sign3 = level1_gather(circuit)
 
     def eval(
         self,
@@ -409,10 +519,12 @@ class ScalarKernel:
         the next call; callers that keep them must copy (the public
         :meth:`CompiledCircuit.device_currents` does).
 
-        The model math is :func:`level1_stamp`; this kernel adds the
-        dense gather and the ``incidence @ w`` / ``bincount`` scatter, so
-        results match :func:`reference_device_currents` up to the scatter
-        summation order.
+        The model math is :func:`level1_stamp_floats` up to
+        :data:`FLOAT_STAMP_MAX_DEVICES` devices and :func:`level1_stamp`
+        above, bit-equal bodies; this kernel adds the dense gather and the
+        ``incidence @ w`` / ``bincount`` scatter, so results match
+        :func:`reference_device_currents` up to the scatter summation
+        order.
         """
         t0 = perf_counter() if stats is not None else 0.0
         circuit = self.circuit
@@ -427,14 +539,20 @@ class ScalarKernel:
             j = self.j
             j[...] = circuit.G
         if self.m:
-            sv = v[self._idx_all]  # sign-premultiplied (vd, vg, vs) gather
-            sv *= self._sign3
-            jw = self._jw if with_jacobian else None
-            w = level1_stamp(sv, circuit, self._b, self._swap, jw)
+            if self._devices is not None:
+                w, jw = level1_stamp_floats(
+                    v.tolist(), self._devices, circuit, with_jacobian
+                )
+            else:
+                sv = v[self._idx_all]  # sign-premultiplied (vd, vg, vs)
+                sv *= self._sign3
+                w = level1_stamp(sv, circuit, self._b, self._swap,
+                                 self._jw if with_jacobian else None)
+                jw = self._jw_flat if with_jacobian else None
             f += c_einsum("nm,m->n", self.incidence, w, out=self._fs)
             if jw is not None:
                 self._j_flat += np.bincount(
-                    self.j_idx, weights=self._jw_flat, minlength=self._nn
+                    self.j_idx, weights=jw, minlength=self._nn
                 )
         if stats is not None:
             stats.assembles += 1

@@ -162,9 +162,17 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     from repro.montecarlo.sampling import sample_population
     from repro.runtime import Telemetry
 
+    # The montecarlo kind needs a seed; without --seed the CLI draws a
+    # fresh one, so the checks see the population the run samples.
+    seed = args.seed
+    if seed is None:
+        seed = int(np.random.SeedSequence().entropy)
+    if _refused({"kind": "montecarlo", "samples": args.samples, "seed": seed,
+                 "load_ff": args.load, "skews_ns": args.skews}):
+        return 2
     telemetry = Telemetry()
     cache = None if args.no_cache else "default"
-    samples = sample_population(args.samples, fF(args.load), seed=args.seed)
+    samples = sample_population(args.samples, fF(args.load), seed=seed)
     skews = [ns(tau) for tau in args.skews]
     with telemetry.timer("montecarlo"):
         points = scatter_analysis_parallel(

@@ -117,9 +117,10 @@ class JobResult:
     resumed: bool = False
     kernel: Tuple[Tuple[str, float], ...] = ()
     #: Prefix warm-start accounting of *this run* (sorted pairs: hits,
-    #: builds, build_s, saved_s, and the ``esc:<rung>`` counts of a
-    #: prefix it built).  Run-local like ``kernel``: not part of the
-    #: cache payload, so cached/resumed replays carry an empty tuple.
+    #: builds, build_s, saved_s, and the ``steps``, ``newton_iterations``
+    #: and ``esc:<rung>`` counts of a prefix it built).  Run-local like
+    #: ``kernel``: not part of the cache payload, so cached/resumed
+    #: replays carry an empty tuple.
     prefix: Tuple[Tuple[str, float], ...] = ()
 
     @property

@@ -101,12 +101,12 @@ _MIN_PREFIX_STEPS = 16.0
 #: one scalar transient each: the break-even the ``prefix_planner`` leg
 #: of ``benchmarks/bench_fig5_montecarlo.py`` measures (``crossover``
 #: of both option sets in ``benchmarks/out/BENCH_fig5_montecarlo.json``,
-#: a 2-core x86 box).  Per prefix, a stack of 2 costs more than two
-#: scalar builds (0.74x their speed under FAST options, 0.77x
-#: grid-converged), a stack of 3 less (1.09x, 1.07x), and the gain
+#: a 2-core x86 box).  Per prefix, a stack of 3 costs more than three
+#: scalar builds (0.86x their speed under FAST options, 0.76x
+#: grid-converged), a stack of 4 less (1.31x, 1.07x), and the gain
 #: grows with the stack: one ``mc_scatter`` campaign's 18 prefixes
-#: build 2.9x (FAST) and 4.9x faster.
-PREFIX_STACK_MIN = 3
+#: build 2.5x (FAST) and 3.6x faster.
+PREFIX_STACK_MIN = 4
 
 #: A prefix fetch: ``(checkpoint, stats)`` (see :func:`prefix_checkpoint`),
 #: or the :class:`~repro.errors.SimulationError` its build raised.
@@ -172,7 +172,8 @@ def prefix_checkpoint(
 
     Returns ``(checkpoint, stats)``: ``{"hits": 1}`` on a cache hit;
     after a fresh build, ``builds``, the wall seconds spent building
-    (``build_s``) and the build's solver-ladder counts (``esc:<rung>``
+    (``build_s``), the build's accepted ``steps`` and
+    ``newton_iterations``, and its solver-ladder counts (``esc:<rung>``
     entries, which :meth:`~repro.runtime.telemetry.Telemetry.record_prefix`
     folds into ``ladder_rungs``).  The checkpoint tier is read and
     written only for a ``warm_start`` job; any other job always builds.
@@ -197,7 +198,11 @@ def prefix_checkpoint(
     checkpoint = result.checkpoint
     if resolved.warm_start:
         cache.put(key, checkpoint.to_payload())
-    stats: Dict[str, float] = {"builds": 1.0, "build_s": watch.elapsed()}
+    stats: Dict[str, float] = {
+        "builds": 1.0, "build_s": watch.elapsed(),
+        "steps": float(len(result.times) - 1),
+        "newton_iterations": float(result.kernel_stats["newton_iterations"]),
+    }
     for rung, count in result.escalations.items():
         stats[f"esc:{rung}"] = float(count)
     return checkpoint, stats
@@ -212,8 +217,9 @@ def _stack_prefixes(
 
     Each row runs its own sensor from the scalar DC ladder to its own
     fork, so its checkpoint is its scalar build's bit for bit, and its
-    stats are a scalar build's: ``builds``, its ``esc:<rung>`` counts,
-    and an equal share of the stack's wall as ``build_s``.  Returns
+    stats are a scalar build's: ``builds``, its own ``steps``,
+    ``newton_iterations`` and ``esc:<rung>`` counts, and an equal share
+    of the stack's wall as ``build_s``.  Returns
     nothing when the policy would run the scalar build on the sparse
     backend (a stack has none, and SuperLU rounds differently); a row
     the stack masks out is missing from the result.
@@ -236,21 +242,21 @@ def _stack_prefixes(
     )
     cache = get_checkpoint_cache()
     done = []
-    for (key, job), checkpoint, rungs in zip(
-        group.items(), result.checkpoints, result.row_escalations
+    for (key, job), checkpoint, times, iterations, rungs in zip(
+        group.items(), result.checkpoints, result.times,
+        result.row_counters["newton_iterations"], result.row_escalations,
     ):
         if checkpoint is not None:
             if job.warm_start:
                 cache.put(key, checkpoint.to_payload())
-            done.append((key, checkpoint, rungs))
+            stats = {"steps": float(len(times) - 1),
+                     "newton_iterations": float(iterations)}
+            for rung, count in rungs.items():
+                stats[f"esc:{rung}"] = float(count)
+            done.append((key, checkpoint, stats))
     share = watch.elapsed() / max(1, len(done))
-    built = {}
-    for key, checkpoint, rungs in done:
-        stats = {"builds": 1.0, "build_s": share}
-        for rung, count in rungs.items():
-            stats[f"esc:{rung}"] = float(count)
-        built[key] = (checkpoint, stats)
-    return built
+    return {key: (checkpoint, dict(stats, builds=1.0, build_s=share))
+            for key, checkpoint, stats in done}
 
 
 def build_prefixes(
@@ -312,7 +318,8 @@ def warm_plan(
     counts ``hits`` (every job with a checkpoint but those that paid a
     build), ``builds`` and ``saved_s``, the prefix span of every hit -
     so a plan's ``saved_s`` is the sum of its jobs' single-job plans'.
-    The builds' own ``build_s`` and ``esc:<rung>`` counts ride along.
+    The builds' own ``build_s``, ``steps``, ``newton_iterations`` and
+    ``esc:<rung>`` counts ride along.
     """
     keys: List[Optional[Hashable]] = []
     for job in jobs:

@@ -133,11 +133,16 @@ class Telemetry:
     kernel: Dict[str, float] = field(default_factory=dict)
     #: Prefix warm-start counters: jobs that reused a shared/cached prefix
     #: checkpoint (``prefix_hits``), prefix transients actually integrated
-    #: (``prefix_builds``), wall seconds spent building them, and the
-    #: total *simulated* seconds the warm path skipped re-integrating.
+    #: (``prefix_builds``), wall seconds spent building them, the
+    #: steps and Newton iterations they integrated (kept apart from
+    #: :attr:`steps_integrated` and :attr:`kernel`, which count the
+    #: suffix runs), and the total *simulated* seconds the warm path
+    #: skipped re-integrating.
     prefix_hits: int = 0
     prefix_builds: int = 0
     prefix_build_s: float = 0.0
+    prefix_steps: int = 0
+    prefix_newton_iterations: int = 0
     prefix_saved_time_s: float = 0.0
     #: Extra named durations recorded via :meth:`timer` (setup, report...).
     spans: Dict[str, float] = field(default_factory=dict)
@@ -206,7 +211,8 @@ class Telemetry:
 
         Accepts the keyed tuples/dicts the warm evaluator and the
         planner emit: ``hits`` / ``builds`` (counts), ``build_s`` (wall
-        seconds spent integrating shared prefixes), ``saved_s``
+        seconds spent integrating shared prefixes), ``steps`` /
+        ``newton_iterations`` (the builds' integration work), ``saved_s``
         (simulated seconds the warm path did not re-integrate) and the
         builds' ``esc:<rung>`` solver-ladder counts, which join
         :attr:`ladder_rungs` - so each build's rungs count once, on
@@ -216,6 +222,8 @@ class Telemetry:
         self.prefix_hits += int(stats.get("hits", 0))
         self.prefix_builds += int(stats.get("builds", 0))
         self.prefix_build_s += float(stats.get("build_s", 0.0))
+        self.prefix_steps += int(stats.get("steps", 0))
+        self.prefix_newton_iterations += int(stats.get("newton_iterations", 0))
         self.prefix_saved_time_s += float(stats.get("saved_s", 0.0))
         self.record_escalations({
             name[4:]: count for name, count in stats.items()
@@ -334,6 +342,8 @@ class Telemetry:
                     "builds": self.prefix_builds,
                     "hit_rate": self.prefix_hit_rate,
                     "build_wall_s": self.prefix_build_s,
+                    "steps": self.prefix_steps,
+                    "newton_iterations": self.prefix_newton_iterations,
                     "integrated_time_saved_s": self.prefix_saved_time_s,
                 },
             },
@@ -397,7 +407,9 @@ class Telemetry:
             lines.append(
                 f"prefix    : {self.prefix_hits} warm fork(s), "
                 f"{self.prefix_builds} prefix build(s) "
-                f"({format_duration(self.prefix_build_s)} wall), "
+                f"({format_duration(self.prefix_build_s)} wall, "
+                f"{self.prefix_steps} step(s), "
+                f"{self.prefix_newton_iterations} newton iteration(s)), "
                 f"{self.prefix_saved_time_s * 1e9:.1f} ns of simulated "
                 "time not re-integrated"
             )
@@ -451,6 +463,8 @@ class Telemetry:
         self.prefix_hits += other.prefix_hits
         self.prefix_builds += other.prefix_builds
         self.prefix_build_s += other.prefix_build_s
+        self.prefix_steps += other.prefix_steps
+        self.prefix_newton_iterations += other.prefix_newton_iterations
         self.prefix_saved_time_s += other.prefix_saved_time_s
         self.record_escalations(other.ladder_rungs)
         self.record_kernel(other.kernel)

@@ -134,6 +134,27 @@ def test_grid_commands_refuse_what_the_service_refuses(capsys, command,
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("flags, spec, message", [
+    (["--skews", "-12"], {"skews_ns": [-12.0]}, "at or before t = 0"),
+    (["--skews", "nan"], {"skews_ns": [float("nan")]},
+     "skews_ns must be a finite number"),
+    (["--samples", "0"], {"samples": 0}, "samples must be an integer >= 1"),
+], ids=["skew-before-start", "skew-nan", "samples-0"])
+def test_montecarlo_refuses_what_the_service_refuses(capsys, flags, spec,
+                                                     message):
+    # The montecarlo command validates its flags through the montecarlo
+    # kind's build_plan: where the service answers 400, the CLI exits 2.
+    from repro.service.specs import SpecError, build_plan
+
+    base = {"kind": "montecarlo", "samples": 1, "seed": 1}
+    with pytest.raises(SpecError, match=message):
+        build_plan({**base, **spec})
+    assert main(["montecarlo", "--samples", "1", "--seed", "1",
+                 "--no-cache", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_thread_backend_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["campaign", "--backend", "thread", "--points", "3"])

@@ -14,12 +14,20 @@ module pins them three ways:
 * golden *waveform* equivalence: a full transient under the cached
   modified-Newton policy (``jacobian_policy="reuse"``) vs the dense
   per-iteration path (``"dense"``) stays within 1 uV on every node, and
-  the reuse run reports nonzero ``jacobian_reuses``.
+  the reuse run reports nonzero ``jacobian_reuses``;
+* the two level-1 stamp bodies: on sensor-sized circuits the scalar
+  kernel's Python-float pass returns the numpy stamp's bits, and the
+  device-count gate picks the body.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analog import kernels
 from repro.analog.compile import CompiledCircuit
 from repro.analog.engine import TransientOptions, transient
 from repro.analog.kernels import (
@@ -32,9 +40,13 @@ from repro.batch.compile import compile_batch
 from repro.clocktree.electrical import TreeNetlistBuilder
 from repro.clocktree.htree import build_h_tree
 from repro.clocktree.tree import Buffer
+from repro.clocktree.whole_tree import (
+    WholeTreeNetlistBuilder,
+    select_sensor_pairs,
+)
 from repro.core.sensing import SkewSensor
 from repro.devices.sources import ClockSource, clock_pair
-from repro.faults.models import TransistorStuckOn
+from repro.faults.models import TransistorStuckOn, TransistorStuckOpen
 from repro.units import fF, ns
 
 FAST = TransientOptions(dt_max=ns(0.2), reltol=5e-3)
@@ -56,6 +68,21 @@ def _stuck_on_netlist():
     netlist, _ = _sensing_netlist()
     name = netlist.mosfets[0].name
     return TransistorStuckOn(transistor=name).inject(netlist)
+
+
+def _stuck_open_netlist():
+    netlist, _ = _sensing_netlist()
+    name = netlist.mosfets[-1].name
+    return TransistorStuckOpen(transistor=name).inject(netlist)
+
+
+def _full_swing_netlist():
+    sensor = SkewSensor(load1=fF(160), load2=fF(160), full_swing=True)
+    phi1, phi2 = clock_pair(
+        period=ns(20.0), slew1=ns(0.2), slew2=ns(0.2),
+        skew=ns(0.15), delay=ns(2.0), vdd=sensor.vdd,
+    )
+    return sensor.build(phi1=phi1, phi2=phi2)
 
 
 def _clocktree_netlist():
@@ -192,6 +219,112 @@ def test_batch_kernel_heterogeneous_matches_per_sample_scalar():
         f_s, j_s = circuit.kernel().eval(v[b])
         assert np.array_equal(f_b[b], f_s)
         assert np.array_equal(j_b[b], j_s)
+
+
+# --------------------------------------------------------------------- #
+# The two stamp bodies: Python floats vs numpy rows.
+# --------------------------------------------------------------------- #
+_STAMP_VARIANTS = {
+    "sensing": lambda: _sensing_netlist()[0],
+    "stuck_on": _stuck_on_netlist,
+    "stuck_open": _stuck_open_netlist,
+    "full_swing": _full_swing_netlist,
+}
+
+
+@lru_cache(maxsize=None)
+def _stamp_pair(variant):
+    """``(circuit, float-stamp kernel, numpy-stamp kernel)`` of one
+    sensor variant: the same kernel built under the gate and with the
+    gate closed."""
+    circuit = CompiledCircuit.compile(_STAMP_VARIANTS[variant]())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "FLOAT_STAMP_MAX_DEVICES", -1)
+        rows = ScalarKernel(circuit)
+    return circuit, ScalarKernel(circuit), rows
+
+
+def _draw_voltages(data, circuit):
+    """A node-voltage vector that hits the stamp's edges: signed zeros,
+    devices with equal drain and source voltages or with ``vgs``
+    exactly at ``vt``, and at most one NaN or infinite entry."""
+    n, m = circuit.n_total, circuit.m_d.size
+    v = data.draw(st.lists(
+        st.one_of(st.floats(-1.0, 6.0), st.sampled_from([0.0, -0.0])),
+        min_size=n, max_size=n,
+    ))
+    edges = st.tuples(st.integers(0, m - 1),
+                      st.sampled_from(["tie", "at_vt"]), st.booleans())
+    for k, edge, negative_zero in data.draw(st.lists(edges, max_size=4)):
+        d, g, s = circuit.m_d[k], circuit.m_g[k], circuit.m_s[k]
+        sign = circuit.m_sign[k]
+        if edge == "tie":
+            v[s] = v[d]
+        else:  # model-space source at zero, gate at vt, drain above
+            v[s] = -0.0 if negative_zero else 0.0
+            v[g] = sign * circuit.m_vt[k]
+            v[d] = sign * abs(v[d])
+    bad = data.draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, n - 1),
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    )))
+    if bad is not None:
+        v[bad[0]] = bad[1]
+    return np.array(v), bad is None
+
+
+def _same_bits(a, b, finite):
+    if finite:  # bit patterns, so signed zeros count too
+        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("variant", sorted(_STAMP_VARIANTS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_float_stamp_matches_numpy_stamp(variant, data):
+    # The Python-float pass and level1_stamp run the same IEEE operations
+    # in the same order: (f, J) agree bit for bit, and a NaN or inf input
+    # gives NaN at the same entries.
+    circuit, floats, rows = _stamp_pair(variant)
+    v, finite = _draw_voltages(data, circuit)
+    for with_jacobian in (True, False):
+        f_a, j_a = floats.eval(v, with_jacobian=with_jacobian)
+        with np.errstate(invalid="ignore", over="ignore"):
+            f_b, j_b = rows.eval(v, with_jacobian=with_jacobian)
+        assert _same_bits(f_a, f_b, finite)
+        if with_jacobian:
+            assert _same_bits(j_a, j_b, finite)
+        else:
+            assert j_a is None and j_b is None
+
+
+def _two_level_htree_netlist():
+    tree = build_h_tree(2, buffer=Buffer())
+    builder = WholeTreeNetlistBuilder(tree)
+    netlist = builder.build(ClockSource(period=ns(4), slew=ns(0.2),
+                                        delay=ns(1)))
+    builder.attach_sensors(select_sensor_pairs(tree, 2))
+    return netlist
+
+
+def test_float_stamp_gate_by_device_count(monkeypatch):
+    calls = []
+    stamp = kernels.level1_stamp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return stamp(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "level1_stamp", counted)
+    sensor = CompiledCircuit.compile(_sensing_netlist()[0])
+    tree = CompiledCircuit.compile(_two_level_htree_netlist())
+    assert sensor.m_d.size <= kernels.FLOAT_STAMP_MAX_DEVICES
+    assert tree.m_d.size == 64 > kernels.FLOAT_STAMP_MAX_DEVICES
+    ScalarKernel(sensor).eval(np.zeros(sensor.n_total))
+    assert not calls
+    ScalarKernel(tree).eval(np.zeros(tree.n_total))
+    assert calls
 
 
 # --------------------------------------------------------------------- #

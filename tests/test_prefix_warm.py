@@ -689,6 +689,56 @@ def test_stacked_planner_keeps_campaign_results_and_counts(monkeypatch,
             == {name: alone_t.kernel.get(name) for name in counters})
 
 
+@pytest.mark.parametrize("kwargs, builds_per_prefix", [
+    ({"backend": "serial"}, 2),
+    ({"backend": "batch", "batch_workers": 1}, 1),
+], ids=["serial", "batch"])
+def test_prefix_builds_count_their_integration(monkeypatch, kwargs,
+                                               builds_per_prefix):
+    # A cold serial job builds its own prefix, so each of the four
+    # prefixes (two jobs each) is built twice; a cold stack builds each
+    # once, like the warm planner.  The prefix counters carry exactly
+    # those builds' steps and Newton iterations - each that of the
+    # prefix's scalar build - while the suffix counters stay equal.
+    import repro.runtime.prefix as prefix
+
+    jobs = _campaign_jobs()
+    _no_cache(monkeypatch)
+    builds = {}
+    for job in jobs:
+        resolved = replace(job.resolved(), warm_start=False)
+        key = prefix_key(resolved)
+        if key not in builds:
+            builds[key] = prefix.prefix_checkpoint(resolved)[1]
+    assert len(builds) == 4
+    steps = sum(int(stats["steps"]) for stats in builds.values())
+    iterations = sum(int(stats["newton_iterations"])
+                     for stats in builds.values())
+    assert steps > 0 and iterations >= steps
+    _, warm = _counted_campaign(jobs, **kwargs)
+    _, cold = _counted_campaign(
+        [replace(job, warm_start=False) for job in jobs], **kwargs)
+    assert warm.prefix_builds == len(builds)
+    assert (warm.prefix_steps, warm.prefix_newton_iterations) == (
+        steps, iterations)
+    extra = builds_per_prefix - 1
+    assert cold.prefix_builds - warm.prefix_builds == extra * len(builds)
+    assert cold.prefix_steps - warm.prefix_steps == extra * steps
+    assert (cold.prefix_newton_iterations - warm.prefix_newton_iterations
+            == extra * iterations)
+    assert cold.steps_integrated == warm.steps_integrated
+    assert (cold.kernel["newton_iterations"]
+            == warm.kernel["newton_iterations"])
+    engine = cold.as_dict()["engine"]["prefix"]
+    assert (engine["steps"], engine["newton_iterations"]) == (
+        cold.prefix_steps, cold.prefix_newton_iterations)
+    merged = Telemetry()
+    merged.merge(cold)
+    merged.merge(warm)
+    assert merged.prefix_steps == cold.prefix_steps + warm.prefix_steps
+    assert "newton iteration(s))" in cold.summary()
+
+
 def test_masked_prefix_row_takes_the_scalar_build(monkeypatch):
     import repro.batch.engine as batch_engine
     import repro.runtime.prefix as prefix
