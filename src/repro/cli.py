@@ -23,6 +23,10 @@ Commands
 ``status``       One campaign's lifecycle record.
 ``result``       A finished campaign's result payload.
 ``cancel``       Cancel a queued or running campaign.
+
+``sensitivity``, ``campaign`` and ``montecarlo`` run the plan of the
+spec ``submit`` would send through the scheduler's run entry,
+:func:`repro.service.specs.run_plan`; a spec the service refuses exits 2.
 """
 
 from __future__ import annotations
@@ -32,10 +36,9 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.units import VTH_INTERPRET, fF, ns, to_ns
+from repro.units import fF, ns, to_ns
 
-# The service's spec compiler uses the same options, so a service
-# campaign reproduces the CLI run bit-identically (same cache keys).
+# The options of every service spec, which the grid commands run too.
 from repro.service.specs import FAST_OPTIONS as _FAST
 
 #: Default service endpoint of the client subcommands.
@@ -58,144 +61,136 @@ def _cmd_waves(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sensitivity_grid(args: argparse.Namespace):
-    return [ns(args.tau_max) * k / (args.points - 1) for k in range(args.points)]
+#: Spec key and default of each runtime flag a grid command or
+#: ``repro submit`` may have (by argparse ``dest``).
+_RUNTIME_FLAGS = (
+    ("backend", "backend", "serial"),
+    ("workers", "workers", None),
+    ("batch_workers", "batch_workers", None),
+    ("on_error", "on_error", "raise"),
+    ("no_cache", "no_cache", False),
+    ("tenant", "tenant", ""),
+    ("timeout", "timeout_s", None),
+)
 
 
-def _sensitivity_spec(args: argparse.Namespace, slews: List[float]) -> dict:
-    """The service's ``sensitivity`` spec of the grid flags
-    ``sensitivity``, ``campaign`` and ``submit`` share."""
-    return {"kind": "sensitivity", "loads_ff": args.loads, "slews_ns": slews,
-            "tau_max_ns": args.tau_max, "points": args.points}
+def _spec(args: argparse.Namespace) -> dict:
+    """The service spec of the flags of ``sensitivity``, ``campaign``,
+    ``montecarlo`` or ``submit``.  A runtime flag a command lacks, or
+    leaves at its default, stays out: the kind's default applies."""
+    if args.kind == "sensitivity":
+        spec = {"kind": "sensitivity", "loads_ff": args.loads,
+                "slews_ns": args.slews, "tau_max_ns": args.tau_max,
+                "points": args.points}
+    else:
+        spec = {"kind": "montecarlo", "samples": args.samples,
+                "seed": args.seed, "load_ff": args.load,
+                "skews_ns": args.skews}
+    for flag, key, default in _RUNTIME_FLAGS:
+        value = getattr(args, flag, default)
+        if value != default:
+            spec[key] = value
+    if getattr(args, "no_warm_start", False):
+        spec["warm_start"] = False
+    return spec
 
 
-def _refused(spec: dict) -> bool:
-    """Whether the service would refuse ``spec`` (a 400 there); prints
-    its message as ``error: ...``."""
-    from repro.service.specs import SpecError, build_plan
+def _run(args: argparse.Namespace, spec: dict, **run_kwargs):
+    """Build ``spec``'s plan once and run it through the scheduler's run
+    entry: ``(folded payload, telemetry)``, or ``None`` after printing
+    the kind's refusal (an HTTP 400 there) as ``error: ...``."""
+    from repro.runtime import Telemetry
+    from repro.service.specs import SpecError, build_plan, run_plan
 
     try:
-        build_plan(spec)
+        plan = build_plan(spec)
     except SpecError as error:
         print(f"error: {error}", file=sys.stderr)
-        return True
-    return False
+        return None
+    telemetry = Telemetry()
+    with telemetry.timer(args.command):
+        campaign = run_plan(plan, telemetry=telemetry, **run_kwargs)
+    return plan.fold(campaign), telemetry
+
+
+def _print_telemetry(args: argparse.Namespace, telemetry) -> None:
+    """The telemetry summary (on ``--stats``; ``campaign`` has no such
+    flag and always prints it) and the ``--json`` report."""
+    if getattr(args, "stats", True):
+        print("--- runtime telemetry ---")
+        print(telemetry.summary())
+    if getattr(args, "json", None):
+        telemetry.to_json(args.json)
+        print(f"wrote {args.json}")
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from repro.core.sensitivity import sweep_skew
-    from repro.report import sensitivity_report
-    from repro.runtime import Telemetry
+    import numpy as np
 
-    if _refused(_sensitivity_spec(args, [args.slew])):
+    from repro.core.sensitivity import SensitivityCurve
+    from repro.report import sensitivity_report
+
+    ran = _run(args, _spec(args))
+    if ran is None:
         return 2
-    telemetry = Telemetry()
-    cache = None if args.no_cache else "default"
-    skews = _sensitivity_grid(args)
-    curves = [
-        sweep_skew(
-            fF(load), ns(args.slew), skews, options=_FAST,
-            backend=args.backend, cache=cache, telemetry=telemetry,
-            max_workers=args.workers, batch_workers=args.batch_workers,
-            warm_start=False if args.no_warm_start else None,
-        )
-        for load in args.loads
-    ]
-    print(sensitivity_report(curves))
-    if args.stats:
-        print("--- runtime telemetry ---")
-        print(telemetry.summary())
+    payload, telemetry = ran
+    print(sensitivity_report([
+        SensitivityCurve(load=c["load_f"], slew=c["slew_s"],
+                         skews=np.array(c["skews_s"]),
+                         vmins=np.array(c["vmins_v"]))
+        for c in payload["curves"]
+    ]))
+    _print_telemetry(args, telemetry)
     return 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.core.sensitivity import sensitivity_family
-    from repro.runtime import Telemetry
-    from repro.units import to_ns
-
-    if _refused(_sensitivity_spec(args, args.slews)):
-        return 2
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
-    telemetry = Telemetry()
-    cache = None if args.no_cache else "default"
-    skews = _sensitivity_grid(args)
-    with telemetry.timer("campaign"):
-        curves = sensitivity_family(
-            loads=[fF(load) for load in args.loads],
-            slews=[ns(slew) for slew in args.slews],
-            skews=skews,
-            options=_FAST,
-            backend=args.backend,
-            cache=cache,
-            telemetry=telemetry,
-            max_workers=args.workers,
-            batch_workers=args.batch_workers,
-            on_error=args.on_error,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            warm_start=False if args.no_warm_start else None,
-        )
-    print(f"campaign: {len(curves)} curves x {args.points} skew points "
-          f"({args.backend} backend)")
+    ran = _run(args, _spec(args), checkpoint=args.checkpoint,
+               resume=args.resume)
+    if ran is None:
+        return 2
+    payload, telemetry = ran
+    print(f"campaign: {len(payload['curves'])} curves x {args.points} skew "
+          f"points ({args.backend} backend)")
     if telemetry.jobs_failed:
         print(f"  {telemetry.jobs_failed} job(s) failed and were collected "
               "as JobError records (see telemetry)")
-    for curve in curves:
-        tau = curve.tau_min
+    for curve in payload["curves"]:
+        tau = curve["tau_min_s"]
         tau_text = f"{to_ns(tau):.3f} ns" if tau is not None else "no crossing"
-        print(f"  load {curve.load * 1e15:6.1f} fF  slew "
-              f"{curve.slew * 1e9:4.2f} ns : tau_min = {tau_text}")
-    print("--- runtime telemetry ---")
-    print(telemetry.summary())
-    if args.json:
-        telemetry.to_json(args.json)
-        print(f"wrote {args.json}")
+        print(f"  load {curve['load_f'] * 1e15:6.1f} fF  slew "
+              f"{curve['slew_s'] * 1e9:4.2f} ns : tau_min = {tau_text}")
+    _print_telemetry(args, telemetry)
     return 0
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.montecarlo.parallel import scatter_analysis_parallel
-    from repro.montecarlo.sampling import sample_population
-    from repro.runtime import Telemetry
-
-    # The montecarlo kind needs a seed; without --seed the CLI draws a
-    # fresh one, so the checks see the population the run samples.
-    seed = args.seed
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy)
-    if _refused({"kind": "montecarlo", "samples": args.samples, "seed": seed,
-                 "load_ff": args.load, "skews_ns": args.skews}):
+    spec = _spec(args)
+    if spec["seed"] is None:
+        # The montecarlo kind needs a seed; without --seed the CLI draws
+        # a fresh one, so the plan samples a fresh population.
+        spec["seed"] = int(np.random.SeedSequence().entropy)
+    ran = _run(args, spec)
+    if ran is None:
         return 2
-    telemetry = Telemetry()
-    cache = None if args.no_cache else "default"
-    samples = sample_population(args.samples, fF(args.load), seed=seed)
-    skews = [ns(tau) for tau in args.skews]
-    with telemetry.timer("montecarlo"):
-        points = scatter_analysis_parallel(
-            samples, skews, options=_FAST, backend=args.backend,
-            n_workers=args.workers, batch_workers=args.batch_workers,
-            cache=cache, telemetry=telemetry,
-            warm_start=False if args.no_warm_start else None,
-        )
+    payload, telemetry = ran
     seed_text = args.seed if args.seed is not None else "none (fresh draws)"
-    print(f"montecarlo: {args.samples} samples x {len(skews)} skews "
+    print(f"montecarlo: {args.samples} samples x {len(args.skews)} skews "
           f"({args.backend} backend, seed {seed_text})")
     print("  tau[ns]   Vmin: min    mean    max   flagged")
-    for tau, tau_ns in zip(skews, args.skews):
-        vmins = np.array([p.vmin for p in points if p.skew == tau])
-        flagged = int((vmins > VTH_INTERPRET).sum())
+    for tau_ns in args.skews:
+        tau = ns(tau_ns)
+        vmins = np.array([p["vmin_v"] for p in payload["points"]
+                          if p["skew_s"] == tau])
         print(f"  {tau_ns:6.2f}   {vmins.min():9.2f} {vmins.mean():7.2f} "
-              f"{vmins.max():6.2f}   {flagged}/{len(vmins)}")
-    if args.stats:
-        print("--- runtime telemetry ---")
-        print(telemetry.summary())
-    if args.json:
-        telemetry.to_json(args.json)
-        print(f"wrote {args.json}")
+              f"{vmins.max():6.2f}   {payload['flagged'][repr(tau)]}"
+              f"/{len(vmins)}")
+    _print_telemetry(args, telemetry)
     return 0
 
 
@@ -304,8 +299,6 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
 
 
 def _cmd_whole_tree(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.clocktree import ResistiveOpen
     from repro.clocktree.whole_tree import simulate_whole_tree
 
@@ -327,22 +320,11 @@ def _cmd_whole_tree(args: argparse.Namespace) -> int:
                 tuple(p) for p in (args.dead_injection or [])
             ),
             segments_per_wire=args.segments,
-            options=replace(_FAST, jacobian_policy="auto"),
         )
-    except (KeyError, ValueError) as exc:
-        # e.g. --open-node naming a sink the tree does not have, or
-        # given with a grid, which has no tree node to open.
+    except ValueError as exc:
+        # check_scenario's refusals, in the whole_tree kind's words, or
+        # a size the network cannot take (more sensors than pairs).
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        if (isinstance(exc, KeyError) and args.topology == "htree"
-                and fault is not None):
-            from repro.clocktree.htree import build_h_tree
-            from repro.clocktree.tree import Buffer
-
-            sinks = sorted(
-                s.name for s in build_h_tree(args.levels, buffer=Buffer()).sinks()
-            )
-            print(f"sinks at --levels {args.levels}: {' '.join(sinks)}",
-                  file=sys.stderr)
         return 2
     kernel = run.result.kernel_stats or {}
     if args.json:
@@ -417,34 +399,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _load_spec(args: argparse.Namespace) -> dict:
     """The spec of a ``repro submit``: ``--spec JSON``, ``--spec @file``,
-    or assembled from the kind's flags."""
+    or the one the run commands build from the same flags."""
     if args.spec:
         text = args.spec
         if text.startswith("@"):
             with open(text[1:]) as handle:
                 text = handle.read()
         return json.loads(text)
-    spec: dict = {"kind": args.kind}
-    if args.kind == "sensitivity":
-        spec = _sensitivity_spec(args, args.slews)
-    elif args.kind == "montecarlo":
-        if args.seed is None:
-            print("error: montecarlo specs need --seed (reproducibility)",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        spec.update(samples=args.samples, seed=args.seed,
-                    load_ff=args.load, skews_ns=args.skews)
-    if args.backend != "serial":
-        spec["backend"] = args.backend
-    if args.workers is not None:
-        spec["workers"] = args.workers
-    if args.batch_workers is not None:
-        spec["batch_workers"] = args.batch_workers
-    if args.tenant:
-        spec["tenant"] = args.tenant
-    if args.timeout is not None:
-        spec["timeout_s"] = args.timeout
-    return spec
+    if args.kind == "montecarlo" and args.seed is None:
+        print("error: montecarlo specs need --seed (reproducibility)",
+              file=sys.stderr)
+        raise SystemExit(2)
+    return _spec(args)
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -568,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     waves.add_argument("--full-swing", action="store_true")
     waves.set_defaults(func=_cmd_waves)
 
-    def add_runtime_flags(p: argparse.ArgumentParser) -> None:
+    def add_executor_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--backend", choices=BACKENDS,
                        default="serial", help="campaign executor backend "
                        "(batch = lockstep vectorised engine)")
@@ -578,6 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="batch-backend shard workers: whole lockstep "
                             "stacks fan out over this many processes "
                             "(default: the --workers value; 1 = unsharded)")
+
+    def add_runtime_flags(p: argparse.ArgumentParser) -> None:
+        add_executor_flags(p)
         p.add_argument("--no-cache", action="store_true",
                        help="bypass the result cache")
         p.add_argument("--no-warm-start", action="store_true",
@@ -585,27 +554,42 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of through the checkpoint cache tier "
                             "(same results)")
 
+    def add_sweep_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--loads", type=float, nargs="+",
+                       default=[80.0, 160.0, 240.0], help="loads in fF")
+        p.add_argument("--tau-max", type=float, default=0.5,
+                       help="sweep end, ns")
+        p.add_argument("--points", type=int, default=8)
+
+    def add_population_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--samples", type=int, default=30,
+                       help="population size")
+        p.add_argument("--seed", type=int, default=None,
+                       help="population seed (same seed = same draws; "
+                            "montecarlo draws a fresh one without it, "
+                            "submit needs it)")
+        p.add_argument("--load", type=float, default=160.0,
+                       help="nominal load in fF")
+        p.add_argument("--skews", type=float, nargs="+",
+                       default=[0.0, 0.05, 0.1, 0.15, 0.25, 0.4],
+                       help="skew grid in ns")
+
     sens = sub.add_parser("sensitivity", help="Vmin vs tau sweep")
-    sens.add_argument("--loads", type=float, nargs="+",
-                      default=[80.0, 160.0, 240.0], help="loads in fF")
-    sens.add_argument("--slew", type=float, default=0.2, help="slew in ns")
-    sens.add_argument("--tau-max", type=float, default=0.5, help="sweep end, ns")
-    sens.add_argument("--points", type=int, default=8)
+    add_sweep_flags(sens)
+    sens.add_argument("--slew", dest="slews", type=float, nargs=1,
+                      default=[0.2], metavar="SLEW", help="slew in ns")
     add_runtime_flags(sens)
     sens.add_argument("--stats", action="store_true",
                       help="print runtime telemetry (cache hits, timings)")
-    sens.set_defaults(func=_cmd_sensitivity)
+    sens.set_defaults(func=_cmd_sensitivity, kind="sensitivity")
 
     camp = sub.add_parser(
         "campaign",
         help="runtime-orchestrated sensitivity campaign with telemetry",
     )
-    camp.add_argument("--loads", type=float, nargs="+",
-                      default=[80.0, 160.0, 240.0], help="loads in fF")
+    add_sweep_flags(camp)
     camp.add_argument("--slews", type=float, nargs="+",
                       default=[0.1, 0.2, 0.3, 0.4], help="slews in ns")
-    camp.add_argument("--tau-max", type=float, default=0.5, help="sweep end, ns")
-    camp.add_argument("--points", type=int, default=8)
     add_runtime_flags(camp)
     camp.add_argument("--json", type=str, default=None,
                       help="write the telemetry report to this JSON file")
@@ -619,28 +603,19 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--resume", action="store_true",
                       help="skip jobs already completed in the --checkpoint "
                            "journal instead of re-running them")
-    camp.set_defaults(func=_cmd_campaign)
+    camp.set_defaults(func=_cmd_campaign, kind="sensitivity")
 
     mc = sub.add_parser(
         "montecarlo",
         help="Fig.-5 style Monte Carlo scatter (seedable population)",
     )
-    mc.add_argument("--samples", type=int, default=30,
-                    help="population size")
-    mc.add_argument("--seed", type=int, default=None,
-                    help="population seed (same seed = same draws; "
-                         "omit for fresh draws)")
-    mc.add_argument("--load", type=float, default=160.0,
-                    help="nominal load in fF")
-    mc.add_argument("--skews", type=float, nargs="+",
-                    default=[0.0, 0.05, 0.1, 0.15, 0.25, 0.4],
-                    help="skew grid in ns")
+    add_population_flags(mc)
     add_runtime_flags(mc)
     mc.add_argument("--stats", action="store_true",
                     help="print runtime telemetry (batch counters, timings)")
     mc.add_argument("--json", type=str, default=None,
                     help="write the telemetry report to this JSON file")
-    mc.set_defaults(func=_cmd_montecarlo)
+    mc.set_defaults(func=_cmd_montecarlo, kind="montecarlo")
 
     cache = sub.add_parser(
         "cache", help="inspect or clear the content-addressed result cache"
@@ -745,27 +720,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "kind flags below")
     submit.add_argument("--kind", choices=["sensitivity", "montecarlo"],
                         default="sensitivity")
-    submit.add_argument("--loads", type=float, nargs="+",
-                        default=[80.0, 160.0, 240.0], help="loads in fF")
+    add_sweep_flags(submit)
     submit.add_argument("--slews", type=float, nargs="+", default=[0.2],
                         help="slews in ns")
-    submit.add_argument("--tau-max", type=float, default=0.5,
-                        help="sweep end, ns")
-    submit.add_argument("--points", type=int, default=8)
-    submit.add_argument("--samples", type=int, default=30,
-                        help="montecarlo population size")
-    submit.add_argument("--seed", type=int, default=None,
-                        help="montecarlo population seed (required)")
-    submit.add_argument("--load", type=float, default=160.0,
-                        help="montecarlo nominal load, fF")
-    submit.add_argument("--skews", type=float, nargs="+",
-                        default=[0.0, 0.05, 0.1, 0.15, 0.25, 0.4],
-                        help="montecarlo skew grid, ns")
-    submit.add_argument("--backend", choices=BACKENDS, default="serial")
-    submit.add_argument("--workers", type=int, default=None)
-    submit.add_argument("--batch-workers", type=int, default=None,
-                        help="shard worker count for the batch backend "
-                             "(default: the --workers value)")
+    add_population_flags(submit)
+    add_executor_flags(submit)
     submit.add_argument("--tenant", type=str, default="",
                         help="cache namespace for this campaign")
     submit.add_argument("--timeout", type=float, default=None,

@@ -41,7 +41,7 @@ from repro.analog.kernels import KernelStats
 from repro.circuit.compose import graft, prefixed_guess
 from repro.circuit.netlist import Netlist
 from repro.clocktree.electrical import TreeNetlistBuilder, buffer_inverter_sizing
-from repro.clocktree.faults import TreeFault, perturb_tree
+from repro.clocktree.faults import ResistiveOpen, TreeFault, perturb_tree
 from repro.clocktree.htree import build_h_tree
 from repro.clocktree.rc import WireModel
 from repro.clocktree.skew import CriticalPair, select_critical_pairs
@@ -348,6 +348,44 @@ class GridNetlistBuilder:
         return pairs
 
 
+def check_scenario(
+    topology: str,
+    levels: int = 2,
+    tree: Optional[ClockTree] = None,
+    fault: Optional[TreeFault] = None,
+    variation: float = 0.0,
+    dead_injections: Sequence[Tuple[int, int]] = (),
+) -> None:
+    """The refusals of :func:`simulate_whole_tree` and the
+    ``whole_tree`` kind: ``ValueError`` for a tree ``fault`` or a
+    ``variation`` on a grid, ``dead_injections`` on an H-tree, and a
+    ``fault`` that does not apply to ``tree`` (the H-tree of ``levels``
+    when omitted), such as an open on the root, which no wire feeds."""
+    if topology == "grid":
+        if fault is not None:
+            raise ValueError("a tree fault needs topology 'htree': a grid "
+                             "has no tree node to open")
+        if variation:
+            raise ValueError("variation needs topology 'htree': a grid is "
+                             "built without process variation")
+    elif topology == "htree":
+        if dead_injections:
+            raise ValueError("dead_injections need topology 'grid': an "
+                             "H-tree has no injection drivers")
+        if fault is not None:
+            tree = tree or build_h_tree(levels, buffer=Buffer())
+            try:
+                fault.apply(tree)
+            except (KeyError, ValueError) as error:
+                wired = " ".join(n.name for n in tree.walk()
+                                 if n.wire is not None)
+                raise ValueError(f"{error.args[0]}; the nodes a wire feeds "
+                                 f"are {wired}") from None
+    else:
+        raise ValueError(f"topology must be 'htree' or 'grid', "
+                         f"got {topology!r}")
+
+
 @dataclass
 class WholeTreeRun:
     """One end-to-end whole-chip simulation and its readouts.
@@ -416,11 +454,10 @@ def simulate_whole_tree(
     sensing circuits on the most critical disjoint pairs.
     ``topology="grid"`` builds the TRIX-style mesh of ``grid_shape``
     with column-mirrored sensor pairs; ``dead_injections`` kills
-    drivers.  An input the topology has no use for raises
-    ``ValueError``: a tree ``fault`` or a ``variation`` on a grid,
-    ``dead_injections`` on an H-tree.  The default engine options select
-    the Jacobian policy by node count (``"auto"``), so whole-chip
-    instances run sparse.
+    drivers.  An input the topology has no use for, or a fault that
+    does not apply, raises ``ValueError`` (:func:`check_scenario`).
+    The default engine options select the Jacobian policy by node
+    count (``"auto"``), so whole-chip instances run sparse.
 
     The readouts are each monitored sink's rising-edge arrival and each
     sensor's code, sampled mid-high-phase at ``settle + 0.4 * period``,
@@ -442,12 +479,9 @@ def simulate_whole_tree(
             dt_max=200e-12, reltol=5e-3, jacobian_policy="auto"
         )
 
+    check_scenario(topology, levels, tree=tree, fault=fault,
+                   variation=variation, dead_injections=dead_injections)
     if topology == "htree":
-        if dead_injections:
-            raise ValueError(
-                "dead_injections need topology 'grid': an H-tree has no "
-                "injection drivers"
-            )
         tree = tree or build_h_tree(levels, buffer=Buffer())
         if variation:
             tree = perturb_tree(
@@ -466,17 +500,7 @@ def simulate_whole_tree(
                                     source_resistance=source_resistance)
         placements = builder.attach_sensors(pairs)
         initial = builder.initial_guess
-    elif topology == "grid":
-        if fault is not None:
-            raise ValueError(
-                f"cannot apply {fault.describe()} to a grid: tree faults "
-                "need topology 'htree'"
-            )
-        if variation:
-            raise ValueError(
-                "variation needs topology 'htree': the grid is built "
-                "without process variation"
-            )
+    else:
         rows, cols = grid_shape
         grid = GridNetlistBuilder(
             rows, cols, process=process, model=model,
@@ -486,8 +510,6 @@ def simulate_whole_tree(
         placements, initial = attach_sensors(
             netlist, grid.mirrored_pairs(n_sensors), process=process,
         )
-    else:
-        raise ValueError(f"unknown topology {topology!r} (htree/grid)")
 
     record = sorted({node for p in placements
                      for node in (p.node_a, p.node_b, p.y1, p.y2)})
@@ -614,6 +636,15 @@ class WholeTreeJob:
 
         return stable_key(self, namespace=WHOLE_TREE_NAMESPACE)
 
+    def tree_fault(self) -> Optional[TreeFault]:
+        """The :class:`~repro.clocktree.faults.TreeFault` of ``fault``."""
+        if self.fault is None:
+            return None
+        kind, node, value = self.fault
+        if kind != "resistive_open":
+            raise ValueError(f"unknown whole-tree fault kind {kind!r}")
+        return ResistiveOpen(node=node, extra_resistance=float(value))
+
 
 def evaluate_whole_tree_job(job: WholeTreeJob) -> "JobResult":  # noqa: F821
     """Run one :class:`WholeTreeJob` and fold it into a ``JobResult``.
@@ -629,20 +660,11 @@ def evaluate_whole_tree_job(job: WholeTreeJob) -> "JobResult":  # noqa: F821
     """
     from repro.runtime.jobs import JobResult
 
-    fault: Optional[TreeFault] = None
-    if job.fault is not None:
-        kind, node, value = job.fault
-        if kind != "resistive_open":
-            raise ValueError(f"unknown whole-tree fault kind {kind!r}")
-        from repro.clocktree.faults import ResistiveOpen
-
-        fault = ResistiveOpen(node=node, extra_resistance=float(value))
-
     run = simulate_whole_tree(
         levels=job.levels,
         topology=job.topology,
         n_sensors=job.n_sensors,
-        fault=fault,
+        fault=job.tree_fault(),
         variation=job.variation,
         seed=job.seed,
         grid_shape=(job.rows, job.cols),

@@ -25,8 +25,9 @@ and bit rot produce - which an unframed reader would silently apply.
 Corrupt lines are never applied; readers report them through an
 ``on_corrupt`` callback and they can be *quarantined* (appended, with
 line number and reason, to ``<journal>.quarantine``) so the evidence
-survives for a post-mortem instead of vanishing.  Format-1 journals
-(no frame fields) still load; their entries are simply unverifiable.
+survives for a post-mortem instead of vanishing.  A line without a
+frame (a format-1 entry) cannot be verified, so it is corrupt too: its
+job is re-evaluated.
 
 The journal is *not* the result cache: it is a per-campaign artifact at a
 user-chosen path, it survives ``REPRO_CACHE_DISABLE=1`` runs, and it
@@ -47,8 +48,8 @@ from typing import Any, Callable, Dict, List, Optional, Union
 logger = logging.getLogger(__name__)
 
 #: Journal format generation, bumped on incompatible layout changes.
-#: Format 2 added the ``_crc``/``_len`` integrity frame; format-1 lines
-#: are still readable (unverified).
+#: Format 2 added the ``_crc``/``_len`` integrity frame; readers treat
+#: an unframed (format-1) line as corrupt.
 JOURNAL_FORMAT = 2
 
 #: Frame fields embedded into every written entry.
@@ -93,12 +94,9 @@ def frame_entry(entry: Dict[str, Any]) -> str:
 def unframe_entry(entry: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """Strip and verify the integrity frame of a parsed entry.
 
-    Returns the bare entry, or ``None`` when the frame is present but
-    does not match (mid-line corruption).  Entries without a frame
-    (format 1) pass through unverified.
+    Returns the bare entry, or ``None`` when the frame is missing or
+    does not match (mid-line corruption).
     """
-    if CRC_FIELD not in entry and LEN_FIELD not in entry:
-        return entry
     bare = dict(entry)
     crc = bare.pop(CRC_FIELD, None)
     length = bare.pop(LEN_FIELD, None)
@@ -151,10 +149,10 @@ def iter_entries(
     service job store (:mod:`repro.service.store`), which journals its
     campaign lifecycle in the same append-only format with its own entry
     kinds.  Lines that fail JSON parsing (torn writes) or whose
-    integrity frame does not verify (mid-line corruption) are never
-    yielded; each one is reported to ``on_corrupt`` (when given) so the
-    caller can quarantine it - with no callback they are skipped, the
-    historical behaviour.
+    integrity frame is missing or does not verify (mid-line
+    corruption) are never yielded; each one is reported to
+    ``on_corrupt`` (when given) so the caller can quarantine it - with
+    no callback they are skipped, the historical behaviour.
     """
     journal = Path(path)
     if not journal.exists():
@@ -177,7 +175,9 @@ def iter_entries(
             bare = unframe_entry(entry)
             if bare is None:
                 if on_corrupt is not None:
-                    on_corrupt(CorruptEntry(lineno, "CRC mismatch", line))
+                    reason = ("CRC mismatch" if CRC_FIELD in entry
+                              else "no integrity frame")
+                    on_corrupt(CorruptEntry(lineno, reason, line))
                 continue
             yield bare
 

@@ -14,8 +14,9 @@ Layering (each module usable on its own):
 * :mod:`repro.service.specs` - the campaign *spec*: a JSON dict (same
   parameter conventions as the ``repro campaign`` / ``repro montecarlo``
   subcommands) validated and compiled into a :class:`CampaignPlan` of
-  :class:`~repro.runtime.SensorJob` descriptions plus a result folder.
-  Extensible registry so future job families plug in;
+  :class:`~repro.runtime.SensorJob` descriptions plus a result folder,
+  run by :func:`run_plan` for the scheduler and those subcommands
+  alike.  Extensible registry so future job families plug in;
 * :mod:`repro.service.store` - the *job store*: campaign lifecycle
   (``queued -> running -> done/failed/cancelled``) persisted in an
   append-only JSONL journal (the :mod:`repro.runtime.checkpoint` format)
@@ -37,9 +38,9 @@ Layering (each module usable on its own):
   (``repro serve`` / ``submit`` / ``status`` / ``result`` / ``cancel``)
   and the examples speak.
 
-Determinism is preserved end to end: a service campaign builds exactly
-the jobs the CLI would, under the same cache keys, so its results are
-bit-identical to a direct ``run_campaign`` - the service adds
+Determinism is preserved end to end: a service campaign runs exactly
+the plan the CLI grid commands run, under the same cache keys, so its
+results are bit-identical to a direct run - the service adds
 scheduling, persistence and observability, never physics.
 """
 
@@ -52,6 +53,7 @@ from repro.service.specs import (
     build_plan,
     normalize_spec,
     register_kind,
+    run_plan,
     spec_kinds,
 )
 from repro.service.store import (
@@ -78,5 +80,6 @@ __all__ = [
     "default_state_dir",
     "normalize_spec",
     "register_kind",
+    "run_plan",
     "spec_kinds",
 ]

@@ -1,4 +1,4 @@
-"""Background campaign scheduler: priority queue over ``run_campaign``.
+"""Background campaign scheduler: priority queue over ``run_plan``.
 
 ``max_concurrent`` slot threads (default 1) drain one priority queue
 into the executor.  Ordering is ``(-priority, seq)``: higher priority
@@ -29,9 +29,11 @@ Wiring per campaign (one :class:`_Execution` per running slot):
   acting, so a timer firing during a shutdown-requeue (or any later
   re-execution of the same campaign) cannot double-terminate - and the
   store's sticky terminal states make even a lost race harmless;
-* ``cache=tenant_cache(spec["tenant"])`` - named tenants get their own
-  disk namespace; the default tenant shares the process-global cache,
-  keeping service results bit-identical to direct CLI runs.
+* the result cache the spec asks for, which
+  :func:`~repro.service.specs.run_plan` (the CLI grid commands' run
+  entry too) picks: named tenants get their own disk namespace, and
+  the default tenant shares the process-global cache with direct CLI
+  runs.
 
 Robustness machinery:
 
@@ -71,15 +73,10 @@ from repro.errors import (
     JobError,
     WorkerCrashError,
 )
-from repro.runtime import (
-    Telemetry,
-    resolve_workers,
-    run_campaign,
-    tenant_cache,
-)
+from repro.runtime import Telemetry, resolve_workers
 from repro.runtime.faults import get_injector
 from repro.runtime.jobs import JobResult
-from repro.service.specs import build_plan
+from repro.service.specs import build_plan, run_plan
 from repro.service.store import CampaignRecord, JobStore
 
 #: Default per-client cap on campaigns in flight (queued + running).
@@ -551,19 +548,9 @@ class CampaignScheduler:
                     event.update(error=result.error, message=result.message)
                 self._emit(campaign_id, event)
 
-            cache: Any = "default"
-            if plan.evaluate is not None:
-                cache = None
-            elif record.spec.get("no_cache"):
-                cache = None
-            elif record.spec.get("tenant"):
-                cache = tenant_cache(record.spec["tenant"])
-
-            campaign = run_campaign(
-                plan.jobs,
-                cache=cache,
+            campaign = run_plan(
+                plan,
                 telemetry=telemetry,
-                evaluate=plan.evaluate,
                 checkpoint=str(self.store.checkpoint_path(campaign_id)),
                 resume=record.resume,
                 progress=progress,

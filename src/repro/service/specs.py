@@ -2,8 +2,9 @@
 
 A *spec* is a plain JSON dict describing one campaign in the same
 parameter conventions the CLI subcommands use (loads in fF, times in
-ns), so ``repro submit`` forwards its flags verbatim and a curl user can
-read the README quickstart and write one by hand.  Two kinds ship:
+ns): ``repro sensitivity``, ``campaign``, ``montecarlo`` and ``submit``
+turn their flags into one, and a curl user can read the README
+quickstart and write one by hand.  Three kinds ship:
 
 ``sensitivity``
     The Fig.-4 family: a (loads x slews x skews) grid, folded into
@@ -66,6 +67,9 @@ class CampaignPlan:
     executor: Dict[str, Any] = field(default_factory=dict)
     #: Evaluation override (test kinds only; forces ``cache=None``).
     evaluate: Optional[Callable[[Any], Any]] = None
+    #: The normalized spec the plan was compiled from (set by
+    #: :func:`build_plan`); :func:`run_plan` picks the cache from it.
+    spec: Dict[str, Any] = field(default_factory=dict)
 
 
 #: Executor-facing keys shared by every spec kind, with defaults.
@@ -167,7 +171,27 @@ def _is_int(value: Any, minimum: int) -> bool:
 def build_plan(spec: Dict[str, Any]) -> CampaignPlan:
     """Compile a (normalized or raw) spec into its :class:`CampaignPlan`."""
     spec = normalize_spec(spec)
-    return _KIND_BUILDERS[spec["kind"]](spec)
+    plan = _KIND_BUILDERS[spec["kind"]](spec)
+    plan.spec = spec
+    return plan
+
+
+def run_plan(plan: CampaignPlan, **run_kwargs: Any) -> Any:
+    """Run ``plan``'s jobs: the scheduler's and the CLI grid commands'
+    one entry to :func:`repro.runtime.run_campaign`, to which
+    ``run_kwargs`` pass.  The spec picks the result cache: none for
+    ``no_cache`` or a kind with its own ``evaluate``, the tenant's
+    namespace for a named ``tenant``, else the process-wide cache."""
+    from repro.runtime import run_campaign, tenant_cache
+
+    if plan.evaluate is not None or plan.spec.get("no_cache"):
+        cache = None
+    elif plan.spec.get("tenant"):
+        cache = tenant_cache(plan.spec["tenant"])
+    else:
+        cache = "default"
+    return run_campaign(plan.jobs, cache=cache, evaluate=plan.evaluate,
+                        **{**plan.executor, **run_kwargs})
 
 
 def _options(spec: Dict[str, Any]) -> Optional[TransientOptions]:
@@ -356,12 +380,11 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
 
     from repro.clocktree.whole_tree import (
         WholeTreeJob,
+        check_scenario,
         evaluate_whole_tree_job,
     )
 
     topology = spec["topology"]
-    if topology not in ("htree", "grid"):
-        raise SpecError(f"topology must be 'htree' or 'grid', got {topology!r}")
     seeds = spec["seeds"]
     if (not isinstance(seeds, (list, tuple)) or not seeds
             or not all(_is_int(s, minimum=0) for s in seeds)):
@@ -378,29 +401,9 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
     extra_kohm = _number(spec["fault_extra_kohm"], "fault_extra_kohm")
     if variation < 0 or extra_kohm < 0:
         raise SpecError("variation and fault_extra_kohm must be >= 0")
-    if variation and topology == "grid":
-        raise SpecError("variation needs topology 'htree' (a grid is built "
-                        "without process variation)")
-    if spec["dead_injections"] and topology == "htree":
-        raise SpecError("dead_injections need topology 'grid' (an h-tree "
-                        "has no injection drivers)")
     fault = None
     if spec["fault_node"] is not None:
-        node = str(spec["fault_node"])
-        if topology != "htree":
-            raise SpecError("fault_node needs topology 'htree' (a grid has "
-                            "no tree node to open)")
-        from repro.clocktree.htree import build_h_tree
-        from repro.clocktree.tree import Buffer
-
-        # Every node but the root is fed by a wire that can open.
-        names = [n.name for n in
-                 build_h_tree(levels, buffer=Buffer()).walk()
-                 if n.wire is not None]
-        if node not in names:
-            raise SpecError(f"fault_node {node!r} is not a node of the "
-                            f"h-tree; use one of {' '.join(names)}")
-        fault = ("resistive_open", node, extra_kohm * 1e3)
+        fault = ("resistive_open", str(spec["fault_node"]), extra_kohm * 1e3)
     dead = tuple(
         (int(r), int(c)) for r, c in (spec["dead_injections"] or [])
     )
@@ -425,6 +428,11 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
         )
         for seed in seeds
     ]
+    try:
+        check_scenario(topology, levels, fault=jobs[0].tree_fault(),
+                       variation=variation, dead_injections=dead)
+    except ValueError as error:
+        raise SpecError(str(error)) from None
 
     def fold(campaign: Any) -> Dict[str, Any]:
         runs = []

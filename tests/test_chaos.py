@@ -144,14 +144,28 @@ def test_flipped_byte_fails_crc():
     assert unframe_entry(json.loads(tampered)) is None
 
 
-def test_unframed_format1_entries_still_load(tmp_path):
-    journal = tmp_path / "old.jsonl"
+def test_unframed_entries_are_quarantined_and_rerun(tmp_path):
+    # A line without the integrity frame (the format-1 layout) cannot
+    # be verified, so it is corrupt: quarantined, and its job re-runs.
+    job = SensorJob(skew=1e-12)
+    path = tmp_path / "old.jsonl"
     lines = [
         {"kind": "header", "format": 1},
-        {"kind": "result", "key": "k1", "result": {"vmin": 1.0}},
+        {"kind": "result", "key": job.key(),
+         "result": _stub_evaluate(job).to_payload()},
     ]
-    journal.write_text("".join(json.dumps(e) + "\n" for e in lines))
-    assert load_journal(journal) == {"k1": {"vmin": 1.0}}
+    path.write_text("".join(json.dumps(e) + "\n" for e in lines))
+    assert load_journal(path, quarantine=True) == {}
+    records = [
+        json.loads(line)
+        for line in quarantine_path(path).read_text().splitlines()
+    ]
+    assert [(r["lineno"], r["reason"]) for r in records] == [
+        (1, "no integrity frame"), (2, "no integrity frame"),
+    ]
+    campaign = run_campaign([job], evaluate=_stub_evaluate, cache=None,
+                            checkpoint=str(path), resume=True)
+    assert campaign.results[0].resumed is False
 
 
 def test_load_journal_quarantines_corrupt_lines(tmp_path):

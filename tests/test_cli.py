@@ -87,28 +87,125 @@ def test_sensitivity_stats_flag(capsys, fresh_cache):
     assert "0 misses" in out
 
 
-def test_sensitivity_passes_batch_workers(monkeypatch, capsys):
-    """``--batch-workers`` is the only way to set the shard width, so the
-    sensitivity command must hand it to every sweep."""
-    import numpy as np
+_GRID_RUNS = {
+    "sensitivity": ["sensitivity", "--loads", "80", "160", "--points", "3"],
+    "campaign": ["campaign", "--loads", "160", "--slews", "0.2", "0.3",
+                 "--points", "3"],
+    "montecarlo": ["montecarlo", "--samples", "2", "--seed", "5",
+                   "--skews", "0.0", "0.2"],
+}
 
-    from repro.core import sensitivity
 
+@pytest.mark.parametrize("command", _GRID_RUNS.values(), ids=_GRID_RUNS)
+def test_grid_commands_pass_runtime_flags_to_the_run(monkeypatch, capsys,
+                                                     fresh_cache, command):
+    """``--backend``, ``--workers`` and ``--batch-workers`` reach the
+    one campaign each grid command runs."""
+    import repro.runtime
+
+    real = repro.runtime.run_campaign
     calls = []
 
-    def fake_sweep(load, slew, skews, **kwargs):
+    def spy(jobs, **kwargs):
         calls.append(kwargs)
-        return sensitivity.SensitivityCurve(
-            load=load, slew=slew, skews=np.asarray(skews),
-            vmins=np.zeros(len(skews)),
-        )
+        return real(jobs, **{**kwargs, "backend": "serial"})
 
-    monkeypatch.setattr(sensitivity, "sweep_skew", fake_sweep)
-    assert main(["sensitivity", "--backend", "batch", "--batch-workers", "2",
-                 "--loads", "80", "160", "--points", "3"]) == 0
-    assert len(calls) == 2
-    assert all(call["batch_workers"] == 2 for call in calls)
-    assert all(call["backend"] == "batch" for call in calls)
+    monkeypatch.setattr(repro.runtime, "run_campaign", spy)
+    assert main([*command, "--backend", "batch", "--workers", "3",
+                 "--batch-workers", "2"]) == 0
+    assert [(c["backend"], c["max_workers"], c["batch_workers"])
+            for c in calls] == [("batch", 3, 2)]
+
+
+@pytest.mark.parametrize("command, kind, flags", [
+    ("sensitivity", "sensitivity",
+     ["--loads", "120", "--tau-max", "0.3", "--points", "3"]),
+    ("campaign", "sensitivity",
+     ["--loads", "120", "160", "--slews", "0.1", "0.3", "--tau-max", "0.3",
+      "--points", "3"]),
+    ("montecarlo", "montecarlo",
+     ["--samples", "4", "--seed", "9", "--load", "120",
+      "--skews", "0.0", "0.3"]),
+], ids=["sensitivity", "campaign", "montecarlo"])
+@pytest.mark.parametrize("runtime", [
+    [], ["--backend", "batch", "--workers", "2", "--batch-workers", "1"],
+], ids=["defaults", "batch"])
+def test_run_commands_build_the_spec_submit_sends(monkeypatch, capsys,
+                                                  command, kind, flags,
+                                                  runtime):
+    from repro.service import specs
+    from repro.service.client import ServiceClient, ServiceError
+
+    built = []
+
+    def capture_plan(spec):
+        built.append(spec)
+        raise specs.SpecError("captured")
+
+    def capture_submit(service, spec, **kwargs):
+        built.append(spec)
+        raise ServiceError(400, "captured")
+
+    monkeypatch.setattr(specs, "build_plan", capture_plan)
+    monkeypatch.setattr(ServiceClient, "submit", capture_submit)
+    assert main([command, *flags, *runtime]) == 2
+    assert main(["submit", "--kind", kind, *flags, *runtime]) == 1
+    run_spec, submitted = built
+    assert run_spec == submitted
+
+
+def _served(spec):
+    """The folded payload of ``spec`` as the service computes it."""
+    from repro.runtime import run_campaign
+    from repro.service.specs import build_plan
+
+    plan = build_plan(spec)
+    return plan.fold(run_campaign(plan.jobs, cache=None, **plan.executor))
+
+
+def test_sensitivity_prints_the_fold_of_its_spec(capsys, fresh_cache):
+    assert main(["sensitivity", "--loads", "80", "160", "--points", "4",
+                 "--tau-max", "0.4", "--slew", "0.3"]) == 0
+    rows = [line.strip().split("  ")
+            for line in capsys.readouterr().out.splitlines()
+            if line.endswith(" ns") and " fF  " in line]
+    payload = _served({"kind": "sensitivity", "loads_ff": [80.0, 160.0],
+                       "slews_ns": [0.3], "tau_max_ns": 0.4, "points": 4})
+    assert rows == [
+        [f"{c['load_f'] * 1e15:.0f} fF", f"{c['slew_s'] * 1e9:.1f} ns",
+         f"{c['tau_min_s'] * 1e9:.3f} ns"]
+        for c in payload["curves"]
+    ]
+
+
+def test_campaign_prints_the_fold_of_its_spec(capsys, fresh_cache):
+    assert main(["campaign", "--loads", "160", "--slews", "0.2", "0.3",
+                 "--points", "3", "--tau-max", "0.4", "--no-cache"]) == 0
+    printed = [line.split("tau_min = ")[1]
+               for line in capsys.readouterr().out.splitlines()
+               if "tau_min = " in line]
+    payload = _served({"kind": "sensitivity", "loads_ff": [160.0],
+                       "slews_ns": [0.2, 0.3], "tau_max_ns": 0.4,
+                       "points": 3})
+    assert printed == [f"{c['tau_min_s'] * 1e9:.3f} ns"
+                       for c in payload["curves"]]
+
+
+def test_montecarlo_prints_the_fold_of_its_spec(capsys, fresh_cache):
+    assert main(["montecarlo", "--samples", "3", "--seed", "11",
+                 "--skews", "0.0", "0.2", "--no-cache"]) == 0
+    printed = capsys.readouterr().out.splitlines()[2:]
+    payload = _served({"kind": "montecarlo", "samples": 3, "seed": 11,
+                       "load_ff": 160.0, "skews_ns": [0.0, 0.2]})
+    expected = []
+    for tau_ns in (0.0, 0.2):
+        tau = tau_ns * 1e-9
+        vmins = [p["vmin_v"] for p in payload["points"] if p["skew_s"] == tau]
+        expected.append([f"{tau_ns:.2f}", f"{min(vmins):.2f}",
+                         f"{sum(vmins) / len(vmins):.2f}",
+                         f"{max(vmins):.2f}",
+                         f"{payload['flagged'][repr(tau)]}/{len(vmins)}"])
+    assert [line.split() for line in printed] == expected
 
 
 @pytest.mark.parametrize("command", ["sensitivity", "campaign"])
@@ -215,6 +312,27 @@ def test_whole_tree_command_rejects_inputs_its_topology_ignores(
     assert main(["whole-tree", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"topology '{needs}'" in err
+
+
+@pytest.mark.parametrize("flags, spec", [
+    (["--levels", "1", "--open-node", "nope"],
+     {"levels": 1, "fault_node": "nope"}),
+    (["--topology", "grid", "--variation", "0.1"],
+     {"topology": "grid", "variation": 0.1}),
+    (["--levels", "1", "--dead-injection", "0", "0"],
+     {"levels": 1, "dead_injections": [[0, 0]]}),
+    (["--topology", "grid", "--open-node", "s1"],
+     {"topology": "grid", "fault_node": "s1"}),
+], ids=["unknown-node", "grid-variation", "htree-dead-injection",
+        "grid-fault"])
+def test_whole_tree_refuses_in_the_whole_tree_kinds_words(capsys, flags,
+                                                          spec):
+    from repro.service.specs import SpecError, build_plan
+
+    with pytest.raises(SpecError) as refusal:
+        build_plan({"kind": "whole_tree", **spec})
+    assert main(["whole-tree", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {refusal.value}\n"
 
 
 def test_export_command_stdout(capsys):
