@@ -24,8 +24,8 @@ Commands
 ``result``       A finished campaign's result payload.
 ``cancel``       Cancel a queued or running campaign.
 
-``sensitivity``, ``campaign`` and ``montecarlo`` run the plan of the
-spec ``submit`` would send through the scheduler's run entry,
+``sensitivity``, ``campaign``, ``montecarlo`` and ``whole-tree`` run the
+plan of their flags' spec through the scheduler's run entry,
 :func:`repro.service.specs.run_plan`; a spec the service refuses exits 2.
 """
 
@@ -76,12 +76,24 @@ _RUNTIME_FLAGS = (
 
 def _spec(args: argparse.Namespace) -> dict:
     """The service spec of the flags of ``sensitivity``, ``campaign``,
-    ``montecarlo`` or ``submit``.  A runtime flag a command lacks, or
-    leaves at its default, stays out: the kind's default applies."""
+    ``montecarlo``, ``whole-tree`` or ``submit``.  A runtime flag a
+    command lacks, or leaves at its default, and a whole-tree flag not
+    given stay out: the kind's default applies."""
     if args.kind == "sensitivity":
         spec = {"kind": "sensitivity", "loads_ff": args.loads,
                 "slews_ns": args.slews, "tau_max_ns": args.tau_max,
                 "points": args.points}
+    elif args.kind == "whole_tree":
+        given = {"topology": args.topology, "levels": args.levels,
+                 "grid": args.grid, "sensors": args.sensors,
+                 "variation": args.variation, "fault_node": args.open_node,
+                 "dead_injections": args.dead_injection,
+                 "segments_per_wire": args.segments,
+                 "seeds": None if args.seed is None else [args.seed],
+                 "fault_extra_kohm": (None if args.open_ohms is None
+                                      else args.open_ohms / 1e3)}
+        spec = {"kind": "whole_tree",
+                **{key: v for key, v in given.items() if v is not None}}
     else:
         spec = {"kind": "montecarlo", "samples": args.samples,
                 "seed": args.seed, "load_ff": args.load,
@@ -97,8 +109,8 @@ def _spec(args: argparse.Namespace) -> dict:
 
 def _run(args: argparse.Namespace, spec: dict, **run_kwargs):
     """Build ``spec``'s plan once and run it through the scheduler's run
-    entry: ``(folded payload, telemetry)``, or ``None`` after printing
-    the kind's refusal (an HTTP 400 there) as ``error: ...``."""
+    entry: ``(plan, folded payload, telemetry)``, or ``None`` after
+    printing the kind's refusal (an HTTP 400 there) as ``error: ...``."""
     from repro.runtime import Telemetry
     from repro.service.specs import SpecError, build_plan, run_plan
 
@@ -110,7 +122,7 @@ def _run(args: argparse.Namespace, spec: dict, **run_kwargs):
     telemetry = Telemetry()
     with telemetry.timer(args.command):
         campaign = run_plan(plan, telemetry=telemetry, **run_kwargs)
-    return plan.fold(campaign), telemetry
+    return plan, plan.fold(campaign), telemetry
 
 
 def _print_telemetry(args: argparse.Namespace, telemetry) -> None:
@@ -133,7 +145,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     ran = _run(args, _spec(args))
     if ran is None:
         return 2
-    payload, telemetry = ran
+    _, payload, telemetry = ran
     print(sensitivity_report([
         SensitivityCurve(load=c["load_f"], slew=c["slew_s"],
                          skews=np.array(c["skews_s"]),
@@ -152,7 +164,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                resume=args.resume)
     if ran is None:
         return 2
-    payload, telemetry = ran
+    _, payload, telemetry = ran
     print(f"campaign: {len(payload['curves'])} curves x {args.points} skew "
           f"points ({args.backend} backend)")
     if telemetry.jobs_failed:
@@ -178,7 +190,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     ran = _run(args, spec)
     if ran is None:
         return 2
-    payload, telemetry = ran
+    _, payload, telemetry = ran
     seed_text = args.seed if args.seed is not None else "none (fresh draws)"
     print(f"montecarlo: {args.samples} samples x {len(args.skews)} skews "
           f"({args.backend} backend, seed {seed_text})")
@@ -299,59 +311,32 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
 
 
 def _cmd_whole_tree(args: argparse.Namespace) -> int:
-    from repro.clocktree import ResistiveOpen
-    from repro.clocktree.whole_tree import simulate_whole_tree
-
-    fault = None
-    if args.open_node:
-        fault = ResistiveOpen(
-            node=args.open_node, extra_resistance=args.open_ohms
-        )
-    try:
-        run = simulate_whole_tree(
-            levels=args.levels,
-            topology=args.topology,
-            n_sensors=args.sensors,
-            fault=fault,
-            variation=args.variation,
-            seed=args.seed,
-            grid_shape=tuple(args.grid),
-            dead_injections=tuple(
-                tuple(p) for p in (args.dead_injection or [])
-            ),
-            segments_per_wire=args.segments,
-        )
-    except ValueError as exc:
-        # check_scenario's refusals, in the whole_tree kind's words, or
-        # a size the network cannot take (more sensors than pairs).
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    ran = _run(args, _spec(args))
+    if ran is None:
         return 2
-    kernel = run.result.kernel_stats or {}
+    plan, payload, telemetry = ran
+    (run,) = payload["runs"]
+    kernel = telemetry.kernel
     if args.json:
         print(json.dumps({
-            "topology": args.topology,
-            "n_nodes": run.n_nodes,
-            "skews_s": {k: (None if v != v or abs(v) == float("inf") else v)
-                        for k, v in run.skews.items()},
-            "codes": {k: list(v) for k, v in run.codes.items()},
-            "flagged": run.flagged,
-            "kernel": {k: v for k, v in kernel.items()},
+            "topology": payload["topology"],
+            **{key: run[key] for key in ("n_nodes", "skews_s", "codes",
+                                         "flagged")},
+            "kernel": kernel,
         }, indent=2))
         return 0
-    print(f"{args.topology}: {run.n_nodes} MNA nodes, "
-          f"{len(run.placements)} sensors")
+    print(f"{payload['topology']}: {run['n_nodes']} MNA nodes, "
+          f"{len(run['codes'])} sensors")
     if kernel.get("sparse_nnz"):
         print(f"sparse: nnz {kernel['sparse_nnz']}, "
               f"LU fill {kernel.get('sparse_fill_nnz', 0)}")
-    if fault is not None:
-        print(f"injected: {fault.describe()}")
-    for placement in run.placements:
-        skew = run.skews[placement.label]
-        shown = "   never" if skew != skew or abs(skew) == float("inf") \
-            else f"{to_ns(skew):+8.3f}"
-        print(f"  {placement.label:<16} skew {shown} ns  "
-              f"code {run.codes[placement.label]}")
-    print(f"checker   : {'ALARM' if run.flagged else 'ok'}")
+    if args.open_node:
+        print(f"injected: {plan.jobs[0].tree_fault().describe()}")
+    for label, skew in run["skews_s"].items():
+        shown = "   never" if skew is None else f"{to_ns(skew):+8.3f}"
+        print(f"  {label:<16} skew {shown} ns  "
+              f"code {tuple(run['codes'][label])}")
+    print(f"checker   : {'ALARM' if run['flagged'] else 'ok'}")
     return 0
 
 
@@ -651,28 +636,27 @@ def build_parser() -> argparse.ArgumentParser:
         "whole-tree",
         help="full-chip clock network with N sensors (sparse engine)",
     )
-    wtree.add_argument("--topology", choices=("htree", "grid"),
-                       default="htree")
-    wtree.add_argument("--levels", type=int, default=2,
+    # No defaults here: a flag left out takes the whole_tree kind's.
+    wtree.add_argument("--topology", choices=("htree", "grid"))
+    wtree.add_argument("--levels", type=int,
                        help="H-tree levels (4**levels sinks)")
-    wtree.add_argument("--grid", type=int, nargs=2, default=(6, 6),
+    wtree.add_argument("--grid", type=int, nargs=2,
                        metavar=("ROWS", "COLS"),
                        help="grid topology shape")
-    wtree.add_argument("--sensors", type=int, default=2)
-    wtree.add_argument("--variation", type=float, default=0.0,
+    wtree.add_argument("--sensors", type=int)
+    wtree.add_argument("--variation", type=float,
                        help="relative RC/buffer process variation")
-    wtree.add_argument("--seed", type=int, default=0)
-    wtree.add_argument("--open-node", type=str, default=None,
+    wtree.add_argument("--seed", type=int)
+    wtree.add_argument("--open-node", type=str,
                        help="inject a resistive open at this tree node")
-    wtree.add_argument("--open-ohms", type=float, default=8000.0)
+    wtree.add_argument("--open-ohms", type=float)
     wtree.add_argument("--dead-injection", type=int, nargs=2,
-                       action="append", default=None,
-                       metavar=("ROW", "COL"),
+                       action="append", metavar=("ROW", "COL"),
                        help="kill a grid injection driver (repeatable)")
-    wtree.add_argument("--segments", type=int, default=3,
+    wtree.add_argument("--segments", type=int,
                        help="RC segments per wire")
     wtree.add_argument("--json", action="store_true")
-    wtree.set_defaults(func=_cmd_whole_tree)
+    wtree.set_defaults(func=_cmd_whole_tree, kind="whole_tree")
 
     export = sub.add_parser("export", help="SPICE deck of the sensor")
     export.add_argument("--load", type=float, default=160.0, help="load in fF")

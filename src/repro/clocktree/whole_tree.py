@@ -94,8 +94,6 @@ def select_sensor_pairs(
     scheme is supposed to watch).  ``max_distance`` defaults to the full
     die span, i.e. unconstrained.
     """
-    if n_sensors < 1:
-        raise ValueError("need at least one sensor")
     if max_distance is None:
         sinks = tree.sinks()
         max_distance = max(
@@ -334,11 +332,8 @@ class GridNetlistBuilder:
         Rows are spread evenly over the grid; each pair couples column 0
         with column ``cols - 1`` of its row - maximal unshared path,
         zero nominal skew when the injection points are symmetric.
+        :func:`check_scenario` refuses more sensors than rows.
         """
-        if n_sensors < 1 or n_sensors > self.rows:
-            raise ValueError(
-                f"grid of {self.rows} rows supports 1..{self.rows} sensors"
-            )
         picks = np.linspace(0, self.rows - 1, n_sensors)
         pairs: List[Tuple[str, str, str, str]] = []
         for row in sorted({int(round(r)) for r in picks}):
@@ -355,12 +350,15 @@ def check_scenario(
     fault: Optional[TreeFault] = None,
     variation: float = 0.0,
     dead_injections: Sequence[Tuple[int, int]] = (),
+    n_sensors: int = 2,
+    grid_shape: Tuple[int, int] = (6, 6),
 ) -> None:
     """The refusals of :func:`simulate_whole_tree` and the
     ``whole_tree`` kind: ``ValueError`` for a tree ``fault`` or a
-    ``variation`` on a grid, ``dead_injections`` on an H-tree, and a
-    ``fault`` that does not apply to ``tree`` (the H-tree of ``levels``
-    when omitted), such as an open on the root, which no wire feeds."""
+    ``variation`` on a grid, ``dead_injections`` on an H-tree or off the
+    grid's drivers, a ``fault`` that does not apply to ``tree`` (the
+    H-tree of ``levels`` when omitted), such as an open on the root, and
+    ``n_sensors`` past the network's disjoint sink pairs (counted)."""
     if topology == "grid":
         if fault is not None:
             raise ValueError("a tree fault needs topology 'htree': a grid "
@@ -368,6 +366,14 @@ def check_scenario(
         if variation:
             raise ValueError("variation needs topology 'htree': a grid is "
                              "built without process variation")
+        rows, cols = grid_shape
+        drivers = GridNetlistBuilder(rows, cols).injections
+        for point in dead_injections:
+            if tuple(point) not in drivers:
+                raise ValueError(f"no driver to kill at {tuple(point)}; the "
+                                 f"drivers are at "
+                                 f"{' '.join(map(str, drivers))}")
+        network, offered = f"a grid of {rows} rows", rows
     elif topology == "htree":
         if dead_injections:
             raise ValueError("dead_injections need topology 'grid': an "
@@ -381,9 +387,14 @@ def check_scenario(
                                  if n.wire is not None)
                 raise ValueError(f"{error.args[0]}; the nodes a wire feeds "
                                  f"are {wired}") from None
+        sinks = len(tree.sinks()) if tree is not None else 4 ** levels
+        network, offered = f"an H-tree of {sinks} sinks", sinks // 2
     else:
         raise ValueError(f"topology must be 'htree' or 'grid', "
                          f"got {topology!r}")
+    if not 1 <= n_sensors <= offered:
+        raise ValueError(f"sensors must be 1..{offered}: {network} offers "
+                         f"{offered} disjoint sink pairs, got {n_sensors}")
 
 
 @dataclass
@@ -454,8 +465,9 @@ def simulate_whole_tree(
     sensing circuits on the most critical disjoint pairs.
     ``topology="grid"`` builds the TRIX-style mesh of ``grid_shape``
     with column-mirrored sensor pairs; ``dead_injections`` kills
-    drivers.  An input the topology has no use for, or a fault that
-    does not apply, raises ``ValueError`` (:func:`check_scenario`).
+    drivers.  An input the topology has no use for, a fault that does
+    not apply or more sensors than the network has disjoint sink pairs
+    raises ``ValueError`` (:func:`check_scenario`).
     The default engine options select the Jacobian policy by node
     count (``"auto"``), so whole-chip instances run sparse.
 
@@ -480,7 +492,8 @@ def simulate_whole_tree(
         )
 
     check_scenario(topology, levels, tree=tree, fault=fault,
-                   variation=variation, dead_injections=dead_injections)
+                   variation=variation, dead_injections=dead_injections,
+                   n_sensors=n_sensors, grid_shape=grid_shape)
     if topology == "htree":
         tree = tree or build_h_tree(levels, buffer=Buffer())
         if variation:
@@ -656,7 +669,7 @@ def evaluate_whole_tree_job(job: WholeTreeJob) -> "JobResult":  # noqa: F821
     JSON-finite), ``vmin_y1``/``vmin_y2`` the strongest sensor-output
     indication at the sample instant, and ``code`` the OR over all
     sensing circuits - ``(0, 0)`` means the whole monitoring plane stayed
-    quiet.
+    quiet.  ``pairs`` and ``n_nodes`` carry the per-sensor readout.
     """
     from repro.runtime.jobs import JobResult
 
@@ -699,5 +712,8 @@ def evaluate_whole_tree_job(job: WholeTreeJob) -> "JobResult":  # noqa: F821
         code=code,
         steps=len(run.result),
         escalations=tuple(sorted(run.result.escalations.items())),
-        kernel=tuple(sorted((run.result.kernel_stats or {}).items())),
+        kernel=tuple((run.result.kernel_stats or {}).items()),
+        pairs=tuple((label, float(skew) if np.isfinite(skew) else None,
+                     run.codes[label]) for label, skew in run.skews.items()),
+        n_nodes=run.n_nodes,
     )

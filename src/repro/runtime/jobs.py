@@ -100,7 +100,7 @@ class JobResult:
     stays hashable), and ``resumed`` marks values replayed from a
     checkpoint journal rather than computed.  ``kernel`` is the
     hot-loop observability record of the transient
-    (:meth:`repro.analog.kernels.KernelStats.as_dict` as sorted pairs);
+    (:meth:`repro.analog.kernels.KernelStats.as_dict` as pairs);
     it describes *this run's* work, so it is deliberately not part of
     the cache payload - cached and resumed replays carry an empty tally,
     exactly like ``steps``.
@@ -122,6 +122,10 @@ class JobResult:
     #: ``kernel``: not part of the cache payload, so cached/resumed
     #: replays carry an empty tuple.
     prefix: Tuple[Tuple[str, float], ...] = ()
+    #: A whole-tree job's per-sensor ``(label, skew or None, code)``, in
+    #: placement order, and MNA node count; in the payload only when set.
+    pairs: Tuple[Tuple[str, Optional[float], Tuple[int, int]], ...] = ()
+    n_nodes: int = 0
 
     @property
     def ok(self) -> bool:
@@ -155,7 +159,7 @@ class JobResult:
         Floats survive ``json`` round-trips bit-exactly (``repr`` based),
         so cached replays are identical to fresh computations.
         """
-        return {
+        payload = {
             "skew": self.skew,
             "vmin_y1": self.vmin_y1,
             "vmin_y2": self.vmin_y2,
@@ -163,6 +167,11 @@ class JobResult:
             "steps": self.steps,
             "escalations": {rung: count for rung, count in self.escalations},
         }
+        if self.pairs:
+            payload["pairs"] = [[label, skew, list(code)]
+                                for label, skew, code in self.pairs]
+            payload["n_nodes"] = self.n_nodes
+        return payload
 
     @staticmethod
     def from_payload(
@@ -181,6 +190,9 @@ class JobResult:
                 (str(rung), int(count)) for rung, count in escalations.items()
             )),
             resumed=resumed,
+            pairs=tuple((label, skew, tuple(code))
+                        for label, skew, code in payload.get("pairs", ())),
+            n_nodes=int(payload.get("n_nodes", 0)),
         )
 
 

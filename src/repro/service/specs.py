@@ -172,6 +172,9 @@ def build_plan(spec: Dict[str, Any]) -> CampaignPlan:
     """Compile a (normalized or raw) spec into its :class:`CampaignPlan`."""
     spec = normalize_spec(spec)
     plan = _KIND_BUILDERS[spec["kind"]](spec)
+    if plan.evaluate is not None and spec["backend"] == "batch":
+        raise SpecError(f"kind {spec['kind']!r} evaluates its own jobs; the "
+                        "batch backend runs sensor jobs only")
     plan.spec = spec
     return plan
 
@@ -398,20 +401,21 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
             or not all(_is_int(g, minimum=2) for g in grid)):
         raise SpecError("grid must be [rows, cols] with both >= 2")
     variation = _number(spec["variation"], "variation")
+    if variation < 0:
+        raise SpecError("variation must be >= 0")
     extra_kohm = _number(spec["fault_extra_kohm"], "fault_extra_kohm")
-    if variation < 0 or extra_kohm < 0:
-        raise SpecError("variation and fault_extra_kohm must be >= 0")
     fault = None
     if spec["fault_node"] is not None:
+        if extra_kohm <= 0:
+            raise SpecError("fault_extra_kohm must be > 0: an open of 0 ohm "
+                            "is the healthy network")
         fault = ("resistive_open", str(spec["fault_node"]), extra_kohm * 1e3)
-    dead = tuple(
-        (int(r), int(c)) for r, c in (spec["dead_injections"] or [])
-    )
-    options = _options(spec)
-    if options is not None:
-        # Whole-chip instances are exactly the node counts the sparse
-        # path exists for; "auto" keeps small test trees on dense reuse.
-        options = replace(options, jacobian_policy="auto")
+    # check_scenario refuses a point that is not a driver's, as given.
+    dead = tuple(tuple(p) for p in spec["dead_injections"] or [])
+    # Whole-chip instances are exactly the node counts the sparse path
+    # exists for; "auto" keeps small test trees on dense reuse.
+    options = replace(FAST_OPTIONS if spec["fast"] else TransientOptions(),
+                      jacobian_policy="auto")
     jobs = [
         WholeTreeJob(
             topology=topology,
@@ -430,7 +434,8 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
     ]
     try:
         check_scenario(topology, levels, fault=jobs[0].tree_fault(),
-                       variation=variation, dead_injections=dead)
+                       variation=variation, dead_injections=dead,
+                       n_sensors=sensors, grid_shape=tuple(grid))
     except ValueError as error:
         raise SpecError(str(error)) from None
 
@@ -443,6 +448,10 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
                     worst_skew_s=result.skew,
                     code=list(result.code),
                     flagged=result.error_detected,
+                    n_nodes=result.n_nodes,
+                    skews_s={label: skew for label, skew, _ in result.pairs},
+                    codes={label: list(code)
+                           for label, _, code in result.pairs},
                 )
             runs.append(entry)
         return {
@@ -469,7 +478,7 @@ register_kind(
         "variation": 0.0,
         "seeds": [0],
         "fault_node": None,
-        "fault_extra_kohm": 0.0,
+        "fault_extra_kohm": 8.0,
         "dead_injections": [],
         "segments_per_wire": 3,
     },

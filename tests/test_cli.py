@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.clocktree import ResistiveOpen
 
 
 def test_parser_requires_command():
@@ -323,8 +325,19 @@ def test_whole_tree_command_rejects_inputs_its_topology_ignores(
      {"levels": 1, "dead_injections": [[0, 0]]}),
     (["--topology", "grid", "--open-node", "s1"],
      {"topology": "grid", "fault_node": "s1"}),
+    (["--levels", "1", "--sensors", "3"], {"levels": 1, "sensors": 3}),
+    (["--topology", "grid", "--grid", "2", "2", "--sensors", "3"],
+     {"topology": "grid", "grid": [2, 2], "sensors": 3}),
+    (["--topology", "grid", "--dead-injection", "9", "9"],
+     {"topology": "grid", "dead_injections": [[9, 9]]}),
+    (["--topology", "grid", "--dead-injection", "1", "1"],
+     {"topology": "grid", "dead_injections": [[1, 1]]}),
+    (["--levels", "1", "--open-node", "s1", "--open-ohms", "0"],
+     {"levels": 1, "fault_node": "s1", "fault_extra_kohm": 0}),
 ], ids=["unknown-node", "grid-variation", "htree-dead-injection",
-        "grid-fault"])
+        "grid-fault", "htree-sensors-past-pairs", "grid-sensors-past-rows",
+        "dead-injection-off-grid", "dead-injection-not-a-driver",
+        "zero-ohm-open"])
 def test_whole_tree_refuses_in_the_whole_tree_kinds_words(capsys, flags,
                                                           spec):
     from repro.service.specs import SpecError, build_plan
@@ -333,6 +346,86 @@ def test_whole_tree_refuses_in_the_whole_tree_kinds_words(capsys, flags,
         build_plan({"kind": "whole_tree", **spec})
     assert main(["whole-tree", *flags]) == 2
     assert capsys.readouterr().err == f"error: {refusal.value}\n"
+
+
+@pytest.mark.parametrize("flags, most", [
+    (["--levels", "1"], 2),
+    (["--topology", "grid", "--grid", "3", "2"], 3),
+], ids=["htree", "grid"])
+def test_whole_tree_runs_as_many_sensors_as_the_network_offers(capsys, flags,
+                                                               most):
+    # An H-tree offers half its sinks as disjoint pairs, a grid one pair
+    # per row: the largest count runs, and one more is refused.
+    assert main(["whole-tree", *flags, "--sensors", str(most)]) == 0
+    assert capsys.readouterr().out.count(" code (") == most
+    assert main(["whole-tree", *flags, "--sensors", str(most + 1)]) == 2
+    assert f"offers {most} disjoint sink pairs" in capsys.readouterr().err
+
+
+def test_whole_tree_open_defaults_to_the_kinds_8_kohm(capsys):
+    assert main(["whole-tree", "--levels", "1", "--open-node", "s1"]) == 0
+    assert "injected: resistive open at s1 (+8000 ohm)" in \
+        capsys.readouterr().out
+
+
+#: ``repro whole-tree`` flags, and the ``simulate_whole_tree`` arguments
+#: that differ from the defaults the command passed before it ran the
+#: whole_tree kind's plan (``_DIRECT_DEFAULTS``).
+_WHOLE_TREE_RUNS = {
+    "open-resumes": (["--levels", "2", "--open-node", "s13",
+                      "--open-ohms", "100000"],
+                     {"fault": ResistiveOpen("s13", 100000.0)}),
+    "levels-1": (["--levels", "1"], {"levels": 1}),
+    "grid-dead-corner": (["--topology", "grid", "--grid", "6", "6",
+                          "--dead-injection", "0", "0"],
+                         {"topology": "grid", "dead_injections": ((0, 0),)}),
+    "variation": (["--levels", "2", "--variation", "0.1", "--seed", "3"],
+                  {"variation": 0.1, "seed": 3}),
+}
+_DIRECT_DEFAULTS = dict(levels=2, topology="htree", n_sensors=2, fault=None,
+                        variation=0.0, seed=0, grid_shape=(6, 6),
+                        dead_injections=(), segments_per_wire=3)
+
+
+@pytest.mark.parametrize("flags, call", _WHOLE_TREE_RUNS.values(),
+                         ids=_WHOLE_TREE_RUNS)
+def test_whole_tree_json_is_the_direct_simulation(capsys, flags, call):
+    import math
+
+    from repro.clocktree.whole_tree import simulate_whole_tree
+
+    assert main(["whole-tree", *flags, "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    run = simulate_whole_tree(**{**_DIRECT_DEFAULTS, **call})
+    assert printed["n_nodes"] == run.n_nodes
+    # Placement order, a sink that never crosses as null.
+    assert list(printed["skews_s"].items()) == [
+        (label, skew if math.isfinite(skew) else None)
+        for label, skew in run.skews.items()
+    ]
+    assert printed["codes"] == {k: list(v) for k, v in run.codes.items()}
+    assert printed["flagged"] is run.flagged
+    kernel = run.result.kernel_stats
+    assert list(printed["kernel"]) == list(kernel)
+    assert {k: v for k, v in printed["kernel"].items() if k[-2:] != "_s"} \
+        == {k: v for k, v in kernel.items() if k[-2:] != "_s"}
+
+
+def test_whole_tree_json_is_the_fold_of_its_spec(capsys):
+    from repro.service.specs import build_plan, run_plan
+
+    assert main(["whole-tree", "--levels", "1", "--open-node", "s1",
+                 "--open-ohms", "100000", "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    plan = build_plan({"kind": "whole_tree", "levels": 1, "fault_node": "s1",
+                       "fault_extra_kohm": 100})
+    payload = plan.fold(run_plan(plan))
+    (run,) = payload["runs"]
+    assert printed["topology"] == payload["topology"]
+    assert {key: printed[key] for key in ("n_nodes", "skews_s", "codes",
+                                          "flagged")} \
+        == {key: run[key] for key in ("n_nodes", "skews_s", "codes",
+                                      "flagged")}
 
 
 def test_export_command_stdout(capsys):

@@ -137,6 +137,11 @@ _BAD_SPECS = {
     "negative-variation": ({**_WHOLE_TREE, "variation": -0.1}, "variation"),
     "bool-sensors": ({**_WHOLE_TREE, "sensors": True}, "sensors"),
     "bool-tree-seed": ({**_WHOLE_TREE, "seeds": [True]}, "seeds"),
+    "negative-open": ({**_WHOLE_TREE, "fault_node": "s1",
+                       "fault_extra_kohm": -5}, "fault_extra_kohm"),
+    "fractional-dead-injection": ({"kind": "whole_tree", "topology": "grid",
+                                   "dead_injections": [[0.5, 0]]},
+                                  "no driver to kill at"),
 }
 
 
@@ -167,3 +172,80 @@ def test_server_answers_400_for_a_nan_spec(tmp_path):
         server.shutdown_all()
         thread.join(5.0)
     assert not thread.is_alive()
+
+
+def test_whole_tree_spec_refuses_the_batch_backend():
+    """A kind with its own evaluate cannot run on the batch backend,
+    which evaluates sensor jobs directly: refused at submit, not by a
+    campaign that fails later."""
+    with pytest.raises(SpecError, match="batch backend"):
+        build_plan({**_WHOLE_TREE, "backend": "batch"})
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_whole_tree_fast_picks_the_options(monkeypatch):
+    from dataclasses import replace
+
+    from repro.analog.engine import TransientOptions
+    from repro.clocktree import whole_tree
+
+    fast, full = (build_plan({**_WHOLE_TREE, "fast": flag}).jobs[0]
+                  for flag in (True, False))
+    assert full.options == replace(TransientOptions(), jacobian_policy="auto")
+    assert fast.options != full.options
+    assert fast.key() != full.key()
+
+    # The default spec runs what simulate_whole_tree runs given no options.
+    seen = []
+
+    def spy(netlist, **kwargs):
+        seen.append(kwargs["options"])
+        raise _Stop
+
+    monkeypatch.setattr(whole_tree, "transient", spy)
+    with pytest.raises(_Stop):
+        whole_tree.simulate_whole_tree(levels=1)
+    assert build_plan({"kind": "whole_tree"}).jobs[0].options == seen[0]
+
+
+def test_whole_tree_open_defaults_to_8_kohm():
+    plan = build_plan({**_WHOLE_TREE, "fault_node": "s1"})
+    assert plan.jobs[0].fault == ("resistive_open", "s1", 8000.0)
+
+
+def test_job_payload_carries_the_pair_readout_only_when_set():
+    """A sensor job's payload keeps its keys; a whole-tree job's
+    per-pair readout survives the JSON a journal line holds."""
+    import json
+    from dataclasses import replace
+
+    from repro.runtime.jobs import JobResult
+
+    sensor = JobResult(skew=0.0, vmin_y1=1.0, vmin_y2=2.0, code=(0, 1))
+    assert list(sensor.to_payload()) == ["skew", "vmin_y1", "vmin_y2",
+                                         "code", "steps", "escalations"]
+    tree = replace(sensor, n_nodes=40, pairs=(("s1|s4", None, (1, 0)),
+                                              ("s2|s5", 1.5e-10, (0, 1))))
+    payload = json.loads(json.dumps(tree.to_payload()))
+    assert JobResult.from_payload(payload) == tree
+
+
+def test_whole_tree_campaign_resumes_its_per_pair_readout(tmp_path):
+    """The per-pair readout rides the journal: a resumed campaign
+    recomputes nothing and folds the runs the first one folded."""
+    from repro.service.specs import run_plan
+
+    plan = build_plan({"kind": "whole_tree", "levels": 1,
+                       "variation": 0.1, "seeds": [0, 1]})
+    journal = str(tmp_path / "journal.jsonl")
+    first = plan.fold(run_plan(plan, checkpoint=journal))["runs"]
+    assert [len(run["codes"]) for run in first] == [2, 2]
+    assert all(list(run["skews_s"]) == list(run["codes"]) for run in first)
+    assert all(run["n_nodes"] > 0 for run in first)
+
+    campaign = run_plan(plan, checkpoint=journal, resume=True)
+    assert all(result.resumed for result in campaign.results)
+    assert plan.fold(campaign)["runs"] == first
