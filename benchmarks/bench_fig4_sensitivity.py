@@ -131,7 +131,7 @@ STAMP_ROUNDS = 9
 STAMP_SENSOR_SPEEDUP_MIN = 1.2
 
 
-def _family(backend, telemetry, warm_start=None):
+def _family(backend, telemetry, warm_start=True):
     """One fresh (cache-bypassing) Fig.-4 family on the given backend."""
     return sensitivity_family(
         loads=[fF(c) for c in LOADS_FF],

@@ -61,13 +61,9 @@ import numpy as np
 
 import repro.runtime.prefix as prefix
 from repro.core.sensitivity import extract_tau_min
-from repro.montecarlo.parallel import (
-    default_workers,
-    sample_job,
-    scatter_analysis_parallel,
-)
+from repro.montecarlo.analysis import sample_job, scatter_analysis
 from repro.montecarlo.sampling import sample_population
-from repro.runtime import reset_cache
+from repro.runtime import reset_cache, resolve_workers
 from repro.units import VTH_INTERPRET, fF, ns, to_ns
 
 from _util import (
@@ -111,26 +107,26 @@ PLANNER_SIZES = (1, 2, 3, 4, 6, 9, 18)
 PLANNER_REPEATS = 10
 
 
-def _run_backend(backend, samples, n_workers=None, batch_workers=None,
+def _run_backend(backend, samples, max_workers=None, batch_workers=None,
                  chunksize=None, warm_start=False):
     """One fresh (cache-bypassing) scatter campaign; returns metrics too.
 
-    ``n_workers=None`` defers to the runtime's default (half the CPUs);
+    ``max_workers=None`` defers to the runtime's default (half the CPUs);
     the metrics record the *effective* pool width either way.
     ``samples_per_s`` counts the whole wall, prefix builds included
     (see :func:`_util.throughput_metrics`); the warm legs fork the
     checkpoint tier :func:`run` builds first, so ``prefix_builds`` is
     zero on them.
     """
-    effective_workers = n_workers if n_workers is not None else default_workers()
+    effective_workers = resolve_workers(max_workers)
     telemetry = Telemetry()
     watch = Stopwatch()
-    points = scatter_analysis_parallel(
+    points = scatter_analysis(
         samples,
         skews=[ns(t) for t in SKEWS_NS],
         options=ACCURATE_OPTIONS,
         backend=backend,
-        n_workers=n_workers,
+        max_workers=max_workers,
         batch_workers=batch_workers,
         chunksize=chunksize,
         cache=None,
@@ -231,7 +227,7 @@ def run():
     # dodged); the batch leg shards its stacks over the same number of
     # workers.  Both fork the tier above and integrate each job's
     # suffix only, so the two legs differ in engine only.
-    workers = max(2, default_workers())
+    workers = max(2, resolve_workers())
     scalar_points, scalar_metrics = _run_backend(
         "process", samples, workers, warm_start=True
     )

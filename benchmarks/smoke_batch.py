@@ -17,7 +17,7 @@ the pytest-benchmark plugin.
 
 import sys
 
-from repro.montecarlo.parallel import scatter_analysis_parallel
+from repro.montecarlo.analysis import scatter_analysis
 from repro.montecarlo.sampling import sample_population
 from repro.units import fF, ns
 
@@ -48,9 +48,9 @@ SHARD_WORKERS = 2
 def _run_backend(backend, samples, batch_workers=None, chunksize=None):
     telemetry = Telemetry()
     watch = Stopwatch()
-    points = scatter_analysis_parallel(
+    points = scatter_analysis(
         samples, skews=[ns(t) for t in SKEWS_NS], options=ACCURATE_OPTIONS,
-        backend=backend, n_workers=1, batch_workers=batch_workers,
+        backend=backend, max_workers=1, batch_workers=batch_workers,
         chunksize=chunksize, cache=None, telemetry=telemetry,
     )
     wall = watch.elapsed()

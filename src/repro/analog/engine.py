@@ -13,8 +13,8 @@ solution is compared against a linear extrapolation of history; the
 normalised difference drives growth/shrink of ``h`` and step rejection.
 
 When a step refuses to converge the engine escalates through a
-configurable ladder (:attr:`TransientOptions.escalation`) instead of dying
-on the first symptom:
+three-rung ladder (:data:`ESCALATION_RUNGS`) instead of dying on the
+first symptom:
 
 1. ``"step-halving"`` - shrink ``h`` by 4x down to ``dt_min``;
 2. ``"damped-newton"`` - retry the floored step with a heavily damped
@@ -130,14 +130,6 @@ class TransientOptions:
         Newton update convergence threshold, volts.
     lte_reject:
         Normalised local error above which a step is rejected outright.
-    escalation:
-        Enabled ladder rungs, applied in :data:`ESCALATION_RUNGS` order
-        on a non-convergent step: ``"step-halving"`` shrinks ``h``
-        toward ``dt_min``; the floor rungs retry the floored step.  An
-        empty tuple disables *every* convergence rescue, so the first
-        Newton failure raises immediately - stricter than the pre-ladder
-        engine, which always halved down to ``dt_min`` before giving up;
-        pass ``("step-halving",)`` for that historical behaviour.
     jacobian_policy:
         ``"reuse"`` (default) enables the modified-Newton factorization
         cache: a stale Jacobian inverse is reapplied while the update
@@ -167,7 +159,6 @@ class TransientOptions:
     max_newton: int = 50
     vntol: float = 1e-7
     lte_reject: float = 4.0
-    escalation: Tuple[str, ...] = ESCALATION_RUNGS
     jacobian_policy: str = "reuse"
 
     def __post_init__(self) -> None:
@@ -182,11 +173,6 @@ class TransientOptions:
             raise ValueError("max_newton must be at least 2")
         if self.lte_reject <= 1.0:
             raise ValueError("lte_reject must exceed 1")
-        unknown = [r for r in self.escalation if r not in ESCALATION_RUNGS]
-        if unknown:
-            raise ValueError(
-                f"unknown escalation rungs {unknown} (use {ESCALATION_RUNGS})"
-            )
         if self.jacobian_policy not in ("reuse", "dense", "sparse", "auto"):
             raise ValueError(
                 f"unknown jacobian_policy {self.jacobian_policy!r} "
@@ -393,7 +379,7 @@ class StepControl:
     def can_halve(self, h: float) -> bool:
         """Whether the step-halving rung may shrink ``h`` once more."""
         options = self.options
-        return h * 0.25 >= options.dt_min and "step-halving" in options.escalation
+        return h * 0.25 >= options.dt_min
 
     @staticmethod
     def predict_into(v: np.ndarray, v_prev: np.ndarray, t: Any,
@@ -746,35 +732,29 @@ def _rescue_step(
     Returns ``(solution, info, rung)`` - the rung that succeeded, or the
     info of the deepest failure for diagnostics.
     """
-    info: Dict[str, object] = {}
-    if "damped-newton" in options.escalation:
-        solution, info = _newton_step(
-            circuit, v_accepted.copy(), v_sources, q_prev, None, h, 1.0,
-            options, damping=0.1, max_iter=4 * options.max_newton, work=work,
+    solution, info = _newton_step(
+        circuit, v_accepted.copy(), v_sources, q_prev, None, h, 1.0,
+        options, damping=0.1, max_iter=4 * options.max_newton, work=work,
+    )
+    if solution is not None:
+        return solution, info, "damped-newton"
+    guess = v_accepted.copy()
+    for exponent in (1, 3, 6, 9, 12):
+        shunt = 10.0 ** (-exponent)
+        attempt, info = _newton_step(
+            circuit, guess, v_sources, q_prev, None, h, 1.0,
+            options, max_iter=4 * options.max_newton,
+            shunt=shunt, shunt_target=v_accepted, work=work,
         )
-        if solution is not None:
-            return solution, info, "damped-newton"
-    if "gmin-restart" in options.escalation:
-        guess = v_accepted.copy()
-        failed = False
-        for exponent in (1, 3, 6, 9, 12):
-            shunt = 10.0 ** (-exponent)
-            attempt, info = _newton_step(
-                circuit, guess, v_sources, q_prev, None, h, 1.0,
-                options, max_iter=4 * options.max_newton,
-                shunt=shunt, shunt_target=v_accepted, work=work,
-            )
-            if attempt is None:
-                failed = True
-                break
-            guess = attempt
-        if not failed:
-            solution, info = _newton_step(
-                circuit, guess, v_sources, q_prev, None, h, 1.0,
-                options, max_iter=4 * options.max_newton, work=work,
-            )
-            if solution is not None:
-                return solution, info, "gmin-restart"
+        if attempt is None:
+            return None, info, None
+        guess = attempt
+    solution, info = _newton_step(
+        circuit, guess, v_sources, q_prev, None, h, 1.0,
+        options, max_iter=4 * options.max_newton, work=work,
+    )
+    if solution is not None:
+        return solution, info, "gmin-restart"
     return None, info, None
 
 
@@ -970,7 +950,7 @@ def transient(
                 _fail(
                     StepSizeUnderflowError,
                     f"escalation budget exhausted ({MAX_RESCUES} rescues)",
-                    h, step_info, options.escalation[-1] if options.escalation else None,
+                    h, step_info, ESCALATION_RUNGS[-1],
                 )
             v_new, rescue_info, rung = _rescue_step(
                 circuit, v, v_sources, q_prev, h, options, work=work
@@ -980,15 +960,12 @@ def transient(
                 v_new = None
             if v_new is None:
                 nonfinite = nonfinite or bool(rescue_info.get("nonfinite"))
-                last_rung = (
-                    options.escalation[-1] if options.escalation else None
-                )
                 _fail(
                     NonFiniteStateError if nonfinite else StepSizeUnderflowError,
                     "non-finite state" if nonfinite else "step size underflow",
                     h,
                     rescue_info or step_info,
-                    last_rung,
+                    ESCALATION_RUNGS[-1],
                 )
             escalations[rung] = escalations.get(rung, 0) + 1
             rescued = True

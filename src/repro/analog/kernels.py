@@ -152,13 +152,24 @@ class KernelStats:
         return asdict(self)
 
     def merge(self, other: "KernelStats") -> None:
-        """Fold another stats object into this one (counters add)."""
-        for name in _KERNEL_COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        """Fold another stats object's shared fields into this one, by
+        :func:`fold_kernel_stat`."""
+        for f in fields(self):
+            if hasattr(other, f.name):
+                setattr(self, f.name, fold_kernel_stat(
+                    f.name, getattr(self, f.name), getattr(other, f.name)))
 
 
-#: The additive counters :meth:`KernelStats.merge` folds.
-_KERNEL_COUNTERS = tuple(f.name for f in fields(KernelStats))
+#: Kernel statistics that describe a run's matrix rather than count its
+#: work: folding runs keeps their largest value.
+KERNEL_GAUGES = frozenset({"sparse_nnz", "sparse_fill_nnz"})
+
+
+def fold_kernel_stat(name: str, total: float, value: float) -> float:
+    """The kernel statistic ``name`` of one more run folded into
+    ``total``: a gauge (:data:`KERNEL_GAUGES`) keeps the larger, a
+    counter or a ``*_s`` timing adds."""
+    return max(total, value) if name in KERNEL_GAUGES else total + value
 
 
 def mosfet_stamp_targets(

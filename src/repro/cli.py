@@ -467,7 +467,9 @@ def _cmd_result(args: argparse.Namespace) -> int:
     except ServiceError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # The served order, not sorted: a whole-tree run lists its sensor
+    # pairs in placement order.
+    text = json.dumps(payload, indent=2)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)

@@ -18,7 +18,6 @@ from repro.core.sensitivity import (
     SensitivityCurve,
     extract_tau_min,
     sensitivity_family,
-    sweep_skew,
     vmin_for_skew,
 )
 from repro.core.dual import DualSkewSensor, simulate_dual_sensor
@@ -44,7 +43,6 @@ __all__ = [
     "ERROR_PHI1_LATE",
     "ERROR_PHI2_LATE",
     "SensitivityCurve",
-    "sweep_skew",
     "vmin_for_skew",
     "extract_tau_min",
     "sensitivity_family",

@@ -19,12 +19,12 @@ probes; the answer rests on the probes alone.
 All evaluations route through :mod:`repro.runtime`: every operating point
 is content-addressed in the result cache (so a repeated sweep or a
 search revisiting a point costs a lookup, not a transient), and
-:func:`sweep_skew` / :func:`sensitivity_family` accept a ``backend`` to
-fan the independent points out over worker processes or stack them
-into lockstep batches; both run the grid of :func:`sensitivity_grid`,
-as does the service's ``sensitivity`` spec.  The runtime imports happen
-lazily inside the functions - ``repro.runtime`` itself imports from
-``repro.core``, and the package initialisers would otherwise cycle.
+:func:`sensitivity_family` accepts a ``backend`` to fan the independent
+points out over worker processes or stack them into lockstep batches;
+it runs the grid of :func:`sensitivity_grid`, as does the service's
+``sensitivity`` spec.  The runtime imports happen lazily inside the
+functions - ``repro.runtime`` itself imports from ``repro.core``, and
+the package initialisers would otherwise cycle.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def sensitivity_grid(
     sizing: Optional[SensorSizing] = None,
     threshold: float = VTH_INTERPRET,
     options: Optional[TransientOptions] = None,
-    warm_start: Optional[bool] = None,
+    warm_start: bool = True,
 ) -> Tuple[List[Any], Callable[[Sequence[Any]], List[SensitivityCurve]]]:
     """The Fig.-4 grid as ``(jobs, fold)``.
 
@@ -144,7 +144,7 @@ def vmin_for_skew(
     load2: Optional[float] = None,
     cache: Any = "default",
     telemetry: Any = None,
-    warm_start: Optional[bool] = None,
+    warm_start: bool = True,
 ) -> float:
     """``Vmin`` of the late output for a single operating point.
 
@@ -154,10 +154,10 @@ def vmin_for_skew(
     conditions").  The point is content-addressed in the runtime cache;
     pass ``cache=None`` to force a fresh transient.
 
-    ``warm_start=None`` (the default) means on: the evaluation forks a
-    cached pre-skew prefix checkpoint and integrates only the
-    measurement suffix (see :mod:`repro.runtime.prefix`); ``False``
-    builds the prefix on the spot instead, with the same result.
+    ``warm_start`` (on by default) forks a cached pre-skew prefix
+    checkpoint and integrates only the measurement suffix (see
+    :mod:`repro.runtime.prefix`); ``False`` builds the prefix on the
+    spot instead, with the same result.
     """
     from repro.runtime import evaluate_cached, sensitivity_job
 
@@ -167,41 +167,6 @@ def vmin_for_skew(
         slew2=slew2, load2=load2, warm_start=warm_start,
     )
     return evaluate_cached(job, cache=cache, telemetry=telemetry).vmin_late
-
-
-def sweep_skew(
-    load: float,
-    slew: float,
-    skews: Sequence[float],
-    process: Optional[ProcessParams] = None,
-    sizing: Optional[SensorSizing] = None,
-    threshold: float = VTH_INTERPRET,
-    options: Optional[TransientOptions] = None,
-    backend: str = "serial",
-    cache: Any = "default",
-    telemetry: Any = None,
-    max_workers: Optional[int] = None,
-    batch_workers: Optional[int] = None,
-    warm_start: Optional[bool] = None,
-) -> SensitivityCurve:
-    """Sweep ``tau`` and collect the ``Vmin`` curve for one (load, slew).
-
-    The one-curve case of :func:`sensitivity_family`, so the sweep runs
-    as a runtime campaign: cached points are replayed
-    without re-integration, fresh ones can be fanned out with
-    ``backend="process"`` (``max_workers`` wide) or solved in lockstep
-    with ``backend="batch"`` (all sweep points share the sensor
-    topology, so the vectorised engine stacks them into batched
-    transients, sharded over ``batch_workers`` processes), and a
-    ``telemetry`` accumulator (see :class:`repro.runtime.Telemetry`)
-    receives per-point timings and hit/miss counts.
-    """
-    return sensitivity_family(
-        [load], [slew], skews, process=process, sizing=sizing,
-        threshold=threshold, options=options, backend=backend, cache=cache,
-        telemetry=telemetry, max_workers=max_workers,
-        batch_workers=batch_workers, warm_start=warm_start,
-    )[0]
 
 
 def extract_tau_min(
@@ -215,7 +180,7 @@ def extract_tau_min(
     options: Optional[TransientOptions] = None,
     cache: Any = "default",
     telemetry: Any = None,
-    warm_start: Optional[bool] = None,
+    warm_start: bool = True,
 ) -> float:
     """Sensitivity ``tau_min``: the skew in ``(0, tau_hi]`` where ``Vmin``
     crosses ``threshold``.
@@ -337,24 +302,18 @@ def sensitivity_family(
     telemetry: Any = None,
     max_workers: Optional[int] = None,
     batch_workers: Optional[int] = None,
-    on_error: str = "raise",
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    warm_start: Optional[bool] = None,
+    warm_start: bool = True,
 ) -> List[SensitivityCurve]:
     """The full Fig.-4 family: one curve per (load, slew) combination.
 
-    The whole (load, slew, skew) grid is submitted as *one* campaign so a
-    parallel backend sees every independent point at once (with
-    ``backend="batch"`` the lockstep engine stacks the entire grid into
-    batched transients), then the flat results are folded back into
-    per-(load, slew) curves.
-
-    The robustness knobs of :func:`repro.runtime.run_campaign` pass
-    through: ``on_error="collect"`` fills failed grid points with NaN
-    instead of aborting the family, and ``checkpoint``/``resume``
-    journal completed points so an interrupted campaign restarts where
-    it died.
+    :func:`sensitivity_grid` run as one
+    :func:`repro.runtime.run_campaign`, to which the runtime arguments
+    pass, then folded into per-(load, slew) curves; one curve is
+    ``sensitivity_family([load], [slew], skews)[0]``.  A parallel
+    backend sees every independent point at once: ``"process"`` fans
+    them out ``max_workers`` wide, and ``"batch"`` stacks the whole
+    grid into lockstep transients, sharded over ``batch_workers``
+    processes.
     """
     from repro.runtime import run_campaign
 
@@ -365,6 +324,5 @@ def sensitivity_family(
     campaign = run_campaign(
         jobs, backend=backend, cache=cache, telemetry=telemetry,
         max_workers=max_workers, batch_workers=batch_workers,
-        on_error=on_error, checkpoint=checkpoint, resume=resume,
     )
     return fold(campaign.results)

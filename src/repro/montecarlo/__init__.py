@@ -8,7 +8,6 @@ from U[0.1 ns, 0.4 ns], sweeps the skew, and reports the scatter of
 """
 
 from repro.montecarlo.sampling import MonteCarloSample, sample_population
-from repro.montecarlo.parallel import scatter_analysis_parallel
 from repro.montecarlo.analysis import (
     ErrorProbabilities,
     ScatterPoint,
@@ -23,5 +22,4 @@ __all__ = [
     "scatter_analysis",
     "ErrorProbabilities",
     "error_probabilities",
-    "scatter_analysis_parallel",
 ]

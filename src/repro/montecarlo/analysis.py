@@ -1,5 +1,12 @@
 """Monte Carlo scatter (Fig. 5) and error probabilities (Tab. 1).
 
+The scatter is one job grid, :func:`scatter_grid`: one
+:class:`~repro.runtime.SensorJob` per (sample, skew), sample-major,
+and a fold to one :class:`ScatterPoint` per job.
+:func:`scatter_analysis` runs it through
+:func:`repro.runtime.run_campaign` (cached, on any backend); the
+service's ``montecarlo`` spec runs the same grid.
+
 Definitions from Sec. 2 of the paper, relative to the *nominal*
 sensitivity ``tau_min`` of the considered load:
 
@@ -13,11 +20,12 @@ sensitivity ``tau_min`` of the considered load:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analog.engine import TransientOptions
 from repro.core.sensing import SensorSizing
 from repro.montecarlo.sampling import MonteCarloSample
+from repro.runtime import SensorJob, Telemetry, run_campaign
 from repro.units import VTH_INTERPRET
 
 
@@ -34,29 +42,95 @@ class ScatterPoint:
         return self.vmin > threshold
 
 
+def sample_job(
+    sample: MonteCarloSample,
+    skew: float,
+    sizing: Optional[SensorSizing] = None,
+    options: Optional[TransientOptions] = None,
+    warm_start: bool = True,
+) -> SensorJob:
+    """The runtime job of one Monte Carlo (sample, skew) grid point."""
+    return SensorJob(
+        skew=skew,
+        load1=sample.load1,
+        load2=sample.load2,
+        slew1=sample.slew1,
+        slew2=sample.slew2,
+        process=sample.process,
+        sizing=sizing or SensorSizing(),
+        options=options,
+        warm_start=warm_start,
+    )
+
+
+def scatter_grid(
+    samples: Sequence[MonteCarloSample],
+    skews: Sequence[float],
+    sizing: Optional[SensorSizing] = None,
+    options: Optional[TransientOptions] = None,
+    warm_start: bool = True,
+) -> Tuple[List[SensorJob], Callable[[Sequence[Any]], List[ScatterPoint]]]:
+    """The Fig.-5 grid as ``(jobs, fold)``.
+
+    One :func:`sample_job` per (sample, skew), sample-major;
+    ``fold(results)`` turns the job-ordered results into one
+    :class:`ScatterPoint` each, a failed point (a
+    :class:`~repro.errors.JobError`) reading as NaN.
+    """
+    skew_list = [float(tau) for tau in skews]
+    jobs = [
+        sample_job(sample, tau, sizing=sizing, options=options,
+                   warm_start=warm_start)
+        for sample in samples
+        for tau in skew_list
+    ]
+
+    def fold(results: Sequence[Any]) -> List[ScatterPoint]:
+        return [
+            ScatterPoint(
+                skew=job.skew,
+                vmin=getattr(result, "vmin_late", float("nan")),
+                sample_index=flat // len(skew_list),
+            )
+            for flat, (job, result) in enumerate(zip(jobs, results))
+        ]
+
+    return jobs, fold
+
+
 def scatter_analysis(
     samples: Sequence[MonteCarloSample],
     skews: Sequence[float],
     sizing: Optional[SensorSizing] = None,
     options: Optional[TransientOptions] = None,
-    warm_start: Optional[bool] = None,
+    backend: str = "serial",
+    cache: Any = "default",
+    telemetry: Optional[Telemetry] = None,
+    max_workers: Optional[int] = None,
+    batch_workers: Optional[int] = None,
+    chunksize: Optional[int] = None,
+    warm_start: bool = True,
 ) -> List[ScatterPoint]:
-    """Evaluate ``Vmin`` for every (sample, skew) combination.
+    """``Vmin`` of every (sample, skew) combination, sample-major.
 
-    The skews may themselves be randomised by the caller; the paper sweeps
-    a deterministic grid per sample.
-
-    The serial, uncached call of
-    :func:`repro.montecarlo.parallel.scatter_analysis_parallel` (with the
-    same ``warm_start`` default, on), so the two analyses stay
-    bit-identical - as they are whichever way the switch is set.
+    :func:`scatter_grid` run as one :func:`repro.runtime.run_campaign`,
+    to which the runtime arguments pass, then folded.  Every backend
+    returns the same bits: ``"process"`` fans the points out over
+    ``max_workers`` processes, and ``"batch"`` integrates the
+    same-topology samples in lockstep stacks of ``chunksize``, sharded
+    over ``batch_workers`` processes.  The skews may themselves be
+    randomised by the caller; the paper sweeps a deterministic grid per
+    sample.
     """
-    from repro.montecarlo.parallel import scatter_analysis_parallel
-
-    return scatter_analysis_parallel(
-        samples, skews, sizing=sizing, options=options, backend="serial",
-        cache=None, warm_start=warm_start,
+    jobs, fold = scatter_grid(
+        samples, skews, sizing=sizing, options=options, warm_start=warm_start
     )
+    campaign = run_campaign(
+        jobs, backend=backend, cache=cache, telemetry=telemetry,
+        max_workers=max_workers, batch_workers=batch_workers,
+        chunksize=chunksize,
+    )
+    return fold(campaign.results)
 
 
 @dataclass(frozen=True)

@@ -461,7 +461,6 @@ def evaluate_cached(
     job: SensorJob,
     cache: Any = "default",
     telemetry: Optional[Telemetry] = None,
-    retries: int = 1,
 ) -> JobResult:
     """Single-job fast path: cache lookup, evaluate on miss, store.
 
@@ -469,8 +468,9 @@ def evaluate_cached(
     ``extract_tau_min`` search) where spinning up a campaign per call
     would be pure overhead.  A hit replays through :func:`_replay` and a
     miss folds through :func:`_assimilate`, the steps
-    :func:`run_campaign` takes for each of its jobs, under the label
-    ``"point"``; there is no journal, dedupe or prefix planner.
+    :func:`run_campaign` takes for each of its jobs (with its default
+    single retry), under the label ``"point"``; there is no journal,
+    dedupe or prefix planner.
     """
     if cache == "default":
         cache = get_cache()
@@ -480,7 +480,7 @@ def evaluate_cached(
     if hit is not None:
         return hit
     return _assimilate(
-        _evaluate_outcome((0, job, retries, None)), job, key, "point",
+        _evaluate_outcome((0, job, 1, None)), job, key, "point",
         telemetry, cache, None, "raise",
     )
 

@@ -5,8 +5,7 @@ one sensor transient: the sensor, its clock pair and its engine options,
 and nothing else.  Jobs are the unit of work of the campaign
 executor, the unit of addressing of the result cache, and the payload that
 crosses process boundaries - worker processes rebuild the sensor locally
-from the job, exactly like the original ``repro.montecarlo.parallel``
-workers did.
+from the job.
 
 :func:`job_sensor` is the one mapping from job fields to a sensor, and
 :func:`job_circuit` adds the job's clocks; the scalar and lockstep
@@ -63,10 +62,7 @@ class SensorJob:
     #: build).  Off, the job builds its prefix on the spot and never
     #: touches the tier; either way it runs the same suffix and returns
     #: the same bits, so the switch is not part of the job identity.
-    #: The raw default is off; the factory helpers
-    #: (:func:`sensitivity_job`, Monte Carlo ``sample_job``) default to
-    #: on.
-    warm_start: bool = False
+    warm_start: bool = True
 
     def resolved(self) -> "SensorJob":
         """A copy with every default made explicit (process, options)."""
@@ -239,13 +235,13 @@ def sensitivity_job(
     options: Optional[TransientOptions] = None,
     slew2: Optional[float] = None,
     load2: Optional[float] = None,
-    warm_start: Optional[bool] = None,
+    warm_start: bool = True,
 ) -> SensorJob:
     """Job for one Fig.-4 operating point (symmetric defaults).
 
     Mirrors the parameter conventions of
-    :func:`repro.core.sensitivity.vmin_for_skew`.  ``warm_start=None``
-    means on; pass ``False`` to keep the job off the checkpoint tier.
+    :func:`repro.core.sensitivity.vmin_for_skew`; pass
+    ``warm_start=False`` to keep the job off the checkpoint tier.
     """
     return SensorJob(
         skew=skew,
@@ -257,5 +253,5 @@ def sensitivity_job(
         sizing=sizing or SensorSizing(),
         threshold=threshold,
         options=options,
-        warm_start=True if warm_start is None else warm_start,
+        warm_start=warm_start,
     )

@@ -23,6 +23,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
+from repro.analog.kernels import fold_kernel_stat
+
 
 def format_duration(seconds: float) -> str:
     """Human-friendly duration: ``738 us``, ``12.3 ms``, ``4.56 s``."""
@@ -197,13 +199,15 @@ class Telemetry:
         self.worker_crashes += 1
 
     def record_kernel(self, stats: Mapping[str, float]) -> None:
-        """Fold one run's hot-loop kernel counters into the totals.
+        """Fold one run's hot-loop kernel counters into the totals, by
+        :func:`~repro.analog.kernels.fold_kernel_stat` (the sparse
+        gauges keep their largest value, the rest add).
 
         Counter fields stay integers; the ``*_s`` phase timings
         accumulate as float seconds.
         """
         for name, value in stats.items():
-            total = self.kernel.get(name, 0) + value
+            total = fold_kernel_stat(name, self.kernel.get(name, 0), value)
             self.kernel[name] = float(total) if name.endswith("_s") else int(total)
 
     def record_prefix(self, stats: Mapping[str, float]) -> None:

@@ -26,7 +26,7 @@ and a ``fold`` function reducing the ordered campaign results to the
 JSON result payload.  The ``sensitivity`` and ``montecarlo`` kinds wrap
 the library's own grids and folds
 (:func:`repro.core.sensitivity.sensitivity_grid`,
-:func:`repro.montecarlo.parallel.scatter_grid`), so a service campaign
+:func:`repro.montecarlo.analysis.scatter_grid`), so a service campaign
 runs the jobs a direct CLI run would and its results are bit-identical.
 
 The registry is open: :func:`register_kind` lets tests and future job
@@ -80,7 +80,7 @@ _COMMON_DEFAULTS: Dict[str, Any] = {
     "chunksize": None,
     "retries": 1,
     "on_error": "raise",
-    "warm_start": None,   # None = on
+    "warm_start": True,
     "no_cache": False,
     "fast": True,         # FAST_OPTIONS vs engine defaults
     "tenant": "",         # cache namespace salt ("" = shared default)
@@ -126,6 +126,9 @@ def normalize_spec(spec: Dict[str, Any]) -> Dict[str, Any]:
     normalized: Dict[str, Any] = {"kind": kind}
     for key, default in {**_COMMON_DEFAULTS, **_KIND_DEFAULTS[kind]}.items():
         normalized[key] = spec.get(key, default)
+    if normalized["warm_start"] is None:
+        # Older journals store null for the default, which was on.
+        normalized["warm_start"] = True
     _validate_common(normalized)
     return normalized
 
@@ -153,11 +156,9 @@ def _validate_common(spec: Dict[str, Any]) -> None:
             raise SpecError(f"{key} must be a positive integer or null")
     if not _is_int(spec["retries"], minimum=0):
         raise SpecError("retries must be an integer >= 0")
-    for key in ("fast", "no_cache"):
+    for key in ("fast", "no_cache", "warm_start"):
         if not isinstance(spec[key], bool):
             raise SpecError(f"{key} must be a boolean")
-    if not isinstance(spec["warm_start"], (bool, type(None))):
-        raise SpecError("warm_start must be a boolean or null")
     if not isinstance(spec["tenant"], str):
         raise SpecError("tenant must be a string")
 
@@ -324,7 +325,7 @@ register_kind(
 # --------------------------------------------------------------------- #
 
 def _build_montecarlo(spec: Dict[str, Any]) -> CampaignPlan:
-    from repro.montecarlo.parallel import scatter_grid
+    from repro.montecarlo.analysis import scatter_grid
     from repro.montecarlo.sampling import sample_population
 
     n_samples = _integer(spec["samples"], "samples", minimum=1)

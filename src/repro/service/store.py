@@ -266,11 +266,13 @@ class JobStore:
 
     def _publish_result(self, campaign_id: str, result: Dict[str, Any]) -> None:
         """Atomically write ``result.json`` (tmp + rename), retrying
-        transient replace failures (chaos site ``store.replace``)."""
+        transient replace failures (chaos site ``store.replace``).  Keys
+        keep the fold's order: a whole-tree run lists its sensor pairs
+        in placement order."""
         path = self.result_path(campaign_id)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(result, indent=2, sort_keys=True))
+        tmp.write_text(json.dumps(result, indent=2))
         injector = get_injector()
         last_error: Optional[Exception] = None
         for _ in range(1 + WRITE_RETRIES):

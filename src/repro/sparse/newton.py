@@ -34,21 +34,13 @@ class SparseKernelStats(KernelStats):
     ``sparse_nnz`` is the pattern size of the Newton matrix and
     ``sparse_fill_nnz`` the ``L + U`` fill of the run's last successful
     factorization (set once, by :meth:`SparseBackend.kernel_stats`).
-    Both ride the generic key-folding of
-    :func:`repro.runtime.telemetry.record_kernel`.
+    Both are gauges: :func:`~repro.analog.kernels.fold_kernel_stat`
+    keeps their largest value when runs are folded, here and in
+    :meth:`repro.runtime.Telemetry.record_kernel`.
     """
 
     sparse_nnz: int = 0
     sparse_fill_nnz: int = 0
-
-    def merge(self, other: KernelStats) -> None:
-        """Fold another stats object in (sparse gauges take the max)."""
-        super().merge(other)
-        if isinstance(other, SparseKernelStats):
-            self.sparse_nnz = max(self.sparse_nnz, other.sparse_nnz)
-            self.sparse_fill_nnz = max(
-                self.sparse_fill_nnz, other.sparse_fill_nnz
-            )
 
 
 class SparseBackend:

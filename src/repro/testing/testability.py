@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analog.engine import TransientOptions, TransientResult, transient
 from repro.circuit.netlist import Netlist
+from repro.core.response import clocked_netlist
 from repro.core.sensing import SkewSensor
-from repro.devices.sources import clock_pair
 from repro.faults.iddq import DEFAULT_IDDQ_THRESHOLD, quiescent_current
 from repro.faults.models import Fault
 from repro.faults.universe import FaultUniverse, enumerate_faults
@@ -113,14 +113,11 @@ class TestabilityReport:
 
 def _simulate(
     netlist: Netlist,
+    sensor: SkewSensor,
     stimulus: ClockStimulus,
     options: Optional[TransientOptions],
     with_currents: bool,
-    initial: Optional[Dict[str, float]] = None,
 ) -> TransientResult:
-    if initial is None:
-        initial = {"y1": 5.0, "y2": 5.0, "nA": 5.0, "nB": 5.0,
-                   "pA": 0.0, "pB": 0.0}
     return transient(
         netlist,
         t_stop=stimulus.t_stop,
@@ -128,7 +125,7 @@ def _simulate(
         record_currents=["vdd"] if with_currents else None,
         # Clocks start low -> pull-ups on -> outputs high (steers the
         # operating point to the idle state, not a metastable one).
-        initial=initial,
+        initial=sensor.dc_guess(),
         options=options,
     )
 
@@ -142,21 +139,6 @@ def _codes(
         (1 if y1.at(t) > threshold else 0, 1 if y2.at(t) > threshold else 0)
         for t in stimulus.sample_times()
     ]
-
-
-def build_clocked_sensor(
-    sensor: SkewSensor, stimulus: ClockStimulus
-) -> Netlist:
-    """The sensor netlist with the stimulus clock pair attached."""
-    phi1, phi2 = clock_pair(
-        period=stimulus.period,
-        slew1=stimulus.slew,
-        slew2=stimulus.slew,
-        skew=stimulus.skew,
-        delay=stimulus.settle,
-        vdd=sensor.vdd,
-    )
-    return sensor.build(phi1=phi1, phi2=phi2)
 
 
 def analyze_sensor_testability(
@@ -188,11 +170,14 @@ def analyze_sensor_testability(
     """
     sensor = sensor or SkewSensor()
     stimulus = stimulus or ClockStimulus()
-    golden_netlist = build_clocked_sensor(sensor, stimulus)
+    golden_netlist = clocked_netlist(sensor, stimulus.skew, stimulus.slew,
+                                     stimulus.slew, stimulus.period,
+                                     stimulus.settle)
     if universe is None:
         universe = enumerate_faults(golden_netlist)
 
-    golden = _simulate(golden_netlist, stimulus, options, with_currents=False)
+    golden = _simulate(golden_netlist, sensor, stimulus, options,
+                       with_currents=False)
     reference = _codes(golden, stimulus, threshold)
 
     report = TestabilityReport(reference_codes=reference)
@@ -200,7 +185,7 @@ def analyze_sensor_testability(
         report.verdicts[kind] = []
         for fault in universe.by_kind(kind):
             verdict = _judge_fault(
-                fault, golden_netlist, stimulus, reference,
+                fault, golden_netlist, sensor, stimulus, reference,
                 threshold, iddq_threshold, options,
             )
             if (
@@ -218,6 +203,7 @@ def analyze_sensor_testability(
 def _judge_fault(
     fault: Fault,
     golden_netlist: Netlist,
+    sensor: SkewSensor,
     stimulus: ClockStimulus,
     reference: Sequence[Tuple[int, int]],
     threshold: float,
@@ -225,7 +211,7 @@ def _judge_fault(
     options: Optional[TransientOptions],
 ) -> FaultVerdict:
     faulty = fault.inject(golden_netlist)
-    result = _simulate(faulty, stimulus, options, with_currents=True)
+    result = _simulate(faulty, sensor, stimulus, options, with_currents=True)
     codes = _codes(result, stimulus, threshold)
     detected_logic = codes != list(reference)
     iddq = quiescent_current(result, stimulus.quiescent_windows())
@@ -254,8 +240,9 @@ def _masks_skew(
         cycles=1,
         skew=skew,
     )
-    netlist = fault.inject(build_clocked_sensor(sensor, skewed))
-    result = _simulate(netlist, skewed, options, with_currents=False)
+    netlist = fault.inject(clocked_netlist(
+        sensor, skew, skewed.slew, skewed.slew, skewed.period, skewed.settle))
+    result = _simulate(netlist, sensor, skewed, options, with_currents=False)
     y2 = result.wave("y2")
     edge = skewed.settle
     fall = skewed.settle + skewed.period / 2.0 - skewed.slew

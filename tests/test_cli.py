@@ -411,6 +411,19 @@ def test_whole_tree_json_is_the_direct_simulation(capsys, flags, call):
         == {k: v for k, v in kernel.items() if k[-2:] != "_s"}
 
 
+def test_result_command_prints_the_served_order(capsys, monkeypatch):
+    # A whole-tree run lists its sensor pairs in placement order.
+    from repro.service.client import ServiceClient
+
+    served = {"runs": [{"skews_s": {"s29|s7": 1e-12, "s10|s25": None}}],
+              "kind": "whole_tree"}
+    monkeypatch.setattr(ServiceClient, "result", lambda self, cid: served)
+    assert main(["result", "--url", "http://127.0.0.1:9", "c1"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert list(printed) == ["runs", "kind"]
+    assert list(printed["runs"][0]["skews_s"]) == ["s29|s7", "s10|s25"]
+
+
 def test_whole_tree_json_is_the_fold_of_its_spec(capsys):
     from repro.service.specs import build_plan, run_plan
 

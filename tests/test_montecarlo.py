@@ -133,14 +133,13 @@ def test_scatter_analysis_small_population(fast_options):
 # --------------------------------------------------------------------- #
 
 def test_parallel_matches_serial(fast_options):
-    from repro.montecarlo.analysis import scatter_analysis
-    from repro.montecarlo.parallel import scatter_analysis_parallel
-
     samples = sample_population(3, fF(160), rng=np.random.default_rng(9))
     skews = [0.0, ns(0.4)]
-    serial = scatter_analysis(samples, skews, options=fast_options)
-    parallel = scatter_analysis_parallel(
-        samples, skews, options=fast_options, n_workers=2
+    serial = scatter_analysis(samples, skews, options=fast_options,
+                              cache=None)
+    parallel = scatter_analysis(
+        samples, skews, options=fast_options, backend="process",
+        max_workers=2, cache=None,
     )
     assert len(parallel) == len(serial)
     for a, b in zip(serial, parallel):
@@ -150,17 +149,10 @@ def test_parallel_matches_serial(fast_options):
 
 
 def test_parallel_single_worker_path(fast_options):
-    from repro.montecarlo.parallel import scatter_analysis_parallel
-
     samples = sample_population(2, fF(160), rng=np.random.default_rng(10))
-    points = scatter_analysis_parallel(
-        samples, [ns(0.4)], options=fast_options, n_workers=1
+    points = scatter_analysis(
+        samples, [ns(0.4)], options=fast_options, backend="process",
+        max_workers=1, cache=None,
     )
     assert len(points) == 2
     assert all(p.vmin > 2.75 for p in points)
-
-
-def test_default_workers_positive():
-    from repro.montecarlo.parallel import default_workers
-
-    assert default_workers() >= 1

@@ -23,7 +23,7 @@ from repro.batch.compile import compile_batch
 from repro.batch.engine import batch_transient
 from repro.core.sensing import SkewSensor
 from repro.devices.sources import clock_pair
-from repro.montecarlo.parallel import sample_job
+from repro.montecarlo.analysis import sample_job
 from repro.montecarlo.sampling import sample_population
 from repro.runtime.jobs import job_circuit
 from repro.units import fF, ns

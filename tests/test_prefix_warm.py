@@ -46,6 +46,7 @@ from repro.devices.process import corner_process
 from repro.devices.sources import ClockSource, clock_pair
 from repro.faults.models import TransistorStuckOn
 from repro.runtime import (
+    SensorJob,
     Telemetry,
     evaluate_job,
     prefix_key,
@@ -224,9 +225,10 @@ def test_prefix_build_escalations_count_once_on_every_path(monkeypatch):
 
 
 def test_factory_default_is_warm():
-    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.analysis import sample_job
     from repro.montecarlo.sampling import sample_population
 
+    assert SensorJob(skew=0.0).warm_start
     assert sensitivity_job(fF(160), ns(0.2), 0.0).warm_start
     assert not sensitivity_job(fF(160), ns(0.2), 0.0,
                                warm_start=False).warm_start
@@ -276,7 +278,7 @@ def test_extract_tau_min_warm_equals_cold():
 def _random_fast_jobs(n, seed):
     """``n`` warm FAST jobs, one Monte Carlo process sample each, with
     loads of 60-260 fF, slews of 0.1-0.4 ns and tau in [-0.2, 0.4] ns."""
-    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.analysis import sample_job
     from repro.montecarlo.sampling import sample_population
 
     rng = np.random.default_rng(seed)
@@ -368,11 +370,11 @@ def test_cold_request_replays_the_warm_result(fresh_cache):
 
 
 def test_campaign_telemetry_counts_prefix_reuse():
-    from repro.core.sensitivity import sweep_skew
+    from repro.core.sensitivity import sensitivity_family
 
     telemetry = Telemetry()
-    curve = sweep_skew(
-        fF(160), ns(0.2), [ns(t) for t in (0.0, 0.1, 0.2, 0.3)],
+    (curve,) = sensitivity_family(
+        [fF(160)], [ns(0.2)], [ns(t) for t in (0.0, 0.1, 0.2, 0.3)],
         options=FAST, cache=None, telemetry=telemetry, warm_start=True,
     )
     assert np.all(np.isfinite(curve.vmins))
@@ -407,7 +409,7 @@ def test_batch_warm_stack_matches_batch_cold(fresh_cache):
 
 def _cross_sample_jobs(warm_start=True):
     """3 Monte Carlo samples x 3 skews >= 0: three prefixes, one fork time."""
-    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.analysis import sample_job
     from repro.montecarlo.sampling import sample_population
 
     return [
@@ -629,7 +631,7 @@ def test_stacked_prefixes_equal_scalar_builds(monkeypatch):
 
 def _campaign_jobs():
     """4 Monte Carlo samples x 2 skews: four prefixes, one stack."""
-    from repro.montecarlo.parallel import sample_job
+    from repro.montecarlo.analysis import sample_job
     from repro.montecarlo.sampling import sample_population
 
     return [

@@ -278,15 +278,15 @@ def test_montecarlo_parallel_matches_serial_via_runtime(fast_options):
     import numpy as np
 
     from repro.montecarlo.analysis import scatter_analysis
-    from repro.montecarlo.parallel import scatter_analysis_parallel
     from repro.montecarlo.sampling import sample_population
 
     samples = sample_population(2, fF(160), rng=np.random.default_rng(42))
     skews = [0.0, ns(0.4)]
-    serial = scatter_analysis(samples, skews, options=fast_options)
-    parallel = scatter_analysis_parallel(
-        samples, skews, options=fast_options, n_workers=2, chunksize=1,
-        cache=None,
+    serial = scatter_analysis(samples, skews, options=fast_options,
+                              cache=None)
+    parallel = scatter_analysis(
+        samples, skews, options=fast_options, backend="process",
+        max_workers=2, chunksize=1, cache=None,
     )
     assert len(parallel) == len(serial)
     for a, b in zip(serial, parallel):

@@ -12,7 +12,7 @@ from repro.core.sensitivity import (
     SensitivityCurve,
     _crossing,
     extract_tau_min,
-    sweep_skew,
+    sensitivity_family,
     vmin_for_skew,
 )
 from repro.runtime import Telemetry
@@ -83,7 +83,8 @@ def test_large_skew_vmin_near_vdd(fast_options):
 
 def test_sweep_returns_curve(fast_options):
     taus = [0.0, ns(0.2), ns(0.5)]
-    curve = sweep_skew(fF(80), ns(0.2), taus, options=fast_options)
+    (curve,) = sensitivity_family([fF(80)], [ns(0.2)], taus,
+                                  options=fast_options)
     assert curve.load == fF(80)
     assert len(curve.vmins) == 3
     assert curve.tau_min is not None

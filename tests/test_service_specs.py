@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.core.sensitivity import sensitivity_family
-from repro.montecarlo.parallel import sample_job, scatter_analysis_parallel
+from repro.montecarlo.analysis import sample_job, scatter_analysis
 from repro.montecarlo.sampling import sample_population
 from repro.runtime import run_campaign, sensitivity_job
 from repro.service.api import create_server
@@ -47,7 +47,7 @@ def test_sensitivity_spec_matches_sensitivity_family():
     assert served["tau_min_s"] == curve.tau_min
 
 
-def test_montecarlo_spec_matches_scatter_analysis_parallel():
+def test_montecarlo_spec_matches_scatter_analysis():
     spec = {"kind": "montecarlo", "samples": 1, "seed": 7,
             "load_ff": 160.0, "skews_ns": [0.0, 0.3]}
     plan, payload = _serve(spec)
@@ -59,12 +59,32 @@ def test_montecarlo_spec_matches_scatter_analysis_parallel():
     assert [job.key() for job in plan.jobs] == keys
     assert [entry["key"] for entry in payload["jobs"]] == keys
 
-    points = scatter_analysis_parallel(samples, skews, options=FAST_OPTIONS,
-                                       backend="serial", cache=None)
+    points = scatter_analysis(samples, skews, options=FAST_OPTIONS,
+                              cache=None)
     assert payload["points"] == [
         {"skew_s": p.skew, "vmin_v": p.vmin, "sample_index": p.sample_index}
         for p in points
     ]
+
+
+def test_whole_tree_campaign_keeps_the_largest_sparse_gauges():
+    # The sparse pattern size and LU fill describe one run's matrix: a
+    # campaign reports the largest, not the sum over its jobs.
+    pytest.importorskip("scipy")
+    from repro.runtime import Telemetry
+    from repro.service.specs import run_plan
+
+    plan = build_plan({"kind": "whole_tree", "levels": 2, "variation": 0.1,
+                       "seeds": [0, 1], "no_cache": True})
+    telemetry = Telemetry()
+    campaign = run_plan(plan, telemetry=telemetry)
+    per_job = [dict(result.kernel) for result in campaign.results]
+    kernel = telemetry.kernel
+    assert (kernel["sparse_nnz"], kernel["sparse_fill_nnz"]) == (371, 559)
+    for gauge in ("sparse_nnz", "sparse_fill_nnz"):
+        assert kernel[gauge] == max(job[gauge] for job in per_job)
+    assert kernel["newton_iterations"] == sum(
+        job["newton_iterations"] for job in per_job)
 
 
 def test_whole_tree_spec_rejects_a_fault_it_cannot_apply():

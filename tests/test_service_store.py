@@ -72,10 +72,11 @@ def test_submit_rejects_bad_spec(tmp_path):
         with pytest.raises(SpecError):
             store.submit(bad)
     assert store.list() == []  # nothing journaled
-    # Null still means "default" where a key allows it.
+    # Null still means "default" where a key allows it; a null
+    # warm_start (older journals store one) is the default, on.
     record = store.submit({**SPEC, "workers": None, "chunksize": None,
                            "warm_start": None})
-    assert record.spec["warm_start"] is None
+    assert record.spec["warm_start"] is True
 
 
 def test_lifecycle_transitions(tmp_path):
@@ -104,6 +105,26 @@ def test_result_written_before_terminal_entry(tmp_path):
     replayed = JobStore(tmp_path)
     assert replayed.get(cid).state == "done"
     assert replayed.load_result(cid) == {"answer": 42}
+
+
+def test_published_result_keeps_the_folds_order(tmp_path):
+    # A whole-tree run lists its sensor pairs in placement order, which
+    # here is not label order; the stored result must keep it.
+    from repro.service.specs import build_plan, run_plan
+
+    spec = {"kind": "whole_tree", "levels": 2, "variation": 0.1,
+            "seeds": [3]}
+    plan = build_plan(spec)
+    payload = plan.fold(run_plan(plan))
+    (run,) = payload["runs"]
+    assert list(run["skews_s"]) != sorted(run["skews_s"])
+    store = JobStore(tmp_path)
+    cid = store.submit(spec).campaign_id
+    store.mark_running(cid)
+    store.mark_done(cid, payload)
+    (stored,) = store.load_result(cid)["runs"]
+    for key in ("skews_s", "codes"):
+        assert list(stored[key].items()) == list(run[key].items())
 
 
 def test_restart_requeues_interrupted_campaign(tmp_path):
