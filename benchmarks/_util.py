@@ -21,7 +21,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator
 
-from repro.analog.engine import TransientOptions
+from repro.analog.engine import FAST_OPTIONS, TransientOptions
 from repro.runtime import reset_cache
 from repro.runtime.telemetry import (  # noqa: F401  (re-exported for benches)
     Stopwatch,
@@ -30,11 +30,11 @@ from repro.runtime.telemetry import (  # noqa: F401  (re-exported for benches)
     format_duration,
 )
 
-#: Engine options used by most benches (the CLI's FAST options).  On the
+#: Engine options used by most benches: the CLI's FAST options.  On the
 #: Fig.-4 grid (3 loads x 4 slews x 8 skews) their ``Vmin`` lies within
 #: 1.83 mV of a dt_max = 2 ps, reltol = 1e-3 reference, 0.75 mV in the
 #: median (ROADMAP, "FAST is converged").
-BENCH_OPTIONS = TransientOptions(dt_max=200e-12, reltol=5e-3)
+BENCH_OPTIONS = FAST_OPTIONS
 
 #: Grid-converged options for cross-engine comparisons: a check of
 #: "batch equals scalar to 1 mV" must run where the scalar itself is

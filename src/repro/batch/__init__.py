@@ -25,14 +25,13 @@ slews and skew.  This package turns that shape into vectorized math:
   compatible jobs into batches, stack sizing (an explicit ``chunksize``
   or a fan-out auto-tune), process sharding of whole stacks over
   ``batch_workers`` workers through the executor's windowed dispatcher
-  (crash isolation and bounded redispatch included), and the outcome
-  protocol the :func:`repro.runtime.run_campaign` executor consumes via
-  ``backend="batch"``.
+  (crash isolation, bounded redispatch and the cancel poll included),
+  and the outcome protocol the :func:`repro.runtime.run_campaign`
+  executor consumes via ``backend="batch"``.
 """
 
 from repro.batch.compile import BatchCompiledCircuit, BatchTopologyError, compile_batch
 from repro.batch.dispatch import (
-    DEFAULT_BATCH_SIZE,
     dispatch_batches,
     group_batches,
     resolve_batch_plan,
@@ -50,7 +49,6 @@ __all__ = [
     "BatchEvaluation",
     "BatchTopologyError",
     "BatchTransientResult",
-    "DEFAULT_BATCH_SIZE",
     "batch_signature",
     "batch_transient",
     "compile_batch",

@@ -28,10 +28,10 @@ With :func:`resolve_batch_workers` > 1 (``batch_workers``), whole
 stacks fan out over a process pool through the executor's windowed
 submission core (:func:`repro.runtime.executor._dispatch_process_chunks`)
 - the same machinery the scalar process backend uses, inheriting its
-crash isolation and bounded redispatch.  The unit of crash isolation is
-the whole stack (``isolate="chunk"``): a stack integrates in one call,
-so a crashed worker loses all of it and the stack is re-dispatched
-whole.  Outcomes are index-addressed, so merged results are
+crash isolation, bounded redispatch and cancel poll.  The unit of crash
+isolation is the whole stack (``isolate="chunk"``): a stack integrates
+in one call, so a crashed worker loses all of it and the stack is
+re-dispatched whole.  Outcomes are index-addressed, so merged results are
 deterministic in job order regardless of which worker finished first,
 and every row equals its scalar run bit for bit whatever stack it
 landed in - a sharded run is bit-identical to the single-worker batch
@@ -53,11 +53,10 @@ Fallback contract
 -----------------
 A sample the lockstep engine masks out is re-evaluated through the
 executor's scalar :func:`~repro.runtime.executor._evaluate_outcome` -
-the same path the serial backend uses, with the same bounded
-ConvergenceError retries and the same error diagnostics.  If
-an entire stack fails to build or integrate, every sample of that chunk
-takes the scalar path; a row with no prefix checkpoint takes it
-alone.  Nothing is silently degraded: every re-dispatch
+the same path the serial backend uses, evaluated once, with the same
+error diagnostics.  If an entire stack fails to build or integrate,
+every sample of that chunk takes the scalar path; a row with no prefix
+checkpoint takes it alone.  Nothing is silently degraded: every re-dispatch
 is counted in ``Telemetry.batch_fallbacks``.
 """
 
@@ -72,15 +71,11 @@ from repro.batch.compile import BatchTopologyError
 from repro.batch.response import batch_signature, evaluate_jobs_batch
 from repro.errors import SimulationError
 from repro.runtime.executor import (
-    DEFAULT_MAX_REDISPATCH, Outcome, _check_cancelled,
-    _dispatch_process_chunks, _evaluate_outcome, _Item, resolve_workers,
+    Outcome, _check_cancelled, _dispatch_process_chunks, _evaluate_outcome,
+    _Item, resolve_workers,
 )
 from repro.runtime.prefix import publish_prefixes
 from repro.runtime.telemetry import Stopwatch, Telemetry
-
-#: Fallback samples per lockstep stack (no explicit size and no work
-#: items to auto-tune from).
-DEFAULT_BATCH_SIZE = 64
 
 #: Ceiling on the auto-tuned stack size.  It was set while a stack's rows
 #: shared one merged time grid that densified with every row; rows now
@@ -118,17 +113,15 @@ def auto_batch_size(n_jobs: int, workers: int) -> int:
 
 
 def resolve_batch_plan(
-    chunksize: Optional[int] = None,
-    items: Optional[Sequence[_Item]] = None,
-    workers: int = 1,
+    chunksize: Optional[int], items: Sequence[_Item], workers: int
 ) -> Tuple[int, bool]:
-    """Resolve ``(samples_per_stack, auto)`` for a dispatch.
+    """Resolve ``(samples_per_stack, auto)`` for a dispatch of ``items``.
 
     Resolution order: explicit ``chunksize`` >
     :func:`auto_batch_size` over the largest :func:`batch_signature`
-    group of ``items`` > :data:`DEFAULT_BATCH_SIZE`.  ``auto`` is True
-    only when the heuristic chose the size - callers record it so a
-    tuned size is always distinguishable from a pinned one.
+    group of ``items``.  ``auto`` is True only when the heuristic chose
+    the size - callers record it so a tuned size is always
+    distinguishable from a pinned one.
 
     The auto-tuned size depends on the worker count (the fan-out
     bound); it never changes a result, and the chosen size is recorded
@@ -136,8 +129,6 @@ def resolve_batch_plan(
     """
     if chunksize is not None:
         return max(1, int(chunksize)), False
-    if not items:
-        return DEFAULT_BATCH_SIZE, False
     counts = Counter(batch_signature(item[1]) for item in items)
     return auto_batch_size(max(counts.values()), workers), True
 
@@ -193,7 +184,7 @@ def evaluate_batch_chunk(
         evaluation = evaluate_jobs_batch([item[1] for item in chunk])
     except (BatchTopologyError, SimulationError, np.linalg.LinAlgError):
         # The stack itself failed; every sample takes the scalar path
-        # (same retries, same diagnostics - the fallback contract).
+        # (one evaluation, same diagnostics - the fallback contract).
         evaluation = None
     if evaluation is None:
         for item in chunk:
@@ -241,7 +232,6 @@ def dispatch_batches(
     telemetry: Optional[Telemetry] = None,
     on_outcome=None,
     cancel_event=None,
-    max_redispatch: int = DEFAULT_MAX_REDISPATCH,
 ) -> List[Outcome]:
     """Run all work items through the batch engine.
 
@@ -253,10 +243,12 @@ def dispatch_batches(
         With ``workers > 1`` whole stacks fan out over a process pool
         (one lockstep stack per worker) through the executor's windowed
         submission core, inheriting its crash isolation: a stack whose
-        worker dies is re-dispatched whole - bounded by
-        ``max_redispatch`` - and outcomes merge in deterministic job
-        order either way.  ``workers <= 1`` is the in-process
-        single-worker path.
+        worker dies is re-dispatched whole - at most
+        :data:`~repro.runtime.executor.MAX_REDISPATCH` extra times, after
+        which its samples are reported as
+        :class:`~repro.errors.WorkerCrashError` outcomes - and outcomes
+        merge in deterministic job order either way.  ``workers <= 1``
+        is the in-process single-worker path.
     chunksize:
         Samples per stack (see :func:`resolve_batch_plan` for the
         explicit > auto-tuned resolution).
@@ -269,15 +261,11 @@ def dispatch_batches(
         Optional callback receiving each outcome as its stack completes
         (the executor assimilates/streams through this).
     cancel_event:
-        Optional :class:`threading.Event` checked between stacks; when
-        set, dispatch stops with a
-        :class:`~repro.errors.CampaignCancelledError` (in-process stacks
-        finish first - lockstep samples cannot be interrupted mid-grid;
-        sharded pools are torn down).
-    max_redispatch:
-        Extra dispatches granted to a crashed stack before its samples
-        are reported as :class:`~repro.errors.WorkerCrashError`
-        outcomes (sharded path only).
+        Optional :class:`threading.Event`; when set, dispatch stops with
+        a :class:`~repro.errors.CampaignCancelledError`.  In-process
+        stacks check it between stacks (lockstep samples cannot be
+        interrupted mid-grid); sharded pools poll it while they wait and
+        are killed, not joined.
     """
     batch_size, auto = resolve_batch_plan(chunksize, items, workers)
     chunks = group_batches(items, batch_size)
@@ -314,8 +302,6 @@ def dispatch_batches(
     return _dispatch_process_chunks(
         chunks,
         workers=effective,
-        timeout=None,
-        max_redispatch=max_redispatch,
         telemetry=telemetry if telemetry is not None else Telemetry(),
         worker=evaluate_batch_chunk,
         consume=consume,

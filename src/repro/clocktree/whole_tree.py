@@ -30,13 +30,15 @@ electrical skews plus per-sensor error codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analog.compile import CompiledCircuit
-from repro.analog.engine import TransientOptions, TransientResult, transient
+from repro.analog.engine import (
+    FAST_OPTIONS, TransientOptions, TransientResult, transient,
+)
 from repro.analog.kernels import KernelStats
 from repro.circuit.compose import graft, prefixed_guess
 from repro.circuit.netlist import Netlist
@@ -487,9 +489,7 @@ def simulate_whole_tree(
     clock = ClockSource(period=period, slew=slew, delay=settle,
                         vdd=process.vdd)
     if options is None:
-        options = TransientOptions(
-            dt_max=200e-12, reltol=5e-3, jacobian_policy="auto"
-        )
+        options = replace(FAST_OPTIONS, jacobian_policy="auto")
 
     check_scenario(topology, levels, tree=tree, fault=fault,
                    variation=variation, dead_injections=dead_injections,

@@ -1,20 +1,20 @@
 """Simulation error taxonomy with structured diagnostics.
 
 Every failure mode of the stack - solver non-convergence, numerical
-blow-up, step-size underflow, campaign timeouts, worker crashes - derives
-from :class:`SimulationError` and carries a :class:`SimulationDiagnostics`
+blow-up, step-size underflow, worker crashes - derives from
+:class:`SimulationError` and carries a :class:`SimulationDiagnostics`
 record, so a failure buried in a thousand-job Monte Carlo campaign is
 debuggable from its log line alone: which circuit, at what simulated time,
 on which Newton iteration, at which gmin stage, with which node holding
 the worst residual, and what the last accepted state vector was.
 
-The hierarchy keeps backward compatibility with the historical homes of
-the two pre-existing exceptions:
+``repro.analog.dcop.ConvergenceError``, the historical home of the
+solver's exception, re-exports it from here; it is still a
+:class:`RuntimeError`.
 
-* ``repro.analog.dcop.ConvergenceError`` is re-exported from here and is
-  still a :class:`RuntimeError`;
-* ``repro.runtime.executor.CampaignTimeoutError`` is re-exported from
-  here and is still a :class:`TimeoutError`.
+A campaign's wall time is bounded by its cancel event, not per job, so
+a late campaign ends in :class:`CampaignCancelledError`, never in a
+simulation error.
 
 Campaign-level error *records* (the ``on_error="collect"`` mode of
 :func:`repro.runtime.run_campaign`) are :class:`JobError` dataclasses -
@@ -59,9 +59,9 @@ class SimulationDiagnostics:
     last_state:
         Last *accepted* state vector as a ``node -> voltage`` mapping
         (truncated to :data:`MAX_STATE_NODES` entries), usable as an
-        initial guess for a retry.
+        initial guess for a follow-up run.
     extra:
-        Free-form additional context (attempt counts, timeout budgets...).
+        Free-form additional context (step sizes, dispatch counts...).
     """
 
     circuit: str = ""
@@ -192,32 +192,6 @@ class StepSizeUnderflowError(ConvergenceError):
     escalation rung exhausted."""
 
 
-class CampaignTimeoutError(SimulationError, TimeoutError):
-    """A campaign job exceeded its per-job timeout.
-
-    Carries *which* job timed out (``.job``), how many dispatch attempts
-    it had consumed (``.attempts``) and the elapsed wall time
-    (``.elapsed``, seconds) - historically all three were lost.
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        job: Any = None,
-        attempts: int = 0,
-        elapsed: float = 0.0,
-        diagnostics: Optional[SimulationDiagnostics] = None,
-    ) -> None:
-        super().__init__(message, diagnostics)
-        self.job = job
-        self.attempts = attempts
-        self.elapsed = elapsed
-        self.diagnostics.extra.setdefault("attempts", attempts)
-        self.diagnostics.extra.setdefault("elapsed_s", round(elapsed, 6))
-        if job is not None:
-            self.diagnostics.extra.setdefault("job", repr(job))
-
-
 class WorkerCrashError(SimulationError):
     """A campaign worker process died (segfault, ``os._exit``, OOM kill).
 
@@ -283,7 +257,6 @@ ERROR_CLASSES: Dict[str, type] = {
         ConvergenceError,
         NonFiniteStateError,
         StepSizeUnderflowError,
-        CampaignTimeoutError,
         WorkerCrashError,
     )
 }
@@ -295,19 +268,14 @@ def rebuild_error(
     """Reconstruct a :class:`SimulationError` from its serialised form.
 
     Unknown class names degrade to the base :class:`SimulationError` (the
-    taxonomy may grow; old journals must still load).
+    taxonomy may change; old journals must still load).
     """
     cls = ERROR_CLASSES.get(name, SimulationError)
     diag = SimulationDiagnostics.from_dict(diagnostics) if diagnostics else None
     error = cls(message, diagnostics=diag)
-    extra = error.diagnostics.extra
-    if isinstance(error, CampaignTimeoutError):
+    if isinstance(error, WorkerCrashError):
         error.job = None
-        error.attempts = int(extra.get("attempts", 0))
-        error.elapsed = float(extra.get("elapsed_s", 0.0))
-    elif isinstance(error, WorkerCrashError):
-        error.job = None
-        error.dispatches = int(extra.get("dispatches", 0))
+        error.dispatches = int(error.diagnostics.extra.get("dispatches", 0))
     return error
 
 
@@ -330,10 +298,8 @@ class JobError:
         The exception message.
     diagnostics:
         The :meth:`SimulationDiagnostics.as_dict` payload.
-    attempts:
-        Evaluation attempts consumed (retries included).
     wall:
-        Wall time spent on the failing attempts, seconds.
+        Wall time spent on the failing evaluation, seconds.
     """
 
     index: int
@@ -341,7 +307,6 @@ class JobError:
     error: str
     message: str
     diagnostics: Dict[str, Any] = field(default_factory=dict)
-    attempts: int = 1
     wall: float = 0.0
 
     #: Discriminates from JobResult without isinstance checks.
@@ -364,6 +329,5 @@ class JobError:
             "error": self.error,
             "message": self.message,
             "diagnostics": dict(self.diagnostics),
-            "attempts": self.attempts,
             "wall_s": self.wall,
         }

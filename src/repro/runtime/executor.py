@@ -7,37 +7,32 @@ pipeline relies on.  Around the raw evaluation it layers:
 * **cache short-circuiting** - each job is content-addressed
   (:meth:`SensorJob.key`) and looked up before any work is dispatched;
   duplicate jobs inside one campaign are evaluated once;
-* **bounded retries** on :class:`~repro.errors.ConvergenceError`
-  (the only failure mode of the deterministic engine that a fresh attempt
-  with the same inputs is allowed to re-raise);
-* **per-job timeouts** on the process backend; a timeout carries the
-  offending job descriptor, its attempt count and the elapsed wall time
-  on the raised :class:`~repro.errors.CampaignTimeoutError`.  The
-  in-flight window is bounded by the worker count, so a job's clock
-  starts when it actually starts running, and a pool stuck on an
-  over-budget job is *killed* (a hung worker is never joined).  The
-  serial backend cannot interrupt a running integration and documents
-  that;
+* **one evaluation per job** - every job is a deterministic transient,
+  so a job that fails fails the same way every time: its
+  :class:`~repro.errors.SimulationError` is raised or collected as it
+  is, never re-run;
 * **crash isolation** - a worker process that segfaults, is OOM-killed
   or calls ``os._exit`` breaks only its pool generation: the executor
   rebuilds the pool, re-dispatches the jobs that were *in flight* at the
-  break one at a time in isolation (bounded by ``max_redispatch``),
-  continues the never-started remainder in parallel on the rebuilt pool,
-  and attributes the crash to the poison job as a
+  break one at a time in isolation (at most :data:`MAX_REDISPATCH` extra
+  dispatches each), continues the never-started remainder in parallel on
+  the rebuilt pool, and attributes the crash to the poison job as a
   :class:`~repro.errors.WorkerCrashError`;
 * **error collection** - ``on_error="collect"`` turns per-job failures
   into :class:`~repro.errors.JobError` records in the result list instead
   of aborting the campaign;
 * **streaming progress and cancellation** - ``progress=`` is called once
   per finished job as results land (the campaign service feeds its
-  event streams from it) and ``cancel_event=`` aborts the dispatch
-  between jobs with a :class:`~repro.errors.CampaignCancelledError`,
-  leaving every completed job journalled for a later ``resume=True``;
+  event streams from it) and ``cancel_event=`` is the campaign's one
+  wall-time bound: once set, the dispatch stops with a
+  :class:`~repro.errors.CampaignCancelledError`, a worker pool is killed
+  rather than joined (so a hung worker cannot hold the campaign), and
+  every completed job stays journalled for a later ``resume=True``;
 * **checkpointing** - ``checkpoint=path`` journals every completed job
   to an append-only JSONL (:mod:`repro.runtime.checkpoint`); a re-run
   with ``resume=True`` skips finished jobs entirely;
-* **telemetry** - per-job wall time, attempts, engine steps, solver
-  escalation rungs, cache hit/miss, re-dispatch and crash counters.
+* **telemetry** - per-job wall time, engine steps, solver escalation
+  rungs, cache hit/miss, re-dispatch and crash counters.
 
 Every setting is an argument: the worker count is ``max_workers`` (half
 the CPUs when omitted), and the process backend always passes an
@@ -61,8 +56,6 @@ import os
 
 from repro.errors import (
     CampaignCancelledError,
-    CampaignTimeoutError,
-    ConvergenceError,
     JobError,
     SimulationError,
     WorkerCrashError,
@@ -79,8 +72,13 @@ BACKENDS = ("serial", "process", "batch")
 #: Supported failure policies.
 ON_ERROR_MODES = ("raise", "collect")
 
-#: Default bound on isolation re-dispatches of a job whose pool died.
-DEFAULT_MAX_REDISPATCH = 2
+#: Extra isolated dispatches granted to a job (a stack, on the sharded
+#: batch backend) whose worker died, before it is declared poison.
+MAX_REDISPATCH = 2
+
+#: Seconds a cancellable dispatch blocks before it checks its cancel
+#: event again.
+CANCEL_POLL_S = 0.2
 
 
 def resolve_workers(max_workers: Optional[int] = None) -> int:
@@ -140,23 +138,22 @@ class CampaignResult:
 # propagates and fails the campaign regardless of ``on_error``.
 # --------------------------------------------------------------------- #
 
-_Item = Tuple[int, SensorJob, int, Optional[Callable[[SensorJob], JobResult]]]
+_Item = Tuple[int, SensorJob, Optional[Callable[[SensorJob], JobResult]]]
 
 
 @dataclass(frozen=True)
 class Outcome:
     """One job's evaluation: its ``result`` or the ``error`` it ended
-    in, the wall seconds and the attempts it took."""
+    in, and the wall seconds it took."""
 
     index: int
     result: Optional[JobResult] = None
     error: Optional[SimulationError] = None
     wall: float = 0.0
-    attempts: int = 1
 
 
 def _evaluate_outcome(item: _Item) -> Outcome:
-    """Evaluate one job with bounded ConvergenceError retries.
+    """Evaluate one job, once.
 
     The chaos sites ``executor.crash`` / ``executor.hang`` hook in here -
     the single evaluation point shared by the serial and process
@@ -165,7 +162,7 @@ def _evaluate_outcome(item: _Item) -> Outcome:
     through :mod:`repro.batch.dispatch` and is not instrumented; chaos
     runs exercise the scalar backends.)
     """
-    index, job, retries, evaluate = item
+    index, job, evaluate = item
     injector = get_injector()
     if injector.active:
         if injector.should_fire("executor.hang"):
@@ -175,20 +172,12 @@ def _evaluate_outcome(item: _Item) -> Outcome:
                 f"job[{index}] worker crash (injected fault)",
                 job=job, dispatches=1,
             ))
-    func = evaluate or evaluate_job
     watch = Stopwatch()
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            result = func(job)
-            return Outcome(index, result=result, wall=watch.elapsed(),
-                           attempts=attempts)
-        except SimulationError as error:
-            if isinstance(error, ConvergenceError) and attempts <= retries:
-                continue
-            return Outcome(index, error=error, wall=watch.elapsed(),
-                           attempts=attempts)
+    try:
+        result = (evaluate or evaluate_job)(job)
+    except SimulationError as error:
+        return Outcome(index, error=error, wall=watch.elapsed())
+    return Outcome(index, result=result, wall=watch.elapsed())
 
 
 def _worker_chunk(items: List[_Item]) -> List[Outcome]:
@@ -196,23 +185,14 @@ def _worker_chunk(items: List[_Item]) -> List[Outcome]:
     return [_evaluate_outcome(item) for item in items]
 
 
-def _timeout_outcome(item: _Item, elapsed: float, timeout: float) -> Outcome:
-    """Synthesise the outcome of a job that exceeded its wall budget."""
-    index, job, _, _ = item
-    return Outcome(index, error=CampaignTimeoutError(
-        f"job[{index}] exceeded its {timeout} s timeout",
-        job=job, attempts=1, elapsed=elapsed,
-    ), wall=elapsed)
-
-
 def _crash_outcome(item: _Item, dispatches: int) -> Outcome:
     """Synthesise the outcome of a job declared poison after repeatedly
     breaking its worker pool."""
-    index, job, _, _ = item
+    index, job, _ = item
     return Outcome(index, error=WorkerCrashError(
         f"job[{index}] killed its worker process {dispatches} time(s)",
         job=job, dispatches=dispatches,
-    ), attempts=dispatches)
+    ))
 
 
 def _mp_context():
@@ -235,9 +215,9 @@ def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
     """Tear a process pool down without joining its workers.
 
     ``shutdown(wait=True)`` joins the worker processes, which blocks
-    forever on a worker stuck in an over-budget job - exactly the case
-    per-job timeouts exist to bound.  Cancel everything that has not
-    started, kill the workers outright, then reap them.
+    forever on a hung worker - exactly the case a cancelled campaign
+    must not wait for.  Cancel everything that has not started, kill the
+    workers outright, then reap them.
     """
     # ``_processes`` is the executor's pid -> Process map (CPython
     # implementation detail, stable since 3.7); the public API offers no
@@ -259,25 +239,22 @@ def _check_cancelled(
         raise CampaignCancelledError("campaign cancelled via cancel_event")
 
 
-def _poll_budget(
-    pending: Dict[Any, Tuple[List[_Item], "Stopwatch"]],
-    timeout: Optional[float],
-    cancel_event: Optional[threading.Event] = None,
-) -> Optional[float]:
-    """How long :func:`concurrent.futures.wait` may block: until the
-    earliest pending deadline (never less than 20 ms), or forever when
-    no timeout is configured.  A cancellable campaign never blocks more
-    than 200 ms so the cancel event is honoured promptly."""
-    if timeout is None:
-        budget = None
-    else:
-        budget = max(
-            0.02,
-            min(timeout - watch.elapsed() for _, watch in pending.values()),
+def _wait(futures: Any, cancel_event: Optional[threading.Event]) -> Any:
+    """Block until one of ``futures`` completes and return the done set.
+
+    A cancellable wait wakes every :data:`CANCEL_POLL_S` seconds and
+    raises :class:`CampaignCancelledError` once the event is set, so a
+    hung worker never holds a cancelled campaign.
+    """
+    poll = CANCEL_POLL_S if cancel_event is not None else None
+    while True:
+        done, _ = concurrent.futures.wait(
+            futures, timeout=poll,
+            return_when=concurrent.futures.FIRST_COMPLETED,
         )
-    if cancel_event is not None:
-        budget = 0.2 if budget is None else min(budget, 0.2)
-    return budget
+        if done:
+            return done
+        _check_cancelled(cancel_event)
 
 
 def _consume_outcomes(payload: Any, emit: Callable[[Outcome], None]) -> None:
@@ -289,8 +266,6 @@ def _consume_outcomes(payload: Any, emit: Callable[[Outcome], None]) -> None:
 def _dispatch_process_chunks(
     chunks: List[List[_Item]],
     workers: int,
-    timeout: Optional[float],
-    max_redispatch: int,
     telemetry: Telemetry,
     worker: Callable[[List[_Item]], Any] = _worker_chunk,
     consume: Callable[[Any, Callable[[Outcome], None]], None] = _consume_outcomes,
@@ -310,19 +285,11 @@ def _dispatch_process_chunks(
     here).
 
     Phase 1 runs chunks on a parallel pool with at most ``workers``
-    chunks in flight, so a submitted chunk starts immediately and its
-    stopwatch measures actual runtime.  Two events tear a pool
-    generation down early:
-
-    * **timeout** - the over-budget chunks get synthesised
-      :class:`~repro.errors.CampaignTimeoutError` outcomes and the pool
-      is *killed* via :func:`_kill_pool`, never joined (a genuinely hung
-      worker must not block the campaign); innocent in-flight chunks and
-      the un-started remainder continue on a fresh parallel pool;
-    * **crash** (``BrokenProcessPool``, including one raised by
-      ``submit`` itself) - only the chunks actually in flight when the
-      pool broke become *suspects*; the un-started remainder is
-      re-dispatched on a rebuilt parallel pool.
+    chunks in flight.  A crash (``BrokenProcessPool``, including one
+    raised by ``submit`` itself) tears the pool generation down: only
+    the chunks actually in flight when the pool broke become
+    *suspects*, and the un-started remainder is re-dispatched on a
+    rebuilt parallel pool.
 
     Phase 2 re-runs each suspect alone on a single-worker pool, so a
     poison unit can only break a pool containing itself - that is what
@@ -331,9 +298,13 @@ def _dispatch_process_chunks(
     pinned to one job); ``"chunk"`` keeps the whole chunk together (batch
     semantics - a lockstep stack is indivisible, splitting it would
     change its composition and therefore its bits).  A unit gets at most
-    ``max_redispatch`` extra dispatches before it is declared poison and
-    every job in it is reported as a
+    :data:`MAX_REDISPATCH` extra dispatches before it is declared poison
+    and every job in it is reported as a
     :class:`~repro.errors.WorkerCrashError` outcome.
+
+    Both phases wait in the same cancel poll (:func:`_wait`); a set
+    ``cancel_event`` kills the live pool via :func:`_kill_pool`, never
+    joining it, and raises :class:`CampaignCancelledError`.
     """
     outcomes: List[Outcome] = []
     suspects: List[List[_Item]] = []
@@ -349,13 +320,13 @@ def _dispatch_process_chunks(
     while remaining:
         queue = list(remaining)
         remaining = []
-        pending: Dict[Any, Tuple[List[_Item], Stopwatch]] = {}
-        broke = stuck = False
+        pending: Dict[Any, List[_Item]] = {}
+        broke = False
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=context
         )
         try:
-            while (queue or pending) and not broke and not stuck:
+            while (queue or pending) and not broke:
                 _check_cancelled(cancel_event)
                 while queue and len(pending) < workers:
                     chunk = queue.pop(0)
@@ -368,45 +339,23 @@ def _dispatch_process_chunks(
                         queue.insert(0, chunk)
                         broke = True
                         break
-                    pending[future] = (chunk, Stopwatch())
+                    pending[future] = chunk
                 if not pending:
                     break
-                done, _ = concurrent.futures.wait(
-                    pending,
-                    timeout=_poll_budget(pending, timeout, cancel_event),
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in done:
-                    chunk, _ = pending.pop(future)
+                for future in _wait(pending, cancel_event):
+                    chunk = pending.pop(future)
                     try:
                         consume(future.result(), emit)
                     except BrokenProcessPool:
                         suspects.append(chunk)
                         broke = True
-                if timeout is not None and not broke:
-                    overdue = [
-                        future for future, (_, watch) in pending.items()
-                        if watch.elapsed() >= timeout
-                    ]
-                    for future in overdue:
-                        chunk, watch = pending.pop(future)
-                        for item in chunk:
-                            emit(
-                                _timeout_outcome(item, watch.elapsed(), timeout)
-                            )
-                        stuck = True
         except BaseException:
             _kill_pool(pool)
             raise
         if broke:
             telemetry.record_worker_crash()
-            for chunk, _ in pending.values():
-                suspects.append(chunk)  # in flight when the pool broke
+            suspects.extend(pending.values())  # in flight when it broke
             _kill_pool(pool)
-        elif stuck:
-            _kill_pool(pool)  # never join a worker running a hung job
-            for chunk, _ in pending.values():
-                queue.insert(0, chunk)  # innocents rerun on a fresh pool
         else:
             pool.shutdown(wait=True)
         remaining = queue
@@ -430,19 +379,14 @@ def _dispatch_process_chunks(
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=1, mp_context=context
         )
-        future = pool.submit(worker, unit)
-        watch = Stopwatch()
         try:
-            payload = future.result(timeout=timeout)
-        except concurrent.futures.TimeoutError:
-            for item in unit:
-                emit(_timeout_outcome(item, watch.elapsed(), timeout))
-            _kill_pool(pool)
-            continue
+            future = pool.submit(worker, unit)
+            _wait([future], cancel_event)
+            payload = future.result()
         except BrokenProcessPool:
             _kill_pool(pool)
             telemetry.record_worker_crash()
-            if dispatches[uid] > max_redispatch:
+            if dispatches[uid] > MAX_REDISPATCH:
                 for item in unit:
                     emit(_crash_outcome(item, dispatches[uid]))
             else:
@@ -468,9 +412,8 @@ def evaluate_cached(
     ``extract_tau_min`` search) where spinning up a campaign per call
     would be pure overhead.  A hit replays through :func:`_replay` and a
     miss folds through :func:`_assimilate`, the steps
-    :func:`run_campaign` takes for each of its jobs (with its default
-    single retry), under the label ``"point"``; there is no journal,
-    dedupe or prefix planner.
+    :func:`run_campaign` takes for each of its jobs, under the label
+    ``"point"``; there is no journal, dedupe or prefix planner.
     """
     if cache == "default":
         cache = get_cache()
@@ -480,7 +423,7 @@ def evaluate_cached(
     if hit is not None:
         return hit
     return _assimilate(
-        _evaluate_outcome((0, job, 1, None)), job, key, "point",
+        _evaluate_outcome((0, job, None)), job, key, "point",
         telemetry, cache, None, "raise",
     )
 
@@ -491,15 +434,12 @@ def run_campaign(
     max_workers: Optional[int] = None,
     batch_workers: Optional[int] = None,
     chunksize: Optional[int] = None,
-    retries: int = 1,
-    timeout: Optional[float] = None,
     cache: Any = "default",
     telemetry: Optional[Telemetry] = None,
     evaluate: Optional[Callable[[SensorJob], JobResult]] = None,
     on_error: str = "raise",
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    max_redispatch: int = DEFAULT_MAX_REDISPATCH,
     progress: Optional[Callable[[int, Union[JobResult, JobError]], None]] = None,
     cancel_event: Optional[threading.Event] = None,
 ) -> CampaignResult:
@@ -519,8 +459,7 @@ def run_campaign(
         samples the lockstep engine masks out are re-dispatched to the
         scalar path automatically).  The batch backend evaluates
         :class:`SensorJob` descriptions directly, so it rejects a custom
-        ``evaluate``; it also has no per-job ``timeout`` (samples share
-        one integration).  ``chunksize`` becomes the per-stack sample
+        ``evaluate``.  ``chunksize`` becomes the per-stack sample
         count; when omitted it is auto-tuned from the largest
         signature group's fan-out over the shard workers (see
         :func:`repro.batch.dispatch.resolve_batch_plan`); whole stacks
@@ -536,18 +475,6 @@ def run_campaign(
         backends.
     chunksize:
         Process-pool chunk size; defaults to ~4 chunks per worker.
-        Forced to 1 when a ``timeout`` is set so timeouts and crashes
-        attribute to single jobs.
-    retries:
-        Extra attempts permitted per job on ``ConvergenceError``; the
-        error propagates (or is collected) once the budget is exhausted.
-    timeout:
-        Per-job wall-time bound in seconds, enforced on the process
-        backend.  Raises (or collects) a
-        :class:`~repro.errors.CampaignTimeoutError` carrying the job
-        descriptor, attempt count and elapsed time.  A worker stuck past
-        the budget is killed.  The serial backend cannot interrupt a
-        running integration and ignores it.
     cache:
         ``"default"`` uses the process-wide :func:`get_cache`; ``None``
         disables caching; any :class:`ResultCache` is used as given.
@@ -570,11 +497,6 @@ def run_campaign(
     resume:
         Load the ``checkpoint`` journal first and skip every job already
         completed in it (telemetry counts them as ``resumed``).
-    max_redispatch:
-        Extra isolated dispatches granted to a job whose worker pool
-        died before it is declared poison (process backend, and the
-        sharded batch backend where the unit of redispatch is the whole
-        lockstep stack).
     progress:
         Optional callback invoked once per finished job as
         ``progress(index, result)`` with the job's position and its
@@ -584,13 +506,15 @@ def run_campaign(
         thread *as results land* (the service streams these as live
         events); it must be cheap and must not raise.
     cancel_event:
-        Optional :class:`threading.Event`; once set, the campaign stops
-        dispatching, tears its worker pool down and raises
+        Optional :class:`threading.Event`, the campaign's one wall-time
+        bound: once set, the campaign stops dispatching, kills its
+        worker pool without joining it and raises
         :class:`~repro.errors.CampaignCancelledError`.  Every job
         completed before the event fired has already been journalled
         and cached, so a re-run with ``resume=True`` continues from the
-        cancellation point.  Checked between jobs - a running serial
-        integration is never interrupted mid-step.
+        cancellation point.  Pools poll it every :data:`CANCEL_POLL_S`
+        seconds, a hung worker included; the serial and in-process
+        batch paths check it between jobs.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r} (use one of {BACKENDS})")
@@ -598,22 +522,11 @@ def run_campaign(
         raise ValueError(
             f"unknown on_error {on_error!r} (use one of {ON_ERROR_MODES})"
         )
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if backend == "batch":
-        if timeout is not None:
-            raise ValueError(
-                "the batch backend integrates samples in lockstep and "
-                "cannot bound individual jobs; use timeout=None or a "
-                "per-job backend"
-            )
-        if evaluate is not None:
-            raise ValueError(
-                "the batch backend evaluates SensorJob descriptions "
-                "directly and cannot honour a custom evaluate callable"
-            )
-    if max_redispatch < 0:
-        raise ValueError("max_redispatch must be >= 0")
+    if backend == "batch" and evaluate is not None:
+        raise ValueError(
+            "the batch backend evaluates SensorJob descriptions "
+            "directly and cannot honour a custom evaluate callable"
+        )
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
     telemetry = telemetry if telemetry is not None else Telemetry()
@@ -661,8 +574,7 @@ def run_campaign(
     # ------------------------------------------------------------------ #
     # Dispatch the misses.
     # ------------------------------------------------------------------ #
-    items: List[_Item] = [(index, job, retries, evaluate)
-                          for index, job in pending]
+    items: List[_Item] = [(index, job, evaluate) for index, job in pending]
 
     def _absorb(outcome: Outcome) -> None:
         """Fold one outcome in as it lands: results, telemetry, cache,
@@ -703,9 +615,8 @@ def run_campaign(
                     telemetry=telemetry,
                     on_outcome=_absorb,
                     cancel_event=cancel_event,
-                    max_redispatch=max_redispatch,
                 )
-            elif backend == "serial" or (len(items) == 1 and timeout is None):
+            elif backend == "serial" or len(items) == 1:
                 # Stream outcomes so an abort (raise mode) stops at the
                 # failing job and still leaves every job completed
                 # before it in the journal.
@@ -714,18 +625,15 @@ def run_campaign(
                     _absorb(_evaluate_outcome(item))
             else:
                 workers = min(resolve_workers(max_workers), len(items))
-                size = 1 if timeout is not None else resolve_chunksize(
-                    len(items), workers, chunksize
-                )
+                size = resolve_chunksize(len(items), workers, chunksize)
                 # Outcomes are absorbed as they complete, so a raised
                 # failure (or a cancellation) still leaves every job
                 # that finished before it journalled and cached.  Crash
                 # isolation re-runs suspects one *job* at a time, so a
                 # poison job is attributed individually.
                 _dispatch_process_chunks(
-                    _chunked(items, size), workers, timeout,
-                    max_redispatch, telemetry, on_outcome=_absorb,
-                    cancel_event=cancel_event,
+                    _chunked(items, size), workers, telemetry,
+                    on_outcome=_absorb, cancel_event=cancel_event,
                 )
     except CampaignCancelledError as error:
         error.completed = sum(1 for r in results if r is not None)
@@ -748,8 +656,7 @@ def run_campaign(
             results[index] = replace(owned, cached=True, kernel=(), prefix=())
             steps, error = owned.steps, None
         telemetry.record_job(
-            f"job[{index}]", wall=0.0, attempts=0, steps=steps,
-            cached=True, error=error,
+            f"job[{index}]", wall=0.0, steps=steps, cached=True, error=error,
         )
         if progress is not None:
             progress(index, results[index])
@@ -786,8 +693,8 @@ def _replay(
     else:
         return None
     telemetry.record_job(
-        label, wall=0.0, attempts=0, steps=result.steps,
-        cached=result.cached, resumed=result.resumed,
+        label, wall=0.0, steps=result.steps, cached=result.cached,
+        resumed=result.resumed,
     )
     return result
 
@@ -806,17 +713,15 @@ def _assimilate(
     what fills its result slot.
 
     In ``raise`` mode an error outcome re-raises its exception (with
-    the job descriptor on timeouts and crashes), after the journal has
+    the job descriptor on a crash), after the journal has
     been updated for every job that finished before it; in ``collect``
     mode it becomes a :class:`~repro.errors.JobError`.
     """
     error = outcome.error
     if error is None:
-        result = replace(outcome.result, attempts=outcome.attempts,
-                         cached=False)
+        result = replace(outcome.result, cached=False)
         telemetry.record_job(
-            label, wall=outcome.wall, attempts=outcome.attempts,
-            steps=result.steps, cached=False,
+            label, wall=outcome.wall, steps=result.steps, cached=False,
             escalations=result.escalation_counts,
             kernel=result.kernel_counts,
         )
@@ -832,15 +737,13 @@ def _assimilate(
 
     name = type(error).__name__
     telemetry.record_job(
-        label, wall=outcome.wall, attempts=outcome.attempts, steps=0,
-        cached=False, error=name,
+        label, wall=outcome.wall, steps=0, cached=False, error=name,
     )
     if on_error == "raise":
-        if isinstance(error, (CampaignTimeoutError, WorkerCrashError)):
+        if isinstance(error, WorkerCrashError):
             error.job = job
         raise error
     return JobError(
         index=outcome.index, job=job, error=name, message=error.message,
-        diagnostics=error.diagnostics.as_dict(), attempts=outcome.attempts,
-        wall=outcome.wall,
+        diagnostics=error.diagnostics.as_dict(), wall=outcome.wall,
     )

@@ -42,8 +42,9 @@ Registered sites (the component that checks them, and what firing does):
                        :class:`~repro.errors.WorkerCrashError` (the
                        scheduler requeues the campaign for resume).
 ``executor.hang``      Job evaluation sleeps ``REPRO_FAULTS_HANG_S``
-                       (default 0.25 s) before running - exercises
-                       per-job timeout machinery.
+                       (default 0.25 s) before running - a slow job
+                       for the campaign's cancel bound and the
+                       scheduler's watchdog.
 ``api.drop``           The HTTP handler shuts the connection down
                        before answering (clients must retry).
 ``api.slow``           The HTTP handler sleeps ``REPRO_FAULTS_SLOW_S``

@@ -107,7 +107,6 @@ class JobResult:
     vmin_y2: float
     code: Tuple[int, int]
     steps: int = 0
-    attempts: int = 1
     cached: bool = False
     escalations: Tuple[Tuple[str, int], ...] = ()
     resumed: bool = False
@@ -213,7 +212,7 @@ def job_circuit(job: SensorJob) -> Tuple[SkewSensor, Netlist]:
 
 
 def evaluate_job(job: SensorJob) -> JobResult:
-    """Run the transient described by ``job`` (no caching, no retries).
+    """Run the transient described by ``job`` once, without caching.
 
     The one evaluation of a sensor job,
     :func:`~repro.runtime.prefix.evaluate_job_warm`: a prefix checkpoint

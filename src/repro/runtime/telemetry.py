@@ -1,8 +1,7 @@
 """Campaign observability: timings, cache accounting, engine statistics.
 
 A :class:`Telemetry` object rides along a campaign (or any hand-rolled
-loop) and records, per job, the wall time, the number of attempts (retries
-on :class:`~repro.analog.dcop.ConvergenceError`), the number of accepted
+loop) and records, per job, the wall time, the number of accepted
 engine integration points, and whether the value came from cache.  It
 exports a machine-readable JSON report (:meth:`Telemetry.to_json`) and a
 human summary (:meth:`Telemetry.summary`), and its counters are what the
@@ -82,7 +81,6 @@ class JobRecord:
 
     label: str
     wall: float
-    attempts: int = 1
     steps: int = 0
     cached: bool = False
     resumed: bool = False
@@ -93,7 +91,6 @@ class JobRecord:
         data = {
             "label": self.label,
             "wall_s": self.wall,
-            "attempts": self.attempts,
             "steps": self.steps,
             "cached": self.cached,
         }
@@ -160,7 +157,6 @@ class Telemetry:
         self,
         label: str,
         wall: float,
-        attempts: int = 1,
         steps: int = 0,
         cached: bool = False,
         resumed: bool = False,
@@ -170,8 +166,8 @@ class Telemetry:
     ) -> None:
         """Record one finished job (fresh, cached, resumed or failed)."""
         self.records.append(
-            JobRecord(label=label, wall=wall, attempts=attempts,
-                      steps=steps, cached=cached, resumed=resumed, error=error)
+            JobRecord(label=label, wall=wall, steps=steps, cached=cached,
+                      resumed=resumed, error=error)
         )
         if escalations:
             self.record_escalations(escalations)
@@ -286,12 +282,6 @@ class Telemetry:
         return sum(1 for r in self.records if r.error is not None)
 
     @property
-    def retries(self) -> int:
-        """Extra attempts beyond the first, summed over evaluated jobs."""
-        return sum(r.attempts - 1 for r in self.records
-                   if not r.cached and r.attempts > 1)
-
-    @property
     def steps_integrated(self) -> int:
         """Engine points accepted *in this run* (cached and journal-resumed
         jobs contribute 0 - their integration happened in an earlier run)."""
@@ -331,7 +321,6 @@ class Telemetry:
                 "from_cache": sum(1 for r in self.records if r.cached),
                 "resumed": self.jobs_resumed,
                 "failed": self.jobs_failed,
-                "retries": self.retries,
             },
             "cache": {
                 "hits": self.cache_hits,
@@ -386,7 +375,7 @@ class Telemetry:
         lines = [
             f"jobs      : {jobs['total']} total, {jobs['evaluated']} evaluated, "
             f"{jobs['from_cache']} from cache, {jobs['resumed']} resumed, "
-            f"{jobs['failed']} failed, {jobs['retries']} retries",
+            f"{jobs['failed']} failed",
             f"cache     : {self.cache_hits} hits, {self.cache_misses} misses",
             f"engine    : {data['engine']['steps_integrated']} integration "
             "points accepted this run",

@@ -64,7 +64,7 @@ from repro.service.scheduler import (
     QueueFullError,
     QuotaExceededError,
 )
-from repro.service.specs import SpecError, spec_kinds
+from repro.service.specs import SpecError, _is_int, spec_kinds
 
 #: Cap on accepted request bodies (a spec is a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
@@ -363,12 +363,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if payload is None:
             return
         max_bytes = payload.get("max_bytes")
-        if max_bytes is not None:
-            try:
-                max_bytes = int(max_bytes)
-            except (TypeError, ValueError):
-                self._error(400, "max_bytes must be an integer")
-                return
+        if max_bytes is not None and not _is_int(max_bytes, minimum=0):
+            self._error(400, "max_bytes must be an integer >= 0, got "
+                        f"{max_bytes!r}")
+            return
         cache = get_cache()
         removed = cache.prune(max_bytes=max_bytes)
         self._send_json(200, {

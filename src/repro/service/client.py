@@ -228,10 +228,11 @@ class ServiceClient:
         return self._request("GET", "/cache")
 
     def prune_cache(self, max_bytes: Optional[int] = None) -> Dict[str, Any]:
-        """Evict least-recently-used disk entries down to ``max_bytes``."""
+        """Evict least-recently-used disk entries down to ``max_bytes``
+        (the server refuses anything but an int >= 0)."""
         body: Dict[str, Any] = {}
         if max_bytes is not None:
-            body["max_bytes"] = int(max_bytes)
+            body["max_bytes"] = max_bytes
         return self._request("POST", "/cache/prune", body=body)
 
     # ----------------------------------------------------------------- #

@@ -40,13 +40,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.analog.engine import TransientOptions
+# FAST_OPTIONS is re-exported: specs default to the options the CLI
+# runs, so a service campaign reproduces the CLI run bit-identically.
+from repro.analog.engine import FAST_OPTIONS, TransientOptions
 from repro.units import fF, ns
-
-#: The CLI's fast-but-accurate-enough transient options (the ``_FAST``
-#: the ``repro`` subcommands have always used); specs default to these
-#: so a service campaign reproduces the CLI run bit-identically.
-FAST_OPTIONS = TransientOptions(dt_max=200e-12, reltol=5e-3)
 
 
 class SpecError(ValueError):
@@ -63,7 +60,7 @@ class CampaignPlan:
     fold: Callable[[Any], Dict[str, Any]]
     #: Keyword arguments for :func:`repro.runtime.run_campaign`
     #: (``backend``, ``max_workers``, ``batch_workers``, ``chunksize``,
-    #: ``retries``, ``on_error``).
+    #: ``on_error``).
     executor: Dict[str, Any] = field(default_factory=dict)
     #: Evaluation override (test kinds only; forces ``cache=None``).
     evaluate: Optional[Callable[[Any], Any]] = None
@@ -78,7 +75,6 @@ _COMMON_DEFAULTS: Dict[str, Any] = {
     "workers": None,
     "batch_workers": None,  # None = the workers value
     "chunksize": None,
-    "retries": 1,
     "on_error": "raise",
     "warm_start": True,
     "no_cache": False,
@@ -154,8 +150,6 @@ def _validate_common(spec: Dict[str, Any]) -> None:
     for key in ("workers", "batch_workers", "chunksize"):
         if spec[key] is not None and not _is_int(spec[key], minimum=1):
             raise SpecError(f"{key} must be a positive integer or null")
-    if not _is_int(spec["retries"], minimum=0):
-        raise SpecError("retries must be an integer >= 0")
     for key in ("fast", "no_cache", "warm_start"):
         if not isinstance(spec[key], bool):
             raise SpecError(f"{key} must be a boolean")
@@ -208,7 +202,6 @@ def _executor_kwargs(spec: Dict[str, Any]) -> Dict[str, Any]:
         "max_workers": spec["workers"],
         "batch_workers": spec["batch_workers"],
         "chunksize": spec["chunksize"],
-        "retries": spec["retries"],
         "on_error": spec["on_error"],
     }
 

@@ -178,9 +178,12 @@ class JobStore:
         """Fold one journal entry into the record map."""
         kind = entry.get("kind")
         if kind == "campaign":
+            # Specs journalled while ``retries`` was a spec key carry
+            # it; dropping it lets those campaigns resume.
+            spec = {k: v for k, v in entry["spec"].items() if k != "retries"}
             record = CampaignRecord(
                 campaign_id=entry["id"],
-                spec=entry["spec"],
+                spec=spec,
                 client=entry.get("client", ""),
                 priority=int(entry.get("priority", 0)),
                 seq=int(entry.get("seq", 0)),

@@ -23,7 +23,7 @@ def jobs_for(*skews_ns, options=FAST):
 
 def _items(jobs):
     """Wrap jobs in the executor's work-item tuples."""
-    return [(k, job, 1, None) for k, job in enumerate(jobs)]
+    return [(k, job, None) for k, job in enumerate(jobs)]
 
 
 # --------------------------------------------------------------------- #
@@ -81,11 +81,6 @@ def test_whole_stack_failure_falls_back_to_scalar(monkeypatch):
 # --------------------------------------------------------------------- #
 # Executor-level validation of batch-incompatible arguments.
 # --------------------------------------------------------------------- #
-
-def test_batch_rejects_timeout():
-    with pytest.raises(ValueError, match="lockstep"):
-        run_campaign(jobs_for(0.1), backend="batch", timeout=1.0)
-
 
 def test_batch_rejects_custom_evaluate():
     with pytest.raises(ValueError, match="evaluate"):

@@ -27,7 +27,6 @@ import pytest
 
 from repro.analog.engine import TransientOptions
 from repro.batch.dispatch import (
-    DEFAULT_BATCH_SIZE,
     MAX_AUTO_BATCH,
     auto_batch_size,
     resolve_batch_plan,
@@ -221,9 +220,8 @@ def test_auto_batch_size_bounds():
 
 
 def test_resolve_batch_plan_precedence():
-    assert resolve_batch_plan(17) == (17, False)        # explicit wins
-    assert resolve_batch_plan(None) == (DEFAULT_BATCH_SIZE, False)
-    items = [(k, job, 1, None) for k, job in enumerate(jobs_for(0.0, 0.1))]
+    items = [(k, job, None) for k, job in enumerate(jobs_for(0.0, 0.1))]
+    assert resolve_batch_plan(17, items, workers=2) == (17, False)  # explicit
     size, auto = resolve_batch_plan(None, items, workers=2)
     assert auto is True
     assert size == 1  # fan-out bound: 2 jobs over 2 workers

@@ -1,19 +1,21 @@
-"""Checkpoint journals, resume, crash isolation and timeout attribution."""
+"""Checkpoint journals, resume, crash isolation and the cancel bound."""
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
 
 from repro.errors import (
-    CampaignTimeoutError,
+    CampaignCancelledError,
     ConvergenceError,
     JobError,
     WorkerCrashError,
 )
 from repro.runtime import JobResult, SensorJob, Telemetry, run_campaign
+from repro.runtime import executor
 from repro.runtime.checkpoint import CheckpointJournal, load_journal
 from repro.units import ns
 
@@ -46,15 +48,6 @@ def _crashy(job):
     return _logged_ok(job)
 
 
-_SLOW_SKEW = ns(5.5)
-
-
-def _slow_marked(job):
-    if job.skew == _SLOW_SKEW:
-        time.sleep(1.5)
-    return _logged_ok(job)
-
-
 _HANG_SKEW = ns(9.9)
 
 
@@ -62,6 +55,12 @@ def _hung_marked(job):
     if job.skew == _HANG_SKEW:
         time.sleep(60.0)  # effectively hung: far beyond any test budget
     return _logged_ok(job)
+
+
+def _hung_crashy(job):
+    if job.skew == _HANG_SKEW:
+        return _hung_marked(job)
+    return _crashy(job)
 
 
 _FAIL_SKEW = ns(3.3)
@@ -142,7 +141,7 @@ def test_raise_mode_interrupt_journals_completed_prefix(tmp_path):
     jobs = _jobs(1.0, 2.0, 3.3, 4.0)  # job[2] fails
     path = str(tmp_path / "campaign.jsonl")
     with pytest.raises(ConvergenceError):
-        run_campaign(jobs, evaluate=_fail_marked, checkpoint=path, retries=0)
+        run_campaign(jobs, evaluate=_fail_marked, checkpoint=path)
     assert len(load_journal(path)) == 2  # the jobs completed before the abort
 
     telemetry = Telemetry()
@@ -159,8 +158,7 @@ def test_collected_failures_are_not_journalled(tmp_path):
     jobs = _jobs(1.0, 3.3, 2.0)  # job[1] fails
     path = str(tmp_path / "campaign.jsonl")
     campaign = run_campaign(
-        jobs, evaluate=_fail_marked, checkpoint=path, retries=0,
-        on_error="collect",
+        jobs, evaluate=_fail_marked, checkpoint=path, on_error="collect",
     )
     (record,) = campaign.errors
     assert record.error == "ConvergenceError"
@@ -180,12 +178,18 @@ def test_collected_failures_are_not_journalled(tmp_path):
 # Crash isolation: a killed worker breaks only its pool generation.
 # --------------------------------------------------------------------- #
 
-def test_worker_crash_is_collected_and_remaining_jobs_finish():
+@pytest.fixture
+def no_redispatch(monkeypatch):
+    """Declare a crashing job poison on its first isolated dispatch."""
+    monkeypatch.setattr(executor, "MAX_REDISPATCH", 0)
+
+
+def test_worker_crash_is_collected_and_remaining_jobs_finish(no_redispatch):
     jobs = _jobs(1.0, 7.7, 2.0, 4.0)  # job[1] kills its worker
     telemetry = Telemetry()
     campaign = run_campaign(
         jobs, backend="process", max_workers=2, evaluate=_crashy,
-        on_error="collect", retries=0, max_redispatch=0, telemetry=telemetry,
+        on_error="collect", telemetry=telemetry,
     )
     assert len(campaign) == len(jobs)
     crashed = campaign[1]
@@ -201,7 +205,7 @@ def test_worker_crash_is_collected_and_remaining_jobs_finish():
     assert telemetry.jobs_failed == 1
 
 
-def test_crash_isolates_only_in_flight_jobs():
+def test_crash_isolates_only_in_flight_jobs(no_redispatch):
     """A crash must not serialise the never-started remainder: only the
     jobs in flight when the pool broke (at most ``max_workers``) are
     re-dispatched in isolation; the rest rerun on a parallel pool."""
@@ -209,7 +213,7 @@ def test_crash_isolates_only_in_flight_jobs():
     telemetry = Telemetry()
     campaign = run_campaign(
         jobs, backend="process", max_workers=2, evaluate=_crashy,
-        on_error="collect", retries=0, max_redispatch=0, telemetry=telemetry,
+        on_error="collect", telemetry=telemetry,
     )
     assert len(campaign) == len(jobs)
     (crashed,) = campaign.errors
@@ -218,12 +222,11 @@ def test_crash_isolates_only_in_flight_jobs():
     assert telemetry.redispatches <= 2  # bounded by the worker count
 
 
-def test_worker_crash_raises_with_job_descriptor():
+def test_worker_crash_raises_with_job_descriptor(no_redispatch):
     jobs = _jobs(1.0, 7.7)
     with pytest.raises(WorkerCrashError) as excinfo:
         run_campaign(
             jobs, backend="process", max_workers=2, evaluate=_crashy,
-            retries=0, max_redispatch=0,
         )
     error = excinfo.value
     assert error.job is jobs[1]
@@ -232,51 +235,51 @@ def test_worker_crash_raises_with_job_descriptor():
 
 
 # --------------------------------------------------------------------- #
-# Timeouts carry the offending job descriptor.
+# The cancel event is a campaign's one wall-time bound.
 # --------------------------------------------------------------------- #
 
-def test_timeout_collects_job_error_with_descriptor():
-    jobs = _jobs(1.0, 5.5, 2.0)  # job[1] sleeps past the budget
-    campaign = run_campaign(
-        jobs, backend="process", max_workers=3, evaluate=_slow_marked,
-        timeout=0.3, on_error="collect",
-    )
-    timed_out = campaign[1]
-    assert isinstance(timed_out, JobError)
-    assert timed_out.error == "CampaignTimeoutError"
-    assert timed_out.job.skew == _SLOW_SKEW
-    error = timed_out.exception()
-    assert isinstance(error, CampaignTimeoutError)
-    assert isinstance(error, TimeoutError)
-    assert timed_out.diagnostics["extra"]["elapsed_s"] > 0
-    assert campaign[0].ok and campaign[2].ok
+def test_cancel_kills_hung_process_worker(tmp_path):
+    """A hung process worker is killed, not joined: once the cancel
+    event is set the campaign raises within seconds, not the job's 60 s,
+    and every job that finished is in its journal."""
+    jobs = _jobs(1.0, 9.9, 2.0, 4.0)  # job[1] hangs
+    path = str(tmp_path / "campaign.jsonl")
+    cancel = threading.Event()
+    landed = []
 
+    def progress(index, result):
+        landed.append(index)
+        if len(landed) == len(jobs) - 1:
+            # Set from another thread while the campaign waits on the
+            # hung worker, as the service's timeout timer does.
+            threading.Timer(0.3, cancel.set).start()
 
-def test_process_timeout_kills_stuck_worker():
-    """A genuinely hung process worker must be killed, not joined: the
-    campaign finishes in ~timeout wall time, not the job's 60 s."""
-    jobs = _jobs(1.0, 9.9, 2.0)  # job[1] hangs far past the budget
     watch = time.perf_counter()
-    campaign = run_campaign(
-        jobs, backend="process", max_workers=2, evaluate=_hung_marked,
-        timeout=1.0, on_error="collect",
-    )
-    assert time.perf_counter() - watch < 30.0  # nowhere near the 60 s sleep
-    timed_out = campaign[1]
-    assert isinstance(timed_out, JobError)
-    assert timed_out.error == "CampaignTimeoutError"
-    assert timed_out.job.skew == _HANG_SKEW
-    assert campaign[0].ok and campaign[2].ok
-
-
-def test_timeout_raises_with_job_attempts_elapsed():
-    jobs = _jobs(1.0, 5.5)
-    with pytest.raises(CampaignTimeoutError) as excinfo:
+    with pytest.raises(CampaignCancelledError) as excinfo:
         run_campaign(
-            jobs, backend="process", max_workers=2, evaluate=_slow_marked,
-            timeout=0.3,
+            jobs, backend="process", max_workers=2, evaluate=_hung_marked,
+            checkpoint=path, progress=progress, cancel_event=cancel,
         )
-    error = excinfo.value
-    assert error.job is jobs[1]
-    assert error.elapsed > 0
-    assert error.attempts >= 1
+    assert time.perf_counter() - watch < 10.0
+    assert sorted(landed) == [0, 2, 3]
+    assert excinfo.value.completed == 3
+    assert set(load_journal(path)) == {jobs[i].key() for i in landed}
+
+
+def test_cancel_reaches_an_isolated_suspect(no_redispatch):
+    """A hung job in flight when another job crashed its pool is
+    re-run alone; the cancel event still ends the campaign."""
+    jobs = _jobs(7.7, 9.9)  # job[0] kills its worker, job[1] hangs
+    cancel = threading.Event()
+    timer = threading.Timer(2.0, cancel.set)
+    timer.start()
+    watch = time.perf_counter()
+    try:
+        with pytest.raises(CampaignCancelledError):
+            run_campaign(
+                jobs, backend="process", max_workers=2, evaluate=_hung_crashy,
+                on_error="collect", cancel_event=cancel,
+            )
+    finally:
+        timer.cancel()
+    assert time.perf_counter() - watch < 10.0

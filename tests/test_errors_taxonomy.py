@@ -12,7 +12,6 @@ from repro.core.sensing import SkewSensor
 from repro.devices.sources import clock_pair
 from repro.errors import (
     MAX_STATE_NODES,
-    CampaignTimeoutError,
     ConvergenceError,
     JobError,
     NonFiniteStateError,
@@ -32,11 +31,9 @@ from repro.units import ns
 
 def test_historical_import_sites_are_aliases():
     from repro.analog import dcop
-    from repro.runtime import executor
 
     assert dcop.ConvergenceError is ConvergenceError
     assert dcop.NonFiniteStateError is NonFiniteStateError
-    assert executor.CampaignTimeoutError is CampaignTimeoutError
 
     import repro.runtime as runtime
 
@@ -50,8 +47,6 @@ def test_hierarchy():
     assert issubclass(ConvergenceError, SimulationError)
     assert issubclass(NonFiniteStateError, ConvergenceError)
     assert issubclass(StepSizeUnderflowError, ConvergenceError)
-    assert issubclass(CampaignTimeoutError, SimulationError)
-    assert issubclass(CampaignTimeoutError, TimeoutError)
     assert issubclass(WorkerCrashError, SimulationError)
 
 
@@ -99,14 +94,6 @@ def test_errors_pickle_with_diagnostics(cls):
     assert "unit_test" in str(clone)
 
 
-def test_timeout_error_pickles_despite_multiple_inheritance():
-    error = CampaignTimeoutError("late", job=None, attempts=3, elapsed=1.5)
-    clone = pickle.loads(pickle.dumps(error))
-    assert isinstance(clone, TimeoutError)
-    assert clone.attempts == 3
-    assert clone.elapsed == 1.5
-
-
 def test_rebuild_error():
     diag = _full_diagnostics().as_dict()
     error = rebuild_error("StepSizeUnderflowError", "dt underflow", diag)
@@ -116,15 +103,15 @@ def test_rebuild_error():
     assert type(rebuild_error("FutureError", "x", None)) is SimulationError
 
 
-def test_rebuild_error_restores_timeout_attributes():
-    original = CampaignTimeoutError("late", job=None, attempts=2, elapsed=0.75)
+def test_rebuild_error_restores_crash_dispatches():
+    original = WorkerCrashError("died", job=None, dispatches=3)
     clone = rebuild_error(
-        "CampaignTimeoutError", original.message,
-        original.diagnostics.as_dict(),
+        "WorkerCrashError", original.message, original.diagnostics.as_dict(),
     )
-    assert isinstance(clone, CampaignTimeoutError)
-    assert clone.attempts == 2
-    assert clone.elapsed == 0.75
+    assert isinstance(clone, WorkerCrashError)
+    assert clone.dispatches == 3
+    # A journal written while per-job timeouts existed still loads.
+    assert type(rebuild_error("CampaignTimeoutError", "late")) is SimulationError
 
 
 def test_job_error_record():

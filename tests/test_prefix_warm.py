@@ -421,7 +421,7 @@ def _cross_sample_jobs(warm_start=True):
 
 def _items(jobs):
     """Wrap jobs in the executor's work-item tuples."""
-    return [(k, job, 1, None) for k, job in enumerate(jobs)]
+    return [(k, job, None) for k, job in enumerate(jobs)]
 
 
 def _assert_same_result(got, want):
@@ -432,11 +432,11 @@ def _assert_same_result(got, want):
 
 
 def test_cross_sample_warm_stack(fresh_cache):
-    from repro.batch.dispatch import DEFAULT_BATCH_SIZE, group_batches
+    from repro.batch.dispatch import group_batches
     from repro.runtime.prefix import evaluate_job_warm
 
     warm_jobs = _cross_sample_jobs()
-    chunks = group_batches(_items(warm_jobs), DEFAULT_BATCH_SIZE)
+    chunks = group_batches(_items(warm_jobs), batch_size=64)
     assert [len(chunk) for chunk in chunks] == [9]
 
     warm = evaluate_jobs_batch(warm_jobs)
@@ -453,7 +453,7 @@ def test_cross_sample_warm_stack(fresh_cache):
     # every row steps its own window.
     early = replace(warm_jobs[0], skew=ns(-0.1))
     jobs = warm_jobs + [early]
-    chunks = group_batches(_items(jobs), DEFAULT_BATCH_SIZE)
+    chunks = group_batches(_items(jobs), batch_size=64)
     assert [len(chunk) for chunk in chunks] == [10]
     stack = evaluate_jobs_batch(jobs)
     for job, got in zip(jobs, stack.results):

@@ -214,6 +214,10 @@ def test_parse_size_suffixes():
         parse_size("")
     with pytest.raises(ValueError):
         parse_size("lots")
+    # A budget is a byte count: never negative, never unbounded.
+    for bad in ("-1", "-2k", "nan", "inf"):
+        with pytest.raises(ValueError):
+            parse_size(bad)
 
 
 def test_default_max_disk_bytes_env(monkeypatch):

@@ -1,4 +1,4 @@
-"""Campaign executor: backends, ordering, retries, timeouts, caching."""
+"""Campaign executor: backends, ordering, one evaluation per job, caching."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.runtime import (
     resolve_chunksize,
     resolve_workers,
 )
-from repro.runtime.executor import CampaignTimeoutError
 from repro.units import fF, ns
 
 FAST = TransientOptions(dt_max=200e-12, reltol=5e-3)
@@ -43,22 +42,11 @@ def _synthetic(job):
     )
 
 
-def _slow_synthetic(job):
-    time.sleep(0.5)
-    return _synthetic(job)
-
-
-_FLAKY_FAILURES = {"remaining": 0}
-
-
-def _flaky(job):
-    if _FLAKY_FAILURES["remaining"] > 0:
-        _FLAKY_FAILURES["remaining"] -= 1
-        raise ConvergenceError("synthetic non-convergence")
-    return _synthetic(job)
+_DIVERGED = []
 
 
 def _always_diverges(job):
+    _DIVERGED.append(job.skew)
     raise ConvergenceError("synthetic non-convergence")
 
 
@@ -150,44 +138,23 @@ def test_unknown_backend_rejected():
 
 
 # --------------------------------------------------------------------- #
-# Retries on ConvergenceError.
+# A job is a deterministic transient: a failing one is evaluated once.
 # --------------------------------------------------------------------- #
 
-def test_retry_recovers_from_transient_failures():
-    _FLAKY_FAILURES["remaining"] = 2
+def test_failing_job_is_evaluated_once():
+    del _DIVERGED[:]
+    with pytest.raises(ConvergenceError):
+        run_campaign(jobs_for(0.2), backend="serial", evaluate=_always_diverges)
+    assert len(_DIVERGED) == 1
+
     telemetry = Telemetry()
     campaign = run_campaign(
-        jobs_for(0.2), backend="serial", retries=2,
-        evaluate=_flaky, telemetry=telemetry,
+        jobs_for(0.2, 0.3), backend="serial", evaluate=_always_diverges,
+        on_error="collect", telemetry=telemetry,
     )
-    assert campaign[0].attempts == 3
-    assert telemetry.retries == 2
-    assert telemetry.jobs_evaluated == 1
-
-
-def test_retry_budget_exhaustion_raises():
-    with pytest.raises(ConvergenceError):
-        run_campaign(
-            jobs_for(0.2), backend="serial", retries=1,
-            evaluate=_always_diverges,
-        )
-
-
-def test_negative_retries_rejected():
-    with pytest.raises(ValueError):
-        run_campaign([], retries=-1)
-
-
-# --------------------------------------------------------------------- #
-# Per-job timeout (process backend).
-# --------------------------------------------------------------------- #
-
-def test_process_timeout_raises():
-    with pytest.raises(CampaignTimeoutError):
-        run_campaign(
-            jobs_for(0.2), backend="process", timeout=0.05,
-            evaluate=_slow_synthetic,
-        )
+    assert len(_DIVERGED) == 3
+    assert [r.error for r in campaign] == ["ConvergenceError"] * 2
+    assert telemetry.jobs_failed == 2
 
 
 # --------------------------------------------------------------------- #

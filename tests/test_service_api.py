@@ -169,6 +169,22 @@ def test_cache_endpoints(service, fresh_cache):
     assert pruned["disk_bytes"] <= before // 2
 
 
+@pytest.mark.parametrize("budget", [True, 1.9, -1, "12"])
+def test_cache_prune_refuses_a_budget_that_is_not_a_byte_count(
+    service, fresh_cache, budget
+):
+    from repro.runtime import get_cache
+
+    cache = get_cache()
+    for index in range(5):
+        cache.put(f"{index:064d}", {"payload": "x" * 32})
+    with pytest.raises(ServiceError) as excinfo:
+        service.prune_cache(max_bytes=budget)
+    assert excinfo.value.status == 400
+    assert "max_bytes" in excinfo.value.message
+    assert cache.disk_entries() == 5
+
+
 def test_server_restart_resumes_from_journal(tmp_path, synthetic_kind,
                                              fresh_cache):
     """Kill the server mid-campaign; a new one finishes the job."""

@@ -55,7 +55,6 @@ def test_submit_rejects_bad_spec(tmp_path):
     for bad in ({"backend": "thread"},
                 {"workers": "two"}, {"workers": 0}, {"workers": True},
                 {"chunksize": "x"}, {"chunksize": 0},
-                {"retries": -1}, {"retries": 1.5},
                 {"warm_start": "no"}, {"fast": "false"},
                 {"no_cache": "false"}, {"no_cache": None}):
         with pytest.raises(SpecError):
@@ -141,6 +140,53 @@ def test_restart_requeues_interrupted_campaign(tmp_path):
     assert record.resume is True
     assert record.total == 3
     assert [r.campaign_id for r in revived.pending()] == [cid]
+
+
+def test_journal_with_retired_retries_key_resumes(tmp_path, synthetic_kind):
+    """A campaign journalled while ``retries`` was a spec key carries
+    it; replayed after the process died, it resumes and runs to done.
+    A new spec carrying the key is refused like any unknown key."""
+    import time
+
+    from repro.runtime import CheckpointJournal, JobResult, SensorJob
+    from repro.service.scheduler import CampaignScheduler
+    from repro.service.specs import normalize_spec
+
+    spec = {**normalize_spec({"kind": "synthetic", "jobs": 3}), "retries": 1}
+    with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
+        journal.append({"kind": "campaign", "id": "old", "spec": spec,
+                        "client": "", "priority": 0, "seq": 0, "total": 0,
+                        "at": 1.0})
+        journal.append({"kind": "state", "id": "old", "state": "running",
+                        "at": 2.0, "total": 3})
+    # The dead incarnation had finished job 0.
+    first = SensorJob(skew=1e-12)
+    with CheckpointJournal(
+        tmp_path / "campaigns" / "old" / "checkpoint.jsonl"
+    ) as checkpoint:
+        checkpoint.record(first.key(), JobResult(
+            skew=first.skew, vmin_y1=1.0, vmin_y2=2.0, code=(0, 0), steps=1,
+        ).to_payload())
+
+    store = JobStore(tmp_path)
+    record = store.get("old")
+    assert record.state == "queued"
+    assert record.resume is True
+    scheduler = CampaignScheduler(store)
+    scheduler.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while not store.get("old").terminal and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert store.get("old").state == "done"
+        assert store.load_result("old") == {
+            "kind": "synthetic", "tag": "", "n": 3, "resumed": 1,
+        }
+        with pytest.raises(SpecError, match="retries"):
+            store.submit({"kind": "sensitivity", "retries": 1})
+    finally:
+        scheduler.stop()
+        store.close()
 
 
 def test_replay_preserves_submission_order_and_seq(tmp_path):
