@@ -24,18 +24,40 @@ sensors grafted, the real workload of `repro whole-tree`) from ~40 to
 * ``deviation_max_v`` - max |dense - sparse| waveform deviation over the
   cases, held to the subsystem's 1 uV equivalence contract.
 
+A second leg times the factor layer alone.  Per ``FACTOR_CASES`` case it
+records every Newton matrix one ``simulate_whole_tree`` run hands
+SuperLU, then factors them all under scipy's default ``splu`` settings
+and under the package's ``SPLU_SETTINGS``, in alternating rounds, and
+records:
+
+* ``default_us`` / ``package_us`` - the median over rounds of the mean
+  microseconds per ``splu`` call, and ``factor_speedup``, their ratio
+  (the headline ``factor_speedup`` is the smallest case's);
+* ``fill_nnz_default`` / ``fill_nnz`` - L+U entries of the run's last
+  factorization under each setting, and ``fill_over_default``, the
+  count of the run's matrices the package setting fills more than the
+  defaults;
+* ``solve_rel_diff_max`` - the worst max-norm relative difference of
+  one solve between the two settings over the run's matrices.
+
+The last two are deterministic for a given scipy: a non-zero
+``fill_over_default`` or a ``solve_rel_diff_max`` above ``SOLVE_RTOL``
+fails the run.
+
 scipy is imported before the first timed leg, so each leg pair differs
-in the Jacobian policy only.  Runs standalone
+in the Jacobian policy (or the SuperLU setting) only.  Runs standalone
 (``python benchmarks/bench_whole_tree.py [--smoke]``) for the CI sparse
 job - ``--smoke`` trims the transient window, times one round per case
-and skips the 10^3-node showcase - or under pytest-benchmark with the
-rest of the harness.
+(three per factor case) and skips the 10^3-node showcase and the two
+largest factor cases - or under pytest-benchmark with the rest of the
+harness.
 """
 
 import argparse
 import statistics
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -53,9 +75,11 @@ from repro.clocktree.whole_tree import (
     WholeTreeNetlistBuilder,
     attach_sensors,
     select_sensor_pairs,
+    simulate_whole_tree,
 )
 from repro.devices.sources import ClockSource
-from repro.sparse.linalg import scipy_splu
+from repro.sparse import linalg as slinalg
+from repro.sparse.linalg import SPLU_SETTINGS, scipy_splu
 from repro.units import ns
 
 from _util import emit, write_bench_json
@@ -90,6 +114,29 @@ SPARSE_CONTRACT_NODES = 500
 EQUIVALENCE_TOL = 1e-6
 
 SETTLE = ns(1.0)
+
+#: Factor-leg cases: (name, ``simulate_whole_tree`` inputs) of one run
+#: each, with two sensors, 3 RC segments per wire unless given, and the
+#: FAST options under ``"auto"``.  "grid10", "grid16-dead" and
+#: "htree3-var" are perfbench ``tree_sparse``'s families, "htree2" is
+#: ``repro whole-tree``'s default and "large" and "xlarge" the sweep's
+#: two largest H-trees, which ``--smoke`` skips.
+FACTOR_CASES = [
+    ("grid10", {"topology": "grid", "grid_shape": (10, 10)}),
+    ("grid16-dead", {"topology": "grid", "grid_shape": (16, 16),
+                     "dead_injections": [(0, 0)]}),
+    ("htree2", {"levels": 2}),
+    ("htree3-var", {"levels": 3, "variation": 0.1, "seed": 1}),
+    ("large", {"levels": 3, "segments_per_wire": 6}),
+    ("xlarge", {"levels": 4, "segments_per_wire": 2}),
+]
+
+#: Timed rounds per SuperLU setting and factor case (smoke: 3).
+FACTOR_ROUNDS = 9
+
+#: Largest relative solve difference between the package setting and
+#: scipy's defaults: both factor the same matrix with partial pivoting.
+SOLVE_RTOL = 1e-9
 
 
 def build_case(topology: str, size):
@@ -191,6 +238,76 @@ def run(smoke: bool = False):
     return rows, min(contract, default=None)
 
 
+def record_newton_matrices(case):
+    """A CSC copy of every matrix one ``simulate_whole_tree`` run of
+    ``case`` factored."""
+    csc_matrix, splu = scipy_splu()
+    matrices = []
+
+    def recording_splu(matrix, **settings):
+        factor = splu(matrix, **settings)
+        matrices.append(matrix.copy())
+        return factor
+
+    with mock.patch.object(slinalg, "_SPLU", (csc_matrix, recording_splu)):
+        simulate_whole_tree(n_sensors=2, **case)
+    return matrices
+
+
+def factor_us(matrices, settings) -> float:
+    """Mean microseconds per ``splu`` call over ``matrices``."""
+    splu = scipy_splu()[1]
+    start = time.perf_counter()
+    for matrix in matrices:
+        splu(matrix, **settings)
+    return (time.perf_counter() - start) / len(matrices) * 1e6
+
+
+def run_factor(smoke: bool = False):
+    """Time and fill the factor layer per ``FACTOR_CASES`` case."""
+    splu = scipy_splu()[1]
+    settings = {"default": {}, "package": SPLU_SETTINGS}
+    rows = []
+    for name, case in FACTOR_CASES:
+        if smoke and name in ("large", "xlarge"):
+            continue
+        matrices = record_newton_matrices(case)
+        times = {leg: [] for leg in settings}
+        # Alternate the leg order so a slow spell hits both settings.
+        for k in range(3 if smoke else FACTOR_ROUNDS):
+            for leg in (("default", "package") if k % 2 == 0
+                        else ("package", "default")):
+                times[leg].append(factor_us(matrices, settings[leg]))
+        rng = np.random.default_rng(0)
+        fills, worst = [], 0.0
+        for matrix in matrices:
+            default = splu(matrix)
+            package = splu(matrix, **SPLU_SETTINGS)
+            rhs = rng.standard_normal(matrix.shape[0])
+            expected = default.solve(rhs)
+            worst = max(worst, float(
+                np.max(np.abs(package.solve(rhs) - expected))
+                / np.max(np.abs(expected))))
+            fills.append((default.L.nnz + default.U.nnz,
+                          package.L.nnz + package.U.nnz))
+        default_us = statistics.median(times["default"])
+        package_us = statistics.median(times["package"])
+        rows.append({
+            "case": name,
+            "n_free": matrices[0].shape[0],
+            "factorizations": len(matrices),
+            "rounds": len(times["package"]),
+            "default_us": default_us,
+            "package_us": package_us,
+            "factor_speedup": default_us / package_us,
+            "fill_nnz_default": int(fills[-1][0]),
+            "fill_nnz": int(fills[-1][1]),
+            "fill_over_default": sum(int(p > d) for d, p in fills),
+            "solve_rel_diff_max": worst,
+        })
+    return rows
+
+
 def crossover_free_nodes(rows) -> int:
     """Break-even of ``speedup = (n_free / n0) ** k``, a power law
     fitted by least squares to the cases below the contract size: the
@@ -201,10 +318,11 @@ def crossover_free_nodes(rows) -> int:
     return int(round(np.exp(-c / k)))
 
 
-def report(rows, headline, smoke: bool) -> int:
-    """Emit the table + BENCH JSON; non-zero on a contract violation."""
+def report(rows, headline, factor_rows, smoke: bool) -> int:
+    """Emit the tables + BENCH JSON; non-zero on a contract violation."""
     crossover = crossover_free_nodes(rows)
     deviation = max(r["deviation_max_v"] for r in rows)
+    factor_speedup = min(r["factor_speedup"] for r in factor_rows)
     lines = [
         "Whole-chip clock-tree transients: dense vs sparse MNA",
         "  case     nodes  free  auto    steps  dense_s  sparse_s"
@@ -225,6 +343,20 @@ def report(rows, headline, smoke: bool) -> int:
     lines.append(
         f"  dense-vs-sparse deviation (worst case): {deviation:.1e} V"
     )
+    lines += [
+        "SuperLU per factorization: scipy defaults vs package settings",
+        "  case         free  factors  default_us  package_us  speedup"
+        "  fill default  fill  solve diff",
+    ]
+    for row in factor_rows:
+        lines.append(
+            f"  {row['case']:<11} {row['n_free']:>5} {row['factorizations']:>8}"
+            f"  {row['default_us']:10.1f}  {row['package_us']:10.1f}"
+            f"  {row['factor_speedup']:6.2f}x  {row['fill_nnz_default']:>12}"
+            f"  {row['fill_nnz']:>4}  {row['solve_rel_diff_max']:10.1e}"
+        )
+    lines.append(f"  settings {SPLU_SETTINGS}; smallest speedup"
+                 f" {factor_speedup:.2f}x")
     emit("whole_tree", lines)
     write_bench_json("whole_tree", {
         "smoke": smoke,
@@ -233,12 +365,26 @@ def report(rows, headline, smoke: bool) -> int:
         "sparse_auto_nodes": SPARSE_AUTO_NODES,
         "sparse_speedup": headline,
         "deviation_max_v": deviation,
+        "factor_cases": factor_rows,
+        "factor_speedup": factor_speedup,
+        "splu_settings": SPLU_SETTINGS,
     })
 
     status = 0
     if deviation > EQUIVALENCE_TOL:
         print("FAIL: dense-vs-sparse deviation above 1 uV", file=sys.stderr)
         status = 1
+    for row in factor_rows:
+        if row["solve_rel_diff_max"] > SOLVE_RTOL:
+            print(f"FAIL: {row['case']}: the package SuperLU setting solves"
+                  f" {row['solve_rel_diff_max']:.1e} off scipy's defaults",
+                  file=sys.stderr)
+            status = 1
+        if row["fill_over_default"]:
+            print(f"FAIL: {row['case']}: the package SuperLU setting fills"
+                  f" more than scipy's defaults on"
+                  f" {row['fill_over_default']} matrices", file=sys.stderr)
+            status = 1
     if headline is not None and headline <= 1.0:
         print("FAIL: sparse path no faster than dense at >=500 nodes",
               file=sys.stderr)
@@ -249,7 +395,7 @@ def report(rows, headline, smoke: bool) -> int:
 def test_whole_tree_scaling(benchmark):
     """Pytest-benchmark entry: full sweep + the subsystem's shape claims."""
     rows, headline = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report(rows, headline, smoke=False) == 0
+    assert report(rows, headline, run_factor(), smoke=False) == 0
     # Shape claims: the sparse pattern stays O(n) (density collapses as n
     # grows), the 10^3-node case completes on the sparse path, "auto"
     # runs the CLI's 2-level H-tree sparse and the smallest case dense,
@@ -267,10 +413,13 @@ def main(argv=None) -> int:
     """Standalone entry for the CI sparse job."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="short window, one round, skip the xlarge case")
+                        help="short window, one round (three per factor "
+                             "case), skip the xlarge case and the two "
+                             "largest factor cases")
     args = parser.parse_args(argv)
     rows, headline = run(smoke=args.smoke)
-    return report(rows, headline, smoke=args.smoke)
+    return report(rows, headline, run_factor(smoke=args.smoke),
+                  smoke=args.smoke)
 
 
 if __name__ == "__main__":

@@ -76,10 +76,11 @@ MAX_RESCUES = 50
 #: break-even ``benchmarks/bench_whole_tree.py`` measures
 #: (``crossover_free_nodes`` of ``benchmarks/out/BENCH_whole_tree.json``,
 #: a power law fitted to the wall-time speedup of whole H-trees and
-#: grids from 43 to 185 free nodes).  Up to 67 free nodes the two paths
-#: lie within 14 % of each other either way; from 79 up sparse wins every
-#: recorded case, a 2-level H-tree (125) by 2.6x.
-SPARSE_AUTO_NODES = 58
+#: grids from 43 to 185 free nodes).  Up to 66 free nodes neither path
+#: wins by more than 17 %; from 67 up sparse wins every recorded case, a
+#: 2-level H-tree (125) by 2.3x.  On a shared 2-core box the fit moves
+#: by a few nodes from run to run.
+SPARSE_AUTO_NODES = 55
 
 
 def resolve_jacobian_policy(

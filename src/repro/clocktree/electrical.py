@@ -78,11 +78,15 @@ class TreeNetlistBuilder:
         segments_per_wire: int = 3,
         source_resistance: float = 100.0,
     ) -> None:
+        if segments_per_wire < 1:
+            raise ValueError(
+                f"segments_per_wire must be >= 1, got {segments_per_wire}"
+            )
         self.tree = tree
         self.sink_names = list(sinks)
         self.process = process or nominal_process()
         self.model = model or WireModel()
-        self.segments = max(1, segments_per_wire)
+        self.segments = segments_per_wire
         self.source_resistance = source_resistance
         self.netlist = Netlist(name=f"{tree.name}-electrical")
         self.sink_nodes: Dict[str, str] = {}

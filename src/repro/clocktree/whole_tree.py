@@ -644,10 +644,25 @@ class WholeTreeJob:
     options: Optional[TransientOptions] = None
 
     def key(self) -> str:
-        """Content-address of this job (checkpoint/journal identity)."""
+        """Content-address of this job (checkpoint/journal identity).
+
+        Hashed with the fields its run ignores at their defaults: a
+        grid's ``levels`` and ``segments_per_wire``, an H-tree's
+        ``rows`` and ``cols``, and ``seed`` unless an H-tree varies.
+        Jobs that build one network share one key, so a campaign runs
+        it once.
+        """
         from repro.runtime.cache import stable_key
 
-        return stable_key(self, namespace=WHOLE_TREE_NAMESPACE)
+        default = WholeTreeJob()
+        if self.topology == "htree":
+            job = replace(self, rows=default.rows, cols=default.cols)
+            if not job.variation:
+                job = replace(job, seed=default.seed)
+        else:
+            job = replace(self, levels=default.levels, seed=default.seed,
+                          segments_per_wire=default.segments_per_wire)
+        return stable_key(job, namespace=WHOLE_TREE_NAMESPACE)
 
     def tree_fault(self) -> Optional[TreeFault]:
         """The :class:`~repro.clocktree.faults.TreeFault` of ``fault``."""

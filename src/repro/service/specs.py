@@ -389,7 +389,7 @@ def _build_whole_tree(spec: Dict[str, Any]) -> CampaignPlan:
     levels = _integer(spec["levels"], "levels", minimum=1)
     sensors = _integer(spec["sensors"], "sensors", minimum=1)
     segments = _integer(spec["segments_per_wire"], "segments_per_wire",
-                        minimum=0)
+                        minimum=1)
     grid = spec["grid"]
     if (not isinstance(grid, (list, tuple)) or len(grid) != 2
             or not all(_is_int(g, minimum=2) for g in grid)):

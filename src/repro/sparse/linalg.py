@@ -6,7 +6,9 @@ it is constructed once per topology from a fixed CSR pattern
 whenever the engine's modified-Newton policy decides the cached factor
 went stale.  The CSR -> CSC layout is built once per pattern, so a
 refactorization is one gather into a fixed CSC template plus SuperLU
-(COLAMD ordering) from the ``repro[sparse]`` extra.  The fill gauge
+from the ``repro[sparse]`` extra, under the one setting
+:data:`SPLU_SETTINGS` (minimum degree on the pattern of ``A^T + A``,
+no supernode panels).  The fill gauge
 :meth:`SparseLU.fill_nnz` (``L.nnz + U.nnz``) builds both triangles as
 scipy matrices, so the engine reads it once per run.
 
@@ -27,6 +29,19 @@ import numpy as np
 #: absent; ``_SPLU_RESOLVED`` gates the one-time import attempt.
 _SPLU: Optional[Tuple[Any, Any]] = None
 _SPLU_RESOLVED = False
+
+#: Keyword arguments of every ``splu`` call.  The Newton matrices of a
+#: whole clock network are small (10^1..10^3 free nodes) and nearly
+#: symmetric in pattern: every RC and GMIN stamp is symmetric, only the
+#: MOSFET gate columns are not.  So minimum degree on ``A^T + A`` fills
+#: less than scipy's default COLAMD (4 393 against 6 336 L+U entries on
+#: a 16x16 grid), and at a fill of 10^3..10^4 entries SuperLU's panels
+#: and relaxed supernodes cost more bookkeeping than they save.  Partial
+#: pivoting (``diag_pivot_thresh`` 1.0) is scipy's default and stays.
+#: ``benchmarks/bench_whole_tree.py`` times and fills this setting
+#: against scipy's defaults (``factor_speedup``, 1.16x to 1.83x per
+#: factorization in ``benchmarks/out/BENCH_whole_tree.json``).
+SPLU_SETTINGS = {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "relax": 1}
 
 
 def scipy_splu() -> Optional[Tuple[Any, Any]]:
@@ -79,9 +94,10 @@ class SparseLU:
 
     The CSR -> CSC data permutation and the CSC index arrays are built
     once here; :meth:`factor` gathers a ``data`` vector laid out on the
-    CSR pattern into the fixed CSC template and factors it, and
-    :meth:`solve` applies the last factorization.  SuperLU receives the
-    matrix ``csr_matrix(...).tocsc()`` would give it, bit for bit.  A
+    CSR pattern into the fixed CSC template and factors it under
+    :data:`SPLU_SETTINGS`, and :meth:`solve` applies the last
+    factorization.  SuperLU receives the matrix
+    ``csr_matrix(...).tocsc()`` would give it, bit for bit.  A
     singular system never raises from ``solve``: the solution comes back
     non-finite and the caller's step guard handles it, mirroring the
     dense engine's ``raw_inv``.  Raises ``ImportError`` when scipy is
@@ -119,7 +135,8 @@ class SparseLU:
             return
         np.take(data, self._perm, out=self._csc.data)
         try:
-            self._factor = self._last = self._splu(self._csc)
+            self._factor = self._last = self._splu(self._csc,
+                                                   **SPLU_SETTINGS)
         except RuntimeError:  # singular matrix
             self._factor = None
 

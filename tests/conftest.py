@@ -78,7 +78,9 @@ def process():
 
 @pytest.fixture(scope="session")
 def fast_options():
-    """Transient options tuned for test speed (still accurate to ~10 mV)."""
+    """Transient options tuned for test speed: the FAST options, whose
+    ``Vmin`` lies within 1.83 mV of a grid-converged reference on the
+    Fig. 4 grid (``benchmarks/_util.py``)."""
     return TransientOptions(dt_max=200e-12, reltol=5e-3)
 
 

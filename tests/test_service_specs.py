@@ -80,11 +80,79 @@ def test_whole_tree_campaign_keeps_the_largest_sparse_gauges():
     campaign = run_plan(plan, telemetry=telemetry)
     per_job = [dict(result.kernel) for result in campaign.results]
     kernel = telemetry.kernel
-    assert (kernel["sparse_nnz"], kernel["sparse_fill_nnz"]) == (371, 559)
+    assert (kernel["sparse_nnz"], kernel["sparse_fill_nnz"]) == (371, 545)
     for gauge in ("sparse_nnz", "sparse_fill_nnz"):
         assert kernel[gauge] == max(job[gauge] for job in per_job)
     assert kernel["newton_iterations"] == sum(
         job["newton_iterations"] for job in per_job)
+
+
+def test_whole_tree_seeds_of_an_unvaried_tree_run_once(tmp_path):
+    """A seed moves only a varied H-tree: the three seeds of an unvaried
+    one share a key, so the campaign (journalled, as the scheduler runs
+    it) evaluates one transient and folds three equal runs."""
+    from repro.runtime import Telemetry
+    from repro.service.specs import run_plan
+
+    plan = build_plan({"kind": "whole_tree", "levels": 1,
+                       "seeds": [0, 1, 2]})
+    assert len({job.key() for job in plan.jobs}) == 1
+    telemetry = Telemetry()
+    campaign = run_plan(plan, telemetry=telemetry,
+                        checkpoint=str(tmp_path / "journal.jsonl"))
+    assert (telemetry.jobs_total, telemetry.jobs_evaluated) == (3, 1)
+    runs = plan.fold(campaign)["runs"]
+    assert [run.pop("seed") for run in runs] == [0, 1, 2]
+    assert runs[0]["n_nodes"] > 0
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_whole_tree_key_ignores_what_the_run_ignores():
+    """Specs that build one network share one key: a grid's ``levels``
+    and ``segments_per_wire``, an H-tree's ``grid``; inputs the run
+    reads still split keys."""
+    def key(**spec):
+        return build_plan({"kind": "whole_tree", **spec}).jobs[0].key()
+
+    grid = {"topology": "grid", "grid": [4, 4]}
+    assert key(**grid) == key(**grid, levels=3, segments_per_wire=7)
+    assert key(levels=1) == key(levels=1, grid=[3, 5])
+    assert key(levels=1, variation=0.1, seeds=[1]) != \
+        key(levels=1, variation=0.1, seeds=[2])
+    assert key(levels=1) != key(levels=1, segments_per_wire=2)
+    assert key(**grid) != key(**grid, dead_injections=[[0, 0]])
+
+
+def test_whole_tree_refuses_zero_segments_per_wire(tmp_path, capsys):
+    """A wire needs at least one RC segment: 0 used to be built as 1.
+    The kind refuses it (HTTP 400, and ``repro whole-tree`` exits 2), and
+    ``simulate_whole_tree`` raises."""
+    from repro.cli import main
+    from repro.clocktree.whole_tree import simulate_whole_tree
+
+    spec = {**_WHOLE_TREE, "segments_per_wire": 0}
+    message = "segments_per_wire must be an integer >= 1, got 0"
+    with pytest.raises(SpecError, match=message):
+        build_plan(spec)
+    assert main(["whole-tree", "--levels", "1", "--segments", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ValueError, match="segments_per_wire must be >= 1"):
+        simulate_whole_tree(levels=1, segments_per_wire=0)
+
+    server = create_server(state_dir=str(tmp_path / "state"))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServiceClient(f"http://127.0.0.1:{server.port}", retries=0)
+    try:
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.message
+        assert client.list() == []
+    finally:
+        server.shutdown_all()
+        thread.join(5.0)
+    assert not thread.is_alive()
 
 
 def test_whole_tree_spec_rejects_a_fault_it_cannot_apply():

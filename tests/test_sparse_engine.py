@@ -14,8 +14,10 @@ the contract that makes it drop-in:
   ``"auto"`` resolve to the dense backend and give the ``"reuse"`` bits
   (the tests that drive ``SparseLU`` itself skip);
 * **factor layer**: ``SparseLU``'s once-per-pattern CSC layout hands
-  SuperLU the matrix a per-call ``tocsc()`` would, bit for bit, and a
-  run's fill gauge is its last successful factorization's;
+  SuperLU the matrix a per-call ``tocsc()`` would, bit for bit, a run's
+  fill gauge is its last successful factorization's, and the package's
+  SuperLU setting reads out perfbench ``tree_sparse``'s families as
+  scipy's defaults do, with no more fill;
 * **crossover**: ``"auto"`` runs the 10x10 grid and the 2-level H-tree
   of ``repro whole-tree`` sparse and a 1-level H-tree dense;
 * **whole-tree equivalence**: a ~200-node full-chip netlist integrates
@@ -312,7 +314,7 @@ def _reference_solve(plan, data, rhs):
 
     matrix = csr_matrix((data, plan.indices, plan.indptr),
                         shape=(plan.nf, plan.nf))
-    return splu(matrix.tocsc()).solve(rhs)
+    return splu(matrix.tocsc(), **slinalg.SPLU_SETTINGS).solve(rhs)
 
 
 @needs_scipy
@@ -343,8 +345,8 @@ def test_fill_gauge_is_last_successful_factorization(monkeypatch):
     csc_matrix, splu = slinalg.scipy_splu()
     factors = []
 
-    def recording_splu(matrix):
-        factor = splu(matrix)
+    def recording_splu(matrix, **settings):
+        factor = splu(matrix, **settings)
         factors.append(factor)
         return factor
 
@@ -355,6 +357,41 @@ def test_fill_gauge_is_last_successful_factorization(monkeypatch):
     assert run.kernel_stats["sparse_fill_nnz"] == last.L.nnz + last.U.nnz
     # The fill moves within a run, so "last" is not "first".
     assert first.L.nnz + first.U.nnz != last.L.nnz + last.U.nnz
+
+
+#: perfbench ``tree_sparse``'s three families as ``simulate_whole_tree``
+#: inputs (its healthy 10x10 grid is the first one without
+#: ``dead_injections``).
+TREE_SPARSE_FAMILIES = {
+    "grid10-dead": {"topology": "grid", "grid_shape": (10, 10),
+                    "dead_injections": [(0, 9)]},
+    "grid16-dead": {"topology": "grid", "grid_shape": (16, 16),
+                    "dead_injections": [(15, 15)]},
+    "htree3-var": {"levels": 3, "variation": 0.1, "seed": 1},
+}
+
+
+@needs_scipy
+@pytest.mark.parametrize("name", sorted(TREE_SPARSE_FAMILIES))
+def test_package_splu_settings_keep_the_readout(monkeypatch, name):
+    """SuperLU under the package settings and under scipy's defaults
+    walks the same run: steps, Newton iterations, factorizations, codes
+    and sensor pairs, arrivals within 1e-21 s, and never more fill."""
+    case = TREE_SPARSE_FAMILIES[name]
+    package = simulate_whole_tree(n_sensors=2, **case)
+    monkeypatch.setattr(slinalg, "SPLU_SETTINGS", {})
+    default = simulate_whole_tree(n_sensors=2, **case)
+    assert list(package.codes.items()) == list(default.codes.items())
+    assert len(package.result) == len(default.result)
+    for counter in ("newton_iterations", "factorizations",
+                    "jacobian_reuses"):
+        assert package.result.kernel_stats[counter] == \
+            default.result.kernel_stats[counter], counter
+    assert package.arrivals.keys() == default.arrivals.keys()
+    for sink, arrival in default.arrivals.items():
+        assert abs(package.arrivals[sink] - arrival) <= 1e-21, sink
+    assert package.result.kernel_stats["sparse_fill_nnz"] <= \
+        default.result.kernel_stats["sparse_fill_nnz"]
 
 
 def test_auto_policy_on_whole_trees():
