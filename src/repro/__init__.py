@@ -29,19 +29,12 @@ Quickstart::
     assert response.code == (0, 1)   # phi2 late -> error indication
 """
 
-from repro.core import SkewSensor, simulate_sensor
-from repro.units import VDD, VTH_INTERPRET, fF, ns, ps, um
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SkewSensor",
-    "simulate_sensor",
-    "VDD",
-    "VTH_INTERPRET",
-    "ns",
-    "ps",
-    "fF",
-    "um",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("SkewSensor", "simulate_sensor"),
+    ".units": ("VDD", "VTH_INTERPRET", "ns", "ps", "fF", "um"),
+})
+__all__.append("__version__")

@@ -7,29 +7,14 @@ an adaptive trapezoidal / backward-Euler scheme, landing steps exactly on
 source breakpoints (clock edge corners).
 """
 
-from repro.analog.compile import CompiledCircuit
-from repro.analog.dcop import dc_operating_point
-from repro.analog.engine import TransientOptions, TransientResult, transient
-from repro.analog.sweep import dc_sweep, switching_threshold
-from repro.analog.waveform import Waveform
-from repro.analog.measure import (
-    crossing_time,
-    delay_between,
-    logic_value,
-    skew_between,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CompiledCircuit",
-    "dc_operating_point",
-    "transient",
-    "TransientOptions",
-    "TransientResult",
-    "Waveform",
-    "crossing_time",
-    "delay_between",
-    "skew_between",
-    "logic_value",
-    "dc_sweep",
-    "switching_threshold",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".compile": ("CompiledCircuit",),
+    ".dcop": ("dc_operating_point",),
+    ".engine": ("transient", "TransientOptions", "TransientResult"),
+    ".waveform": ("Waveform",),
+    ".measure": ("crossing_time", "delay_between", "skew_between",
+                 "logic_value"),
+    ".sweep": ("dc_sweep", "switching_threshold"),
+})

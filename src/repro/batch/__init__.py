@@ -30,31 +30,14 @@ slews and skew.  This package turns that shape into vectorized math:
   executor consumes via ``backend="batch"``.
 """
 
-from repro.batch.compile import BatchCompiledCircuit, BatchTopologyError, compile_batch
-from repro.batch.dispatch import (
-    dispatch_batches,
-    group_batches,
-    resolve_batch_plan,
-    resolve_batch_workers,
-)
-from repro.batch.engine import BatchTransientResult, batch_transient
-from repro.batch.response import (
-    BatchEvaluation,
-    batch_signature,
-    evaluate_jobs_batch,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BatchCompiledCircuit",
-    "BatchEvaluation",
-    "BatchTopologyError",
-    "BatchTransientResult",
-    "batch_signature",
-    "batch_transient",
-    "compile_batch",
-    "dispatch_batches",
-    "evaluate_jobs_batch",
-    "group_batches",
-    "resolve_batch_plan",
-    "resolve_batch_workers",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".compile": ("BatchCompiledCircuit", "BatchTopologyError",
+                 "compile_batch"),
+    ".dispatch": ("dispatch_batches", "group_batches", "resolve_batch_plan",
+                  "resolve_batch_workers"),
+    ".engine": ("BatchTransientResult", "batch_transient"),
+    ".response": ("BatchEvaluation", "batch_signature",
+                  "evaluate_jobs_batch"),
+})

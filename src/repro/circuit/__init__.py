@@ -1,14 +1,9 @@
 """Netlist representation: nodes, device instances, composition, validation."""
 
-from repro.circuit.compose import graft, prefixed_guess
-from repro.circuit.netlist import GROUND, Netlist
-from repro.circuit.validate import NetlistError, validate
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Netlist",
-    "GROUND",
-    "validate",
-    "NetlistError",
-    "graft",
-    "prefixed_guess",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".netlist": ("Netlist", "GROUND"),
+    ".validate": ("validate", "NetlistError"),
+    ".compose": ("graft", "prefixed_guess"),
+})

@@ -38,25 +38,28 @@ from typing import List, Optional
 
 from repro.units import fF, ns, to_ns
 
-# The options of every service spec, which the grid commands run too.
-from repro.service.specs import FAST_OPTIONS as _FAST
-
 #: Default service endpoint of the client subcommands.
 DEFAULT_SERVICE_URL = "http://127.0.0.1:8765"
 
 
 def _cmd_waves(args: argparse.Namespace) -> int:
+    from repro.analog.engine import FAST_OPTIONS
     from repro.core.response import simulate_sensor
     from repro.core.sensing import SkewSensor
     from repro.report import waveform_report
 
-    sensor = SkewSensor(
-        load1=fF(args.load), load2=fF(args.load), full_swing=args.full_swing
-    )
-    response = simulate_sensor(
-        sensor, skew=ns(args.skew), slew1=ns(args.slew), slew2=ns(args.slew),
-        options=_FAST,
-    )
+    try:
+        sensor = SkewSensor(load1=fF(args.load), load2=fF(args.load),
+                            full_swing=args.full_swing)
+        # The sensor, its clocks and their skew refuse a bad value with a
+        # ValueError before the transient starts.
+        response = simulate_sensor(
+            sensor, skew=ns(args.skew), slew1=ns(args.slew),
+            slew2=ns(args.slew), options=FAST_OPTIONS,
+        )
+    except ValueError as error:
+        print(f"error: bad circuit value: {error}", file=sys.stderr)
+        return 2
     print(waveform_report(response, t0=ns(1.0), t1=ns(14.0)))
     return 0
 
@@ -268,10 +271,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_testability(args: argparse.Namespace) -> int:
+    from repro.analog.engine import FAST_OPTIONS
     from repro.report import testability_report_text
     from repro.testing.testability import analyze_sensor_testability
 
-    report = analyze_sensor_testability(options=_FAST)
+    report = analyze_sensor_testability(options=FAST_OPTIONS)
     print(testability_report_text(report))
     return 0
 
@@ -505,8 +509,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
-    from repro.runtime import BACKENDS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Clock-skew testing scheme reproduction "
@@ -522,9 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     waves.set_defaults(func=_cmd_waves)
 
     def add_executor_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=BACKENDS,
-                       default="serial", help="campaign executor backend "
-                       "(batch = lockstep vectorised engine)")
+        p.add_argument("--backend", default="serial",
+                       help="campaign executor backend: serial, process or "
+                            "batch (lockstep vectorised engine)")
         p.add_argument("--workers", type=int, default=None,
                        help="pool width (default: half the CPUs)")
         p.add_argument("--batch-workers", type=int, default=None,
@@ -580,8 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_runtime_flags(camp)
     camp.add_argument("--json", type=str, default=None,
                       help="write the telemetry report to this JSON file")
-    camp.add_argument("--on-error", choices=["raise", "collect"],
-                      default="raise",
+    camp.add_argument("--on-error", default="raise",
                       help="abort on the first failed job (raise) or record "
                            "it as a JobError and keep going (collect)")
     camp.add_argument("--checkpoint", type=str, default=None,

@@ -15,92 +15,27 @@ environmental noise.  This package provides:
   catch.
 """
 
-from repro.clocktree.tree import Buffer, ClockTree, TreeNode, Wire
-from repro.clocktree.htree import build_h_tree
-from repro.clocktree.spine import build_spine, rib_stations
-from repro.clocktree.rc import WireModel, elmore_delays, subtree_capacitance
-from repro.clocktree.dme import build_zero_skew_tree
-from repro.clocktree.skew import (
-    CriticalPair,
-    pairwise_skew,
-    select_critical_pairs,
-    sink_skew_table,
-)
-from repro.clocktree.faults import (
-    BufferSlowdown,
-    CrosstalkCoupling,
-    ResistiveOpen,
-    SupplyNoise,
-    TreeFault,
-    perturb_tree,
-    skew_change,
-)
-from repro.clocktree.rc import sink_delays
-from repro.clocktree.budget import (
-    SkewBudget,
-    recommend_sensitivity,
-    skew_budget,
-    tune_threshold,
-)
-from repro.clocktree.intermittent import (
-    CampaignResult,
-    IntermittentFault,
-    monitoring_campaign,
-)
-from repro.clocktree.electrical import (
-    TreeNetlistBuilder,
-    cosimulate_pair_with_sensor,
-    electrical_sink_arrivals,
-)
-from repro.clocktree.whole_tree import (
-    GridNetlistBuilder,
-    SensorPlacement,
-    WholeTreeNetlistBuilder,
-    WholeTreeRun,
-    attach_sensors,
-    select_sensor_pairs,
-    simulate_whole_tree,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ClockTree",
-    "TreeNode",
-    "Wire",
-    "Buffer",
-    "build_h_tree",
-    "build_spine",
-    "rib_stations",
-    "build_zero_skew_tree",
-    "WireModel",
-    "elmore_delays",
-    "subtree_capacitance",
-    "pairwise_skew",
-    "sink_skew_table",
-    "select_critical_pairs",
-    "CriticalPair",
-    "TreeFault",
-    "ResistiveOpen",
-    "CrosstalkCoupling",
-    "BufferSlowdown",
-    "SupplyNoise",
-    "perturb_tree",
-    "skew_change",
-    "sink_delays",
-    "TreeNetlistBuilder",
-    "electrical_sink_arrivals",
-    "cosimulate_pair_with_sensor",
-    "WholeTreeNetlistBuilder",
-    "GridNetlistBuilder",
-    "SensorPlacement",
-    "WholeTreeRun",
-    "attach_sensors",
-    "select_sensor_pairs",
-    "simulate_whole_tree",
-    "IntermittentFault",
-    "CampaignResult",
-    "monitoring_campaign",
-    "SkewBudget",
-    "skew_budget",
-    "recommend_sensitivity",
-    "tune_threshold",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".tree": ("ClockTree", "TreeNode", "Wire", "Buffer"),
+    ".htree": ("build_h_tree",),
+    ".spine": ("build_spine", "rib_stations"),
+    ".dme": ("build_zero_skew_tree",),
+    ".rc": ("WireModel", "elmore_delays", "subtree_capacitance",
+            "sink_delays"),
+    ".skew": ("pairwise_skew", "sink_skew_table", "select_critical_pairs",
+              "CriticalPair"),
+    ".faults": ("TreeFault", "ResistiveOpen", "CrosstalkCoupling",
+                "BufferSlowdown", "SupplyNoise", "perturb_tree",
+                "skew_change"),
+    ".electrical": ("TreeNetlistBuilder", "electrical_sink_arrivals",
+                    "cosimulate_pair_with_sensor"),
+    ".whole_tree": ("WholeTreeNetlistBuilder", "GridNetlistBuilder",
+                    "SensorPlacement", "WholeTreeRun", "attach_sensors",
+                    "select_sensor_pairs", "simulate_whole_tree"),
+    ".intermittent": ("IntermittentFault", "CampaignResult",
+                      "monitoring_campaign"),
+    ".budget": ("SkewBudget", "skew_budget", "recommend_sensitivity",
+                "tune_threshold"),
+})

@@ -5,54 +5,17 @@ response to a pair of (possibly skewed) clocks, and runs the sensitivity
 analysis of Fig. 4 (``Vmin`` vs skew, ``tau_min`` extraction).
 """
 
-from repro.core.sensing import SensorSizing, SkewSensor
-from repro.core.response import (
-    ERROR_NONE,
-    ERROR_PHI1_LATE,
-    ERROR_PHI2_LATE,
-    SensorResponse,
-    evaluate_response,
-    simulate_sensor,
-)
-from repro.core.sensitivity import (
-    SensitivityCurve,
-    extract_tau_min,
-    sensitivity_family,
-    vmin_for_skew,
-)
-from repro.core.dual import DualSkewSensor, simulate_dual_sensor
-from repro.core.model import (
-    effective_output_capacitance,
-    estimate_fall_current,
-    estimate_tau_min,
-)
-from repro.core.overhead import (
-    SchemeOverhead,
-    SensorOverhead,
-    scheme_overhead,
-    sensor_overhead,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SkewSensor",
-    "SensorSizing",
-    "SensorResponse",
-    "simulate_sensor",
-    "evaluate_response",
-    "ERROR_NONE",
-    "ERROR_PHI1_LATE",
-    "ERROR_PHI2_LATE",
-    "SensitivityCurve",
-    "vmin_for_skew",
-    "extract_tau_min",
-    "sensitivity_family",
-    "DualSkewSensor",
-    "simulate_dual_sensor",
-    "SensorOverhead",
-    "SchemeOverhead",
-    "sensor_overhead",
-    "scheme_overhead",
-    "estimate_tau_min",
-    "estimate_fall_current",
-    "effective_output_capacitance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".sensing": ("SkewSensor", "SensorSizing"),
+    ".response": ("SensorResponse", "simulate_sensor", "evaluate_response",
+                  "ERROR_NONE", "ERROR_PHI1_LATE", "ERROR_PHI2_LATE"),
+    ".sensitivity": ("SensitivityCurve", "vmin_for_skew", "extract_tau_min",
+                     "sensitivity_family"),
+    ".dual": ("DualSkewSensor", "simulate_dual_sensor"),
+    ".overhead": ("SensorOverhead", "SchemeOverhead", "sensor_overhead",
+                  "scheme_overhead"),
+    ".model": ("estimate_tau_min", "estimate_fall_current",
+               "effective_output_capacitance"),
+})

@@ -15,6 +15,7 @@ read it through :func:`read_response`, each written once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -73,11 +74,28 @@ def read_response(
             y2.window_min(edge_start, fall_start), code)
 
 
+def check_skew(skew: float, settle: float) -> None:
+    """Refuse a ``skew`` no run can carry, with a :class:`ValueError`.
+
+    A negative skew advances ``phi2``, whose first rising edge then
+    starts at ``settle + skew``.  At or before ``t = 0``, where every run
+    starts, the run would begin with ``phi2`` already high and read the
+    opposite error.  A non-finite skew is refused too.
+    """
+    if not math.isfinite(skew):
+        raise ValueError(f"skew must be a finite number, got {skew!r}")
+    if settle + min(0.0, skew) <= 0.0:
+        raise ValueError(f"skew {skew / ns(1.0):g} ns starts phi2's rising "
+                         "edge at or before t = 0, where the run starts")
+
+
 def clocked_netlist(
     sensor: SkewSensor, skew: float, slew1: float, slew2: float,
     period: float, settle: float,
 ) -> Netlist:
-    """The sensor's netlist driven by one clock pair carrying ``skew``."""
+    """The sensor's netlist driven by one clock pair carrying ``skew``
+    (refused by :func:`check_skew` when no run can carry it)."""
+    check_skew(skew, settle)
     phi1, phi2 = clock_pair(
         period=period, slew1=slew1, slew2=slew2, skew=skew,
         delay=settle, vdd=sensor.vdd,

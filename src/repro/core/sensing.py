@@ -32,6 +32,7 @@ Behaviour:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -97,8 +98,12 @@ class SkewSensor:
     def __post_init__(self) -> None:
         if self.process is None:
             self.process = nominal_process()
-        if self.load1 < 0 or self.load2 < 0:
-            raise ValueError("load capacitances must be non-negative")
+        if not (0.0 <= self.load1 < math.inf
+                and 0.0 <= self.load2 < math.inf):
+            # A NaN load would otherwise build as no load at all.
+            raise ValueError("load capacitances must be finite and "
+                             f"non-negative, got {self.load1!r} and "
+                             f"{self.load2!r}")
 
     # ------------------------------------------------------------------ #
     @property

@@ -6,36 +6,13 @@ every first-order effect the sensing circuit relies on: ratioed conduction,
 threshold clamping, channel-length modulation, and series-stack division.
 """
 
-from repro.devices.process import (
-    ProcessParams,
-    TransistorParams,
-    corner_process,
-    nominal_process,
-    perturbed_process,
-)
-from repro.devices.mosfet import Mosfet, MosfetType
-from repro.devices.passives import Capacitor, Resistor
-from repro.devices.sources import (
-    ClockSource,
-    DCSource,
-    PulseSource,
-    PWLSource,
-    clock_pair,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ProcessParams",
-    "TransistorParams",
-    "nominal_process",
-    "perturbed_process",
-    "corner_process",
-    "Mosfet",
-    "MosfetType",
-    "Capacitor",
-    "Resistor",
-    "DCSource",
-    "PWLSource",
-    "PulseSource",
-    "ClockSource",
-    "clock_pair",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".process": ("ProcessParams", "TransistorParams", "nominal_process",
+                 "perturbed_process", "corner_process"),
+    ".mosfet": ("Mosfet", "MosfetType"),
+    ".passives": ("Capacitor", "Resistor"),
+    ".sources": ("DCSource", "PWLSource", "PulseSource", "ClockSource",
+                 "clock_pair"),
+})

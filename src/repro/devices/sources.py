@@ -264,7 +264,8 @@ def clock_pair(
 
     ``skew > 0`` delays ``phi2`` relative to ``phi1`` (the Fig. 3 case where
     ``y1`` falls and ``y2`` holds, producing the error code ``01``);
-    ``skew < 0`` delays ``phi1``.
+    ``skew < 0`` advances ``phi2``, whose first rising edge then starts
+    at ``delay + skew``, so ``phi1`` is the late clock.
     """
     phi1 = ClockSource(period=period, slew=slew1, skew=0.0, delay=delay, vdd=vdd)
     phi2 = ClockSource(period=period, slew=slew2, skew=skew, delay=delay, vdd=vdd)

@@ -10,29 +10,12 @@ Abraham & Fuchs).  This package provides:
   escape logic detection.
 """
 
-from repro.faults.models import (
-    BridgingFault,
-    Fault,
-    NodeStuckAt,
-    TransistorStuckOn,
-    TransistorStuckOpen,
-)
-from repro.faults.universe import (
-    FaultUniverse,
-    apply_layout_hardening,
-    enumerate_faults,
-)
-from repro.faults.iddq import IddqProbe, quiescent_current
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Fault",
-    "NodeStuckAt",
-    "TransistorStuckOpen",
-    "TransistorStuckOn",
-    "BridgingFault",
-    "FaultUniverse",
-    "enumerate_faults",
-    "apply_layout_hardening",
-    "IddqProbe",
-    "quiescent_current",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".models": ("Fault", "NodeStuckAt", "TransistorStuckOpen",
+                "TransistorStuckOn", "BridgingFault"),
+    ".universe": ("FaultUniverse", "enumerate_faults",
+                  "apply_layout_hardening"),
+    ".iddq": ("IddqProbe", "quiescent_current"),
+})

@@ -10,18 +10,11 @@ checking, and clk-to-q delay - enough to demonstrate masking quantitatively
 and to host the on-line checker demo.
 """
 
-from repro.logicsim.gates import Gate, GateType
-from repro.logicsim.flipflop import DFlipFlop, TimingViolation
-from repro.logicsim.circuit import LogicCircuit, SimulationTrace
-from repro.logicsim.synth import build_pipeline, delay_chain
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Gate",
-    "GateType",
-    "DFlipFlop",
-    "TimingViolation",
-    "LogicCircuit",
-    "SimulationTrace",
-    "build_pipeline",
-    "delay_chain",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".gates": ("Gate", "GateType"),
+    ".flipflop": ("DFlipFlop", "TimingViolation"),
+    ".circuit": ("LogicCircuit", "SimulationTrace"),
+    ".synth": ("build_pipeline", "delay_chain"),
+})

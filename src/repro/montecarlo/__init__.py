@@ -7,19 +7,10 @@ from U[0.1 ns, 0.4 ns], sweeps the skew, and reports the scatter of
 (``p_loose``) and raising a false one (``p_false``).
 """
 
-from repro.montecarlo.sampling import MonteCarloSample, sample_population
-from repro.montecarlo.analysis import (
-    ErrorProbabilities,
-    ScatterPoint,
-    error_probabilities,
-    scatter_analysis,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MonteCarloSample",
-    "sample_population",
-    "ScatterPoint",
-    "scatter_analysis",
-    "ErrorProbabilities",
-    "error_probabilities",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".sampling": ("MonteCarloSample", "sample_population"),
+    ".analysis": ("ScatterPoint", "scatter_analysis", "ErrorProbabilities",
+                  "error_probabilities"),
+})

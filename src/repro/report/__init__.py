@@ -5,22 +5,11 @@ rendered as text: waveforms (Figs. 2-3), Vmin-vs-tau curves (Fig. 4),
 scatter summaries (Fig. 5) and coverage tables (Sec. 3).
 """
 
-from repro.report.render import ascii_curve, ascii_waveform, format_table
-from repro.report.aggregate import build_report, collect_results, write_report
-from repro.report.summaries import (
-    sensitivity_report,
-    testability_report_text,
-    waveform_report,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ascii_waveform",
-    "ascii_curve",
-    "format_table",
-    "waveform_report",
-    "sensitivity_report",
-    "testability_report_text",
-    "build_report",
-    "collect_results",
-    "write_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".render": ("ascii_waveform", "ascii_curve", "format_table"),
+    ".summaries": ("waveform_report", "sensitivity_report",
+                   "testability_report_text"),
+    ".aggregate": ("build_report", "collect_results", "write_report"),
+})

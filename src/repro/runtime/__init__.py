@@ -35,117 +35,26 @@ cache lives: ``REPRO_CACHE_DIR`` (disk-tier root),
 (disk budget).
 """
 
-from repro.errors import (
-    CampaignCancelledError,
-    JobError,
-    SimulationError,
-    WorkerCrashError,
-)
-from repro.runtime.cache import (
-    ENGINE_VERSION,
-    CacheStats,
-    ResultCache,
-    checkpoint_cache_dir,
-    default_cache_dir,
-    default_max_disk_bytes,
-    engine_fingerprint,
-    get_cache,
-    get_checkpoint_cache,
-    parse_size,
-    reset_cache,
-    stable_key,
-    tenant_cache,
-)
-from repro.runtime.checkpoint import (
-    CheckpointJournal,
-    CorruptEntry,
-    iter_entries,
-    load_journal,
-    quarantine_path,
-    write_quarantine,
-)
-from repro.runtime.executor import (
-    BACKENDS,
-    ON_ERROR_MODES,
-    CampaignResult,
-    evaluate_cached,
-    resolve_chunksize,
-    resolve_workers,
-    run_campaign,
-)
-from repro.runtime.faults import (
-    FaultInjector,
-    FaultSite,
-    get_injector,
-    inject,
-    parse_faults,
-    reset_injector,
-    set_injector,
-)
-from repro.runtime.jobs import JobResult, SensorJob, evaluate_job, sensitivity_job
-from repro.runtime.prefix import (
-    PREFIX_GUARD,
-    fork_time,
-    prefix_key,
-    prepare_prefixes,
-    warm_eligible,
-)
-from repro.runtime.telemetry import (
-    Stopwatch,
-    Telemetry,
-    emit_block,
-    format_duration,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "ENGINE_VERSION",
-    "ON_ERROR_MODES",
-    "PREFIX_GUARD",
-    "CacheStats",
-    "CampaignCancelledError",
-    "CampaignResult",
-    "CheckpointJournal",
-    "CorruptEntry",
-    "FaultInjector",
-    "FaultSite",
-    "JobError",
-    "JobResult",
-    "ResultCache",
-    "SensorJob",
-    "SimulationError",
-    "Stopwatch",
-    "Telemetry",
-    "WorkerCrashError",
-    "checkpoint_cache_dir",
-    "default_cache_dir",
-    "default_max_disk_bytes",
-    "emit_block",
-    "engine_fingerprint",
-    "evaluate_cached",
-    "evaluate_job",
-    "fork_time",
-    "format_duration",
-    "get_cache",
-    "get_checkpoint_cache",
-    "get_injector",
-    "inject",
-    "iter_entries",
-    "load_journal",
-    "parse_faults",
-    "parse_size",
-    "prefix_key",
-    "prepare_prefixes",
-    "quarantine_path",
-    "reset_cache",
-    "reset_injector",
-    "set_injector",
-    "resolve_chunksize",
-    "resolve_workers",
-    "run_campaign",
-    "sensitivity_job",
-    "stable_key",
-    "tenant_cache",
-    "warm_eligible",
-    "write_quarantine",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": ("CampaignCancelledError", "JobError", "SimulationError",
+                     "WorkerCrashError"),
+    ".cache": ("ENGINE_VERSION", "CacheStats", "ResultCache",
+               "checkpoint_cache_dir", "default_cache_dir",
+               "default_max_disk_bytes", "engine_fingerprint", "get_cache",
+               "get_checkpoint_cache", "parse_size", "reset_cache",
+               "stable_key", "tenant_cache"),
+    ".checkpoint": ("CheckpointJournal", "CorruptEntry", "iter_entries",
+                    "load_journal", "quarantine_path", "write_quarantine"),
+    ".executor": ("BACKENDS", "ON_ERROR_MODES", "CampaignResult",
+                  "evaluate_cached", "resolve_chunksize", "resolve_workers",
+                  "run_campaign"),
+    ".faults": ("FaultInjector", "FaultSite", "get_injector", "inject",
+                "parse_faults", "reset_injector", "set_injector"),
+    ".jobs": ("JobResult", "SensorJob", "evaluate_job", "sensitivity_job"),
+    ".prefix": ("PREFIX_GUARD", "fork_time", "prefix_key",
+                "prepare_prefixes", "warm_eligible"),
+    ".telemetry": ("Stopwatch", "Telemetry", "emit_block",
+                   "format_duration"),
+})

@@ -42,11 +42,8 @@ one IPC round-trip each.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
@@ -202,6 +199,8 @@ def _mp_context():
     pools included - inherit the prefix checkpoints the parent put in
     its memory tier before dispatch.
     """
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -211,7 +210,7 @@ def _chunked(items: List[_Item], size: int) -> List[List[_Item]]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
+def _kill_pool(pool: Any) -> None:
     """Tear a process pool down without joining its workers.
 
     ``shutdown(wait=True)`` joins the worker processes, which blocks
@@ -246,12 +245,11 @@ def _wait(futures: Any, cancel_event: Optional[threading.Event]) -> Any:
     raises :class:`CampaignCancelledError` once the event is set, so a
     hung worker never holds a cancelled campaign.
     """
+    from concurrent.futures import FIRST_COMPLETED, wait
+
     poll = CANCEL_POLL_S if cancel_event is not None else None
     while True:
-        done, _ = concurrent.futures.wait(
-            futures, timeout=poll,
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
+        done, _ = wait(futures, timeout=poll, return_when=FIRST_COMPLETED)
         if done:
             return done
         _check_cancelled(cancel_event)
@@ -306,6 +304,10 @@ def _dispatch_process_chunks(
     ``cancel_event`` kills the live pool via :func:`_kill_pool`, never
     joining it, and raises :class:`CampaignCancelledError`.
     """
+    # The pool modules load here, so a serial campaign never imports them.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes: List[Outcome] = []
     suspects: List[List[_Item]] = []
     context = _mp_context()
@@ -322,9 +324,7 @@ def _dispatch_process_chunks(
         remaining = []
         pending: Dict[Any, List[_Item]] = {}
         broke = False
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        )
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         try:
             while (queue or pending) and not broke:
                 _check_cancelled(cancel_event)
@@ -376,9 +376,7 @@ def _dispatch_process_chunks(
         unit = queue.pop(0)
         uid = unit[0][0]  # first job index names the unit
         dispatches[uid] = dispatches.get(uid, 0) + 1
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, mp_context=context
-        )
+        pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
         try:
             future = pool.submit(worker, unit)
             _wait([future], cancel_event)
@@ -552,23 +550,20 @@ def run_campaign(
     pending: List[Tuple[int, SensorJob]] = []
     key_owner: Dict[str, int] = {}
     duplicates: Dict[int, int] = {}
-    keys: List[Optional[str]] = [None] * len(jobs)
-    keyed = cache is not None or checkpoint is not None
-    for index, job in enumerate(jobs):
-        if keyed:
-            key = keys[index] = job.key()
-            stored = _replay(
-                key, f"job[{index}]", telemetry, cache, journal, journalled
-            )
-            if stored is not None:
-                results[index] = stored
-                if progress is not None:
-                    progress(index, stored)
-                continue
-            if key in key_owner:
-                duplicates[index] = key_owner[key]
-                continue
-            key_owner[key] = index
+    keys = [job.key() for job in jobs]
+    for index, (job, key) in enumerate(zip(jobs, keys)):
+        stored = _replay(
+            key, f"job[{index}]", telemetry, cache, journal, journalled
+        )
+        if stored is not None:
+            results[index] = stored
+            if progress is not None:
+                progress(index, stored)
+            continue
+        if key in key_owner:
+            duplicates[index] = key_owner[key]
+            continue
+        key_owner[key] = index
         pending.append((index, job))
 
     # ------------------------------------------------------------------ #
@@ -727,7 +722,7 @@ def _assimilate(
         )
         if result.prefix:
             telemetry.record_prefix(dict(result.prefix))
-        if key is not None:
+        if cache is not None or journal is not None:
             payload = result.to_payload()
             if cache is not None:
                 cache.put(key, payload)

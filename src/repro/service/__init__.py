@@ -44,42 +44,13 @@ results are bit-identical to a direct run - the service adds
 scheduling, persistence and observability, never physics.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.scheduler import CampaignScheduler, QuotaExceededError
-from repro.service.specs import (
-    FAST_OPTIONS,
-    CampaignPlan,
-    SpecError,
-    build_plan,
-    normalize_spec,
-    register_kind,
-    run_plan,
-    spec_kinds,
-)
-from repro.service.store import (
-    CampaignRecord,
-    JobStore,
-    STATES,
-    TERMINAL_STATES,
-    default_state_dir,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FAST_OPTIONS",
-    "STATES",
-    "TERMINAL_STATES",
-    "CampaignPlan",
-    "CampaignRecord",
-    "CampaignScheduler",
-    "JobStore",
-    "QuotaExceededError",
-    "ServiceClient",
-    "ServiceError",
-    "SpecError",
-    "build_plan",
-    "default_state_dir",
-    "normalize_spec",
-    "register_kind",
-    "run_plan",
-    "spec_kinds",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".specs": ("FAST_OPTIONS", "CampaignPlan", "SpecError", "build_plan",
+               "normalize_spec", "register_kind", "run_plan", "spec_kinds"),
+    ".store": ("STATES", "TERMINAL_STATES", "CampaignRecord", "JobStore",
+               "default_state_dir"),
+    ".scheduler": ("CampaignScheduler", "QuotaExceededError"),
+    ".client": ("ServiceClient", "ServiceError"),
+})

@@ -231,28 +231,25 @@ def _float_list(spec: Dict[str, Any], key: str) -> List[float]:
 
 
 def _check_circuits(jobs: List[Any]) -> None:
-    """Build each distinct sensor and clock pair of ``jobs`` once, so a
-    value they reject (a negative load, a slew outside
-    ``(0, period / 2)``) is a :class:`SpecError` at submit time instead
-    of a ``ValueError`` inside the campaign; so is a skew that ends a
-    job's measurement window by ``t = 0``, where its run starts."""
-    from repro.core.response import measurement_windows
+    """Check every job's skew and build each distinct sensor and clock
+    pair of ``jobs`` once, so a value they reject (a negative load, a
+    slew outside ``(0, period / 2)``, a skew that starts a clock edge at
+    or before ``t = 0``) is a :class:`SpecError` at submit time instead
+    of a ``ValueError`` inside the campaign."""
+    from repro.core.response import check_skew
     from repro.runtime.jobs import job_circuit
 
     checked = set()
     for job in jobs:
-        # The skew only delays a clock, which neither rejects.
+        # The skew only moves a clock edge, so it needs no circuit.
         circuit = (job.load1, job.load2, job.slew1, job.slew2)
-        if circuit not in checked:
-            checked.add(circuit)
-            try:
+        try:
+            check_skew(job.skew, job.settle)
+            if circuit not in checked:
+                checked.add(circuit)
                 job_circuit(job)
-            except ValueError as error:
-                raise SpecError(f"bad circuit value: {error}") from None
-        if measurement_windows(job.skew, job.slew1, job.slew2, job.period,
-                               job.settle)[2] <= 0.0:
-            raise SpecError(f"skew {job.skew / ns(1.0):g} ns ends the "
-                            "measurement window at or before t = 0")
+        except ValueError as error:
+            raise SpecError(f"bad circuit value: {error}") from None
 
 
 def _jobs_payload(jobs: List[Any], campaign: Any) -> List[Dict[str, Any]]:

@@ -25,17 +25,10 @@ Select it with ``TransientOptions(jacobian_policy="sparse")`` or let
 the engine's dense backend, so tier-1 stays numpy-only.
 """
 
-from repro.sparse.csr import CsrPlan, SparseKernel, csr_plan
-from repro.sparse.linalg import SparseLU, scipy_available
-from repro.sparse.newton import SparseBackend, SparseKernelStats, SparseStaticSolver
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CsrPlan",
-    "SparseKernel",
-    "csr_plan",
-    "SparseLU",
-    "scipy_available",
-    "SparseBackend",
-    "SparseKernelStats",
-    "SparseStaticSolver",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".csr": ("CsrPlan", "SparseKernel", "csr_plan"),
+    ".linalg": ("SparseLU", "scipy_available"),
+    ".newton": ("SparseBackend", "SparseKernelStats", "SparseStaticSolver"),
+})

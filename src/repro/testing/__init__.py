@@ -6,26 +6,14 @@ outputs feed a two-rail checker.  This package also contains the Sec.-3
 testability analysis of the sensor itself.
 """
 
-from repro.testing.indicator import ErrorIndicator
-from repro.testing.checker import TwoRailChecker
-from repro.testing.scanpath import ScanPath
-from repro.testing.scheme import ClockTestingScheme, SensorPlacement
-from repro.testing.coverage import CoverageSummary, coverage
-from repro.testing.testability import (
-    FaultVerdict,
-    TestabilityReport,
-    analyze_sensor_testability,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ErrorIndicator",
-    "TwoRailChecker",
-    "ScanPath",
-    "ClockTestingScheme",
-    "SensorPlacement",
-    "coverage",
-    "CoverageSummary",
-    "FaultVerdict",
-    "TestabilityReport",
-    "analyze_sensor_testability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".indicator": ("ErrorIndicator",),
+    ".checker": ("TwoRailChecker",),
+    ".scanpath": ("ScanPath",),
+    ".scheme": ("ClockTestingScheme", "SensorPlacement"),
+    ".coverage": ("coverage", "CoverageSummary"),
+    ".testability": ("FaultVerdict", "TestabilityReport",
+                     "analyze_sensor_testability"),
+})

@@ -238,7 +238,8 @@ def test_grid_commands_refuse_what_the_service_refuses(capsys, command,
     (["--skews", "nan"], {"skews_ns": [float("nan")]},
      "skews_ns must be a finite number"),
     (["--samples", "0"], {"samples": 0}, "samples must be an integer >= 1"),
-], ids=["skew-before-start", "skew-nan", "samples-0"])
+    (["--skews", "-3"], {"skews_ns": [-3.0]}, "at or before t = 0"),
+], ids=["skew-before-start", "skew-nan", "samples-0", "skew-edge-before-start"])
 def test_montecarlo_refuses_what_the_service_refuses(capsys, flags, spec,
                                                      message):
     # The montecarlo command validates its flags through the montecarlo
@@ -254,10 +255,23 @@ def test_montecarlo_refuses_what_the_service_refuses(capsys, flags, spec,
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--load", "nan"], ["--load", "-5"], ["--slew", "0"], ["--slew", "10"],
+    ["--skew", "nan"], ["--skew", "inf"], ["--skew", "-3"],
+], ids=lambda flags: " ".join(flags))
+def test_waves_refuses_a_bad_circuit_value(capsys, flags):
+    # Worded as the service words a value its circuits refuse.
+    assert main(["waves", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad circuit value: ")
+    assert captured.out == ""
+
+
 def test_thread_backend_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["campaign", "--backend", "thread", "--points", "3"])
-    assert "invalid choice" in capsys.readouterr().err
+    # The spec is the one check of a backend name, as for the service.
+    assert main(["campaign", "--backend", "thread", "--points", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown backend 'thread'")
 
 
 def test_cache_info_and_clear(capsys, fresh_cache):

@@ -57,6 +57,18 @@ def test_phi1_late_gives_10(sensor, fast_options):
     assert response.error_detected
 
 
+def test_skew_is_refused_once_phi2_would_rise_at_or_before_t0(
+        sensor, fast_options):
+    """A negative skew advances phi2: with the 2 ns settle, -1.5 ns still
+    reads phi1 late, while -3 ns would start the run with phi2 high and
+    read the opposite error, so it is refused, as is a non-finite skew."""
+    response = simulate_sensor(sensor, skew=-ns(1.5), options=fast_options)
+    assert response.code == ERROR_PHI1_LATE
+    for skew in (-ns(3.0), -ns(2.0), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="at or before t = 0|finite"):
+            simulate_sensor(sensor, skew=skew, options=fast_options)
+
+
 def test_vmin_late_selects_correct_output(sensor, fast_options):
     pos = simulate_sensor(sensor, skew=ns(0.5), options=fast_options)
     assert pos.vmin_late == pos.vmin_y2

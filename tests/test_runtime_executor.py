@@ -195,16 +195,16 @@ def test_disk_tier_survives_fresh_process_state(tmp_path):
 
 
 def test_duplicate_jobs_evaluated_once(tmp_path):
+    # With a cache or without one: a campaign always folds equal keys.
     job = jobs_for(0.2)[0]
-    cache = ResultCache(disk_dir=tmp_path)
-    telemetry = Telemetry()
-    campaign = run_campaign(
-        [job, job, job], cache=cache, telemetry=telemetry, evaluate=_synthetic
-    )
-    assert telemetry.jobs_evaluated == 1
-    assert len(campaign) == 3
-    assert campaign[1].vmin_late == campaign[0].vmin_late
-    assert campaign[1].cached and campaign[2].cached
+    for cache in (ResultCache(disk_dir=tmp_path), None):
+        telemetry = Telemetry()
+        campaign = run_campaign([job, job, job], cache=cache,
+                                telemetry=telemetry, evaluate=_synthetic)
+        assert telemetry.jobs_evaluated == 1
+        assert len(campaign) == 3
+        assert campaign[1].vmin_late == campaign[0].vmin_late
+        assert campaign[1].cached and campaign[2].cached
 
 
 def test_custom_evaluate_never_touches_default_cache():

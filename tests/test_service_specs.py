@@ -89,22 +89,23 @@ def test_whole_tree_campaign_keeps_the_largest_sparse_gauges():
 
 def test_whole_tree_seeds_of_an_unvaried_tree_run_once(tmp_path):
     """A seed moves only a varied H-tree: the three seeds of an unvaried
-    one share a key, so the campaign (journalled, as the scheduler runs
-    it) evaluates one transient and folds three equal runs."""
+    one share a key, so the campaign evaluates one transient and folds
+    three equal runs, journalled (as the scheduler runs it) or not (as
+    ``repro whole-tree`` does)."""
     from repro.runtime import Telemetry
     from repro.service.specs import run_plan
 
     plan = build_plan({"kind": "whole_tree", "levels": 1,
                        "seeds": [0, 1, 2]})
     assert len({job.key() for job in plan.jobs}) == 1
-    telemetry = Telemetry()
-    campaign = run_plan(plan, telemetry=telemetry,
-                        checkpoint=str(tmp_path / "journal.jsonl"))
-    assert (telemetry.jobs_total, telemetry.jobs_evaluated) == (3, 1)
-    runs = plan.fold(campaign)["runs"]
-    assert [run.pop("seed") for run in runs] == [0, 1, 2]
-    assert runs[0]["n_nodes"] > 0
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    for checkpoint in (str(tmp_path / "journal.jsonl"), None):
+        telemetry = Telemetry()
+        campaign = run_plan(plan, telemetry=telemetry, checkpoint=checkpoint)
+        assert (telemetry.jobs_total, telemetry.jobs_evaluated) == (3, 1)
+        runs = plan.fold(campaign)["runs"]
+        assert [run.pop("seed") for run in runs] == [0, 1, 2]
+        assert runs[0]["n_nodes"] > 0
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_whole_tree_key_ignores_what_the_run_ignores():
@@ -217,6 +218,11 @@ _BAD_SPECS = {
                           "at or before t = 0"),
     "tau-max-before-start": ({**_SENSITIVITY, "tau_max_ns": -12.0},
                              "at or before t = 0"),
+    # phi2's first edge would rise before the run starts at t = 0.
+    "skew-edge-before-start": ({**_MONTECARLO, "skews_ns": [1.5, -3.0]},
+                               "at or before t = 0"),
+    "tau-max-edge-before-start": ({**_SENSITIVITY, "tau_max_ns": -3.0},
+                                  "at or before t = 0"),
     "inf-mc-load": ({**_MONTECARLO, "load_ff": float("-inf")}, "load_ff"),
     "negative-mc-load": ({**_MONTECARLO, "load_ff": -160.0}, "non-negative"),
     "bool-seed": ({**_MONTECARLO, "seed": True}, "seed"),
@@ -239,6 +245,28 @@ def test_spec_rejects_non_finite_and_non_physical_numbers(spec, key):
     NaN, is refused when the plan is built, naming what is wrong."""
     with pytest.raises(SpecError, match=key):
         build_plan(spec)
+
+
+def test_server_answers_400_for_a_skew_before_the_run_starts(tmp_path):
+    """Both sensor kinds refuse a skew that starts phi2's edge at or
+    before t = 0, whatever the job's place in the grid."""
+    server = create_server(state_dir=str(tmp_path / "state"))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServiceClient(f"http://127.0.0.1:{server.port}", retries=0)
+    try:
+        for bad in ({"kind": "montecarlo", "samples": 1, "seed": 1,
+                     "skews_ns": [-1.5, -3, 1.5, 3]},
+                    {**_SENSITIVITY, "tau_max_ns": -3.0}):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(bad)
+            assert excinfo.value.status == 400
+            assert "skew -3 ns" in excinfo.value.message
+            assert "at or before t = 0" in excinfo.value.message
+        assert client.list() == []
+    finally:
+        server.shutdown_all()
+        thread.join(5.0)
 
 
 def test_server_answers_400_for_a_nan_spec(tmp_path):
