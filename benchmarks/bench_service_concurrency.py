@@ -66,9 +66,7 @@ def time_leg(max_concurrent: int) -> float:
     """Wall time to drain CAMPAIGNS campaigns at the given width."""
     root = tempfile.mkdtemp(prefix="repro-bench-conc-")
     store = JobStore(root)
-    scheduler = CampaignScheduler(
-        store, poll_interval=0.005, max_concurrent=max_concurrent
-    )
+    scheduler = CampaignScheduler(store, max_concurrent=max_concurrent)
     try:
         records = [
             scheduler.submit({"kind": "bench-sleepy"})

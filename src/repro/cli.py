@@ -375,7 +375,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         access_log=args.access_log,
         max_concurrent=args.max_concurrent,
         max_queue_depth=args.max_queue_depth,
-        watchdog_s=args.watchdog,
     )
     if args.port_file:
         with open(args.port_file, "w") as handle:
@@ -439,7 +438,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             payload = client.status(args.id)
         else:
             # No id: the server's own health (scheduler liveness, last
-            # heartbeat age, watchdog counters, quarantined lines).
+            # heartbeat age, quarantined lines).
             payload = client.health()
     except ServiceError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -687,9 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue-depth", type=int, default=None,
                        help="bound on queued campaigns (503 + Retry-After "
                             "beyond it; default unbounded)")
-    serve.add_argument("--watchdog", type=float, default=None,
-                       help="fail a campaign with no heartbeat for this "
-                            "many seconds (default off)")
     serve.add_argument("--access-log", action="store_true",
                        help="log every request to stderr")
     serve.set_defaults(func=_cmd_serve)
@@ -732,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     status = sub.add_parser(
         "status",
         help="one campaign's status record (no id: server health with "
-             "scheduler liveness, heartbeat age and watchdog counters)",
+             "scheduler liveness and heartbeat age)",
     )
     add_client_flags(status)
     status.add_argument("id", type=str, nargs="?", default=None)

@@ -240,12 +240,10 @@ class CampaignCancelledError(RuntimeError):
     ``resume=True`` continues where the cancellation struck.
     """
 
-    def __init__(self, message: str = "", completed: int = 0,
-                 reason: str = "cancelled") -> None:
+    def __init__(self, message: str = "", completed: int = 0) -> None:
         super().__init__(message)
         self.message = message
         self.completed = completed
-        self.reason = reason
 
 
 #: Exception classes reconstructable from a :class:`JobError` record

@@ -611,7 +611,7 @@ def run_campaign(
                     on_outcome=_absorb,
                     cancel_event=cancel_event,
                 )
-            elif backend == "serial" or len(items) == 1:
+            elif backend == "serial":
                 # Stream outcomes so an abort (raise mode) stops at the
                 # failing job and still leaves every job completed
                 # before it in the journal.

@@ -35,16 +35,12 @@ Registered sites (the component that checks them, and what firing does):
 ``scheduler.worker``   A scheduler slot raises before executing its
                        campaign (the worker loop must survive and fail
                        the campaign with a structured reason).
-``scheduler.stuck``    The campaign hangs without heartbeats until its
-                       cancel event fires (what the watchdog exists to
-                       detect).
 ``executor.crash``     Job evaluation reports a
-                       :class:`~repro.errors.WorkerCrashError` (the
-                       scheduler requeues the campaign for resume).
+                       :class:`~repro.errors.WorkerCrashError` (raised
+                       or collected, as a real crash's is).
 ``executor.hang``      Job evaluation sleeps ``REPRO_FAULTS_HANG_S``
                        (default 0.25 s) before running - a slow job
-                       for the campaign's cancel bound and the
-                       scheduler's watchdog.
+                       for the campaign's cancel bound.
 ``api.drop``           The HTTP handler shuts the connection down
                        before answering (clients must retry).
 ``api.slow``           The HTTP handler sleeps ``REPRO_FAULTS_SLOW_S``
@@ -74,19 +70,6 @@ ENV_FAULTS_SEED = "REPRO_FAULTS_SEED"
 #: Environment variables tuning the duration-type faults.
 ENV_HANG_S = "REPRO_FAULTS_HANG_S"
 ENV_SLOW_S = "REPRO_FAULTS_SLOW_S"
-
-#: Every site a shipped component consults, for validation and docs.
-KNOWN_SITES = (
-    "store.write",
-    "store.torn",
-    "store.replace",
-    "scheduler.worker",
-    "scheduler.stuck",
-    "executor.crash",
-    "executor.hang",
-    "api.drop",
-    "api.slow",
-)
 
 
 @dataclass

@@ -31,9 +31,9 @@ failure).  Submissions may carry an ``idempotency_key`` the scheduler
 deduplicates on, which is what makes client-side POST retries safe.
 
 ``/healthz`` reports scheduler liveness (slot threads alive, oldest
-running campaign's heartbeat age, watchdog counters) so an orchestrator
-can restart a wedged service; the status flips to ``"degraded"`` when
-no slot thread is alive.
+running campaign's heartbeat age) so an orchestrator can restart a
+wedged service; the status flips to ``"degraded"`` when no slot thread
+is alive.
 
 Chaos sites consulted per request: ``api.slow`` (sleep before
 answering) and ``api.drop`` (shut the connection down unanswered -
@@ -410,15 +410,13 @@ def create_server(
     access_log: bool = False,
     max_concurrent: Optional[int] = None,
     max_queue_depth: Optional[int] = None,
-    watchdog_s: Optional[float] = None,
 ) -> ServiceServer:
     """Build the store + scheduler + server stack (``port=0`` binds an
     ephemeral port; read it back from ``server.port``).  The scheduler
     is started; call :meth:`ServiceServer.shutdown_all` to tear down.
 
     ``max_concurrent`` widens the scheduler (default 1 campaign at a
-    time), ``max_queue_depth`` bounds the queue (503 beyond it) and
-    ``watchdog_s`` arms the stuck-campaign watchdog."""
+    time) and ``max_queue_depth`` bounds the queue (503 beyond it)."""
     from repro.service.scheduler import (
         DEFAULT_MAX_CONCURRENT,
         DEFAULT_QUOTA,
@@ -434,7 +432,6 @@ def create_server(
             else max_concurrent
         ),
         max_queue_depth=max_queue_depth,
-        watchdog_s=watchdog_s,
     )
     server = ServiceServer((host, port), scheduler, access_log=access_log)
     scheduler.start()

@@ -9,53 +9,46 @@ backend/workers spec keys) - and every historical ordering guarantee
 holds unchanged.  Wider schedulers split the worker budget: a campaign
 that did not pin ``workers`` gets ``resolve_workers() //
 max_concurrent`` so two concurrent campaigns cannot oversubscribe the
-box.
+box.  A slot waits on the queue's condition until :meth:`submit` or
+:meth:`stop` notifies it.
 
 Wiring per campaign (one :class:`_Execution` per running slot):
 
 * ``checkpoint=<store>/campaigns/<id>/checkpoint.jsonl`` +
   ``resume=record.resume`` - every finished job is durable, and a
-  campaign interrupted by a crash or shutdown continues where it died;
+  campaign interrupted by a shutdown or a server kill continues where
+  it stopped;
 * ``progress=`` - each finished job appends one event to the campaign's
   in-memory event buffer (the SSE endpoint's source), bumps the store's
-  progress counter and refreshes the execution's *heartbeat*;
-* ``cancel_event=`` - one :class:`threading.Event` per execution.
-  :meth:`cancel` sets it (reason ``"cancel"``), the per-campaign
-  ``timeout_s`` timer sets it (reason ``"timeout"``), :meth:`stop` sets
-  it (reason ``"shutdown"`` - the campaign is *requeued* so a restarted
-  server resumes it), and the watchdog sets it (reason ``"stuck: ..."``
-  - the campaign is *failed* with that structured reason).  The timer
-  closure checks that its execution is still the current one before
-  acting, so a timer firing during a shutdown-requeue (or any later
-  re-execution of the same campaign) cannot double-terminate - and the
-  store's sticky terminal states make even a lost race harmless;
+  progress counter and refreshes the execution's *heartbeat*, whose age
+  ``/healthz`` reports for an external monitor;
+* ``cancel_event=`` - one :class:`threading.Event` per execution, the
+  campaign's one time bound.  :meth:`cancel` sets it (reason
+  ``"cancel"``), the per-campaign ``timeout_s`` timer sets it (reason
+  ``"timeout"``) and :meth:`stop` sets it (reason ``"shutdown"`` - the
+  campaign is *requeued* so a restarted server resumes it); nothing
+  else does.  The timer closure checks that its execution is still the
+  current one before acting, and the store's sticky terminal states
+  make even a lost race harmless;
 * the result cache the spec asks for, which
   :func:`~repro.service.specs.run_plan` (the CLI grid commands' run
   entry too) picks: named tenants get their own disk namespace, and
   the default tenant shares the process-global cache with direct CLI
   runs.
 
-Robustness machinery:
+The executor alone decides what a failed job means: a worker that dies
+is redispatched in isolation (``MAX_REDISPATCH``), and a job that keeps
+killing its worker ends in :class:`~repro.errors.WorkerCrashError`,
+which fails the campaign like any other exception (or becomes a
+``JobError`` under ``on_error="collect"``).  Submissions beyond
+``max_queue_depth`` raise :class:`QueueFullError` (the API's 503 +
+``Retry-After``), and per-client quotas are enforced at submission time
+(:class:`QuotaExceededError` -> HTTP 429), counting the client's
+non-terminal campaigns.
 
-* **Watchdog** (``watchdog_s``): a monitor thread cancels any execution
-  whose heartbeat is older than the limit, and - if the slot thread
-  still has not unwound after a grace period (it may be wedged in
-  foreign code) - force-fails the campaign in the store, abandons the
-  wedged slot and spawns a replacement so the queue keeps draining.
-* **Crash requeue**: a campaign that dies with
-  :class:`~repro.errors.WorkerCrashError` is requeued for resume up to
-  ``max_crash_requeues`` times (its journaled jobs are not recomputed),
-  then failed.
-* **Bounded queue** (``max_queue_depth``): submissions beyond the bound
-  raise :class:`QueueFullError` (the API's 503 + ``Retry-After``).
-* Per-client quotas are enforced at submission time
-  (:class:`QuotaExceededError` -> HTTP 429), counting the client's
-  non-terminal campaigns.
-
-Chaos sites consulted here: ``scheduler.worker`` (a slot raises before
+Chaos site consulted here: ``scheduler.worker`` (a slot raises before
 executing - the loop survives and the campaign fails with a structured
-reason) and ``scheduler.stuck`` (the execution blocks heartbeat-less
-until its cancel event fires - what the watchdog exists to detect).
+reason).
 """
 
 from __future__ import annotations
@@ -67,12 +60,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import (
-    CampaignCancelledError,
-    InjectedFaultError,
-    JobError,
-    WorkerCrashError,
-)
+from repro.errors import CampaignCancelledError, InjectedFaultError, JobError
 from repro.runtime import Telemetry, resolve_workers
 from repro.runtime.faults import get_injector
 from repro.runtime.jobs import JobResult
@@ -88,15 +76,6 @@ EVENT_BUFFER_LIMIT = 10000
 
 #: Default scheduler width: one campaign at a time.
 DEFAULT_MAX_CONCURRENT = 1
-
-#: Times a WorkerCrashError campaign is requeued (resuming from its
-#: checkpoint) before the crash is declared terminal.
-DEFAULT_CRASH_REQUEUES = 2
-
-#: How long past the heartbeat limit the watchdog waits for a cancelled
-#: execution to unwind before force-failing it, as a multiple of
-#: ``watchdog_s``.
-WATCHDOG_GRACE_FACTOR = 2.0
 
 
 class QuotaExceededError(RuntimeError):
@@ -115,26 +94,18 @@ class QueueFullError(RuntimeError):
 class _Execution:
     """One running campaign's slot-local state.
 
-    Identity matters: the timeout timer and the watchdog only act when
-    ``self._running[campaign_id] is execution`` still holds, so a stale
-    closure from a previous execution of the same campaign (requeued
-    after shutdown or a crash) can never terminate the new one.
+    Identity matters: the timeout timer only acts when
+    ``self._running[campaign_id] is execution`` still holds, so a timer
+    that outlives its execution can never terminate a later one.
     """
 
     campaign_id: str
     cancel_event: threading.Event
-    #: The slot token owning this execution (see ``_slots``).
-    slot: object
-    started: float = 0.0
     #: ``time.monotonic()`` of the last sign of life (job completion).
     heartbeat: float = 0.0
-    #: Why the cancel event was set ("cancel"/"timeout"/"shutdown"/
-    #: "stuck: ...); None while running normally.
+    #: Why the cancel event was set ("cancel"/"timeout"/"shutdown");
+    #: None while running normally.
     reason: Optional[str] = None
-    #: When the watchdog cancelled it as stuck (grace timer origin).
-    stuck_since: Optional[float] = None
-    #: True once the watchdog force-failed it and gave up on the slot.
-    abandoned: bool = False
 
 
 class CampaignScheduler:
@@ -144,23 +115,15 @@ class CampaignScheduler:
         self,
         store: JobStore,
         quota: int = DEFAULT_QUOTA,
-        poll_interval: float = 0.05,
         max_concurrent: int = DEFAULT_MAX_CONCURRENT,
         max_queue_depth: Optional[int] = None,
-        watchdog_s: Optional[float] = None,
-        max_crash_requeues: int = DEFAULT_CRASH_REQUEUES,
     ) -> None:
         self.store = store
         self.quota = int(quota)
-        self.poll_interval = float(poll_interval)
         self.max_concurrent = max(1, int(max_concurrent))
         self.max_queue_depth = (
             None if max_queue_depth is None else max(1, int(max_queue_depth))
         )
-        self.watchdog_s = (
-            None if not watchdog_s else float(watchdog_s)
-        )
-        self.max_crash_requeues = max(0, int(max_crash_requeues))
         self.telemetry = Telemetry()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -169,14 +132,7 @@ class CampaignScheduler:
         self._events: Dict[str, List[Dict[str, Any]]] = {}
         self._event_cv = threading.Condition(self._lock)
         self._running: Dict[str, _Execution] = {}
-        #: Active slot tokens -> their threads; a token removed from
-        #: here tells its thread to retire at the next safe point.
-        self._slots: Dict[object, threading.Thread] = {}
         self._threads: List[threading.Thread] = []
-        self._watchdog_thread: Optional[threading.Thread] = None
-        self._watchdog_wake = threading.Event()
-        self._crash_retries: Dict[str, int] = {}
-        self._stuck_detected = 0
         self._stopping = False
         self._executed = 0
         # Campaigns that survived a restart re-enter the queue first.
@@ -188,23 +144,16 @@ class CampaignScheduler:
     # ----------------------------------------------------------------- #
 
     def start(self) -> None:
-        """Start the slot threads and the watchdog (idempotent)."""
+        """Start the slot threads (idempotent)."""
         with self._lock:
             self._stopping = False
-            missing = self.max_concurrent - len(self._slots)
-        for _ in range(max(0, missing)):
-            self._spawn_slot()
-        if self.watchdog_s and (
-            self._watchdog_thread is None
-            or not self._watchdog_thread.is_alive()
-        ):
-            self._watchdog_wake.clear()
-            self._watchdog_thread = threading.Thread(
-                target=self._watchdog_loop,
-                name="repro-scheduler-watchdog",
-                daemon=True,
-            )
-            self._watchdog_thread.start()
+            while len(self._threads) < self.max_concurrent:
+                thread = threading.Thread(
+                    target=self._slot_loop, name="repro-scheduler",
+                    daemon=True,
+                )
+                thread.start()
+                self._threads.append(thread)
 
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful shutdown: interrupt every running campaign (each is
@@ -216,29 +165,11 @@ class CampaignScheduler:
                 execution.reason = "shutdown"
                 execution.cancel_event.set()
             self._wakeup.notify_all()
-        self._watchdog_wake.set()
         deadline = time.monotonic() + timeout
         for thread in self._threads:
             thread.join(max(0.0, deadline - time.monotonic()))
-        if self._watchdog_thread is not None:
-            self._watchdog_thread.join(max(0.0, deadline - time.monotonic()))
-            self._watchdog_thread = None
         with self._lock:
-            self._slots.clear()
-        self._threads = []
-
-    def _spawn_slot(self) -> None:
-        token = object()
-        thread = threading.Thread(
-            target=self._slot_loop,
-            args=(token,),
-            name="repro-scheduler",
-            daemon=True,
-        )
-        with self._lock:
-            self._slots[token] = thread
-        self._threads.append(thread)
-        thread.start()
+            self._threads = []
 
     # ----------------------------------------------------------------- #
     # Submission / cancellation.
@@ -363,7 +294,7 @@ class CampaignScheduler:
         now = time.monotonic()
         with self._lock:
             slots_alive = sum(
-                1 for thread in self._slots.values() if thread.is_alive()
+                1 for thread in self._threads if thread.is_alive()
             )
             ages = [
                 now - execution.heartbeat
@@ -376,8 +307,6 @@ class CampaignScheduler:
             "max_concurrent": self.max_concurrent,
             "running": running,
             "last_heartbeat_age_s": max(ages) if ages else None,
-            "watchdog_s": self.watchdog_s,
-            "stuck_detected": self._stuck_detected,
         }
 
     def metrics(self) -> Dict[str, Any]:
@@ -425,39 +354,28 @@ class CampaignScheduler:
                 return campaign_id
         return None
 
-    def _slot_loop(self, token: object) -> None:
+    def _slot_loop(self) -> None:
         while True:
             with self._lock:
-                if token not in self._slots:
-                    return  # retired by the watchdog
                 while not self._stopping and not self._queued_ids:
-                    self._wakeup.wait(self.poll_interval)
-                    if token not in self._slots:
-                        return
+                    self._wakeup.wait()
                 if self._stopping:
                     return
                 campaign_id = self._pop()
                 if campaign_id is None:
                     continue
-                now = time.monotonic()
                 execution = _Execution(
                     campaign_id=campaign_id,
                     cancel_event=threading.Event(),
-                    slot=token,
-                    started=now,
-                    heartbeat=now,
+                    heartbeat=time.monotonic(),
                 )
                 self._running[campaign_id] = execution
             try:
                 self._execute(execution)
             finally:
                 with self._lock:
-                    if self._running.get(campaign_id) is execution:
-                        del self._running[campaign_id]
+                    del self._running[campaign_id]
                     self._executed += 1
-                    retired = token not in self._slots
-                if retired:
-                    return
 
     def _worker_budget(self, executor: Dict[str, Any]) -> Dict[str, Any]:
         """Split the box's worker budget across concurrent slots.
@@ -503,10 +421,8 @@ class CampaignScheduler:
                     with self._lock:
                         # Identity check: only the execution this timer
                         # was armed for may be expired.  A timer that
-                        # outlives its execution (shutdown-requeue, a
-                        # crash-requeue already re-running the campaign)
-                        # finds a different object - or none - and does
-                        # nothing.
+                        # outlives its execution finds a different
+                        # object - or none - and does nothing.
                         if self._running.get(campaign_id) is not execution:
                             return
                         if execution.cancel_event.is_set():
@@ -516,14 +432,6 @@ class CampaignScheduler:
                 timer = threading.Timer(float(timeout_s), _expire)
                 timer.daemon = True
                 timer.start()
-
-            if injector.active and injector.should_fire("scheduler.stuck"):
-                # Heartbeat-less limbo until someone (the watchdog, a
-                # user cancel, shutdown) sets the cancel event.
-                execution.cancel_event.wait()
-                raise CampaignCancelledError(
-                    "injected stuck campaign interrupted", completed=0
-                )
 
             done = {"count": 0}
 
@@ -573,28 +481,14 @@ class CampaignScheduler:
                         "event": "requeued",
                         "completed": error.completed,
                     })
-            elif reason.startswith("stuck"):
-                # The watchdog cancelled it; the structured reason makes
-                # this a failure, not a user cancellation.  (If the
-                # grace period already force-failed it, the sticky store
-                # makes this a no-op.)
-                if self.store.mark_failed(campaign_id, reason):
-                    self._emit(campaign_id, {
-                        "event": "failed",
-                        "error": "StuckCampaign",
-                        "message": reason,
-                    })
-            else:
-                if self.store.mark_cancelled(
-                    campaign_id, reason=reason, completed=error.completed
-                ):
-                    self._emit(campaign_id, {
-                        "event": "cancelled",
-                        "reason": reason,
-                        "completed": error.completed,
-                    })
-        except WorkerCrashError as error:
-            self._handle_crash(campaign_id, error)
+            elif self.store.mark_cancelled(
+                campaign_id, reason=reason, completed=error.completed
+            ):
+                self._emit(campaign_id, {
+                    "event": "cancelled",
+                    "reason": reason,
+                    "completed": error.completed,
+                })
         except Exception as error:  # noqa: BLE001 - worker must survive
             if self.store.mark_failed(
                 campaign_id, f"{type(error).__name__}: {error}"
@@ -610,92 +504,3 @@ class CampaignScheduler:
                 timer.cancel()
             with self._lock:
                 self.telemetry.merge(telemetry)
-
-    def _handle_crash(
-        self, campaign_id: str, error: WorkerCrashError
-    ) -> None:
-        """Requeue a crash-killed campaign for resume (bounded), then
-        declare it failed."""
-        with self._lock:
-            attempts = self._crash_retries.get(campaign_id, 0) + 1
-            self._crash_retries[campaign_id] = attempts
-            stopping = self._stopping
-        if attempts <= self.max_crash_requeues and not stopping:
-            record = self.store.get(campaign_id)
-            if self.store.requeue(campaign_id, completed=record.completed):
-                self._emit(campaign_id, {
-                    "event": "requeued",
-                    "crash": True,
-                    "attempt": attempts,
-                    "message": error.message,
-                })
-                with self._lock:
-                    self._push(self.store.get(campaign_id))
-                    self._wakeup.notify_all()
-                return
-        if self.store.mark_failed(
-            campaign_id, f"WorkerCrashError: {error.message}"
-        ):
-            self._emit(campaign_id, {
-                "event": "failed",
-                "error": "WorkerCrashError",
-                "message": error.message,
-            })
-
-    # ----------------------------------------------------------------- #
-    # Watchdog.
-    # ----------------------------------------------------------------- #
-
-    def _watchdog_loop(self) -> None:
-        interval = max(0.02, min(0.5, self.watchdog_s / 4.0))
-        grace = self.watchdog_s * WATCHDOG_GRACE_FACTOR
-        while not self._watchdog_wake.wait(interval):
-            with self._lock:
-                if self._stopping:
-                    return
-                executions = list(self._running.values())
-            now = time.monotonic()
-            for execution in executions:
-                if execution.abandoned:
-                    continue
-                if execution.stuck_since is None:
-                    age = now - execution.heartbeat
-                    if (
-                        age > self.watchdog_s
-                        and not execution.cancel_event.is_set()
-                    ):
-                        with self._lock:
-                            current = self._running.get(execution.campaign_id)
-                            if current is not execution:
-                                continue
-                            execution.reason = (
-                                f"stuck: no heartbeat for {age:.1f}s "
-                                f"(limit {self.watchdog_s:g}s)"
-                            )
-                            execution.stuck_since = now
-                            self._stuck_detected += 1
-                        execution.cancel_event.set()
-                elif now - execution.stuck_since > grace:
-                    # Cancelled but never unwound: the slot is wedged.
-                    self._force_fail(execution)
-
-    def _force_fail(self, execution: _Execution) -> None:
-        """Fail a wedged execution in the store, abandon its slot and
-        spawn a replacement so the queue keeps draining."""
-        with self._lock:
-            if self._running.get(execution.campaign_id) is not execution:
-                return
-            execution.abandoned = True
-            del self._running[execution.campaign_id]
-            self._slots.pop(execution.slot, None)
-            stopping = self._stopping
-        reason = execution.reason or "stuck: watchdog force-fail"
-        if self.store.mark_failed(execution.campaign_id, reason):
-            self._emit(execution.campaign_id, {
-                "event": "failed",
-                "error": "StuckCampaign",
-                "message": reason,
-                "forced": True,
-            })
-        if not stopping:
-            self._spawn_slot()

@@ -423,16 +423,15 @@ class JobStore:
     def mark_cancelled(
         self, campaign_id: str, reason: str = "cancel", completed: int = 0
     ) -> bool:
-        """Terminal cancellation; ``reason`` is ``cancel``/``timeout``/
-        a structured watchdog reason."""
+        """Terminal cancellation; ``reason`` is ``cancel`` or
+        ``timeout``."""
         return self._transition(
             campaign_id, "cancelled", error=reason, completed=completed
         )
 
     def requeue(self, campaign_id: str, completed: int = 0) -> bool:
         """Put an interrupted campaign back in the queue (graceful
-        shutdown, injected worker crash); its journaled results make the
-        rerun a resume."""
+        shutdown); its journaled results make the rerun a resume."""
         with self._lock:
             if not self._transition(
                 campaign_id, "queued", completed=completed

@@ -6,8 +6,7 @@ injector of :mod:`repro.runtime.faults`:
 
 * torn / failing journal writes  -> quarantine + retry (store)
 * mid-line corruption            -> CRC frame detects, replay heals
-* injected worker crashes        -> bounded requeue, resume completes
-* stuck campaigns                -> watchdog cancels / force-fails
+* injected worker crashes        -> campaign fails, the next one runs
 * dropped connections, full queues -> client retries, 503 + Retry-After
 
 All sleeps are short and every injection uses ``max_fires`` bounds or
@@ -336,7 +335,7 @@ def test_injected_hang_delays_evaluation():
 
 
 # --------------------------------------------------------------------- #
-# Scheduler: slot faults, crash requeue + resume, watchdog, concurrency.
+# Scheduler: slot faults, worker crashes, shutdown resume, concurrency.
 # --------------------------------------------------------------------- #
 
 
@@ -364,31 +363,39 @@ def test_slot_fault_fails_campaign_but_scheduler_survives(
         scheduler.store.close()
 
 
-def test_worker_crash_requeues_then_resume_completes(
+def test_worker_crash_fails_campaign_and_next_one_runs(
     tmp_path, synthetic_kind
 ):
     scheduler = CampaignScheduler(JobStore(tmp_path))
     scheduler.start()
     try:
-        # Exactly one injected crash: the first evaluation dies, the
-        # campaign is requeued for resume, the rerun completes.
+        # The executor's crash verdict is final: the campaign fails with
+        # it instead of being requeued, and the slot runs the next one.
         with inject("executor.crash:1.0:1", seed=1):
-            record = scheduler.submit({"kind": "synthetic", "jobs": 5})
-            final = wait_terminal(scheduler, record.campaign_id)
-        assert final.state == "done"
-        assert final.completed == 5
-        events = scheduler.events(record.campaign_id)
-        requeues = [e for e in events if e["event"] == "requeued"]
-        assert len(requeues) == 1
-        assert requeues[0]["crash"] is True and requeues[0]["attempt"] == 1
-        assert scheduler.store.load_result(record.campaign_id)["n"] == 5
+            crashed = scheduler.submit(
+                {"kind": "synthetic", "jobs": 5, "tag": "crashed"}
+            )
+            final = wait_terminal(scheduler, crashed.campaign_id)
+            assert final.state == "failed"
+            assert final.error.startswith("WorkerCrashError")
+            events = scheduler.events(crashed.campaign_id)
+            assert not any(e["event"] == "requeued" for e in events)
+            assert events[-1]["event"] == "failed"
+            assert events[-1]["error"] == "WorkerCrashError"
+            healthy = scheduler.submit(
+                {"kind": "synthetic", "tag": "healthy"}
+            )
+            assert wait_terminal(
+                scheduler, healthy.campaign_id
+            ).state == "done"
+        assert synthetic_kind == ["healthy"]
     finally:
         scheduler.stop()
         scheduler.store.close()
 
 
 def test_unbounded_crashes_eventually_fail(tmp_path, synthetic_kind):
-    scheduler = CampaignScheduler(JobStore(tmp_path), max_crash_requeues=2)
+    scheduler = CampaignScheduler(JobStore(tmp_path))
     scheduler.start()
     try:
         with inject("executor.crash:1.0", seed=1):  # crashes every attempt
@@ -397,37 +404,56 @@ def test_unbounded_crashes_eventually_fail(tmp_path, synthetic_kind):
         assert final.state == "failed"
         assert "WorkerCrashError" in final.error
         events = scheduler.events(record.campaign_id)
-        assert sum(1 for e in events if e["event"] == "requeued") == 2
+        assert sum(1 for e in events if e["event"] == "requeued") == 0
     finally:
         scheduler.stop()
         scheduler.store.close()
 
 
-def test_crash_resume_result_is_bit_identical(tmp_path, fresh_cache):
-    """A crash-interrupted, resumed campaign folds to the same numbers a
-    clean run produces - the resume machinery is invisible in results."""
+def test_shutdown_resume_result_is_bit_identical(tmp_path, fresh_cache):
+    """A campaign stopped mid-flight and finished by the next scheduler
+    on the same store folds to the numbers a clean run produces - the
+    resume machinery is invisible in results."""
+    # Three jobs: the stop lands while the second runs, and the executor,
+    # which checks the cancel event before each job, stops before the
+    # third.  No result cache, so the clean run computes every job
+    # instead of replaying the first run's results.
     spec = {
         "kind": "sensitivity",
         "loads_ff": [160.0],
         "slews_ns": [0.2],
         "tau_max_ns": 1.0,
-        "points": 2,
+        "points": 3,
+        "no_cache": True,
     }
-    chaotic = CampaignScheduler(JobStore(tmp_path / "chaos"))
-    chaotic.start()
+    first = CampaignScheduler(JobStore(tmp_path / "resumed"))
+    first.start()
     try:
-        with inject("executor.crash:1.0:1", seed=1):
-            record = chaotic.submit(dict(spec))
-            final = wait_terminal(chaotic, record.campaign_id, timeout=120.0)
-        assert final.state == "done"
-        assert any(
-            e["event"] == "requeued" and e.get("crash")
-            for e in chaotic.events(record.campaign_id)
-        )
-        crashed_result = chaotic.store.load_result(record.campaign_id)
+        # Each evaluation is slowed, so the stop lands while a job runs.
+        with inject("executor.hang:1.0", seed=1, hang_s=0.2):
+            record = first.submit(dict(spec))
+            cid = record.campaign_id
+            assert wait_for(lambda: any(
+                e["event"] == "job" for e in first.events(cid)
+            ), timeout=120.0)
+            first.stop()
+        interrupted = first.store.get(cid)
+        assert interrupted.state == "queued" and interrupted.resume is True
+        assert 0 < interrupted.completed < 3
     finally:
-        chaotic.stop()
-        chaotic.store.close()
+        first.stop()
+        first.store.close()
+
+    revived = CampaignScheduler(JobStore(tmp_path / "resumed"))
+    revived.start()
+    try:
+        final = wait_terminal(revived, cid, timeout=120.0)
+        assert final.state == "done"
+        assert any(e.get("resumed") for e in revived.events(cid))
+        resumed_result = revived.store.load_result(cid)
+    finally:
+        revived.stop()
+        revived.store.close()
 
     clean = CampaignScheduler(JobStore(tmp_path / "clean"))
     clean.start()
@@ -441,63 +467,8 @@ def test_crash_resume_result_is_bit_identical(tmp_path, fresh_cache):
         clean.store.close()
     # The physics (the folded curves) must match bit for bit; per-job
     # bookkeeping flags (cached/resumed) legitimately differ.
-    assert json.dumps(crashed_result["curves"], sort_keys=True) == \
+    assert json.dumps(resumed_result["curves"], sort_keys=True) == \
         json.dumps(clean_result["curves"], sort_keys=True)
-
-
-def test_watchdog_fails_stuck_campaign(tmp_path, synthetic_kind):
-    scheduler = CampaignScheduler(
-        JobStore(tmp_path), poll_interval=0.02, watchdog_s=0.2
-    )
-    scheduler.start()
-    try:
-        with inject("scheduler.stuck:1.0:1", seed=1):
-            stuck = scheduler.submit({"kind": "synthetic", "tag": "stuck"})
-            final = wait_terminal(scheduler, stuck.campaign_id, timeout=10.0)
-        assert final.state == "failed"
-        assert final.error.startswith("stuck: no heartbeat")
-        assert scheduler.liveness()["stuck_detected"] == 1
-        events = scheduler.events(stuck.campaign_id)
-        assert events[-1]["event"] == "failed"
-        assert events[-1]["error"] == "StuckCampaign"
-        # The slot unwound cleanly; the queue keeps draining.
-        healthy = scheduler.submit({"kind": "synthetic", "tag": "next"})
-        assert wait_terminal(scheduler, healthy.campaign_id).state == "done"
-    finally:
-        scheduler.stop()
-        scheduler.store.close()
-
-
-def test_watchdog_force_fails_wedged_slot(tmp_path, synthetic_kind):
-    """A slot wedged in foreign code (a job that ignores cancellation)
-    is abandoned after the grace period and replaced, so the queue keeps
-    draining long before the wedged thread unwinds."""
-    scheduler = CampaignScheduler(
-        JobStore(tmp_path), poll_interval=0.02, watchdog_s=0.15
-    )
-    scheduler.start()
-    try:
-        # One 1.2 s job: no heartbeat, and cancellation is only checked
-        # between jobs, so the cancel at ~0.15 s cannot unwind the slot.
-        wedged = scheduler.submit(
-            {"kind": "synthetic", "jobs": 1, "sleep_s": 1.2, "tag": "wedge"}
-        )
-        final = wait_terminal(scheduler, wedged.campaign_id, timeout=5.0)
-        assert final.state == "failed"
-        assert final.error.startswith("stuck")
-        events = scheduler.events(wedged.campaign_id)
-        forced = [e for e in events if e.get("forced")]
-        assert len(forced) == 1 and forced[0]["error"] == "StuckCampaign"
-        # The replacement slot runs the next campaign while the wedged
-        # thread is still sleeping inside its job.
-        healthy = scheduler.submit({"kind": "synthetic", "tag": "after"})
-        assert wait_terminal(
-            scheduler, healthy.campaign_id, timeout=5.0
-        ).state == "done"
-        assert synthetic_kind[-1] == "after"
-    finally:
-        scheduler.stop()
-        scheduler.store.close()
 
 
 def test_two_campaigns_make_concurrent_progress(tmp_path, synthetic_kind):
@@ -649,7 +620,7 @@ def test_http_submit_dedupes_on_idempotency_key(tmp_path, synthetic_kind):
 
 
 def test_healthz_reports_scheduler_liveness(tmp_path, synthetic_kind):
-    with live_server(tmp_path, max_concurrent=2, watchdog_s=5.0) as server:
+    with live_server(tmp_path, max_concurrent=2) as server:
         client = ServiceClient(f"http://127.0.0.1:{server.port}")
         health = client.health()
         assert health["status"] == "ok"
@@ -658,7 +629,6 @@ def test_healthz_reports_scheduler_liveness(tmp_path, synthetic_kind):
         assert scheduler["alive"] is True
         assert scheduler["slots_alive"] == 2
         assert scheduler["max_concurrent"] == 2
-        assert scheduler["watchdog_s"] == 5.0
         assert scheduler["running"] == []
 
 

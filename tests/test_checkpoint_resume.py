@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -232,6 +234,53 @@ def test_worker_crash_raises_with_job_descriptor(no_redispatch):
     assert error.job is jobs[1]
     assert error.dispatches >= 1
     assert "dispatches" in error.diagnostics.extra
+
+
+# --------------------------------------------------------------------- #
+# A lone pending job (the last one of a resume) still runs in a worker.
+# --------------------------------------------------------------------- #
+
+def _in_child(check, *args):
+    """Run the module-level ``check(*args)`` in a fresh interpreter: a
+    job evaluated in the calling process instead of a worker would kill
+    the process that runs the check."""
+    child = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; from {__name__} import {check}; "
+         f"{check}(*sys.argv[1:])", *args],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, (child.returncode, child.stderr)
+
+
+def _lone_crash_is_collected():
+    campaign = run_campaign(
+        _jobs(7.7), backend="process", max_workers=2, evaluate=_crashy,
+        on_error="collect",
+    )
+    (crashed,) = campaign.errors
+    assert crashed.error == "WorkerCrashError"
+    assert crashed.job.skew == _CRASH_SKEW
+
+
+def _lone_resumed_crash_raises(path):
+    jobs = _jobs(1.0, 7.7, 2.0)
+    run_campaign([jobs[0], jobs[2]], evaluate=_logged_ok, checkpoint=path)
+    with pytest.raises(WorkerCrashError) as excinfo:
+        run_campaign(
+            jobs, backend="process", max_workers=2, evaluate=_crashy,
+            checkpoint=path, resume=True,
+        )
+    assert excinfo.value.job is jobs[1]
+
+
+def test_lone_job_crash_is_collected_from_a_worker():
+    _in_child("_lone_crash_is_collected")
+
+
+def test_resume_with_one_job_left_raises_its_worker_crash(tmp_path):
+    _in_child("_lone_resumed_crash_raises", str(tmp_path / "campaign.jsonl"))
 
 
 # --------------------------------------------------------------------- #

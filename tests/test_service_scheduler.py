@@ -197,3 +197,41 @@ def test_restart_scheduler_picks_up_pending(tmp_path, synthetic_kind):
     assert synthetic_kind == ["orphan"]
     scheduler.stop()
     revived_store.close()
+
+
+def test_every_submission_wakes_a_slot(tmp_path, synthetic_kind):
+    """Idle slots wait on the queue's condition with no timeout, so a
+    lost wake-up would leave a campaign queued for good: campaigns
+    submitted from several threads to more slots than cores all finish,
+    with thread switches forced far more often than usual."""
+    import sys
+    import threading
+
+    scheduler = CampaignScheduler(
+        JobStore(tmp_path), quota=100, max_concurrent=4
+    )
+    records = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        scheduler.start()
+
+        def submit_some():
+            for _ in range(10):
+                records.append(scheduler.submit({"kind": "synthetic"}))
+
+        submitters = [threading.Thread(target=submit_some) for _ in range(4)]
+        for thread in submitters:
+            thread.start()
+        for thread in submitters:
+            thread.join(30.0)
+            assert not thread.is_alive()
+        assert len(records) == 40
+        for record in records:
+            assert wait_terminal(
+                scheduler, record.campaign_id, timeout=30.0
+            ).state == "done"
+    finally:
+        sys.setswitchinterval(previous)
+        scheduler.stop()
+        scheduler.store.close()
